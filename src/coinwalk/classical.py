@@ -22,9 +22,10 @@ SIMPLEX_TOL = 1e-12
 
 def validate_distribution(p: np.ndarray) -> None:
     p = np.asarray(p)
-    if p.min() < -SIMPLEX_TOL:
+    # written so that NaN entries fail both checks
+    if not p.min() >= -SIMPLEX_TOL:
         raise StructureError(f"distribution has negative entry {p.min():.3e}")
-    if abs(p.sum() - 1.0) > SIMPLEX_TOL:
+    if not abs(p.sum() - 1.0) <= SIMPLEX_TOL:
         raise StructureError(f"distribution sums to {p.sum()!r}, not 1")
 
 

@@ -111,6 +111,13 @@ def _parse_start(text: str) -> tuple[int, int]:
         raise ConfigError(f"--start expects 'J,K' with integers, got {text!r}") from None
 
 
+def _worker_count(jobs: int) -> int:
+    """Validate --jobs and cap it at the machine's core count."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _build_graph(args) -> PortGraph:
     if args.cycle is not None:
         return build_cycle(args.cycle)
@@ -154,6 +161,9 @@ def _build_setup(args):
         raise ConfigError(f"--beta must lie in [0,1], got {args.beta}")
     if not 0.0 <= args.vertex_dephasing <= 1.0:
         raise ConfigError(f"--vertex-dephasing must lie in [0,1], got {args.vertex_dephasing}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    args.jobs = _worker_count(args.jobs)
 
     start = _parse_start(args.start)
     psi0 = basis_state(graph, *start)

@@ -18,6 +18,7 @@ from .graph import PortGraph
 
 __all__ = [
     "CoinSpec",
+    "block_diagonal",
     "build_coin_operator",
     "coin_spec_from_config",
     "default_coin_spec",
@@ -96,7 +97,7 @@ def default_coin_spec(graph: PortGraph, phi: float = math.pi / 2) -> CoinSpec:
 def _check_block_unitary(block: np.ndarray, where: str) -> None:
     dim = block.shape[0]
     dev = np.max(np.abs(block.conj().T @ block - np.eye(dim))) if dim else 0.0
-    if dev > UNITARITY_TOL:
+    if not dev <= UNITARITY_TOL:  # also rejects NaN and Inf entries
         raise StructureError(f"coin block {where} is not unitary (deviation {dev:.3e})")
 
 
@@ -145,19 +146,26 @@ def embedded_blocks(graph: PortGraph, spec: CoinSpec) -> list[np.ndarray]:
     return out
 
 
+def block_diagonal(blocks) -> np.ndarray:
+    """Dense (N d) x (N d) matrix with the N given d x d blocks on its diagonal."""
+    n = len(blocks)
+    d = blocks[0].shape[0]
+    op = np.zeros((n * d, n * d), dtype=complex)
+    for j, block in enumerate(blocks):
+        op[j * d: (j + 1) * d, j * d: (j + 1) * d] = block
+    return op
+
+
 def build_coin_operator(graph: PortGraph, spec: CoinSpec) -> np.ndarray:
     """Assemble the full coin operator on the joint space.
 
     Returns a dense (N d) x (N d) matrix, block diagonal over vertices.
     It is unitary on the used subspace; rows and columns belonging to
-    unused ports are identically zero.
+    unused ports are identically zero. The walk itself applies the
+    blocks from embedded_blocks directly; this dense form is a
+    reference for tests.
     """
-    blocks = embedded_blocks(graph, spec)
-    n, d = graph.num_vertices, graph.degree
-    op = np.zeros((n * d, n * d), dtype=complex)
-    for j, block in enumerate(blocks):
-        op[j * d: (j + 1) * d, j * d: (j + 1) * d] = block
-    return op
+    return block_diagonal(embedded_blocks(graph, spec))
 
 
 def coin_spec_from_config(config: dict, graph: PortGraph, phi: float = math.pi / 2) -> CoinSpec:

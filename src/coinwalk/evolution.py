@@ -5,6 +5,17 @@ measurement channel (when a measurement strength is configured),
 optional dephasing between vertices, and the shift. The vertex
 dephasing may instead be placed after the shift; both orders are
 conventions and the choice is recorded with every run.
+
+Every part of the step is applied in its structured form. The coin is a
+stack of per-vertex d x d blocks, applied as a batched product on the
+(N, d, ...) view of a state. The coin measurement Kraus operators are
+diagonal in the coin basis, and vertex dephasing only scales the blocks
+between different vertices, so on a density matrix both are one
+elementwise (Schur) product with a d x d coin mask, and on a pure state
+each Kraus operator is an elementwise product. The shift is a
+permutation. The dense full-space operators are built only by
+assembled_step_operators and vertex_dephasing, which serve as reference
+implementations.
 """
 
 from __future__ import annotations
@@ -14,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import build_coin_operator, default_coin_spec, CoinSpec
+from .coin import CoinSpec, block_diagonal, default_coin_spec, embedded_blocks
 from .errors import ConfigError, InvariantViolation, StructureError
 from .graph import PortGraph
-from .meter import apply_kraus, dephasing_kraus, uniform_dephasing_kraus
+from .meter import dephasing_kraus, uniform_dephasing_kraus
 from .shift import ShiftOperator, build_shift
 from .state import pure_position_marginal, position_marginal, to_density
 
@@ -37,11 +48,17 @@ __all__ = [
 ]
 
 PLACEMENTS = ("before-shift", "after-shift")
+BRANCH_SUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class StepMap:
-    """Everything needed to advance the walk by one time step."""
+    """Everything needed to advance the walk by one time step.
+
+    coin is the (N, d, d) stack of per-vertex coin blocks, as returned by
+    coin.embedded_blocks. coin_kraus holds the d x d Kraus operators of
+    the coin measurement, which must be diagonal in the coin basis.
+    """
 
     coin: np.ndarray
     shift: ShiftOperator
@@ -49,6 +66,19 @@ class StepMap:
     vertex_dephasing: float = 0.0
     placement: str = "before-shift"
     beta: float = 0.0
+
+    def __post_init__(self) -> None:
+        n, d = self.shift.num_vertices, self.shift.degree
+        if np.shape(self.coin) != (n, d, d):
+            raise StructureError(
+                f"coin must be the ({n}, {d}, {d}) stack of vertex blocks, "
+                f"got shape {np.shape(self.coin)}"
+            )
+        for k in self.coin_kraus or ():
+            if np.shape(k) != (d, d) or np.count_nonzero(k - np.diag(np.diagonal(k))):
+                raise StructureError(
+                    f"coin Kraus operators must be {d}x{d} and diagonal in the coin basis"
+                )
 
     @property
     def is_unitary(self) -> bool:
@@ -75,7 +105,7 @@ def make_step(
     if not 0.0 <= vertex_p <= 1.0:
         raise ConfigError(f"vertex dephasing strength must lie in [0, 1], got {vertex_p}")
     spec = coin_spec if coin_spec is not None else default_coin_spec(graph, phi)
-    coin_op = build_coin_operator(graph, spec)
+    blocks = np.stack(embedded_blocks(graph, spec))
     shift_op = shift if shift is not None else build_shift(graph)
     kraus = None
     if beta > 0.0:
@@ -83,7 +113,58 @@ def make_step(
             kraus = dephasing_kraus(beta).operators
         else:
             kraus = uniform_dephasing_kraus(beta, graph.degree)
-    return StepMap(coin_op, shift_op, kraus, vertex_p, placement, beta)
+    return StepMap(blocks, shift_op, kraus, vertex_p, placement, beta)
+
+
+# ----------------------------------------------------------------------
+# structured pieces of a step
+
+def _apply_coin(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Block-diagonal coin times x, whose first axis has length N*d.
+
+    Vertex j's block acts on rows j*d..j*d+d-1, so the product is one
+    batched matmul on the (N, d, ...) view of x.
+    """
+    n, d, _ = blocks.shape
+    return (blocks @ x.reshape(n, d, -1)).reshape(x.shape)
+
+
+def _kraus_diagonals(step: StepMap) -> np.ndarray:
+    """(m, d) array: row i is the diagonal of coin Kraus operator i."""
+    return np.array([np.diagonal(k) for k in step.coin_kraus])
+
+
+def _coin_mask(step: StepMap) -> np.ndarray:
+    """The coin measurement channel as a d x d Schur factor.
+
+    For diagonal Kraus operators k_m, sum_m K_m rho K_m^dagger scales
+    coin entry (a, b) by sum_m k_m[a] conj(k_m[b]); all ones without a
+    measurement.
+    """
+    if step.coin_kraus is None:
+        d = step.shift.degree
+        return np.ones((d, d))
+    k = _kraus_diagonals(step)
+    return k.T @ k.conj()
+
+
+def _schur(rho: np.ndarray, coin_mask: np.ndarray, p: float) -> np.ndarray:
+    """Scale rho[(i, a), (j, b)] by coin_mask[a, b], and by (1 - p) when i != j.
+
+    Works on the (N, d, N, d) view of rho, in place when that view
+    shares rho's memory, and returns the scaled matrix.
+    """
+    d = coin_mask.shape[0]
+    n = rho.shape[0] // d
+    rho4 = rho.reshape(n, d, n, d)
+    if p == 0.0:
+        rho4 *= coin_mask[:, None, :]
+    else:
+        v = np.arange(n)
+        same_vertex = rho4[v, :, v, :] * coin_mask
+        rho4 *= (1.0 - p) * coin_mask[:, None, :]
+        rho4[v, :, v, :] = same_vertex
+    return rho4.reshape(rho.shape)
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +177,7 @@ def unitary_step(psi: np.ndarray, step: StepMap) -> np.ndarray:
             "unitary_step requires a StepMap without measurement options; "
             "use cp_step on a density matrix instead"
         )
-    return step.shift.apply(step.coin @ psi)
+    return step.shift.apply(_apply_coin(step.coin, psi))
 
 
 def vertex_dephasing(rho: np.ndarray, p: float, degree: int) -> np.ndarray:
@@ -104,7 +185,8 @@ def vertex_dephasing(rho: np.ndarray, p: float, degree: int) -> np.ndarray:
 
     Coin coherences within a vertex are untouched, so the diagonal and
     the trace are exactly preserved. p=0 is the identity; p=1 removes
-    all position coherence.
+    all position coherence. This dense form is the reference that
+    cp_step's structured channel is tested against.
     """
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"vertex dephasing strength must lie in [0, 1], got {p}")
@@ -115,23 +197,20 @@ def vertex_dephasing(rho: np.ndarray, p: float, degree: int) -> np.ndarray:
     return rho * ((1.0 - p) + p * same_vertex)
 
 
-def _expanded_kraus(step: StepMap) -> list[np.ndarray]:
-    n = step.shift.num_vertices
-    return [np.kron(np.eye(n), k) for k in step.coin_kraus]
-
-
 def cp_step(rho: np.ndarray, step: StepMap) -> np.ndarray:
     """Advance a density matrix one step through the full channel."""
-    d = step.shift.degree
-    rho = step.coin @ rho @ step.coin.conj().T
-    if step.coin_kraus is not None:
-        rho = apply_kraus(rho, _expanded_kraus(step))
-    if step.vertex_dephasing > 0.0 and step.placement == "before-shift":
-        rho = vertex_dephasing(rho, step.vertex_dephasing, d)
-    rho = step.shift.conjugate(rho)
-    if step.vertex_dephasing > 0.0 and step.placement == "after-shift":
-        rho = vertex_dephasing(rho, step.vertex_dephasing, d)
-    return rho
+    p = step.vertex_dephasing
+    p_before = p if step.placement == "before-shift" else 0.0
+    # U rho U^dagger, the right factor applied as blocks.conj() to the
+    # transposed view: `out` holds the coin-tossed state transposed, in
+    # row-major order, so the Schur factor is taken transposed as well.
+    out = _apply_coin(step.coin.conj(), _apply_coin(step.coin, rho).T)
+    if step.coin_kraus is not None or p_before > 0.0:
+        out = _schur(out, _coin_mask(step).T, p_before)
+    out = step.shift.conjugate(out.T)
+    if p > 0.0 and step.placement == "after-shift":
+        out = _schur(out, np.ones((step.shift.degree,) * 2), p)
+    return out
 
 
 def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
@@ -176,12 +255,15 @@ def assembled_step_operators(step: StepMap) -> list[np.ndarray]:
 
     Their completeness sum is the identity on graphs where every port
     is used, and the projector onto the used subspace otherwise. Vertex
-    dephasing is a separate channel and is not included.
+    dephasing is a separate channel and is not included. The operators
+    are dense (N d) x (N d) matrices, built as a reference for tests.
     """
-    if step.coin_kraus is None:
-        return [step.shift.matrix() @ step.coin]
     smat = step.shift.matrix()
-    return [smat @ g @ step.coin for g in _expanded_kraus(step)]
+    coin = block_diagonal(step.coin)
+    if step.coin_kraus is None:
+        return [smat @ coin]
+    eye = np.eye(step.shift.num_vertices)
+    return [smat @ np.kron(eye, k) @ coin for k in step.coin_kraus]
 
 
 # ----------------------------------------------------------------------
@@ -209,12 +291,26 @@ def _require_unravelable(step: StepMap) -> None:
         )
 
 
-def _branch_probabilities(phi: np.ndarray, expanded: list[np.ndarray]) -> np.ndarray:
-    probs = np.array([float(np.vdot(k @ phi, k @ phi).real) for k in expanded])
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
+def _joint_kraus(step: StepMap) -> np.ndarray:
+    """(m, N*d) array: row i is the diagonal of Kraus operator i on the joint space."""
+    return np.tile(_kraus_diagonals(step), step.shift.num_vertices)
+
+
+def _branches(phi: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every Kraus branch K_i phi of a coin-tossed state and its Born weight.
+
+    The weights must sum to 1: the Kraus family is complete on the used
+    ports, which are the only ones a tossed state occupies.
+    """
+    children = kraus * phi
+    # one vdot per branch gives bit-for-bit the weights of the dense
+    # operators from assembled_step_operators, so records do not depend
+    # on which form computed them
+    weights = np.array([np.vdot(c, c).real for c in children])
+    total = weights.sum()
+    if not abs(total - 1.0) <= BRANCH_SUM_TOL:
         raise InvariantViolation(f"branch probabilities sum to {total!r}")
-    return probs / total
+    return children, weights
 
 
 def _project_vertex(psi: np.ndarray, vertex: int, degree: int) -> np.ndarray:
@@ -222,7 +318,7 @@ def _project_vertex(psi: np.ndarray, vertex: int, degree: int) -> np.ndarray:
     lo = vertex * degree
     out[lo: lo + degree] = psi[lo: lo + degree]
     norm = float(np.vdot(out, out).real)
-    if norm < 1e-14:
+    if not norm >= 1e-14:
         raise InvariantViolation("vertex projection left a state of negligible norm")
     return out / math.sqrt(norm)
 
@@ -239,7 +335,7 @@ def sample_trajectory(
     """
     _require_unravelable(step)
     rng = np.random.default_rng(seed)
-    expanded = _expanded_kraus(step)
+    kraus = _joint_kraus(step)
     n, d = step.shift.num_vertices, step.shift.degree
     measure_position = step.vertex_dephasing == 1.0
 
@@ -248,13 +344,13 @@ def sample_trajectory(
     probs: list[float] = []
     vertices: list[int] = []
     for _ in range(steps):
-        phi = step.coin @ psi
-        w = _branch_probabilities(phi, expanded)
+        children, w = _branches(_apply_coin(step.coin, psi), kraus)
+        w = w / w.sum()
         viable = np.flatnonzero(w > 1e-28)
         i = int(viable[rng.choice(viable.size, p=w[viable] / w[viable].sum())])
-        psi = expanded[i] @ phi
+        psi = children[i]
         norm = float(np.vdot(psi, psi).real)
-        if norm < 1e-14:
+        if not norm >= 1e-14:
             raise InvariantViolation("sampled branch has negligible norm")
         psi = psi / math.sqrt(norm)
         outcomes.append(i)
@@ -294,15 +390,14 @@ def enumerate_branches(
     _require_unravelable(step)
     if step.vertex_dephasing != 0.0:
         raise ConfigError("branch enumeration supports coin measurement only")
-    expanded = _expanded_kraus(step)
+    kraus = _joint_kraus(step)
     branches: list[tuple[float, np.ndarray, tuple[int, ...]]] = [(1.0, psi0.copy(), ())]
     for _ in range(steps):
         grown: list[tuple[float, np.ndarray, tuple[int, ...]]] = []
         for weight, psi, history in branches:
-            phi = step.coin @ psi
-            for i, k in enumerate(expanded):
-                child = k @ phi
-                w = float(np.vdot(child, child).real)
+            children, weights = _branches(_apply_coin(step.coin, psi), kraus)
+            for i, (child, w) in enumerate(zip(children, weights)):
+                w = float(w)
                 if weight * w < prune:
                     continue
                 grown.append(

@@ -250,15 +250,28 @@ def load_graph(path: str) -> PortGraph:
          "edges": [{"u": j, "pu": k, "v": j2, "pv": k2}, ...]}
 
     The vertices and degree fields are checked against the edge list.
+    A file that cannot be read, or that does not have this shape, raises
+    ConfigError.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON (line {exc.lineno}): {exc.msg}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read graph file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON (line {exc.lineno}): {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     for key in ("vertices", "degree", "edges"):
         if key not in raw:
             raise ConfigError(f"{path}: missing field '{key}'")
+    for key in ("vertices", "degree"):
+        if not isinstance(raw[key], int) or isinstance(raw[key], bool):
+            raise ConfigError(f"{path}: '{key}' must be an integer, got {raw[key]!r}")
+    if not isinstance(raw["edges"], list):
+        raise ConfigError(f"{path}: 'edges' must be a list")
     edges = []
     for i, entry in enumerate(raw["edges"]):
         try:

@@ -55,23 +55,25 @@ def basis_state(graph: PortGraph, vertex: int, port: int) -> np.ndarray:
     return psi
 
 
+# Every guard below is written as `not (value within bound)`, so that a
+# NaN, which fails every comparison, is rejected rather than let through.
+
 def check_pure(psi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
-    if abs(np.vdot(psi, psi).real - 1.0) > tol.norm:
-        raise InvariantViolation(
-            f"pure state norm deviates from 1 by {abs(np.vdot(psi, psi).real - 1.0):.3e}"
-        )
+    dev = abs(np.vdot(psi, psi).real - 1.0)
+    if not dev <= tol.norm:
+        raise InvariantViolation(f"pure state norm deviates from 1 by {dev:.3e}")
 
 
 def check_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
     """Verify Hermiticity, unit trace, and positivity within tolerance."""
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > tol.hermiticity:
+    if not herm <= tol.hermiticity:
         raise InvariantViolation(f"density matrix not Hermitian: deviation {herm:.3e}")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > tol.trace:
+    if not abs(tr - 1.0) <= tol.trace:
         raise InvariantViolation(f"density matrix trace {tr!r} is not 1")
     lo = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    if lo < -tol.eigenvalue:
+    if not lo >= -tol.eigenvalue:
         raise InvariantViolation(f"density matrix has eigenvalue {lo:.3e} below 0")
 
 
@@ -89,12 +91,14 @@ def position_marginal(
     Sums the diagonal over each vertex's coin block of the given
     dimension. Tiny negative entries from roundoff (within
     tol.marginal_clamp) are clamped to zero; anything more negative
-    indicates a logic error upstream and raises.
+    indicates a logic error upstream and raises, as do NaN and Inf.
     """
     diag = np.real(np.diagonal(rho)).reshape(-1, degree)
     probs = diag.sum(axis=1)
+    if not np.all(np.isfinite(probs)):
+        raise InvariantViolation("marginal has a non-finite entry")
     lo = probs.min()
-    if lo < -tol.marginal_clamp:
+    if not lo >= -tol.marginal_clamp:
         raise InvariantViolation(f"marginal entry {lo:.3e} below the clamp threshold")
     return np.clip(probs, 0.0, None)
 

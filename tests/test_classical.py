@@ -176,6 +176,10 @@ def test_validation_rejects_bad_inputs(cycle7):
         validate_distribution(np.array([1.1, -0.1]))
     with pytest.raises(StructureError, match="sums to"):
         validate_distribution(np.array([0.7, 0.2]))
+    with pytest.raises(StructureError, match="negative"):
+        validate_distribution(np.array([np.nan, 1.0]))
+    with pytest.raises(StructureError, match="sums to"):
+        validate_distribution(np.array([np.inf, 1.0]))
     with pytest.raises(StructureError, match="length"):
         classical_step(np.ones(3) / 3, cycle7)
     with pytest.raises(StructureError, match="nonnegative"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coinwalk import (
+    ConfigError,
     basis_state,
     build_cycle_shift,
     classical_run,
@@ -219,6 +220,13 @@ def test_trajectory_without_measurement_is_redirected(tmp_path, capsys):
         ["mix", "--cycle", "7", "--t-max", "10", "--epsilon", "0.0"],
         ["trajectory", "--cycle", "7", "--beta", "1.0", "--steps", "2",
          "--samples", "0"],
+        ["run", "--cycle", "5", "--steps", "2", "--phi", "nan"],
+        ["run", "--cycle", "5", "--steps", "2", "--phi", "nan", "--beta", "0.5"],
+        ["trajectory", "--cycle", "7", "--beta", "1.0", "--steps", "2",
+         "--samples", "2", "--seed", "-1"],
+        ["sweep", "--cycle", "7", "--steps", "2", "--beta-points", "3", "--jobs", "0"],
+        ["trajectory", "--cycle", "7", "--beta", "1.0", "--steps", "2",
+         "--samples", "2", "--jobs", "-3"],
     ],
 )
 def test_bad_configurations_exit_2_without_output(tmp_path, capsys, argv):
@@ -226,6 +234,45 @@ def test_bad_configurations_exit_2_without_output(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("coinwalk: configuration error:")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # a directory in place of the file
+        b"5",
+        b"[1, 2]",
+        b"\xff\xfe{}",
+        b'{"vertices": 3, "degree": 2, "edges": 5}',
+        b'{"vertices": "x", "degree": 1, "edges": [{"u": 0, "pu": 0, "v": 1, "pv": 0}]}',
+    ],
+    ids=["directory", "scalar", "array", "not-utf8", "edges-not-a-list", "vertices-not-an-int"],
+)
+def test_unreadable_graph_file_exits_2_with_one_line(tmp_path, capsys, content):
+    graph_path = tmp_path / "graph.json"
+    if content is None:
+        graph_path.mkdir()
+    else:
+        graph_path.write_bytes(content)
+    out = tmp_path / "never.csv"
+    assert main(["run", "--graph", str(graph_path), "--steps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coinwalk: configuration error:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_jobs_is_capped_at_the_core_count(monkeypatch):
+    from coinwalk.cli import _worker_count
+
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _worker_count(1) == 1
+    assert _worker_count(3) == 3
+    assert _worker_count(10**6) == 4
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _worker_count(8) == 1
+    with pytest.raises(ConfigError, match="at least 1"):
+        _worker_count(0)
 
 
 def test_graph_file_and_custom_coin_round_trip(tmp_path, multi_graph):

@@ -121,6 +121,9 @@ def test_non_unitary_block_is_rejected():
     g = build_cycle(3)
     with pytest.raises(StructureError, match="unitary"):
         build_coin_operator(g, CoinSpec.from_shared(np.ones((2, 2))))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(StructureError, match="unitary"):
+            embedded_blocks(g, CoinSpec.from_shared(hadamard_phi(bad)))
 
 
 def test_shared_spec_requires_regular_graph(multi_graph):

@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from coinwalk import (
     CoinSpec,
     ConfigError,
+    Edge,
+    InvariantViolation,
     StructureError,
     assembled_step_operators,
+    assign_ports,
     basis_state,
+    build_coin_operator,
     build_cycle,
     build_cycle_shift,
     classical_run,
@@ -16,6 +23,7 @@ from coinwalk import (
     cp_step,
     dephasing_kraus,
     enumerate_branches,
+    from_edge_list,
     hadamard_phi,
     make_step,
     marginal_history,
@@ -31,7 +39,7 @@ from coinwalk import (
 )
 from coinwalk.evolution import StepMap
 
-from conftest import random_pure_state
+from conftest import random_density, random_pure_state
 
 
 def hadamard_walk_step(graph, **kwargs):
@@ -221,10 +229,10 @@ def test_zero_probability_branches_are_never_drawn(cycle7):
     # beta=0 gives a second Kraus operator that is exactly zero; the
     # sampler must keep drawing the only viable branch
     from coinwalk.coin import default_coin_spec
-    from coinwalk.coin import build_coin_operator
+    from coinwalk.coin import embedded_blocks
     from coinwalk.shift import build_shift
 
-    coin = build_coin_operator(cycle7, default_coin_spec(cycle7))
+    coin = np.stack(embedded_blocks(cycle7, default_coin_spec(cycle7)))
     step = StepMap(coin, build_shift(cycle7), dephasing_kraus(0.0).operators, 0.0)
     final, rec = sample_trajectory(basis_state(cycle7, 0, 0), step, 10, seed=1)
     assert rec.outcomes == (0,) * 10
@@ -300,3 +308,128 @@ def test_every_intermediate_state_is_a_density_matrix(cycle7):
     for _ in range(15):
         rho = cp_step(rho, step)
         check_density(rho)
+
+
+# ----------------------------------------------------------------------
+# the structured step engine against the dense reference operators
+
+def _port_permuted_torus(side, rng):
+    adjacency = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            adjacency.append((v, r * side + (c + 1) % side))
+            adjacency.append((v, ((r + 1) % side) * side + c))
+    relabel = [rng.permutation(4) for _ in range(side * side)]
+    return from_edge_list([
+        Edge(e.u, int(relabel[e.u][e.pu]), e.v, int(relabel[e.v][e.pv]))
+        for e in assign_ports(adjacency)
+    ])
+
+
+@st.composite
+def walk_cases(draw, multi_graph):
+    """A graph, a shift for it and a pure state on its used ports."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["cycle", "multi", "torus"]))
+    shift = None
+    if kind == "cycle":
+        graph = build_cycle(draw(st.integers(3, 9)))
+        direction = draw(st.sampled_from([None, 1, -1]))
+        if direction is not None:
+            shift = build_cycle_shift(graph.num_vertices, direction)
+    elif kind == "multi":
+        graph = multi_graph
+    else:
+        graph = _port_permuted_torus(draw(st.integers(3, 4)), rng)
+    used = np.array([[k < dj for k in range(graph.degree)] for dj in graph.vertex_degrees])
+    psi = random_pure_state(rng, graph.num_vertices * graph.degree) * used.ravel()
+    return graph, shift, psi / np.linalg.norm(psi), rng
+
+
+def _dense_channel(step, rho):
+    """sum_i A_i rho A_i^dagger plus vertex dephasing, from dense operators only."""
+    d, p = step.shift.degree, step.vertex_dephasing
+    out = sum(a @ rho @ a.conj().T for a in assembled_step_operators(step))
+    if step.placement == "after-shift":
+        return vertex_dephasing(out, p, d)
+    s = step.shift.matrix()
+    return s @ vertex_dephasing(s.conj().T @ out @ s, p, d) @ s.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), beta=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0),
+       placement=st.sampled_from(["before-shift", "after-shift"]))
+def test_structured_step_matches_dense_operators(multi_graph, data, beta, p, placement):
+    from coinwalk.coin import default_coin_spec
+
+    graph, shift, psi, rng = data.draw(walk_cases(multi_graph))
+    dim = psi.size
+    rho = random_density(rng, dim)
+    step = make_step(graph, shift=shift, beta=beta, vertex_p=p, placement=placement)
+    np.testing.assert_allclose(cp_step(rho, step), _dense_channel(step, rho), atol=1e-12)
+
+    unitary = make_step(graph, shift=shift)
+    dense = unitary.shift.matrix() @ build_coin_operator(graph, default_coin_spec(graph))
+    np.testing.assert_allclose(unitary_step(psi, unitary), dense @ psi, atol=1e-12)
+
+    if beta == 0.0:
+        return
+    measured = make_step(graph, shift=shift, beta=beta)
+    ops = assembled_step_operators(measured)
+    born = [float(np.vdot(a @ psi, a @ psi).real) for a in ops]
+    _, record = sample_trajectory(psi, measured, 1, seed=data.draw(st.integers(0, 2**32 - 1)))
+    (outcome,), (prob,) = record.outcomes, record.outcome_probabilities
+    assert prob == pytest.approx(born[outcome], abs=1e-12)
+    branches = enumerate_branches(psi, measured, 1)
+    assert [h for _, _, h in branches] == [(i,) for i, w in enumerate(born) if w >= 1e-18]
+    for w, state, (i,) in branches:
+        assert w == pytest.approx(born[i], abs=1e-12)
+        np.testing.assert_allclose(state, ops[i] @ psi / math.sqrt(born[i]), atol=1e-12)
+
+
+def test_step_map_rejects_dense_coin_and_non_diagonal_kraus(cycle7):
+    from coinwalk.coin import default_coin_spec, embedded_blocks
+    from coinwalk.shift import build_shift
+
+    blocks = np.stack(embedded_blocks(cycle7, default_coin_spec(cycle7)))
+    shift = build_shift(cycle7)
+    with pytest.raises(StructureError, match=r"\(7, 2, 2\) stack"):
+        StepMap(build_coin_operator(cycle7, default_coin_spec(cycle7)), shift)
+    mixing = (np.ones((2, 2)) / 2, np.eye(2) / 2)
+    with pytest.raises(StructureError, match="diagonal"):
+        StepMap(blocks, shift, mixing)
+
+
+class _DrawLast:
+    """Stands in for the sampler's generator and always draws the last option."""
+
+    def __init__(self, seed):
+        pass
+
+    def choice(self, count, p=None):
+        return count - 1
+
+
+def test_sampler_invariants_still_fire(cycle7, monkeypatch):
+    from coinwalk.coin import default_coin_spec, embedded_blocks
+    from coinwalk.shift import build_shift
+
+    blocks = np.stack(embedded_blocks(cycle7, default_coin_spec(cycle7)))
+    shift = build_shift(cycle7)
+    psi0 = basis_state(cycle7, 0, 0)
+    leaky = tuple(0.5 * k for k in dephasing_kraus(0.5).operators)
+    with pytest.raises(InvariantViolation, match="sum to"):
+        sample_trajectory(psi0, StepMap(blocks, shift, leaky), 1, seed=0)
+    with pytest.raises(InvariantViolation, match="sum to"):
+        enumerate_branches(psi0, StepMap(blocks, shift, leaky), 1)
+
+    monkeypatch.setattr(np.random, "default_rng", _DrawLast)
+    # a viable branch of weight 1e-16 is drawn: its state is too small to renormalize
+    faint = (np.eye(2, dtype=complex), 1e-8 * np.eye(2, dtype=complex))
+    with pytest.raises(InvariantViolation, match="negligible norm"):
+        sample_trajectory(psi0, StepMap(blocks, shift, faint), 1, seed=0)
+    # the walker sits at vertex 0, and the position reading lands on vertex 6
+    step = make_step(cycle7, beta=1.0, vertex_p=1.0)
+    with pytest.raises(InvariantViolation, match="vertex projection"):
+        sample_trajectory(psi0, step, 1, seed=0)

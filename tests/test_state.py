@@ -161,6 +161,24 @@ def test_check_density_rejects_each_violation():
         check_density(bad_positive)
 
 
+@np.errstate(invalid="ignore")  # inf - inf in the Hermiticity check
+def test_non_finite_states_fail_every_guard():
+    for bad in (np.nan, np.inf):
+        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        rho[2, 2] = bad
+        with pytest.raises(InvariantViolation):
+            check_density(rho)
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            position_marginal(rho, 2)
+        with pytest.raises(InvariantViolation, match="norm"):
+            check_pure(np.array([1.0, bad], dtype=complex))
+    # a NaN coherence leaves the diagonal finite but is still not a state
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = rho[1, 0] = np.nan
+    with pytest.raises(InvariantViolation, match="Hermitian"):
+        check_density(rho)
+
+
 def test_check_pure_accepts_unit_norm():
     check_pure(np.array([1.0, 0.0], dtype=complex))
 
