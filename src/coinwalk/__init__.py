@@ -25,7 +25,6 @@ from .classical import (
     classical_step,
     half_edge_run,
     half_edge_step,
-    port_transition_probabilities,
     uniform_distribution,
     validate_distribution,
 )
@@ -43,6 +42,7 @@ from .evolution import (
     assembled_step_operators,
     cp_step,
     enumerate_branches,
+    evolve,
     make_step,
     marginal_history,
     reconstruct_cycle_path,

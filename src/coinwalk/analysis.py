@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import classical_run, uniform_distribution
+from .classical import classical_run, classical_step, uniform_distribution
 from .errors import StructureError
-from .evolution import StepMap, make_step, marginal_history
+from .evolution import StepMap, _marginal, evolve, make_step, marginal_history
 from .graph import PortGraph
 from .meter import distinguishability, visibility
 from .state import pure_position_marginal
@@ -90,22 +90,6 @@ def first_crossing(curve: MixingCurve, epsilon: float) -> int | None:
     return None
 
 
-def _curve_from_marginals(marginals: np.ndarray, variant: str) -> MixingCurve:
-    num = marginals.shape[1]
-    uniform = uniform_distribution(num)
-    values = []
-    if variant == "time-averaged":
-        acc = np.zeros(num)
-        for t, m in enumerate(marginals):
-            acc += m
-            values.append(tvd(acc / (t + 1), uniform))
-    elif variant == "instantaneous":
-        values = [tvd(m, uniform) for m in marginals]
-    else:
-        raise StructureError(f"unknown mixing curve variant {variant!r}")
-    return MixingCurve(tuple(range(len(values))), tuple(values), variant)
-
-
 def compare_mixing(
     graph: PortGraph,
     step: StepMap,
@@ -126,15 +110,19 @@ def compare_mixing(
         raise StructureError(f"t_max must be at least 1, got {t_max}")
     if not 0.0 < epsilon < 1.0 + 1e-12:
         raise StructureError(f"epsilon must lie in (0, 1], got {epsilon}")
-    quantum_marginals = marginal_history(psi0, step, t_max)
-    quantum = _curve_from_marginals(quantum_marginals, "time-averaged")
-
+    uniform = uniform_distribution(graph.num_vertices)
+    quantum_tvd, classical_tvd = [], []
+    running_sum = np.zeros(graph.num_vertices)
     p = pure_position_marginal(psi0, graph.degree)
-    classical_marginals = [p]
-    for _ in range(t_max):
-        p = classical_run(p, graph, 1)
-        classical_marginals.append(p)
-    classical = _curve_from_marginals(np.asarray(classical_marginals), "instantaneous")
+    for t, state in enumerate(evolve(psi0, step, t_max)):
+        if t:
+            p = classical_step(p, graph)
+        running_sum += _marginal(state, step)
+        quantum_tvd.append(tvd(running_sum / (t + 1), uniform))
+        classical_tvd.append(tvd(p, uniform))
+    times = tuple(range(t_max + 1))
+    quantum = MixingCurve(times, tuple(quantum_tvd), "time-averaged")
+    classical = MixingCurve(times, tuple(classical_tvd), "instantaneous")
 
     qc = first_crossing(quantum, epsilon)
     cc = first_crossing(classical, epsilon)
@@ -149,11 +137,17 @@ def compare_mixing(
     return MixingComparison(quantum, classical, qc, cc, first)
 
 
+def _final_marginal(task) -> np.ndarray:
+    graph, psi0, steps, beta, step_kwargs = task
+    return marginal_history(psi0, make_step(graph, beta=beta, **step_kwargs), steps)[-1]
+
+
 def complementarity_sweep(
     graph: PortGraph,
     psi0: np.ndarray,
     steps: int,
     betas: list[float],
+    map_fn=map,
     **step_kwargs,
 ) -> list[ComplementarityPoint]:
     """Trace the trade-off curve over a grid of measurement strengths.
@@ -164,25 +158,24 @@ def complementarity_sweep(
     which-path knowledge come straight from beta. At beta=0 the first
     distance is zero by construction; at beta=1 the second vanishes
     for basis-state starts.
+
+    map_fn(worker, tasks) runs the walks, one per distinct beta with
+    beta=0 among them, so the builtin map runs them in turn and a
+    process pool's map runs them in parallel.
     """
-    anchor_unitary = marginal_history(
-        psi0, make_step(graph, beta=0.0, **step_kwargs), steps
-    )[-1]
+    distinct = list(dict.fromkeys([0.0, *betas]))
+    tasks = [(graph, psi0, steps, beta, step_kwargs) for beta in distinct]
+    finals = dict(zip(distinct, map_fn(_final_marginal, tasks)))
     anchor_classical = classical_run(
         pure_position_marginal(psi0, graph.degree), graph, steps
     )
-    points = []
-    for beta in betas:
-        final = marginal_history(
-            psi0, make_step(graph, beta=beta, **step_kwargs), steps
-        )[-1]
-        points.append(
-            ComplementarityPoint(
-                beta=beta,
-                visibility=visibility(beta),
-                distinguishability=distinguishability(beta),
-                tvd_to_unitary=tvd(final, anchor_unitary),
-                tvd_to_classical=tvd(final, anchor_classical),
-            )
+    return [
+        ComplementarityPoint(
+            beta=beta,
+            visibility=visibility(beta),
+            distinguishability=distinguishability(beta),
+            tvd_to_unitary=tvd(finals[beta], finals[0.0]),
+            tvd_to_classical=tvd(finals[beta], anchor_classical),
         )
-    return points
+        for beta in betas
+    ]

@@ -12,7 +12,6 @@ __all__ = [
     "classical_step",
     "half_edge_run",
     "half_edge_step",
-    "port_transition_probabilities",
     "uniform_distribution",
     "validate_distribution",
 ]
@@ -41,12 +40,15 @@ def classical_step(p: np.ndarray, graph: PortGraph) -> np.ndarray:
         raise StructureError(
             f"distribution length {p.size} does not match {graph.num_vertices} vertices"
         )
+    src, dst = graph.half_edges
+    j = src // graph.degree
+    degrees = np.asarray(graph.vertex_degrees)
     out = np.zeros_like(p)
-    for (j, _k), (j2, _k2) in graph.pairing.items():
-        out[j2] += p[j] / graph.vertex_degrees[j]
-    for j, dj in enumerate(graph.vertex_degrees):
-        if dj == 0:  # an isolated walker has nowhere to go
-            out[j] += p[j]
+    # np.add.at adds in pairing order, unbuffered, so repeated targets
+    # accumulate in a fixed order and the result is reproducible bit for bit
+    np.add.at(out, dst // graph.degree, p[j] / degrees[j])
+    isolated = degrees == 0  # an isolated walker has nowhere to go
+    out[isolated] += p[isolated]
     return out
 
 
@@ -60,17 +62,6 @@ def classical_run(p0: np.ndarray, graph: PortGraph, steps: int) -> np.ndarray:
     return p
 
 
-def port_transition_probabilities(graph: PortGraph, blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-vertex port transition matrices from coin block amplitudes.
-
-    Entry (k, k2) of the matrix for vertex j is the probability that a
-    walker entering the coin toss at port k2 leaves through port k,
-    which is the squared magnitude of the corresponding coin amplitude.
-    Rows and columns for unused ports are zero.
-    """
-    return [np.abs(b) ** 2 for b in blocks]
-
-
 def half_edge_step(
     q: np.ndarray, graph: PortGraph, transitions: list[np.ndarray]
 ) -> np.ndarray:
@@ -78,8 +69,9 @@ def half_edge_step(
 
     q holds one occupation per (vertex, port), flattened vertex-major.
     The coin toss redistributes over ports with the given transition
-    matrices, then the walker crosses its chosen edge. Marginalizing
-    the unbiased version over ports gives classical_step.
+    matrices, entry (k, k2) being |coin[k, k2]|^2 for a measured coin,
+    then the walker crosses its chosen edge. Marginalizing the unbiased
+    version over ports gives classical_step.
     """
     n, d = graph.num_vertices, graph.degree
     q = np.asarray(q, dtype=float).reshape(n, d)
@@ -91,10 +83,10 @@ def half_edge_step(
     for j in range(n):
         m = transitions[j].shape[0]  # reduced-degree matrices are embedded
         tossed[j, :m] = transitions[j] @ q[j, :m]
-    out = np.zeros_like(q)
-    for (j, k), (j2, k2) in graph.pairing.items():
-        out[j2, k2] = tossed[j, k]
-    return out.reshape(n * d)
+    src, dst = graph.half_edges
+    out = np.zeros(n * d)
+    out[dst] = tossed.flat[src]
+    return out
 
 
 def half_edge_run(

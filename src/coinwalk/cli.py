@@ -14,14 +14,14 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .analysis import ComplementarityPoint, compare_mixing, tvd
-from .classical import classical_run
-from .coin import coin_spec_from_config, default_coin_spec
+from .analysis import compare_mixing, complementarity_sweep
+from .coin import coin_spec_from_config, default_coin_type
 from .errors import ConfigError, InvariantViolation, StructureError
 from .evolution import (
     make_step,
@@ -29,8 +29,7 @@ from .evolution import (
     reconstruct_cycle_path,
     sample_trajectory,
 )
-from .graph import PortGraph, build_cycle, load_graph
-from .meter import distinguishability, visibility
+from .graph import PortGraph, build_cycle, load_graph, read_json
 from .shift import build_cycle_shift, build_shift
 from .state import DEFAULT_TOLERANCES, basis_state, pure_position_marginal
 
@@ -118,6 +117,16 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
+@contextmanager
+def _mapper(jobs: int):
+    """The builtin map for one job, else the map of a pool of that many processes."""
+    if jobs == 1:
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield pool.map
+
+
 def _build_graph(args) -> PortGraph:
     if args.cycle is not None:
         return build_cycle(args.cycle)
@@ -128,24 +137,14 @@ def _build_setup(args):
     """Resolve graph, coin, shift, start state, and the step kwargs."""
     graph = _build_graph(args)
 
-    coin_kind = args.coin
-    if coin_kind is None:
-        coin_kind = "hadamard" if all(d == 2 for d in graph.vertex_degrees) else "dft"
+    coin_kind = args.coin or default_coin_type(graph)
     if coin_kind == "custom":
         if not args.coin_file:
             raise ConfigError("--coin custom requires --coin-file")
-        with open(args.coin_file, encoding="utf-8") as fh:
-            try:
-                coin_config = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.coin_file}: not valid JSON: {exc.msg}") from None
-        spec = coin_spec_from_config(coin_config, graph, phi=args.phi)
-    elif coin_kind == "hadamard":
-        if any(d != 2 for d in graph.vertex_degrees):
-            raise ConfigError("the hadamard coin needs every vertex to have degree 2")
-        spec = default_coin_spec(graph, phi=args.phi)
+        coin_config = read_json(args.coin_file, "coin")
     else:
-        spec = coin_spec_from_config({"type": "dft"}, graph, phi=args.phi)
+        coin_config = {"type": coin_kind}
+    spec = coin_spec_from_config(coin_config, graph, phi=args.phi)
 
     shift_kind = args.shift
     if shift_kind is None:
@@ -263,12 +262,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_point(task) -> list[float]:
-    graph, psi0, steps, beta, step_kwargs = task
-    step = make_step(graph, beta=beta, **step_kwargs)
-    return marginal_history(psi0, step, steps)[-1].tolist()
-
-
 def cmd_sweep(args) -> int:
     graph, psi0, step_kwargs, description = _build_setup(args)
     if args.steps < 0:
@@ -285,29 +278,10 @@ def cmd_sweep(args) -> int:
     if any(not 0.0 <= b <= 1.0 for b in betas):
         raise ConfigError("every sweep beta must lie in [0,1]")
 
-    tasks = [(graph, psi0, args.steps, beta, step_kwargs) for beta in betas]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            finals = list(pool.map(_sweep_point, tasks))
-    else:
-        finals = [_sweep_point(t) for t in tasks]
-
-    anchor_unitary = np.asarray(
-        _sweep_point((graph, psi0, args.steps, 0.0, step_kwargs))
-    )
-    anchor_classical = classical_run(
-        pure_position_marginal(psi0, graph.degree), graph, args.steps
-    )
-    points = [
-        ComplementarityPoint(
-            beta=beta,
-            visibility=visibility(beta),
-            distinguishability=distinguishability(beta),
-            tvd_to_unitary=tvd(np.asarray(final), anchor_unitary),
-            tvd_to_classical=tvd(np.asarray(final), anchor_classical),
+    with _mapper(args.jobs) as map_fn:
+        points = complementarity_sweep(
+            graph, psi0, args.steps, betas, map_fn=map_fn, **step_kwargs
         )
-        for beta, final in zip(betas, finals)
-    ]
 
     lines = ["beta,visibility,distinguishability,tvd_to_unitary,tvd_to_classical"]
     for pt in points:
@@ -387,19 +361,13 @@ def cmd_trajectory(args) -> int:
     ]
 
     jobs = list(enumerate(sample_seeds))
-    if args.jobs > 1:
-        chunks = [jobs[i:: args.jobs] for i in range(args.jobs)]
-        tasks = [
-            (graph, psi0, args.steps, args.beta, step_kwargs, chunk)
-            for chunk in chunks if chunk
-        ]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = [r for chunk in pool.map(_trajectory_chunk, tasks) for r in chunk]
-        results.sort(key=lambda r: r[0])
-    else:
-        results = _trajectory_chunk(
-            (graph, psi0, args.steps, args.beta, step_kwargs, jobs)
-        )
+    tasks = [
+        (graph, psi0, args.steps, args.beta, step_kwargs, jobs[i:: args.jobs])
+        for i in range(min(args.jobs, len(jobs)))
+    ]
+    with _mapper(args.jobs) as map_fn:
+        results = [r for chunk in map_fn(_trajectory_chunk, tasks) for r in chunk]
+    results.sort(key=lambda r: r[0])
 
     record_lines = ["sample,step,outcome,probability"]
     for index, _seed, outcomes, probs, _marginal, _vertices in results:

@@ -22,6 +22,7 @@ __all__ = [
     "build_coin_operator",
     "coin_spec_from_config",
     "default_coin_spec",
+    "default_coin_type",
     "dft_coin",
     "embedded_blocks",
     "hadamard_phi",
@@ -86,12 +87,15 @@ class CoinSpec:
         return cls([block], shared=True)
 
 
+def default_coin_type(graph: PortGraph) -> str:
+    """The package default coin: "hadamard" when every vertex has degree 2, else "dft"."""
+    return "hadamard" if all(dj == 2 for dj in graph.vertex_degrees) else "dft"
+
+
 def default_coin_spec(graph: PortGraph, phi: float = math.pi / 2) -> CoinSpec:
     """The package default: hadamard_phi(phi) on degree-2 regular graphs,
     otherwise a DFT coin of each vertex's own degree."""
-    if all(dj == 2 for dj in graph.vertex_degrees):
-        return CoinSpec.from_shared(hadamard_phi(phi))
-    return CoinSpec([dft_coin(dj) if dj > 0 else np.zeros((0, 0)) for dj in graph.vertex_degrees])
+    return coin_spec_from_config({"type": default_coin_type(graph)}, graph, phi)
 
 
 def _check_block_unitary(block: np.ndarray, where: str) -> None:
@@ -114,36 +118,37 @@ def embedded_blocks(graph: PortGraph, spec: CoinSpec) -> list[np.ndarray]:
             raise StructureError(
                 "shared coin block requires every vertex to have full degree"
             )
-        per_vertex = [spec.blocks[0]] * n
-    else:
-        if len(spec.blocks) != n:
-            raise StructureError(
-                f"need {n} coin blocks (one per vertex), got {len(spec.blocks)}"
-            )
-        per_vertex = spec.blocks
+        # validated once, then one copy per vertex
+        full = _embedded(spec.blocks[0], d, d, "shared by every vertex")
+        return list(np.repeat(full[None], n, axis=0))
+    if len(spec.blocks) != n:
+        raise StructureError(
+            f"need {n} coin blocks (one per vertex), got {len(spec.blocks)}"
+        )
+    return [
+        _embedded(block, dj, d, f"at vertex {j}")
+        for j, (block, dj) in enumerate(zip(spec.blocks, graph.vertex_degrees))
+    ]
 
-    out = []
-    for j, block in enumerate(per_vertex):
-        dj = graph.vertex_degrees[j]
-        if block.shape == (dj, dj):
-            _check_block_unitary(block, f"at vertex {j}")
-            full = np.zeros((d, d), dtype=complex)
-            full[:dj, :dj] = block
-        elif block.shape == (d, d):
-            if np.any(block[dj:, :] != 0) or np.any(block[:, dj:] != 0):
-                raise StructureError(
-                    f"coin block at vertex {j} (degree {dj}) has nonzero entries "
-                    f"on unused ports; supply a {dj}x{dj} unitary instead"
-                )
-            _check_block_unitary(block[:dj, :dj], f"at vertex {j}")
-            full = np.array(block, dtype=complex)
-        else:
+
+def _embedded(block: np.ndarray, dj: int, d: int, where: str) -> np.ndarray:
+    """Check one coin block for a vertex of degree dj and return it as d x d."""
+    if block.shape == (dj, dj):
+        _check_block_unitary(block, where)
+        full = np.zeros((d, d), dtype=complex)
+        full[:dj, :dj] = block
+        return full
+    if block.shape == (d, d):
+        if np.any(block[dj:, :] != 0) or np.any(block[:, dj:] != 0):
             raise StructureError(
-                f"coin block at vertex {j} has shape {block.shape}; "
-                f"expected ({dj},{dj}) or ({d},{d})"
+                f"coin block {where} (degree {dj}) has nonzero entries "
+                f"on unused ports; supply a {dj}x{dj} unitary instead"
             )
-        out.append(full)
-    return out
+        _check_block_unitary(block[:dj, :dj], where)
+        return np.array(block, dtype=complex)
+    raise StructureError(
+        f"coin block {where} has shape {block.shape}; expected ({dj},{dj}) or ({d},{d})"
+    )
 
 
 def block_diagonal(blocks) -> np.ndarray:
@@ -175,15 +180,25 @@ def coin_spec_from_config(config: dict, graph: PortGraph, phi: float = math.pi /
     {"type": "custom", "blocks": [...]} where each block is a nested
     list of [re, im] pairs, one block per vertex.
     """
+    if not isinstance(config, dict):
+        raise ConfigError(f"coin config must be a JSON object, got {type(config).__name__}")
     kind = config.get("type")
     if kind == "hadamard":
-        return CoinSpec.from_shared(hadamard_phi(float(config.get("phi", phi))))
+        if any(dj != 2 for dj in graph.vertex_degrees):
+            raise ConfigError("the hadamard coin needs every vertex to have degree 2")
+        try:
+            phi = float(config.get("phi", phi))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"coin 'phi' must be a number, got {config.get('phi', phi)!r}"
+            ) from None
+        return CoinSpec.from_shared(hadamard_phi(phi))
     if kind == "dft":
         if all(dj == graph.degree for dj in graph.vertex_degrees):
             return CoinSpec.from_shared(dft_coin(graph.degree))
-        return CoinSpec([dft_coin(dj) for dj in graph.vertex_degrees])
+        return CoinSpec([dft_coin(dj) if dj else np.zeros((0, 0)) for dj in graph.vertex_degrees])
     if kind == "custom":
-        if "blocks" not in config:
+        if not isinstance(config.get("blocks"), list):
             raise ConfigError("custom coin config needs a 'blocks' list")
         blocks = []
         for j, raw in enumerate(config["blocks"]):

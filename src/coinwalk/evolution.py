@@ -21,6 +21,7 @@ implementations.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "assembled_step_operators",
     "cp_step",
     "enumerate_branches",
+    "evolve",
     "make_step",
     "marginal_history",
     "reconstruct_cycle_path",
@@ -213,41 +215,45 @@ def cp_step(rho: np.ndarray, step: StepMap) -> np.ndarray:
     return out
 
 
-def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
-    """Evolve a pure initial state for the given number of steps.
+def evolve(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
+    """Yield the walk's state at every time 0..steps.
 
-    Returns the density matrix after t applications of cp_step; t=0
-    gives the initial projector.
+    The states are pure vectors advanced by unitary_step when the step
+    is unitary, and density matrices advanced by cp_step otherwise.
     """
     if steps < 0:
         raise ConfigError(f"step count must be nonnegative, got {steps}")
-    rho = to_density(psi0)
+    if step.is_unitary:
+        state, advance = psi0.copy(), unitary_step
+    else:
+        state, advance = to_density(psi0), cp_step
+    yield state
     for _ in range(steps):
-        rho = cp_step(rho, step)
-    return rho
+        state = advance(state, step)
+        yield state
+
+
+def _marginal(state: np.ndarray, step: StepMap) -> np.ndarray:
+    """Position distribution of a state yielded by evolve for this step."""
+    if step.is_unitary:
+        return pure_position_marginal(state, step.shift.degree)
+    return position_marginal(state, step.shift.degree)
+
+
+def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
+    """Evolve a pure initial state for the given number of steps.
+
+    Returns the density matrix at time steps; steps=0 gives the initial
+    projector.
+    """
+    for state in evolve(psi0, step, steps):
+        pass
+    return to_density(state) if step.is_unitary else state
 
 
 def marginal_history(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
-    """Position distribution at every time 0..steps, shape (steps+1, N).
-
-    Uses the pure-state path when the step is unitary and the density
-    path otherwise.
-    """
-    d = step.shift.degree
-    out = np.empty((steps + 1, step.shift.num_vertices))
-    if step.is_unitary:
-        psi = psi0.copy()
-        out[0] = pure_position_marginal(psi, d)
-        for t in range(1, steps + 1):
-            psi = unitary_step(psi, step)
-            out[t] = pure_position_marginal(psi, d)
-    else:
-        rho = to_density(psi0)
-        out[0] = position_marginal(rho, d)
-        for t in range(1, steps + 1):
-            rho = cp_step(rho, step)
-            out[t] = position_marginal(rho, d)
-    return out
+    """Position distribution at every time 0..steps, shape (steps+1, N)."""
+    return np.array([_marginal(state, step) for state in evolve(psi0, step, steps)])
 
 
 def assembled_step_operators(step: StepMap) -> list[np.ndarray]:
@@ -343,6 +349,13 @@ def sample_trajectory(
     outcomes: list[int] = []
     probs: list[float] = []
     vertices: list[int] = []
+
+    def measure_vertex(psi: np.ndarray) -> np.ndarray:
+        pv = pure_position_marginal(psi, d)
+        v = int(rng.choice(n, p=pv / pv.sum()))
+        vertices.append(v)
+        return _project_vertex(psi, v, d)
+
     for _ in range(steps):
         children, w = _branches(_apply_coin(step.coin, psi), kraus)
         w = w / w.sum()
@@ -356,16 +369,10 @@ def sample_trajectory(
         outcomes.append(i)
         probs.append(float(w[i]))
         if measure_position and step.placement == "before-shift":
-            pv = pure_position_marginal(psi, d)
-            v = int(rng.choice(n, p=pv / pv.sum()))
-            psi = _project_vertex(psi, v, d)
-            vertices.append(v)
+            psi = measure_vertex(psi)
         psi = step.shift.apply(psi)
         if measure_position and step.placement == "after-shift":
-            pv = pure_position_marginal(psi, d)
-            v = int(rng.choice(n, p=pv / pv.sum()))
-            psi = _project_vertex(psi, v, d)
-            vertices.append(v)
+            psi = measure_vertex(psi)
     record = TrajectoryRecord(
         seed,
         tuple(outcomes),

@@ -23,6 +23,9 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ConfigError, StructureError
 
@@ -33,6 +36,7 @@ __all__ = [
     "build_cycle",
     "from_edge_list",
     "load_graph",
+    "read_json",
     "save_graph",
 ]
 
@@ -124,6 +128,19 @@ class PortGraph:
 
     def has_port(self, vertex: int, port: int) -> bool:
         return (vertex, port) in self.pairing
+
+    @cached_property
+    def half_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairing as two read-only index arrays, in pairing order.
+
+        The first holds the flat index j*d + k of every used half-edge,
+        the second the flat index of the half-edge at its other end.
+        """
+        d = self.degree
+        src = np.array([j * d + k for j, k in self.pairing], dtype=np.intp)
+        dst = np.array([j * d + k for j, k in self.pairing.values()], dtype=np.intp)
+        src.flags.writeable = dst.flags.writeable = False
+        return src, dst
 
     @property
     def num_edges(self) -> int:
@@ -241,6 +258,19 @@ def assign_ports(adjacency: list[tuple[int, int]]) -> list[Edge]:
     return edges
 
 
+def read_json(path: str, what: str):
+    """Parse a JSON file; ConfigError, naming its role `what`, if that fails."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read {what} file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON (line {exc.lineno}): {exc.msg}") from None
+
+
 def load_graph(path: str) -> PortGraph:
     """Read a graph from the JSON file format.
 
@@ -253,15 +283,7 @@ def load_graph(path: str) -> PortGraph:
     A file that cannot be read, or that does not have this shape, raises
     ConfigError.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read graph file: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON (line {exc.lineno}): {exc.msg}") from None
+    raw = read_json(path, "graph")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     for key in ("vertices", "degree", "edges"):

@@ -52,8 +52,8 @@ def build_shift(graph: PortGraph) -> ShiftOperator:
     """
     n, d = graph.num_vertices, graph.degree
     perm = np.arange(n * d)
-    for (j, k), (j2, k2) in graph.pairing.items():
-        perm[j * d + k] = j2 * d + k2
+    src, dst = graph.half_edges
+    perm[src] = dst
     return ShiftOperator(perm, "port-swap", n, d)
 
 

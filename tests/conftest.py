@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coinwalk import assign_ports, build_cycle, from_edge_list
+from coinwalk import Edge, assign_ports, build_cycle, from_edge_list
 
 # A small irregular instance used throughout: six vertices, eight edges,
 # vertex degrees (4, 2, 3, 3, 3, 1), graph degree 4. Exercises reduced
@@ -29,3 +29,18 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def port_permuted_torus(side: int, rng: np.random.Generator):
+    """side x side torus with the port labels permuted at every vertex."""
+    adjacency = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            adjacency.append((v, r * side + (c + 1) % side))
+            adjacency.append((v, ((r + 1) % side) * side + c))
+    relabel = [rng.permutation(4) for _ in range(side * side)]
+    return from_edge_list([
+        Edge(e.u, int(relabel[e.u][e.pu]), e.v, int(relabel[e.v][e.pv]))
+        for e in assign_ports(adjacency)
+    ])

@@ -9,6 +9,7 @@ from coinwalk import (
     basis_state,
     build_cycle,
     build_cycle_shift,
+    classical_run,
     coherence_l1,
     compare_mixing,
     complementarity_sweep,
@@ -149,3 +150,39 @@ def test_tradeoff_sweep_on_irregular_graph(multi_graph):
     # a half-strength reading sits strictly between the two anchors
     assert 0.0 < pts[1].tvd_to_unitary
     assert 0.0 < pts[1].tvd_to_classical
+
+
+@pytest.mark.parametrize("betas", [[0.0, 0.5, 1.0], [0.3, 1.0], [1.0, 0.0, 0.0]])
+def test_sweep_runs_the_unitary_anchor_once(cycle7, betas):
+    calls = []
+
+    def counting_map(fn, tasks):
+        tasks = list(tasks)
+        calls.extend(task[3] for task in tasks)
+        return map(fn, tasks)
+
+    psi0 = basis_state(cycle7, 0, 0)
+    pts = complementarity_sweep(cycle7, psi0, 9, betas, map_fn=counting_map)
+    assert calls.count(0.0) == 1
+    assert sorted(calls) == sorted(set(betas) | {0.0})
+    assert [pt.beta for pt in pts] == betas
+    assert pts == complementarity_sweep(cycle7, psi0, 9, betas)
+    unitary = marginal_history(psi0, make_step(cycle7), 9)[-1]
+    for pt in pts:
+        final = marginal_history(psi0, make_step(cycle7, beta=pt.beta), 9)[-1]
+        assert pt.tvd_to_unitary == tvd(final, unitary)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.4])
+def test_streamed_mixing_curve_is_the_running_time_average(multi_graph, beta):
+    step = make_step(multi_graph, beta=beta, vertex_p=0.1 if beta else 0.0)
+    psi0 = basis_state(multi_graph, 2, 1)
+    result = compare_mixing(multi_graph, step, psi0, 40, 0.05)
+    hist = marginal_history(psi0, step, 40)
+    u = uniform_distribution(multi_graph.num_vertices)
+    assert result.quantum.times == result.classical.times == tuple(range(41))
+    for t, value in enumerate(result.quantum.tvd_to_uniform):
+        assert value == tvd(time_averaged_distribution(hist[: t + 1]), u)
+    p0 = hist[0]
+    for t, value in enumerate(result.classical.tvd_to_uniform):
+        assert value == tvd(classical_run(p0, multi_graph, t), u)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,19 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwalk import (
+    PortGraph,
     StructureError,
     build_cycle,
+    build_shift,
     classical_run,
     classical_step,
     half_edge_run,
     half_edge_step,
     hadamard_phi,
-    port_transition_probabilities,
     tvd,
     uniform_distribution,
     validate_distribution,
 )
 from coinwalk.coin import default_coin_spec
+
+from conftest import port_permuted_torus
 
 
 def delta(n, j):
@@ -116,8 +120,12 @@ def test_isolated_vertex_keeps_its_mass():
 
 
 def test_hadamard_squares_to_fair_toss():
-    t = port_transition_probabilities(build_cycle(3), [hadamard_phi(np.pi / 2)])
-    np.testing.assert_allclose(t[0], np.full((2, 2), 0.5), atol=1e-15)
+    g = build_cycle(3)
+    transitions = [np.abs(hadamard_phi(np.pi / 2)) ** 2] * 3
+    np.testing.assert_allclose(transitions[0], np.full((2, 2), 0.5), atol=1e-15)
+    # a walker on (0, 0) leaves through either port with probability 1/2
+    q1 = half_edge_step(np.eye(6)[0], g, transitions)
+    np.testing.assert_allclose(q1, [0.0, 0.0, 0.0, 0.5, 0.5, 0.0], atol=1e-15)
 
 
 def test_port_chain_marginal_equals_vertex_chain(cycle7, multi_graph):
@@ -126,7 +134,7 @@ def test_port_chain_marginal_equals_vertex_chain(cycle7, multi_graph):
         n, d = g.num_vertices, g.degree
         spec = default_coin_spec(g)
         blocks = spec.blocks if not spec.shared else [spec.blocks[0]] * n
-        transitions = port_transition_probabilities(g, blocks)
+        transitions = [np.abs(b) ** 2 for b in blocks]
         # start from port-uniform occupation within each vertex
         p0 = rng.random(n)
         p0 /= p0.sum()
@@ -150,7 +158,7 @@ def test_biased_toss_changes_the_chain():
     block = np.array(
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
     )
-    transitions = port_transition_probabilities(g, [block] * 5)
+    transitions = [np.abs(block) ** 2] * 5
     c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
     q0 = np.zeros(10)
     q0[0] = 1.0  # at vertex 0, port 0
@@ -163,7 +171,7 @@ def test_biased_toss_changes_the_chain():
 def test_half_edge_run_conserves_mass(multi_graph):
     n, d = multi_graph.num_vertices, multi_graph.degree
     spec = default_coin_spec(multi_graph)
-    transitions = port_transition_probabilities(multi_graph, spec.blocks)
+    transitions = [np.abs(b) ** 2 for b in spec.blocks]
     q0 = np.zeros(n * d)
     q0[0] = 1.0
     q = half_edge_run(q0, multi_graph, transitions, 20)
@@ -186,3 +194,71 @@ def test_validation_rejects_bad_inputs(cycle7):
         classical_run(uniform_distribution(7), cycle7, -1)
     with pytest.raises(StructureError, match="per vertex"):
         half_edge_step(np.ones(14) / 14, cycle7, [np.full((2, 2), 0.5)] * 3)
+
+
+# ----------------------------------------------------------------------
+# the loops over graph.pairing that the half-edge arrays replaced, kept
+# as oracles for build_shift, classical_step and half_edge_step
+
+def pairing_loop_permutation(graph):
+    n, d = graph.num_vertices, graph.degree
+    perm = np.arange(n * d)
+    for (j, k), (j2, k2) in graph.pairing.items():
+        perm[j * d + k] = j2 * d + k2
+    return perm
+
+
+def pairing_loop_classical_step(p, graph):
+    out = np.zeros_like(p)
+    for (j, _k), (j2, _k2) in graph.pairing.items():
+        out[j2] += p[j] / graph.vertex_degrees[j]
+    for j, dj in enumerate(graph.vertex_degrees):
+        if dj == 0:
+            out[j] += p[j]
+    return out
+
+
+def pairing_loop_half_edge_step(q, graph, transitions):
+    n, d = graph.num_vertices, graph.degree
+    q = q.reshape(n, d)
+    tossed = np.zeros_like(q)
+    for j in range(n):
+        m = transitions[j].shape[0]
+        tossed[j, :m] = transitions[j] @ q[j, :m]
+    out = np.zeros_like(q)
+    for (j, k), (j2, k2) in graph.pairing.items():
+        out[j2, k2] = tossed[j, k]
+    return out.reshape(n * d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["cycle", "multi", "torus"]),
+    isolated=st.integers(0, 3),
+)
+def test_half_edge_arrays_match_the_pairing_loops(multi_graph, seed, kind, isolated):
+    rng = np.random.default_rng(seed)
+    if kind == "cycle":
+        g = build_cycle(int(rng.integers(3, 10)))
+    elif kind == "multi":
+        g = multi_graph
+    else:
+        g = port_permuted_torus(int(rng.integers(3, 6)), rng)
+    if isolated:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            g = PortGraph(g.num_vertices + isolated, g.degree,
+                          g.vertex_degrees + (0,) * isolated, g.pairing)
+    n, d = g.num_vertices, g.degree
+    assert np.array_equal(build_shift(g).permutation, pairing_loop_permutation(g))
+
+    p = rng.random(n)
+    p /= p.sum()
+    assert np.array_equal(classical_step(p, g), pairing_loop_classical_step(p, g))
+
+    q = rng.random(n * d)
+    transitions = [rng.random((dj, dj) if rng.random() < 0.5 else (d, d))
+                   for dj in g.vertex_degrees]
+    assert np.array_equal(half_edge_step(q, g, transitions),
+                          pairing_loop_half_edge_step(q, g, transitions))

@@ -10,6 +10,7 @@ from coinwalk import (
     basis_state,
     build_cycle_shift,
     classical_run,
+    load_graph,
     make_step,
     marginal_history,
     reconstruct_cycle_path,
@@ -236,30 +237,66 @@ def test_bad_configurations_exit_2_without_output(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "content",
-    [
-        None,  # a directory in place of the file
-        b"5",
-        b"[1, 2]",
-        b"\xff\xfe{}",
-        b'{"vertices": 3, "degree": 2, "edges": 5}',
+BAD_GRAPH_FILES = {
+    "directory": None,  # a directory in place of the file
+    "scalar": b"5",
+    "array": b"[1, 2]",
+    "not-utf8": b"\xff\xfe{}",
+    "edges-not-a-list": b'{"vertices": 3, "degree": 2, "edges": 5}',
+    "vertices-not-an-int":
         b'{"vertices": "x", "degree": 1, "edges": [{"u": 0, "pu": 0, "v": 1, "pv": 0}]}',
-    ],
-    ids=["directory", "scalar", "array", "not-utf8", "edges-not-a-list", "vertices-not-an-int"],
+}
+BAD_COIN_FILES = {
+    "directory": None,
+    "scalar": b"5",
+    "array": b"[1, 2]",
+    "not-utf8": b"\xff\xfe{}",
+    "blocks-not-a-list": b'{"type": "custom", "blocks": 5}',
+    "phi-not-a-number": b'{"type": "hadamard", "phi": "x"}',
+}
+
+
+@pytest.mark.parametrize(
+    "flag, content",
+    [pytest.param("--graph", c, id=name) for name, c in BAD_GRAPH_FILES.items()]
+    + [pytest.param("--coin-file", c, id=f"coin-file-{name}")
+       for name, c in BAD_COIN_FILES.items()],
 )
-def test_unreadable_graph_file_exits_2_with_one_line(tmp_path, capsys, content):
-    graph_path = tmp_path / "graph.json"
+def test_unreadable_graph_file_exits_2_with_one_line(tmp_path, capsys, flag, content):
+    path = tmp_path / "input.json"
     if content is None:
-        graph_path.mkdir()
+        path.mkdir()
     else:
-        graph_path.write_bytes(content)
+        path.write_bytes(content)
+    if flag == "--graph":
+        source = ["--graph", str(path)]
+    else:
+        source = ["--cycle", "5", "--coin", "custom", "--coin-file", str(path)]
     out = tmp_path / "never.csv"
-    assert main(["run", "--graph", str(graph_path), "--steps", "2", "--out", str(out)]) == 2
+    assert main(["run", *source, "--steps", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("coinwalk: configuration error:")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_default_coin_runs_graphs_with_isolated_vertices(tmp_path):
+    graph_path = tmp_path / "iso.json"
+    graph_path.write_text(json.dumps({
+        "vertices": 5, "degree": 2,
+        "edges": [{"u": 0, "pu": 0, "v": 1, "pv": 0}, {"u": 1, "pu": 1, "v": 2, "pv": 0},
+                  {"u": 2, "pu": 1, "v": 0, "pv": 1}],
+    }))
+    out = tmp_path / "iso.csv"
+    with pytest.warns(UserWarning, match="isolated"):
+        assert main(["run", "--graph", str(graph_path), "--steps", "3",
+                     "--out", str(out)]) == 0
+        graph = load_graph(str(graph_path))
+    hist = marginal_history(basis_state(graph, 0, 0), make_step(graph), 3)
+    table = marginal_table(out)
+    assert table == {(t, v): p for t, row in enumerate(hist) for v, p in enumerate(row) if p}
+    meta = json.loads((tmp_path / "iso.meta.json").read_text())
+    assert meta["configuration"]["coin"]["type"] == "dft"
 
 
 def test_jobs_is_capped_at_the_core_count(monkeypatch):

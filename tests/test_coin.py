@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from coinwalk import (
     CoinSpec,
+    PortGraph,
     StructureError,
     build_coin_operator,
     build_cycle,
@@ -14,7 +15,7 @@ from coinwalk import (
     hadamard_phi,
     pure_position_marginal,
 )
-from coinwalk.coin import coin_spec_from_config, embedded_blocks
+from coinwalk.coin import coin_spec_from_config, default_coin_type, embedded_blocks
 from coinwalk.errors import ConfigError
 
 from conftest import random_pure_state
@@ -72,6 +73,11 @@ def test_shared_and_per_vertex_builds_agree():
     shared = build_coin_operator(g, CoinSpec.from_shared(block))
     listed = build_coin_operator(g, CoinSpec([block] * 5))
     np.testing.assert_allclose(shared, listed, atol=0)
+    # a shared block is validated once, and each vertex still gets its own copy
+    blocks = embedded_blocks(g, CoinSpec.from_shared(block))
+    assert np.array_equal(blocks, embedded_blocks(g, CoinSpec([block] * 5)))
+    blocks[0][0, 0] = 7.0
+    assert blocks[1][0, 0] == block[0, 0]
 
 
 def test_default_coin_on_irregular_graph_uses_vertex_degrees(multi_graph):
@@ -165,7 +171,30 @@ def test_coin_config_parsing(cycle7):
     np.testing.assert_allclose(custom.blocks[0], np.eye(2), atol=0)
 
 
-def test_coin_config_errors(cycle7):
+def test_default_and_dft_coins_give_isolated_vertices_an_empty_block(multi_graph):
+    degrees = multi_graph.vertex_degrees + (0,)
+    with pytest.warns(UserWarning, match="isolated"):
+        g = PortGraph(7, multi_graph.degree, degrees, multi_graph.pairing)
+    assert default_coin_type(g) == "dft"
+    assert default_coin_type(build_cycle(5)) == "hadamard"
+    for spec in (default_coin_spec(g), coin_spec_from_config({"type": "dft"}, g)):
+        blocks = embedded_blocks(g, spec)
+        assert blocks[6].shape == (4, 4) and not blocks[6].any()
+        expected = embedded_blocks(multi_graph, default_coin_spec(multi_graph))
+        assert np.array_equal(blocks[:6], expected)
+
+
+def test_coin_config_errors(cycle7, multi_graph):
+    for config in (5, [1, 2], "dft", None):
+        with pytest.raises(ConfigError, match="JSON object"):
+            coin_spec_from_config(config, cycle7)
+    with pytest.raises(ConfigError, match="'blocks' list"):
+        coin_spec_from_config({"type": "custom", "blocks": 5}, cycle7)
+    for phi in ("x", [1], None):
+        with pytest.raises(ConfigError, match="phi"):
+            coin_spec_from_config({"type": "hadamard", "phi": phi}, cycle7)
+    with pytest.raises(ConfigError, match="degree 2"):
+        coin_spec_from_config({"type": "hadamard"}, multi_graph)
     with pytest.raises(ConfigError, match="unknown coin type"):
         coin_spec_from_config({"type": "fourier"}, cycle7)
     with pytest.raises(ConfigError, match="blocks"):

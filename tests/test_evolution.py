@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from coinwalk import (
     CoinSpec,
     ConfigError,
-    Edge,
     InvariantViolation,
     StructureError,
     assembled_step_operators,
-    assign_ports,
     basis_state,
     build_coin_operator,
     build_cycle,
@@ -23,7 +21,7 @@ from coinwalk import (
     cp_step,
     dephasing_kraus,
     enumerate_branches,
-    from_edge_list,
+    evolve,
     hadamard_phi,
     make_step,
     marginal_history,
@@ -39,7 +37,7 @@ from coinwalk import (
 )
 from coinwalk.evolution import StepMap
 
-from conftest import random_density, random_pure_state
+from conftest import port_permuted_torus, random_density, random_pure_state
 
 
 def hadamard_walk_step(graph, **kwargs):
@@ -88,6 +86,27 @@ def test_density_run_matches_pure_run_when_unitary(cycle7):
     for _ in range(12):
         psi = unitary_step(psi, step)
     np.testing.assert_allclose(rho, to_density(psi), atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_evolve_yields_every_state_from_time_zero(cycle7, beta):
+    step = make_step(cycle7, beta=beta)
+    psi0 = basis_state(cycle7, 0, 0)
+    states = list(evolve(psi0, step, 6))
+    assert len(states) == 7
+    if beta == 0.0:
+        assert np.array_equal(states[0], psi0)
+        assert np.array_equal(states[3], unitary_step(states[2], step))
+    else:
+        assert np.array_equal(states[0], to_density(psi0))
+        assert np.array_equal(states[3], cp_step(states[2], step))
+    assert np.array_equal(run(psi0, step, 6), states[-1] if beta else to_density(states[-1]))
+    assert len(list(evolve(psi0, step, 0))) == 1
+    for bad in (-1, -5):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            list(evolve(psi0, step, bad))
+        with pytest.raises(ConfigError, match="nonnegative"):
+            marginal_history(psi0, step, bad)
 
 
 def test_zero_steps_returns_initial_projector(cycle7):
@@ -155,7 +174,7 @@ def test_irregular_graph_reduces_to_its_classical_chain(multi_graph):
 
 
 def test_biased_coin_measured_walk_matches_port_chain():
-    from coinwalk import half_edge_run, port_transition_probabilities
+    from coinwalk import half_edge_run
 
     g = build_cycle(5)
     theta = 0.4
@@ -164,7 +183,7 @@ def test_biased_coin_measured_walk_matches_port_chain():
         dtype=complex,
     )
     step = make_step(g, coin_spec=CoinSpec.from_shared(block), beta=1.0)
-    transitions = port_transition_probabilities(g, [block] * 5)
+    transitions = [np.abs(block) ** 2] * 5
     q0 = np.zeros(10)
     q0[0] = 1.0
     for t in range(1, 9):
@@ -313,20 +332,6 @@ def test_every_intermediate_state_is_a_density_matrix(cycle7):
 # ----------------------------------------------------------------------
 # the structured step engine against the dense reference operators
 
-def _port_permuted_torus(side, rng):
-    adjacency = []
-    for r in range(side):
-        for c in range(side):
-            v = r * side + c
-            adjacency.append((v, r * side + (c + 1) % side))
-            adjacency.append((v, ((r + 1) % side) * side + c))
-    relabel = [rng.permutation(4) for _ in range(side * side)]
-    return from_edge_list([
-        Edge(e.u, int(relabel[e.u][e.pu]), e.v, int(relabel[e.v][e.pv]))
-        for e in assign_ports(adjacency)
-    ])
-
-
 @st.composite
 def walk_cases(draw, multi_graph):
     """A graph, a shift for it and a pure state on its used ports."""
@@ -341,7 +346,7 @@ def walk_cases(draw, multi_graph):
     elif kind == "multi":
         graph = multi_graph
     else:
-        graph = _port_permuted_torus(draw(st.integers(3, 4)), rng)
+        graph = port_permuted_torus(draw(st.integers(3, 4)), rng)
     used = np.array([[k < dj for k in range(graph.degree)] for dj in graph.vertex_degrees])
     psi = random_pure_state(rng, graph.num_vertices * graph.degree) * used.ravel()
     return graph, shift, psi / np.linalg.norm(psi), rng
