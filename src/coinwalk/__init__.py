@@ -47,6 +47,7 @@ from .evolution import (
     marginal_history,
     reconstruct_cycle_path,
     run,
+    sample_trajectories,
     sample_trajectory,
     unitary_step,
     vertex_dephasing,
@@ -80,6 +81,7 @@ from .state import (
     basis_state,
     check_density,
     check_pure,
+    check_trace,
     flat_index,
     partial_trace_meter,
     position_marginal,

@@ -27,7 +27,7 @@ from .evolution import (
     make_step,
     marginal_history,
     reconstruct_cycle_path,
-    sample_trajectory,
+    sample_trajectories,
 )
 from .graph import PortGraph, build_cycle, load_graph, read_json
 from .shift import build_cycle_shift, build_shift
@@ -201,16 +201,20 @@ def _build_setup(args):
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coinwalk-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coinwalk-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # e.g. the path is a directory, or a file stands where a directory should
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _sidecar_path(out: str) -> str:
@@ -330,11 +334,11 @@ def cmd_mix(args) -> int:
 def _trajectory_chunk(task) -> list[tuple[int, int, tuple, tuple, list, tuple | None]]:
     graph, psi0, steps, beta, step_kwargs, jobs = task
     step = make_step(graph, beta=beta, **step_kwargs)
+    indices, seeds = zip(*jobs)
     out = []
-    for index, seed in jobs:
-        final, record = sample_trajectory(psi0, step, steps, seed)
+    for index, (final, record) in zip(indices, sample_trajectories(psi0, step, steps, seeds)):
         marginal = pure_position_marginal(final, graph.degree).tolist()
-        out.append((index, seed, record.outcomes, record.outcome_probabilities,
+        out.append((index, record.seed, record.outcomes, record.outcome_probabilities,
                     marginal, record.vertex_outcomes))
     return out
 

@@ -16,6 +16,9 @@ each Kraus operator is an elementwise product. The shift is a
 permutation. The dense full-space operators are built only by
 assembled_step_operators and vertex_dephasing, which serve as reference
 implementations.
+
+Trajectory samples advance together as the rows of one (S, N*d) array,
+with the same coin product and elementwise Kraus branches.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ from .errors import ConfigError, InvariantViolation, StructureError
 from .graph import PortGraph
 from .meter import dephasing_kraus, uniform_dephasing_kraus
 from .shift import ShiftOperator, build_shift
-from .state import pure_position_marginal, position_marginal, to_density
+from .state import (
+    check_pure,
+    check_trace,
+    pure_position_marginal,
+    position_marginal,
+    to_density,
+)
 
 __all__ = [
     "StepMap",
@@ -44,6 +53,7 @@ __all__ = [
     "marginal_history",
     "reconstruct_cycle_path",
     "run",
+    "sample_trajectories",
     "sample_trajectory",
     "unitary_step",
     "vertex_dephasing",
@@ -51,6 +61,11 @@ __all__ = [
 
 PLACEMENTS = ("before-shift", "after-shift")
 BRANCH_SUM_TOL = 1e-10
+# the weight-sum tolerance of Generator.choice, kept by _inverse_cdf
+DRAW_SUM_TOL = math.sqrt(np.finfo(float).eps)
+# live amplitudes of one block of samples that sample_trajectories
+# advances together: 16 samples of an N*d = 256 walk
+SAMPLE_BLOCK_AMPLITUDES = 4096
 
 
 @dataclass(frozen=True)
@@ -219,17 +234,20 @@ def evolve(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
     """Yield the walk's state at every time 0..steps.
 
     The states are pure vectors advanced by unitary_step when the step
-    is unitary, and density matrices advanced by cp_step otherwise.
+    is unitary, and density matrices advanced by cp_step otherwise. Every
+    advanced state gets an O(N*d) check, of its norm or of its diagonal
+    and trace, which raises InvariantViolation.
     """
     if steps < 0:
         raise ConfigError(f"step count must be nonnegative, got {steps}")
     if step.is_unitary:
-        state, advance = psi0.copy(), unitary_step
+        state, advance, check = psi0.copy(), unitary_step, check_pure
     else:
-        state, advance = to_density(psi0), cp_step
+        state, advance, check = to_density(psi0), cp_step, check_trace
     yield state
     for _ in range(steps):
         state = advance(state, step)
+        check(state)
         yield state
 
 
@@ -313,20 +331,149 @@ def _branches(phi: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # operators from assembled_step_operators, so records do not depend
     # on which form computed them
     weights = np.array([np.vdot(c, c).real for c in children])
-    total = weights.sum()
-    if not abs(total - 1.0) <= BRANCH_SUM_TOL:
-        raise InvariantViolation(f"branch probabilities sum to {total!r}")
+    _check_branch_sums(weights.sum(keepdims=True))
     return children, weights
 
 
-def _project_vertex(psi: np.ndarray, vertex: int, degree: int) -> np.ndarray:
+def _check_branch_sums(totals: np.ndarray) -> None:
+    """Raise unless every total of branch weights is 1 within BRANCH_SUM_TOL."""
+    # the sampler's guards test the few values of a step as Python
+    # floats, several times faster than numpy reductions of that size
+    for total in totals.tolist():
+        if not abs(total - 1.0) <= BRANCH_SUM_TOL:
+            raise InvariantViolation(f"branch probabilities sum to {total!r}")
+
+
+def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Draw one index per row of the (S, K) weights p from the uniforms u.
+
+    This is the rule of Generator.choice(K, p=row), which turns one
+    uniform double into the first index whose cumulative weight exceeds
+    it, so an entry of weight 0 is never drawn. Like choice, it requires
+    non-negative weights summing to 1 within sqrt(eps) per row.
+    """
+    cdf = p.cumsum(axis=1)
+    sums = cdf[:, -1].tolist()
+    if not (p.min() >= 0.0 and all(abs(x - 1.0) <= DRAW_SUM_TOL for x in sums)):
+        raise InvariantViolation("draw weights are negative or do not sum to 1")
+    return (cdf / cdf[:, -1:] > u[:, None]).argmax(axis=1)
+
+
+def _viable_weights(w: np.ndarray) -> np.ndarray:
+    """Each row of w renormalized over its entries above 1e-28, the rest 0.
+
+    Row by row this is bit-for-bit w[viable] / w[viable].sum() put back
+    in place.
+    """
+    if w.min() > 1e-28:
+        return w / w.sum(axis=1, keepdims=True)
+    viable = w > 1e-28
+    kept = np.where(viable, w, 0.0)
+    sums = kept.sum(axis=1)
+    if w.shape[1] >= 8:
+        # numpy sums 8 or more terms pairwise, so zeros in place of the
+        # dropped entries would regroup the sum
+        for r in np.flatnonzero(~viable.all(axis=1)):
+            sums[r] = w[r, viable[r]].sum()
+    return kept / sums[:, None]
+
+
+def _born_weights(kraus: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(S, m) array: the weight of each Kraus branch of each row of phi.
+
+    One vdot per sample and branch of the one-sample product kraus * row
+    gives bit-for-bit the weights of _branches; a batched reduction sums
+    in another order.
+    """
+    return np.array([[np.vdot(c, c).real for c in kraus * row] for row in phi])
+
+
+def _measure_vertices(
+    psi: np.ndarray, degree: int, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read the vertex of each row of psi with its Born probability.
+
+    Returns the rows projected onto the vertices read and renormalized,
+    and the vertices.
+    """
+    s = psi.shape[0]
+    pv = pure_position_marginal(psi, degree).reshape(s, -1)
+    vertices = _inverse_cdf(pv / pv.sum(axis=1, keepdims=True), u)
+    rows = np.arange(s)[:, None]
+    ports = vertices[:, None] * degree + np.arange(degree)
     out = np.zeros_like(psi)
-    lo = vertex * degree
-    out[lo: lo + degree] = psi[lo: lo + degree]
-    norm = float(np.vdot(out, out).real)
-    if not norm >= 1e-14:
+    out[rows, ports] = psi[rows, ports]
+    norm = np.array([np.vdot(r, r).real for r in out])
+    if not all(x >= 1e-14 for x in norm.tolist()):
         raise InvariantViolation("vertex projection left a state of negligible norm")
-    return out / math.sqrt(norm)
+    return out / np.sqrt(norm)[:, None], vertices
+
+
+def sample_trajectories(
+    psi0: np.ndarray, step: StepMap, steps: int, seeds
+) -> Iterator[tuple[np.ndarray, TrajectoryRecord]]:
+    """Sample one measurement record and conditioned final state per seed.
+
+    Each step draws a meter outcome with the Born probability of its
+    Kraus branch, renormalizes, and shifts. With vertex dephasing 1 the
+    walker's position is also measured each step and recorded. Every
+    draw takes the next uniform double of the sample's own
+    default_rng(seed) stream through an inverse CDF, so a record depends
+    on its seed alone. The samples advance together as the rows of an
+    (S, N*d) array, in blocks of S = SAMPLE_BLOCK_AMPLITUDES // (N*d)
+    samples (at least one), and the (final state, record) pairs are
+    yielded in seed order.
+    """
+    _require_unravelable(step)
+    if steps < 0:
+        raise ConfigError(f"step count must be nonnegative, got {steps}")
+    kraus = _joint_kraus(step)
+    n, d = step.shift.num_vertices, step.shift.degree
+    measure_position = step.vertex_dephasing == 1.0
+    measure_before = measure_position and step.placement == "before-shift"
+    measure_after = measure_position and step.placement == "after-shift"
+    draws = 2 if measure_position else 1
+    seeds = list(seeds)
+    block = max(1, SAMPLE_BLOCK_AMPLITUDES // psi0.size)
+    for lo in range(0, len(seeds), block):
+        chunk = seeds[lo: lo + block]
+        s = len(chunk)
+        rows = np.arange(s)
+        uniforms = np.array(
+            [np.random.default_rng(seed).random(steps * draws) for seed in chunk]
+        ).reshape(s, steps, draws)
+        outcomes = np.empty((s, steps), dtype=int)
+        weights = np.empty((s, steps, len(kraus)))
+        vertices = np.empty((s, steps), dtype=int)
+        psi = np.array([psi0] * s)
+        for t in range(steps):
+            phi = (step.coin @ psi.reshape(s, n, d, 1)).reshape(s, n * d)
+            raw = _born_weights(kraus, phi)
+            total = raw.sum(axis=1)
+            _check_branch_sums(total)
+            w = np.divide(raw, total[:, None], out=weights[:, t])
+            i = _inverse_cdf(_viable_weights(w), uniforms[:, t, 0])
+            norm = raw[rows, i]
+            if not all(x >= 1e-14 for x in norm.tolist()):
+                raise InvariantViolation("sampled branch has negligible norm")
+            # the drawn branch is formed again, so that no more than one
+            # sample's branches are ever held at once
+            psi = kraus.take(i, axis=0) * phi / np.sqrt(norm)[:, None]
+            outcomes[:, t] = i
+            if measure_before:
+                psi, vertices[:, t] = _measure_vertices(psi, d, uniforms[:, t, 1])
+            psi = step.shift.apply(psi)
+            if measure_after:
+                psi, vertices[:, t] = _measure_vertices(psi, d, uniforms[:, t, 1])
+        probs = weights[rows[:, None], np.arange(steps), outcomes]
+        for r, seed in enumerate(chunk):
+            record = TrajectoryRecord(
+                seed,
+                tuple(outcomes[r].tolist()),
+                tuple(probs[r].tolist()),
+                tuple(vertices[r].tolist()) if measure_position else None,
+            )
+            yield psi[r], record
 
 
 def sample_trajectory(
@@ -334,52 +481,10 @@ def sample_trajectory(
 ) -> tuple[np.ndarray, TrajectoryRecord]:
     """Sample one measurement record and the conditioned final state.
 
-    Each step draws a meter outcome with the Born probability of its
-    Kraus branch, renormalizes, and shifts. With vertex dephasing 1 the
-    walker's position is also measured each step and recorded. The
-    draw sequence is fully determined by the seed.
+    This is sample_trajectories for the single seed.
     """
-    _require_unravelable(step)
-    rng = np.random.default_rng(seed)
-    kraus = _joint_kraus(step)
-    n, d = step.shift.num_vertices, step.shift.degree
-    measure_position = step.vertex_dephasing == 1.0
-
-    psi = psi0.copy()
-    outcomes: list[int] = []
-    probs: list[float] = []
-    vertices: list[int] = []
-
-    def measure_vertex(psi: np.ndarray) -> np.ndarray:
-        pv = pure_position_marginal(psi, d)
-        v = int(rng.choice(n, p=pv / pv.sum()))
-        vertices.append(v)
-        return _project_vertex(psi, v, d)
-
-    for _ in range(steps):
-        children, w = _branches(_apply_coin(step.coin, psi), kraus)
-        w = w / w.sum()
-        viable = np.flatnonzero(w > 1e-28)
-        i = int(viable[rng.choice(viable.size, p=w[viable] / w[viable].sum())])
-        psi = children[i]
-        norm = float(np.vdot(psi, psi).real)
-        if not norm >= 1e-14:
-            raise InvariantViolation("sampled branch has negligible norm")
-        psi = psi / math.sqrt(norm)
-        outcomes.append(i)
-        probs.append(float(w[i]))
-        if measure_position and step.placement == "before-shift":
-            psi = measure_vertex(psi)
-        psi = step.shift.apply(psi)
-        if measure_position and step.placement == "after-shift":
-            psi = measure_vertex(psi)
-    record = TrajectoryRecord(
-        seed,
-        tuple(outcomes),
-        tuple(probs),
-        tuple(vertices) if measure_position else None,
-    )
-    return psi, record
+    (result,) = sample_trajectories(psi0, step, steps, [seed])
+    return result
 
 
 def enumerate_branches(

@@ -103,9 +103,10 @@ class PortGraph:
                 f"pairing covers {len(self.pairing)} half-edges, expected {used}"
             )
         if any(dj == 0 for dj in self.vertex_degrees):
+            # level 2 is the dataclass-generated __init__, level 3 its caller
             warnings.warn(
                 "graph has isolated vertices; a walker starting there never moves",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     # ------------------------------------------------------------------

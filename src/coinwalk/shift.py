@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +27,16 @@ class ShiftOperator:
     num_vertices: int
     degree: int
 
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """inverse[new_flat] = old_flat, the permutation as a gather index."""
+        inverse = np.empty_like(self.permutation)
+        inverse[self.permutation] = np.arange(self.permutation.size)
+        return inverse
+
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        out = np.empty_like(psi)
-        out[self.permutation] = psi
-        return out
+        """S psi, for one state or for each row of a stack of states."""
+        return psi.take(self.inverse, axis=-1)
 
     def conjugate(self, rho: np.ndarray) -> np.ndarray:
         """S rho S^dagger for a permutation S, done by reindexing."""

@@ -69,12 +69,20 @@ def check_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None
     herm = np.max(np.abs(rho - rho.conj().T))
     if not herm <= tol.hermiticity:
         raise InvariantViolation(f"density matrix not Hermitian: deviation {herm:.3e}")
-    tr = np.trace(rho).real
-    if not abs(tr - 1.0) <= tol.trace:
-        raise InvariantViolation(f"density matrix trace {tr!r} is not 1")
+    check_trace(rho, tol)
     lo = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
     if not lo >= -tol.eigenvalue:
         raise InvariantViolation(f"density matrix has eigenvalue {lo:.3e} below 0")
+
+
+def check_trace(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+    """Verify a finite diagonal of unit trace, the O(N d) part of check_density."""
+    diag = np.diagonal(rho).real
+    if not np.isfinite(diag).all():
+        raise InvariantViolation("density matrix has a non-finite diagonal entry")
+    tr = diag.sum()
+    if not abs(tr - 1.0) <= tol.trace:
+        raise InvariantViolation(f"density matrix trace {tr!r} is not 1")
 
 
 def to_density(psi: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from coinwalk import (
     ConfigError,
@@ -280,6 +282,19 @@ def test_unreadable_graph_file_exits_2_with_one_line(tmp_path, capsys, flag, con
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["a-directory", "a-file/out.csv"])
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, target):
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "a-file").write_text("x")
+    out = tmp_path / target
+    assert main(["run", "--cycle", "5", "--steps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coinwalk: configuration error: cannot write")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "a-file"]
+    assert not list((tmp_path / "a-directory").iterdir())
+
+
 def test_default_coin_runs_graphs_with_isolated_vertices(tmp_path):
     graph_path = tmp_path / "iso.json"
     graph_path.write_text(json.dumps({
@@ -396,3 +411,113 @@ def test_console_entry_point_is_installed(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "0.1.0"
+
+
+# ----------------------------------------------------------------------
+# fuzzing main(): whatever the flags and files, exit 0, 2 or 3 and never
+# a traceback. Sizes stay small, and --jobs is always 1, so no worker
+# process is ever started.
+
+FUZZ_FILES = {
+    "cycle": json.dumps({"vertices": 3, "degree": 2, "edges": [
+        {"u": 0, "pu": 0, "v": 1, "pv": 1}, {"u": 1, "pu": 0, "v": 2, "pv": 1},
+        {"u": 2, "pu": 0, "v": 0, "pv": 1}]}).encode(),
+    "isolated": json.dumps({"vertices": 4, "degree": 1, "edges": [
+        {"u": 0, "pu": 0, "v": 1, "pv": 0}]}).encode(),
+    "self-loop": b'{"vertices": 1, "degree": 2, "edges": [{"u": 0, "pu": 0, "v": 0, "pv": 1}]}',
+    "bad-port": b'{"vertices": 2, "degree": 1, "edges": [{"u": 0, "pu": 3, "v": 1, "pv": 0}]}',
+    "missing-key": b'{"vertices": 2, "degree": 1, "edges": [{"u": 0}]}',
+    "negative": b'{"vertices": -1, "degree": 0, "edges": []}',
+    "no-edges": b'{"vertices": 2, "degree": 1, "edges": []}',
+    "coin-custom": b'{"type": "custom", "blocks": [[[1, 0], [0, 1]]]}',
+    "coin-not-unitary": b'{"type": "custom", "blocks": [[[1, 1], [0, 1]]]}',
+    "coin-ragged": b'{"type": "custom", "blocks": [[[1, 0], [0]]]}',
+    "coin-strings": b'{"type": "custom", "blocks": [[["a", 0], [0, 1]]]}',
+    "coin-dft": b'{"type": "dft"}',
+    "coin-unknown": b'{"type": "spin"}',
+    "scalar": b"5",
+    "text": b"not json",
+    "empty": b"",
+    "not-utf8": b"\xff\xfe{}",
+}
+# each flag's values: (ones a command accepts, ones it must reject)
+FUZZ_UNIT = (["0", "0.5", "1"], ["-0.25", "1.5", "nan", "inf", "x", ""])
+FUZZ_COUNTS = (["0", "1", "3"], ["-1", "x", "2.5"])
+FUZZ_OPTIONS = {
+    "--beta": FUZZ_UNIT,
+    "--vertex-dephasing": FUZZ_UNIT,
+    "--phi": (["0.3", "1.5707963267948966"], ["nan", "inf", "-inf", "x"]),
+    "--dephasing-placement": (["before-shift", "after-shift"], ["sideways"]),
+    "--coin": (["hadamard", "dft", "custom"], ["spin"]),
+    "--shift": (["port-swap", "direction-preserving"], ["sideways"]),
+    "--start": (["0,0", "1,1", "2,1"], ["9,0", "0,-1", "a,b", "0", ""]),
+    "--seed": (["0", "7", str(2**64)], ["-1", "x"]),
+    "--steps": FUZZ_COUNTS,
+    "--samples": FUZZ_COUNTS,
+    "--t-max": FUZZ_COUNTS,
+    "--epsilon": (["0.1", "1"], ["0", "2", "nan", "x"]),
+    "--betas": (["0,0.5", "1", "0.5,0"], ["0.5,x", "2", "nan", ""]),
+    "--beta-points": (["2", "3"], ["1", "0", "-1", "x"]),
+}
+FUZZ_REQUIRED = {
+    "run": ["--steps"],
+    "sweep": ["--steps", "--betas"],
+    "mix": ["--t-max", "--epsilon"],
+    "trajectory": ["--steps", "--samples", "--beta"],
+}
+# hypothesis leans to the first entry of sampled_from, so the common
+# choice leads each list
+OFTEN = st.sampled_from([True] * 9 + [False])
+
+
+@st.composite
+def fuzz_argv(draw):
+    """Mostly complete command lines, so that most reach the commands."""
+    command = draw(st.sampled_from(sorted(FUZZ_REQUIRED) * 3 + ["walk"]))
+    argv = [command]
+    for _ in range(draw(st.sampled_from([1] * 8 + [0, 2]))):
+        if draw(st.booleans()):
+            cycles = ["5"] * 4 + ["3", "4", "2", "0", "-1", "x"]
+            argv += ["--cycle", draw(st.sampled_from(cycles))]
+        else:
+            names = ["cycle"] * 8 + ["isolated"] * 4 + sorted(FUZZ_FILES) + ["missing"]
+            argv += ["--graph", "@" + draw(st.sampled_from(names))]
+    if not draw(OFTEN):
+        argv += ["--coin-file", "@" + draw(st.sampled_from(["coin-custom", *sorted(FUZZ_FILES)]))]
+    flags = [f for f in FUZZ_REQUIRED.get(command, []) if draw(OFTEN)]
+    flags += draw(st.lists(st.sampled_from(sorted(FUZZ_OPTIONS)), max_size=4))
+    for flag in dict.fromkeys(flags):
+        good, bad = FUZZ_OPTIONS[flag]
+        argv += [flag, draw(st.sampled_from(good if draw(OFTEN) else bad))]
+    # --jobs defaults to 1, and 1 is the only value drawn: no pool starts
+    argv += ["--jobs", "1"]
+    if draw(OFTEN):
+        outs = ["out.csv"] * 4 + ["new/dir/out.csv", "out", "a-directory", "cycle/out.csv"]
+        argv += ["--out", "@" + draw(st.sampled_from(outs))]
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore:graph has isolated vertices:UserWarning")
+@settings(max_examples=150, deadline=None)
+@given(argv=fuzz_argv())
+def test_fuzzed_command_lines_exit_cleanly(argv):
+    import contextlib
+    import io
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, content in FUZZ_FILES.items():
+            (root / name).write_bytes(content)
+        (root / "a-directory").mkdir()
+        argv = [str(root / a[1:]) if a.startswith("@") else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

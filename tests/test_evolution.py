@@ -29,6 +29,7 @@ from coinwalk import (
     pure_position_marginal,
     reconstruct_cycle_path,
     run,
+    sample_trajectories,
     sample_trajectory,
     to_density,
     tvd,
@@ -406,14 +407,17 @@ def test_step_map_rejects_dense_coin_and_non_diagonal_kraus(cycle7):
         StepMap(blocks, shift, mixing)
 
 
-class _DrawLast:
-    """Stands in for the sampler's generator and always draws the last option."""
+class _DrawFirst:
+    """Stands in for the sampler's generator: every uniform it gives is 0.
+
+    An inverse-CDF draw of 0 takes the first entry of positive weight.
+    """
 
     def __init__(self, seed):
         pass
 
-    def choice(self, count, p=None):
-        return count - 1
+    def random(self, size):
+        return np.zeros(size)
 
 
 def test_sampler_invariants_still_fire(cycle7, monkeypatch):
@@ -429,12 +433,207 @@ def test_sampler_invariants_still_fire(cycle7, monkeypatch):
     with pytest.raises(InvariantViolation, match="sum to"):
         enumerate_branches(psi0, StepMap(blocks, shift, leaky), 1)
 
-    monkeypatch.setattr(np.random, "default_rng", _DrawLast)
-    # a viable branch of weight 1e-16 is drawn: its state is too small to renormalize
-    faint = (np.eye(2, dtype=complex), 1e-8 * np.eye(2, dtype=complex))
+    monkeypatch.setattr(np.random, "default_rng", _DrawFirst)
+    # the first branch is viable at weight 1e-16 and is drawn: its state is
+    # too small to renormalize
+    faint = (1e-8 * np.eye(2, dtype=complex), np.eye(2, dtype=complex))
     with pytest.raises(InvariantViolation, match="negligible norm"):
         sample_trajectory(psi0, StepMap(blocks, shift, faint), 1, seed=0)
-    # the walker sits at vertex 0, and the position reading lands on vertex 6
+    # vertex 0 holds weight 1e-16 after the coin reading and is the first
+    # vertex of positive weight, so the position reading lands there
+    psi = np.sqrt(1e-16) * basis_state(cycle7, 0, 0) + np.sqrt(1 - 1e-16) * basis_state(cycle7, 3, 0)
     step = make_step(cycle7, beta=1.0, vertex_p=1.0)
     with pytest.raises(InvariantViolation, match="vertex projection"):
-        sample_trajectory(psi0, step, 1, seed=0)
+        sample_trajectory(psi, step, 1, seed=0)
+
+
+def test_inverse_cdf_draws_what_generator_choice_draws():
+    from coinwalk.evolution import _inverse_cdf
+
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        size = [1, 2, 5, 9, 64][seed % 5]
+        w = rng.random(size) ** 3 * (rng.random(size) < 0.7)
+        w[rng.integers(size)] += 0.1
+        p = w / w.sum()
+        chooser = np.random.default_rng(seed + 10**6)
+        expected = [int(chooser.choice(size, p=p)) for _ in range(3)]
+        uniforms = np.random.default_rng(seed + 10**6).random(4)
+        drawn = _inverse_cdf(np.tile(p, (3, 1)), uniforms[:3])
+        assert drawn.tolist() == expected
+        # choice took one double per draw, as the inverse CDF does
+        assert chooser.random() == uniforms[3]
+        assert all(p[i] > 0 for i in drawn)
+    # a uniform of 0 takes the first entry of positive weight, and one just
+    # below 1 the last: the cumulative weights are read normalized, as
+    # choice reads weights that sum to 1 only within sqrt(eps)
+    p = np.array([[0.0, 0.3, 0.0, 0.7 - 1e-9, 0.0]])
+    assert _inverse_cdf(p, np.array([0.0])).tolist() == [1]
+    assert _inverse_cdf(p, np.array([1 - 1e-12])).tolist() == [3]
+
+
+@pytest.mark.parametrize("weights", [
+    [[0.5, -0.1, 0.6]],
+    [[0.5, 0.5, 0.5]],
+    [[0.5, 0.5], [0.5, np.nan]],
+    [[np.inf, 0.0]],
+])
+def test_inverse_cdf_rejects_bad_draw_weights(weights):
+    from coinwalk.evolution import _inverse_cdf
+
+    p = np.array(weights)
+    with pytest.raises(InvariantViolation, match="draw weights"):
+        _inverse_cdf(p, np.zeros(len(p)))
+
+
+def test_bad_draw_weights_exit_3(cycle7, monkeypatch, tmp_path, capsys):
+    from coinwalk import evolution
+    from coinwalk.cli import main
+
+    monkeypatch.setattr(evolution, "_viable_weights", lambda w: -w)
+    out = tmp_path / "traj.csv"
+    argv = ["trajectory", "--cycle", "7", "--beta", "0.5", "--steps", "3",
+            "--samples", "2", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 3
+    assert "draw weights" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_viable_weights_renormalize_row_by_row_exactly():
+    from coinwalk.evolution import _viable_weights
+
+    rng = np.random.default_rng(7)
+    for size in (2, 5, 8, 9, 17):
+        w = rng.random((40, size)) ** 2
+        w[rng.random(w.shape) < 0.3] = 1e-30
+        w[:, 0] += 0.5
+        w /= w.sum(axis=1, keepdims=True)
+        got = _viable_weights(w)
+        for row, out in zip(w, got):
+            viable = row > 1e-28
+            # numpy sums 8 or more terms pairwise, so a row sum over zeros
+            # in place of the dropped entries could differ in the last bit
+            assert np.array_equal(out[viable], row[viable] / row[viable].sum())
+            assert not out[~viable].any()
+
+
+def test_evolve_checks_every_step(cycle7):
+    from coinwalk.coin import default_coin_spec, embedded_blocks
+    from coinwalk.shift import build_shift
+
+    blocks = np.stack(embedded_blocks(cycle7, default_coin_spec(cycle7)))
+    shift = build_shift(cycle7)
+    psi0 = basis_state(cycle7, 0, 0)
+    growing = StepMap(1.01 * blocks, shift)
+    states = evolve(psi0, growing, 3)
+    next(states)
+    with pytest.raises(InvariantViolation, match="norm"):
+        next(states)
+    with pytest.raises(InvariantViolation, match="trace"):
+        run(psi0, StepMap(1.01 * blocks, shift, dephasing_kraus(0.5).operators), 3)
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        marginal_history(psi0, StepMap(np.nan * blocks, shift, vertex_dephasing=0.5), 2)
+    # unit-norm coins pass every step
+    assert len(list(evolve(psi0, StepMap(blocks, shift, dephasing_kraus(0.5).operators), 5))) == 6
+
+
+# ----------------------------------------------------------------------
+# the batched sampler against the one-sample loop it replaced
+
+def _project_vertex(psi, vertex, degree):
+    out = np.zeros_like(psi)
+    lo = vertex * degree
+    out[lo: lo + degree] = psi[lo: lo + degree]
+    norm = float(np.vdot(out, out).real)
+    if not norm >= 1e-14:
+        raise InvariantViolation("vertex projection left a state of negligible norm")
+    return out / math.sqrt(norm)
+
+
+def reference_sample_trajectory(psi0, step, steps, seed):
+    """One sample at a time, drawing with Generator.choice."""
+    from coinwalk.evolution import (
+        TrajectoryRecord,
+        _apply_coin,
+        _branches,
+        _joint_kraus,
+        _require_unravelable,
+    )
+
+    _require_unravelable(step)
+    rng = np.random.default_rng(seed)
+    kraus = _joint_kraus(step)
+    n, d = step.shift.num_vertices, step.shift.degree
+    measure_position = step.vertex_dephasing == 1.0
+
+    psi = psi0.copy()
+    outcomes, probs, vertices = [], [], []
+
+    def measure_vertex(psi):
+        pv = pure_position_marginal(psi, d)
+        v = int(rng.choice(n, p=pv / pv.sum()))
+        vertices.append(v)
+        return _project_vertex(psi, v, d)
+
+    for _ in range(steps):
+        children, w = _branches(_apply_coin(step.coin, psi), kraus)
+        w = w / w.sum()
+        viable = np.flatnonzero(w > 1e-28)
+        i = int(viable[rng.choice(viable.size, p=w[viable] / w[viable].sum())])
+        psi = children[i]
+        norm = float(np.vdot(psi, psi).real)
+        if not norm >= 1e-14:
+            raise InvariantViolation("sampled branch has negligible norm")
+        psi = psi / math.sqrt(norm)
+        outcomes.append(i)
+        probs.append(float(w[i]))
+        if measure_position and step.placement == "before-shift":
+            psi = measure_vertex(psi)
+        psi = step.shift.apply(psi)
+        if measure_position and step.placement == "after-shift":
+            psi = measure_vertex(psi)
+    record = TrajectoryRecord(
+        seed, tuple(outcomes), tuple(probs), tuple(vertices) if measure_position else None
+    )
+    return psi, record
+
+
+def _assert_matches_reference(psi0, step, steps, seeds):
+    results = list(sample_trajectories(psi0, step, steps, seeds))
+    assert len(results) == len(seeds)
+    for (final, record), seed in zip(results, seeds):
+        ref_final, ref_record = reference_sample_trajectory(psi0, step, steps, seed)
+        assert record == ref_record
+        assert np.array_equal(final, ref_final)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), beta=st.floats(0.0, 1.0, exclude_min=True),
+       p=st.sampled_from([0.0, 1.0]),
+       placement=st.sampled_from(["before-shift", "after-shift"]),
+       block=st.integers(1, 4), steps=st.integers(0, 8))
+def test_batched_sampler_matches_the_one_sample_loop(
+    multi_graph, data, beta, p, placement, block, steps
+):
+    from unittest import mock
+
+    from coinwalk import evolution
+
+    graph, shift, psi, _rng = data.draw(walk_cases(multi_graph))
+    step = make_step(graph, shift=shift, beta=beta, vertex_p=p, placement=placement)
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3 * block))
+    # blocks of `block` samples, so that the seeds split over up to three
+    with mock.patch.object(evolution, "SAMPLE_BLOCK_AMPLITUDES", block * psi.size):
+        _assert_matches_reference(psi, step, steps, seeds)
+
+
+def test_batched_sampler_splits_blocks_of_the_module_constant():
+    from coinwalk.evolution import SAMPLE_BLOCK_AMPLITUDES
+
+    graph = port_permuted_torus(8, np.random.default_rng(3))
+    block = SAMPLE_BLOCK_AMPLITUDES // (graph.num_vertices * graph.degree)
+    assert block > 1
+    seeds = [int(s) for s in np.random.SeedSequence(5).generate_state(2 * block + 3, np.uint64)]
+    psi0 = basis_state(graph, 9, 2)
+    _assert_matches_reference(psi0, make_step(graph, beta=0.5), 6, seeds)
+    _assert_matches_reference(psi0, make_step(graph, beta=1.0, vertex_p=1.0), 4, seeds)

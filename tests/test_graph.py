@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from coinwalk import (
     Edge,
+    PortGraph,
     StructureError,
     assign_ports,
     build_cycle,
     from_edge_list,
 )
+from coinwalk import graph as graph_module
 from coinwalk.graph import load_graph, save_graph
 
 from conftest import MULTI_ADJACENCY
@@ -197,10 +199,23 @@ def test_load_graph_allows_declared_isolated_vertices(tmp_path):
         "edges": [{"u": 0, "pu": 0, "v": 1, "pv": 0}],
     }
     path.write_text(json.dumps(payload))
-    with pytest.warns(UserWarning, match="isolated"):
+    with pytest.warns(UserWarning, match="isolated") as records:
         g = load_graph(str(path))
     assert g.num_vertices == 3
     assert g.vertex_degrees == (1, 1, 0)
+    # the warning names load_graph, which built the graph, and not the
+    # dataclass-generated __init__
+    (record,) = records
+    assert record.filename != "<string>"
+    assert record.filename == graph_module.__file__
+
+
+def test_isolated_vertex_warning_points_at_the_constructor_call(multi_graph):
+    with pytest.warns(UserWarning, match="isolated") as records:
+        PortGraph(7, multi_graph.degree, multi_graph.vertex_degrees + (0,),
+                  multi_graph.pairing)
+    (record,) = records
+    assert record.filename == __file__
 
 
 def test_multi_adjacency_matches_fixture(multi_graph):
