@@ -8,7 +8,7 @@ import numpy as np
 
 from .classical import classical_run, classical_step, uniform_distribution
 from .errors import StructureError
-from .evolution import StepMap, _marginal, evolve, make_step, marginal_history
+from .evolution import StepMap, _marginals, make_step, marginal_history
 from .graph import PortGraph
 from .meter import distinguishability, visibility
 from .state import pure_position_marginal
@@ -114,10 +114,10 @@ def compare_mixing(
     quantum_tvd, classical_tvd = [], []
     running_sum = np.zeros(graph.num_vertices)
     p = pure_position_marginal(psi0, graph.degree)
-    for t, state in enumerate(evolve(psi0, step, t_max)):
+    for t, marginal in enumerate(_marginals(psi0, step, t_max)):
         if t:
             p = classical_step(p, graph)
-        running_sum += _marginal(state, step)
+        running_sum += marginal
         quantum_tvd.append(tvd(running_sum / (t + 1), uniform))
         classical_tvd.append(tvd(p, uniform))
     times = tuple(range(t_max + 1))

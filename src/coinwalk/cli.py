@@ -1,8 +1,9 @@
 """Command line front end: coinwalk run | sweep | mix | trajectory.
 
 Data goes to CSV, run configuration and provenance to a JSON sidecar
-next to it. Files are written whole via a temp file and atomic rename,
-so a failed command leaves no partial output behind.
+next to it. A command's files are written whole via temp files that
+are renamed into place only once all are written, so a failed command
+leaves no output behind.
 """
 
 from __future__ import annotations
@@ -199,24 +200,6 @@ def _build_setup(args):
 # ----------------------------------------------------------------------
 # output helpers
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coinwalk-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        # e.g. the path is a directory, or a file stands where a directory should
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
 def _sidecar_path(out: str) -> str:
     if out.endswith(".csv"):
         return out[: -len(".csv")] + ".meta.json"
@@ -227,9 +210,45 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _umask() -> int:
+    """The process umask, which os.umask reads only by setting it."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _write_outputs(files: dict[str, str]) -> None:
-    for path, text in files.items():
-        _atomic_write(path, text)
+    """Write every file whole, or none of them.
+
+    Every destination is checked first. Each text then goes to a temp
+    file beside its destination, and the temp files are renamed into
+    place only once all of them are written; a failure on the way
+    removes them. A temp file is created with mode 0600, so it gets the
+    mode a plain open would give under the process umask.
+    """
+    for path in files:
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: Is a directory")
+    mode = 0o666 & ~_umask()
+    pending: list[tuple[str, str]] = []
+    try:
+        for path, text in files.items():
+            directory = os.path.dirname(os.path.abspath(path))
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coinwalk-")
+            pending.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.chmod(tmp, mode)
+        for tmp, path in pending:
+            os.replace(tmp, path)
+    except OSError as exc:
+        # e.g. a file stands where a directory should be
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        for tmp, _ in pending:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _metadata(args, description: dict, extra: dict) -> str:

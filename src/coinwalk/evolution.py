@@ -17,6 +17,14 @@ permutation. The dense full-space operators are built only by
 assembled_step_operators and vertex_dephasing, which serve as reference
 implementations.
 
+A walk of t steps only reaches the vertices within t shifts of psi0's
+support, its light cone. run, marginal_history and the marginals that
+analysis reads evolve the walk on that cone alone and put the result
+back in place, so their memory and time scale with the cone rather
+than with N; a cone that holds every vertex is the whole walk, run
+as it is. evolve, cp_step and unitary_step always act on the states
+they are given, and trajectories are never restricted.
+
 Trajectory samples advance together as the rows of one (S, N*d) array,
 with the same coin product and elementwise Kraus branches.
 """
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -258,20 +266,92 @@ def _marginal(state: np.ndarray, step: StepMap) -> np.ndarray:
     return position_marginal(state, step.shift.degree)
 
 
+def _cone_ports(vertices: np.ndarray, degree: int) -> np.ndarray:
+    """Flat indices of every port of the given vertices, in vertex order."""
+    return (vertices[:, None] * degree + np.arange(degree)).ravel()
+
+
+def _light_cone(
+    psi0: np.ndarray, step: StepMap, steps: int
+) -> tuple[np.ndarray, StepMap, np.ndarray]:
+    """The walk from psi0 restricted to the vertices it reaches in steps steps.
+
+    The cone starts as the vertices of psi0's support and grows through
+    the shift once per step, until it holds every vertex or stops
+    growing. Returns psi0 on the cone's ports, the StepMap on the cone,
+    and the sorted cone vertices; a cone of every vertex returns psi0 and
+    step as they are.
+
+    The cone's shift keeps every move inside the cone. A port that leaves
+    it belongs to a vertex first reached at the last step, which holds no
+    amplitude when a shift is applied, so the leaving ports are paired in
+    order with the cone ports no inside move reaches, and the shift stays
+    a permutation.
+    """
+    n, d = step.shift.num_vertices, step.shift.degree
+    neighbours = step.shift.permutation.reshape(n, d) // d
+    frontier = np.unique(np.flatnonzero(psi0) // d)
+    inside = np.zeros(n, dtype=bool)
+    inside[frontier] = True
+    size = frontier.size
+    for _ in range(steps):
+        if size == n or frontier.size == 0:
+            break
+        reached = np.unique(neighbours[frontier])
+        frontier = reached[~inside[reached]]
+        inside[frontier] = True
+        size += frontier.size
+    if size == n:
+        return psi0, step, np.arange(n)
+
+    vertices = np.flatnonzero(inside)
+    ports = _cone_ports(vertices, d)
+    index = np.full(n * d, -1)
+    index[ports] = np.arange(ports.size)
+    perm = index[step.shift.permutation[ports]]
+    leaving = perm < 0
+    reached_ports = np.zeros(ports.size, dtype=bool)
+    reached_ports[perm[~leaving]] = True
+    perm[leaving] = np.flatnonzero(~reached_ports)
+    shift = ShiftOperator(perm, step.shift.kind, vertices.size, d)
+    return psi0[ports], replace(step, coin=step.coin[vertices], shift=shift), vertices
+
+
+def _marginals(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
+    """Yield the position distribution at every time 0..steps, over all N vertices.
+
+    The walk is evolved on its light cone, and each cone distribution is
+    put in place among zeros.
+    """
+    n = step.shift.num_vertices
+    cone_psi0, cone_step, vertices = _light_cone(psi0, step, steps)
+    for state in evolve(cone_psi0, cone_step, steps):
+        marginal = np.zeros(n)
+        marginal[vertices] = _marginal(state, cone_step)
+        yield marginal
+
+
 def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
     """Evolve a pure initial state for the given number of steps.
 
     Returns the density matrix at time steps; steps=0 gives the initial
-    projector.
+    projector. The walk is evolved on its light cone, and the final cone
+    state is put in place in the full matrix.
     """
-    for state in evolve(psi0, step, steps):
+    cone_psi0, cone_step, vertices = _light_cone(psi0, step, steps)
+    for state in evolve(cone_psi0, cone_step, steps):
         pass
-    return to_density(state) if step.is_unitary else state
+    if step.is_unitary:
+        state = to_density(state)
+    ports = _cone_ports(vertices, step.shift.degree)
+    rho = np.zeros((psi0.size, psi0.size), dtype=state.dtype)
+    rho[np.ix_(ports, ports)] = state
+    return rho
 
 
 def marginal_history(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
     """Position distribution at every time 0..steps, shape (steps+1, N)."""
-    return np.array([_marginal(state, step) for state in evolve(psi0, step, steps)])
+    return np.array(list(_marginals(psi0, step, steps)))
 
 
 def assembled_step_operators(step: StepMap) -> list[np.ndarray]:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -293,6 +295,36 @@ def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, target):
     assert err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "a-file"]
     assert not list((tmp_path / "a-directory").iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--cycle", "5", "--steps", "2"],
+    ["trajectory", "--cycle", "5", "--steps", "2", "--beta", "1", "--samples", "3",
+     "--seed", "1"],
+])
+def test_unwritable_sidecar_leaves_no_output_at_all(tmp_path, capsys, command):
+    (tmp_path / "po" / "x.meta.json").mkdir(parents=True)
+    assert main([*command, "--out", str(tmp_path / "po" / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coinwalk: configuration error: cannot write")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in (tmp_path / "po").iterdir()) == ["x.meta.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+        out = tmp_path / "walk.csv"
+        assert main(["run", "--cycle", "5", "--steps", "2", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    expected = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+    assert expected == 0o666 & ~umask
+    for path in (out, tmp_path / "walk.meta.json"):
+        assert stat.S_IMODE(path.stat().st_mode) == expected
 
 
 def test_default_coin_runs_graphs_with_isolated_vertices(tmp_path):
