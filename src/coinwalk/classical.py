@@ -36,17 +36,16 @@ def classical_step(p: np.ndarray, graph: PortGraph) -> np.ndarray:
     """One step of the unbiased walk: leave each vertex along a uniformly
     random edge. p'(v) collects p(j)/d_j over all neighbors j of v."""
     p = np.asarray(p, dtype=float)
-    if p.size != graph.num_vertices:
-        raise StructureError(
-            f"distribution length {p.size} does not match {graph.num_vertices} vertices"
-        )
+    n, d = graph.partner.shape
+    if p.size != n:
+        raise StructureError(f"distribution length {p.size} does not match {n} vertices")
     src, dst = graph.half_edges
-    j = src // graph.degree
-    degrees = np.asarray(graph.vertex_degrees)
+    j = src // d
+    degrees = np.bincount(j, minlength=n)
     out = np.zeros_like(p)
-    # np.add.at adds in pairing order, unbuffered, so repeated targets
+    # np.add.at adds in half_edges order, unbuffered, so repeated targets
     # accumulate in a fixed order and the result is reproducible bit for bit
-    np.add.at(out, dst // graph.degree, p[j] / degrees[j])
+    np.add.at(out, dst // d, p[j] / degrees[j])
     isolated = degrees == 0  # an isolated walker has nowhere to go
     out[isolated] += p[isolated]
     return out

@@ -180,10 +180,7 @@ def _build_setup(args):
             "source": f"cycle:{args.cycle}" if args.cycle is not None else args.graph,
             "vertices": graph.num_vertices,
             "degree": graph.degree,
-            "port_labeling": [
-                {"u": e.u, "pu": e.pu, "v": e.v, "pv": e.pv}
-                for e in graph.to_edge_list()
-            ],
+            "port_labeling": [vars(e) for e in graph.to_edge_list()],
         },
         "coin": {"type": coin_kind, "phi": args.phi},
         "shift": shift.kind,
@@ -274,11 +271,9 @@ def cmd_run(args) -> int:
     step = make_step(graph, beta=args.beta, **step_kwargs)
     history = marginal_history(psi0, step, args.steps)
 
-    lines = ["t,vertex,probability"]
-    for t, row in enumerate(history):
-        for v, prob in enumerate(row):
-            if prob != 0.0:
-                lines.append(f"{t},{v},{_fmt(prob)}")
+    ts, vs = np.nonzero(history)  # in C order: by t, then by vertex
+    rows = zip(ts.tolist(), vs.tolist(), history[ts, vs].tolist())
+    lines = ["t,vertex,probability"] + [f"{t},{v},{_fmt(p)}" for t, v, p in rows]
     description["steps"] = args.steps
     meta = _metadata(args, description, {"output": {"csv": args.out, "rows": len(lines) - 1}})
     _write_outputs({args.out: "\n".join(lines) + "\n", _sidecar_path(args.out): meta})

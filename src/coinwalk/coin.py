@@ -105,8 +105,8 @@ def _check_block_unitary(block: np.ndarray, where: str) -> None:
         raise StructureError(f"coin block {where} is not unitary (deviation {dev:.3e})")
 
 
-def embedded_blocks(graph: PortGraph, spec: CoinSpec) -> list[np.ndarray]:
-    """Validate a CoinSpec against a graph and return one d x d block per vertex.
+def embedded_blocks(graph: PortGraph, spec: CoinSpec) -> np.ndarray:
+    """Validate a CoinSpec against a graph and return the (N, d, d) block stack.
 
     Each supplied block must be either d_j x d_j (embedded with zero
     padding) or already d x d with exact zeros outside the used-port
@@ -120,15 +120,15 @@ def embedded_blocks(graph: PortGraph, spec: CoinSpec) -> list[np.ndarray]:
             )
         # validated once, then one copy per vertex
         full = _embedded(spec.blocks[0], d, d, "shared by every vertex")
-        return list(np.repeat(full[None], n, axis=0))
+        return np.repeat(full[None], n, axis=0)
     if len(spec.blocks) != n:
         raise StructureError(
             f"need {n} coin blocks (one per vertex), got {len(spec.blocks)}"
         )
-    return [
+    return np.stack([
         _embedded(block, dj, d, f"at vertex {j}")
         for j, (block, dj) in enumerate(zip(spec.blocks, graph.vertex_degrees))
-    ]
+    ])
 
 
 def _embedded(block: np.ndarray, dj: int, d: int, where: str) -> np.ndarray:

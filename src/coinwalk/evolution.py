@@ -130,7 +130,7 @@ def make_step(
     if not 0.0 <= vertex_p <= 1.0:
         raise ConfigError(f"vertex dephasing strength must lie in [0, 1], got {vertex_p}")
     spec = coin_spec if coin_spec is not None else default_coin_spec(graph, phi)
-    blocks = np.stack(embedded_blocks(graph, spec))
+    blocks = embedded_blocks(graph, spec)
     shift_op = shift if shift is not None else build_shift(graph)
     kraus = None
     if beta > 0.0:
@@ -313,7 +313,7 @@ def _light_cone(
     reached_ports = np.zeros(ports.size, dtype=bool)
     reached_ports[perm[~leaving]] = True
     perm[leaving] = np.flatnonzero(~reached_ports)
-    shift = ShiftOperator(perm, step.shift.kind, vertices.size, d)
+    shift = ShiftOperator(perm, step.shift.kind, d)
     return psi0[ports], replace(step, coin=step.coin[vertices], shift=shift), vertices
 
 

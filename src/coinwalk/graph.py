@@ -2,28 +2,28 @@
 
 A walker on a graph needs more than adjacency: at each vertex the edge
 ends are numbered by local *ports* 0..d_j-1, and each edge pairs exactly
-two (vertex, port) half-edges. The pairing is an involution with no
-fixed points, so following an edge and following it back are the same
-operation. The port numbering is what the coin register indexes into,
-which makes the labeling part of the model, not a display detail.
+two (vertex, port) half-edges. The port numbering is what the coin
+register indexes into, which makes the labeling part of the model, not
+a display detail.
 
-Structural rules enforced here:
-
-* the pairing is a fixed-point-free involution on the used half-edges,
-* no self-loops,
-* at most one edge between any pair of vertices,
-* vertex j uses exactly ports 0..d_j-1, and d is the maximum d_j.
-
-Vertices with d_j < d simply leave their high ports unused; querying an
-unused port is an error rather than silently undefined.
+A PortGraph stores the pairing once, as an (N, d) partner array of the
+flat indices j*d + k of the walker-coin space, and derives everything
+else from it; two files listing the same edges in different orders give
+the same graph and the same results. The pairing must be a
+fixed-point-free involution on the used half-edges, with no self-loops
+and at most one edge per vertex pair; vertex j uses exactly ports
+0..d_j-1, and d is the maximum d_j. Querying an unused port, or an
+index outside the graph, is an error.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -53,108 +53,129 @@ class Edge:
 
 @dataclass(frozen=True, eq=False)
 class PortGraph:
-    """Immutable port-labeled graph.
+    """Immutable port-labeled graph on N vertices of degree at most d.
 
-    Attributes
-    ----------
-    num_vertices : int
-        Number of vertices N; vertices are 0..N-1.
-    degree : int
-        Graph degree d, the maximum vertex degree. Coin blocks are d x d.
-    vertex_degrees : tuple of int
-        Per-vertex degree d_j; vertex j uses ports 0..d_j-1.
-    pairing : dict
-        Maps each used (vertex, port) to the (vertex, port) at the other
-        end of its edge. Treat as read-only.
+    partner, a read-only (N, d) intp copy of the integer array passed in,
+    holds at [j, k] the flat index j2*d + k2 of the half-edge at the other
+    end of (j, k)'s edge, or -1 if port k of vertex j is unused.
     """
 
-    num_vertices: int
-    degree: int
-    vertex_degrees: tuple[int, ...]
-    pairing: dict[tuple[int, int], tuple[int, int]] = field(repr=False)
+    partner: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.num_vertices < 1:
+        partner = np.asarray(self.partner)
+        if partner.ndim != 2 or partner.dtype.kind not in "iu":
+            raise StructureError(
+                f"partner must be an (N, d) integer array, got {partner.dtype} {partner.shape}"
+            )
+        n, d = partner.shape
+        if n < 1:
             raise StructureError("graph must have at least one vertex")
-        if len(self.vertex_degrees) != self.num_vertices:
-            raise StructureError("vertex_degrees length must equal num_vertices")
-        if self.degree != max(self.vertex_degrees, default=0) or self.degree < 1:
+        outside = np.flatnonzero((partner < -1) | (partner >= n * d))
+        if outside.size:
+            j, k = divmod(int(outside[0]), d)
             raise StructureError(
-                f"degree {self.degree} must be the maximum vertex degree (>= 1)"
+                f"half-edge ({j},{k}) has partner {partner[j, k]}, outside -1..{n * d - 1}"
             )
-        seen_edges: set[tuple[int, int]] = set()
-        for (j, k), (j2, k2) in self.pairing.items():
-            if not (0 <= j < self.num_vertices and 0 <= k < self.vertex_degrees[j]):
-                raise StructureError(f"half-edge ({j},{k}) outside the used port range")
-            if j == j2:
-                raise StructureError(f"self-loop at vertex {j} is not supported")
-            if self.pairing.get((j2, k2)) != (j, k):
-                raise StructureError(
-                    f"pairing is not an involution at ({j},{k}) <-> ({j2},{k2})"
-                )
-            pair = (min(j, j2), max(j, j2))
-            if pair in seen_edges and j < j2:
-                raise StructureError(f"parallel edge between vertices {j} and {j2}")
-            if j < j2:
-                seen_edges.add(pair)
-        used = sum(self.vertex_degrees)
-        if len(self.pairing) != used:
-            raise StructureError(
-                f"pairing covers {len(self.pairing)} half-edges, expected {used}"
-            )
-        if any(dj == 0 for dj in self.vertex_degrees):
+        partner = partner.astype(np.intp)  # a copy, which the graph owns
+        partner.flags.writeable = False
+        object.__setattr__(self, "partner", partner)
+        degrees = np.count_nonzero(partner >= 0, axis=1)
+        if d != degrees.max() or d < 1:
+            raise StructureError(f"degree {d} must be the maximum vertex degree (>= 1)")
+        _check_half_edges(partner, degrees)
+        if not degrees.all():
             # level 2 is the dataclass-generated __init__, level 3 its caller
-            warnings.warn(
-                "graph has isolated vertices; a walker starting there never moves",
-                stacklevel=3,
-            )
+            warnings.warn("graph has isolated vertices; a walker starting there never moves",
+                          stacklevel=3)
 
-    # ------------------------------------------------------------------
-    # queries
+    @property
+    def num_vertices(self) -> int:
+        return self.partner.shape[0]
 
-    def opposite_end(self, vertex: int, port: int) -> tuple[int, int]:
-        """Return the (vertex, port) at the other end of a half-edge.
+    @property
+    def degree(self) -> int:
+        return self.partner.shape[1]
 
-        Raises
-        ------
-        StructureError
-            If (vertex, port) is not a used half-edge of the graph.
-        """
-        try:
-            return self.pairing[(vertex, port)]
-        except KeyError:
-            raise StructureError(
-                f"({vertex},{port}) is not a used half-edge of this graph"
-            ) from None
-
-    def has_port(self, vertex: int, port: int) -> bool:
-        return (vertex, port) in self.pairing
+    @cached_property
+    def vertex_degrees(self) -> tuple[int, ...]:
+        """Per-vertex degree d_j; vertex j uses ports 0..d_j-1."""
+        return tuple(np.count_nonzero(self.partner >= 0, axis=1).tolist())
 
     @cached_property
     def half_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pairing as two read-only index arrays, in pairing order.
-
-        The first holds the flat index j*d + k of every used half-edge,
-        the second the flat index of the half-edge at its other end.
-        """
-        d = self.degree
-        src = np.array([j * d + k for j, k in self.pairing], dtype=np.intp)
-        dst = np.array([j * d + k for j, k in self.pairing.values()], dtype=np.intp)
+        """Flat indices of every used half-edge and of its partner, read-only, in
+        edge order: by ascending lower end lo, lo -> partner[lo] and then back.
+        That is how from_edge_list reads a file save_graph wrote, and it makes
+        sums over half-edges independent of the order of a file's edges."""
+        flat = self.partner.ravel()
+        lo = np.flatnonzero(flat > np.arange(flat.size))
+        src = np.stack([lo, flat[lo]], axis=1).ravel()
+        dst = np.stack([flat[lo], lo], axis=1).ravel()
         src.flags.writeable = dst.flags.writeable = False
         return src, dst
 
     @property
     def num_edges(self) -> int:
-        return len(self.pairing) // 2
+        return self.half_edges[0].size // 2
+
+    def has_port(self, vertex: int, port: int) -> bool:
+        """Whether (vertex, port) is a used half-edge; False for indices outside the graph."""
+        n, d = self.partner.shape
+        return 0 <= vertex < n and 0 <= port < d and bool(self.partner[vertex, port] >= 0)
+
+    def opposite_end(self, vertex: int, port: int) -> tuple[int, int]:
+        """The (vertex, port) at the other end of a used half-edge, else StructureError."""
+        if not self.has_port(vertex, port):
+            raise StructureError(f"({vertex},{port}) is not a used half-edge of this graph")
+        return divmod(int(self.partner[vertex, port]), self.degree)
+
+    @property
+    def pairing(self) -> Mapping[tuple[int, int], tuple[int, int]]:
+        """Read-only dict (vertex, port) -> (vertex, port) in half_edges order, built per access."""
+        src, dst = self.half_edges
+        return MappingProxyType(dict(zip(_ends(src, self.degree), _ends(dst, self.degree))))
 
     def to_edge_list(self) -> list[Edge]:
-        """Serialize as a deterministic list of edges, sorted by endpoints."""
-        edges = []
-        for (j, k), (j2, k2) in self.pairing.items():
-            if (j, k) < (j2, k2):
-                edges.append(Edge(j, k, j2, k2))
-        edges.sort(key=lambda e: (e.u, e.pu))
-        return edges
+        """The edges from their lower ends (so u < v), sorted by (u, pu)."""
+        src, dst = self.half_edges
+        return [Edge(*a, *b) for a, b in zip(_ends(src[::2], self.degree),
+                                             _ends(dst[::2], self.degree))]
+
+
+def _ends(flat: np.ndarray, d: int):
+    """(vertex, port) tuples of flat indices, as Python ints."""
+    j, k = np.divmod(flat, d)
+    return zip(j.tolist(), k.tolist())
+
+
+def _check_half_edges(partner: np.ndarray, degrees: np.ndarray) -> None:
+    """StructureError for the first broken half-edge in flat order, by the first check it fails."""
+    n, d = partner.shape
+    flat = partner.ravel()
+    index = np.arange(flat.size)
+    j, k = np.divmod(index, d)
+    used = flat >= 0
+    target = np.where(used, flat, index)
+    j2 = target // d
+    # a forward (j < j2) half-edge is parallel unless it is its vertex pair's first
+    forward = np.flatnonzero(used & (j < j2))
+    first = np.unique(j[forward] * n + j2[forward], return_index=True)[1]
+    parallel = np.zeros(flat.size, dtype=bool)
+    parallel[np.delete(forward, first)] = True
+    checks = [
+        (used & (k >= degrees[j]), "half-edge ({j},{k}) outside the used port range"),
+        (used & (j2 == j), "self-loop at vertex {j} is not supported"),
+        (used & (flat[target] != index),
+         "pairing is not an involution at ({j},{k}) <-> ({j2},{k2})"),
+        (parallel, "parallel edge between vertices {j} and {j2}"),
+    ]
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        x = int(np.argmax(bad))
+        (j, k), (j2, k2) = divmod(x, d), divmod(int(target[x]), d)
+        message = next(text for mask, text in checks if mask[x])
+        raise StructureError(message.format(j=j, k=k, j2=j2, k2=k2))
 
 
 def build_cycle(num_vertices: int) -> PortGraph:
@@ -175,11 +196,8 @@ def build_cycle(num_vertices: int) -> PortGraph:
             "N=2 would duplicate the edge between the two vertices"
         )
     n = num_vertices
-    pairing: dict[tuple[int, int], tuple[int, int]] = {}
-    for j in range(n):
-        pairing[(j, 0)] = ((j + 1) % n, 1)
-        pairing[(j, 1)] = ((j - 1) % n, 0)
-    return PortGraph(n, 2, (2,) * n, pairing)
+    j = np.arange(n)
+    return PortGraph(np.stack([(j + 1) % n * 2 + 1, (j - 1) % n * 2], axis=1))
 
 
 def from_edge_list(edges: list[Edge] | list[tuple[int, int, int, int]]) -> PortGraph:
@@ -211,25 +229,20 @@ def from_edge_list(edges: list[Edge] | list[tuple[int, int, int, int]]) -> PortG
     if problems:
         raise StructureError("invalid edge list: " + "; ".join(problems))
 
-    num_vertices = 1 + max(max(e.u, e.v) for e in normalized)
-    counts = [0] * num_vertices
-    for j, k in seen_ports:
-        counts[j] += 1
+    u, v = np.array([(e.u, e.v) for e in normalized], dtype=np.intp).T
+    counts = np.bincount(np.concatenate([u, v])).tolist()
     degree = max(counts)
-    for j, k in seen_ports:
-        if k >= counts[j]:
-            problems.append(
-                f"vertex {j} has degree {counts[j]} but uses port {k}; "
-                f"ports must be 0..{counts[j] - 1}"
-            )
+    problems += [f"vertex {j} has degree {counts[j]} but uses port {k}; "
+                 f"ports must be 0..{counts[j] - 1}" for j, k in seen_ports if k >= counts[j]]
     if problems:
         raise StructureError("invalid edge list: " + "; ".join(problems))
 
-    pairing: dict[tuple[int, int], tuple[int, int]] = {}
-    for e in normalized:
-        pairing[(e.u, e.pu)] = (e.v, e.pv)
-        pairing[(e.v, e.pv)] = (e.u, e.pu)
-    return PortGraph(num_vertices, degree, tuple(counts), pairing)
+    # every port is below its vertex's degree now, so it fits an intp
+    pu, pv = np.array([(e.pu, e.pv) for e in normalized], dtype=np.intp).T
+    partner = np.full((len(counts), degree), -1, dtype=np.intp)
+    partner[u, pu] = v * degree + pv
+    partner[v, pv] = u * degree + pu
+    return PortGraph(partner)
 
 
 def assign_ports(adjacency: list[tuple[int, int]]) -> list[Edge]:
@@ -310,13 +323,8 @@ def load_graph(path: str) -> PortGraph:
                 f"{path}: 'vertices' is {raw['vertices']} but edges reference "
                 f"vertex {graph.num_vertices - 1}"
             )
-        extra = raw["vertices"] - graph.num_vertices
-        graph = PortGraph(
-            raw["vertices"],
-            graph.degree,
-            graph.vertex_degrees + (0,) * extra,
-            graph.pairing,
-        )
+        extra = np.full((raw["vertices"] - graph.num_vertices, graph.degree), -1)
+        graph = PortGraph(np.vstack([graph.partner, extra]))
     if graph.degree != raw["degree"]:
         raise ConfigError(
             f"{path}: 'degree' is {raw['degree']} but the edge list gives {graph.degree}"
@@ -329,10 +337,7 @@ def save_graph(graph: PortGraph, path: str) -> None:
     payload = {
         "vertices": graph.num_vertices,
         "degree": graph.degree,
-        "edges": [
-            {"u": e.u, "pu": e.pu, "v": e.v, "pv": e.pv}
-            for e in graph.to_edge_list()
-        ],
+        "edges": [vars(e) for e in graph.to_edge_list()],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)

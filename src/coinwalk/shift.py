@@ -19,13 +19,17 @@ class ShiftOperator:
 
     permutation[old_flat] = new_flat over the joint space; unused ports
     map to themselves and never carry amplitude. kind records which
-    convention built it, for output metadata.
+    convention built it, for output metadata, and degree is the number
+    of ports per vertex.
     """
 
     permutation: np.ndarray
     kind: str
-    num_vertices: int
     degree: int
+
+    @property
+    def num_vertices(self) -> int:
+        return self.permutation.size // self.degree
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -54,14 +58,13 @@ class ShiftOperator:
 def build_shift(graph: PortGraph) -> ShiftOperator:
     """Port-swapping shift: send (j, k) to the other end of its edge.
 
-    Self-inverse by construction, because the edge-end pairing is an
-    involution.
+    This is the graph's partner array with each unused port mapped to
+    itself. Self-inverse by construction, because the edge-end pairing
+    is an involution.
     """
-    n, d = graph.num_vertices, graph.degree
-    perm = np.arange(n * d)
-    src, dst = graph.half_edges
-    perm[src] = dst
-    return ShiftOperator(perm, "port-swap", n, d)
+    flat = graph.partner.ravel()
+    perm = np.where(flat >= 0, flat, np.arange(flat.size))
+    return ShiftOperator(perm, "port-swap", graph.degree)
 
 
 def build_cycle_shift(num_vertices: int, direction: int = 1) -> ShiftOperator:
@@ -77,10 +80,7 @@ def build_cycle_shift(num_vertices: int, direction: int = 1) -> ShiftOperator:
         raise StructureError(f"cycle needs at least 3 vertices (got {num_vertices})")
     if direction not in (1, -1):
         raise StructureError(f"direction must be +1 or -1, got {direction}")
-    n, d = num_vertices, 2
-    perm = np.arange(n * d)
-    for j in range(n):
-        perm[j * d + 0] = ((j + direction) % n) * d + 0
-        perm[j * d + 1] = ((j - direction) % n) * d + 1
+    n, j = num_vertices, np.arange(num_vertices)
+    perm = np.stack([(j + direction) % n * 2, (j - direction) % n * 2 + 1], axis=1).ravel()
     kind = "direction-preserving" if direction == 1 else "direction-preserving-reversed"
-    return ShiftOperator(perm, kind, n, d)
+    return ShiftOperator(perm, kind, 2)

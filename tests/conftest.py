@@ -33,6 +33,11 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def port_permuted_torus(side: int, rng: np.random.Generator):
     """side x side torus with the port labels permuted at every vertex."""
+    return from_edge_list(port_permuted_torus_edges(side, rng))
+
+
+def port_permuted_torus_edges(side: int, rng: np.random.Generator) -> list[Edge]:
+    """The edge list of port_permuted_torus, in assign_ports order."""
     adjacency = []
     for r in range(side):
         for c in range(side):
@@ -40,7 +45,7 @@ def port_permuted_torus(side: int, rng: np.random.Generator):
             adjacency.append((v, r * side + (c + 1) % side))
             adjacency.append((v, ((r + 1) % side) * side + c))
     relabel = [rng.permutation(4) for _ in range(side * side)]
-    return from_edge_list([
+    return [
         Edge(e.u, int(relabel[e.u][e.pu]), e.v, int(relabel[e.v][e.pv]))
         for e in assign_ports(adjacency)
-    ])
+    ]

@@ -12,7 +12,9 @@ from coinwalk import (
     build_cycle,
     build_shift,
     classical_run,
+    assign_ports,
     classical_step,
+    from_edge_list,
     half_edge_run,
     half_edge_step,
     hadamard_phi,
@@ -22,7 +24,8 @@ from coinwalk import (
 )
 from coinwalk.coin import default_coin_spec
 
-from conftest import port_permuted_torus
+import reference_graph as reference
+from conftest import MULTI_ADJACENCY, port_permuted_torus_edges
 
 
 def delta(n, j):
@@ -197,16 +200,10 @@ def test_validation_rejects_bad_inputs(cycle7):
 
 
 # ----------------------------------------------------------------------
-# the loops over graph.pairing that the half-edge arrays replaced, kept
-# as oracles for build_shift, classical_step and half_edge_step
-
-def pairing_loop_permutation(graph):
-    n, d = graph.num_vertices, graph.degree
-    perm = np.arange(n * d)
-    for (j, k), (j2, k2) in graph.pairing.items():
-        perm[j * d + k] = j2 * d + k2
-    return perm
-
+# the loops over the pairing dict that the half-edge arrays replaced, kept
+# as oracles for classical_step and half_edge_step (build_shift is held to
+# reference_graph.build_shift). They read a ReferencePortGraph's own dict,
+# never the pairing view that PortGraph derives from the arrays under test.
 
 def pairing_loop_classical_step(p, graph):
     out = np.zeros_like(p)
@@ -240,25 +237,30 @@ def pairing_loop_half_edge_step(q, graph, transitions):
 def test_half_edge_arrays_match_the_pairing_loops(multi_graph, seed, kind, isolated):
     rng = np.random.default_rng(seed)
     if kind == "cycle":
-        g = build_cycle(int(rng.integers(3, 10)))
+        n = int(rng.integers(3, 10))
+        g, ref = build_cycle(n), reference.build_cycle(n)
     elif kind == "multi":
-        g = multi_graph
+        g, ref = multi_graph, reference.from_edge_list(assign_ports(MULTI_ADJACENCY))
     else:
-        g = port_permuted_torus(int(rng.integers(3, 6)), rng)
+        edges = port_permuted_torus_edges(int(rng.integers(3, 6)), rng)
+        g, ref = from_edge_list(edges), reference.from_edge_list(edges)
+    # the dict in the order of the file save_graph writes, which is the
+    # order np.add.at sums in
+    ref = reference.from_edge_list(ref.to_edge_list())
     if isolated:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            g = PortGraph(g.num_vertices + isolated, g.degree,
-                          g.vertex_degrees + (0,) * isolated, g.pairing)
+            g = PortGraph(np.vstack([g.partner, np.full((isolated, g.degree), -1)]))
+        ref = ref.with_isolated_vertices(isolated)
     n, d = g.num_vertices, g.degree
-    assert np.array_equal(build_shift(g).permutation, pairing_loop_permutation(g))
+    assert np.array_equal(build_shift(g).permutation, reference.build_shift(ref))
 
     p = rng.random(n)
     p /= p.sum()
-    assert np.array_equal(classical_step(p, g), pairing_loop_classical_step(p, g))
+    assert np.array_equal(classical_step(p, g), pairing_loop_classical_step(p, ref))
 
     q = rng.random(n * d)
     transitions = [rng.random((dj, dj) if rng.random() < 0.5 else (d, d))
-                   for dj in g.vertex_degrees]
+                   for dj in ref.vertex_degrees]
     assert np.array_equal(half_edge_step(q, g, transitions),
-                          pairing_loop_half_edge_step(q, g, transitions))
+                          pairing_loop_half_edge_step(q, ref, transitions))

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from coinwalk import (
     ConfigError,
     basis_state,
+    build_cycle,
     build_cycle_shift,
     classical_run,
     load_graph,
@@ -24,7 +27,7 @@ from coinwalk import (
 from coinwalk.cli import main
 from coinwalk.coin import dft_coin
 
-from conftest import MULTI_ADJACENCY
+from conftest import MULTI_ADJACENCY, port_permuted_torus
 
 
 def read_rows(path):
@@ -56,6 +59,21 @@ def test_run_emits_marginals_per_step(tmp_path):
     assert meta["configuration"]["graph"]["vertices"] == 7
     assert meta["configuration"]["shift"] == "direction-preserving"
     assert len(meta["configuration"]["graph"]["port_labeling"]) == 7
+
+
+def test_run_rows_are_the_nonzero_entries_in_time_then_vertex_order(tmp_path):
+    # the rows the CSV held when it was written by a loop over every entry
+    out = tmp_path / "walk.csv"
+    argv = ["run", "--cycle", "31", "--steps", "6", "--beta", "0.5", "--start", "5,1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    graph = build_cycle(31)
+    step = make_step(graph, shift=build_cycle_shift(31), beta=0.5)
+    expected = ["t,vertex,probability"]
+    for t, row in enumerate(marginal_history(basis_state(graph, 5, 1), step, 6)):
+        for v, prob in enumerate(row):
+            if prob != 0.0:
+                expected.append(f"{t},{v},{float(prob)!r}")
+    assert out.read_text().splitlines() == expected
 
 
 def test_run_zero_steps_single_row(tmp_path):
@@ -218,6 +236,8 @@ def test_trajectory_without_measurement_is_redirected(tmp_path, capsys):
         ["run", "--cycle", "2", "--steps", "2"],
         ["run", "--cycle", "7", "--steps", "2", "--start", "9,0"],
         ["run", "--cycle", "7", "--steps", "2", "--start", "zero"],
+        ["run", "--cycle", "7", "--steps", "2", "--start=-1,0"],
+        ["run", "--cycle", "7", "--steps", "2", "--start", "0,9"],
         ["run", "--graph", "/nonexistent/graph.json", "--steps", "2"],
         ["sweep", "--cycle", "7", "--steps", "2", "--betas", "0.0,oops"],
         ["sweep", "--cycle", "7", "--steps", "2", "--beta-points", "1"],
@@ -387,6 +407,35 @@ def test_graph_file_and_custom_coin_round_trip(tmp_path, multi_graph):
     assert meta["configuration"]["shift"] == "port-swap"
 
 
+def test_edge_order_of_a_graph_file_does_not_change_the_results(tmp_path):
+    # a saved port-permuted d=4 torus, and the same edges shuffled with half
+    # of them written end first: the classical chain sums four terms per
+    # vertex, so an order that followed the file would change its last bits
+    rng = np.random.default_rng(6)
+    sorted_path, shuffled_path = tmp_path / "sorted.json", tmp_path / "shuffled.json"
+    save_graph(port_permuted_torus(7, rng), str(sorted_path))
+    raw = json.loads(sorted_path.read_text())
+    raw["edges"] = [raw["edges"][i] for i in rng.permutation(len(raw["edges"]))]
+    for e in raw["edges"][::2]:
+        e["u"], e["pu"], e["v"], e["pv"] = e["v"], e["pv"], e["u"], e["pu"]
+    shuffled_path.write_text(json.dumps(raw))
+    assert np.array_equal(load_graph(str(sorted_path)).partner,
+                          load_graph(str(shuffled_path)).partner)
+
+    commands = {
+        "mix": ["mix", "--t-max", "300", "--epsilon", "0.05", "--start", "3,2"],
+        "sweep": ["sweep", "--steps", "6", "--beta-points", "3", "--start", "3,2",
+                  "--vertex-dephasing", "0.1"],
+    }
+    for name, argv in commands.items():
+        csv = {}
+        for path in (sorted_path, shuffled_path):
+            out = tmp_path / f"{name}-{path.stem}.csv"
+            assert main(argv + ["--graph", str(path), "--out", str(out)]) == 0
+            csv[path] = out.read_bytes()
+        assert csv[sorted_path] == csv[shuffled_path], name
+
+
 def test_hadamard_coin_rejected_on_irregular_graph(tmp_path, multi_graph, capsys):
     graph_path = tmp_path / "multi.json"
     save_graph(multi_graph, str(graph_path))
@@ -442,7 +491,10 @@ def test_console_entry_point_is_installed(tmp_path):
         capture_output=True, text=True,
     )
     assert result.returncode == 0
-    assert result.stdout.strip() == "0.1.0"
+    # the version pyproject.toml declares (tomllib needs Python 3.11)
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+    assert result.stdout.strip() == declared
 
 
 # ----------------------------------------------------------------------

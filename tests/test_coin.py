@@ -172,9 +172,8 @@ def test_coin_config_parsing(cycle7):
 
 
 def test_default_and_dft_coins_give_isolated_vertices_an_empty_block(multi_graph):
-    degrees = multi_graph.vertex_degrees + (0,)
     with pytest.warns(UserWarning, match="isolated"):
-        g = PortGraph(7, multi_graph.degree, degrees, multi_graph.pairing)
+        g = PortGraph(np.vstack([multi_graph.partner, np.full((1, multi_graph.degree), -1)]))
     assert default_coin_type(g) == "dft"
     assert default_coin_type(build_cycle(5)) == "hadamard"
     for spec in (default_coin_spec(g), coin_spec_from_config({"type": "dft"}, g)):

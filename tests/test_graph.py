@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,8 +213,7 @@ def test_load_graph_allows_declared_isolated_vertices(tmp_path):
 
 def test_isolated_vertex_warning_points_at_the_constructor_call(multi_graph):
     with pytest.warns(UserWarning, match="isolated") as records:
-        PortGraph(7, multi_graph.degree, multi_graph.vertex_degrees + (0,),
-                  multi_graph.pairing)
+        PortGraph(np.vstack([multi_graph.partner, np.full((1, multi_graph.degree), -1)]))
     (record,) = records
     assert record.filename == __file__
 

@@ -36,8 +36,7 @@ from conftest import port_permuted_torus
 def with_isolated_vertices(graph, count):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return PortGraph(graph.num_vertices + count, graph.degree,
-                         graph.vertex_degrees + (0,) * count, graph.pairing)
+        return PortGraph(np.vstack([graph.partner, np.full((count, graph.degree), -1)]))
 
 
 def reachable(psi0, shift, steps):
