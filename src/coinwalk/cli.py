@@ -25,10 +25,12 @@ from .analysis import compare_mixing, complementarity_sweep
 from .coin import coin_spec_from_config, default_coin_type
 from .errors import ConfigError, InvariantViolation, StructureError
 from .evolution import (
+    BORN_WEIGHT_RULE,
+    TrajectoryRecord,
+    _cone_trajectories,
     make_step,
     marginal_history,
     reconstruct_cycle_path,
-    sample_trajectories,
 )
 from .graph import PortGraph, build_cycle, load_graph, read_json
 from .shift import build_cycle_shift, build_shift
@@ -345,16 +347,15 @@ def cmd_mix(args) -> int:
     return 0
 
 
-def _trajectory_chunk(task) -> list[tuple[int, int, tuple, tuple, list, tuple | None]]:
+def _trajectory_chunk(task) -> tuple[np.ndarray, list[tuple[int, TrajectoryRecord, np.ndarray]]]:
+    """The light cone's vertices, and per sample its index, record and final cone marginal."""
     graph, psi0, steps, beta, step_kwargs, jobs = task
     step = make_step(graph, beta=beta, **step_kwargs)
     indices, seeds = zip(*jobs)
     out = []
-    for index, (final, record) in zip(indices, sample_trajectories(psi0, step, steps, seeds)):
-        marginal = pure_position_marginal(final, graph.degree).tolist()
-        out.append((index, record.seed, record.outcomes, record.outcome_probabilities,
-                    marginal, record.vertex_outcomes))
-    return out
+    for index, (cone, final, record) in zip(indices, _cone_trajectories(psi0, step, steps, seeds)):
+        out.append((index, record, pure_position_marginal(final, graph.degree)))
+    return cone, out
 
 
 def cmd_trajectory(args) -> int:
@@ -384,18 +385,20 @@ def cmd_trajectory(args) -> int:
         for i in range(min(args.jobs, len(jobs)))
     ]
     with _mapper(args.jobs) as map_fn:
-        results = [r for chunk in map_fn(_trajectory_chunk, tasks) for r in chunk]
-    results.sort(key=lambda r: r[0])
+        chunks = list(map_fn(_trajectory_chunk, tasks))
+    cone = chunks[0][0]  # every chunk walks the same light cone
+    results = sorted((r for _cone, rows in chunks for r in rows), key=lambda r: r[0])
 
     record_lines = ["sample,step,outcome,probability"]
-    for index, _seed, outcomes, probs, _marginal, _vertices in results:
-        for t, (o, p) in enumerate(zip(outcomes, probs), start=1):
+    for index, record, _marginal in results:
+        for t, (o, p) in enumerate(zip(record.outcomes, record.outcome_probabilities), start=1):
             record_lines.append(f"{index},{t},{o},{_fmt(p)}")
 
+    cone_sum = np.zeros(cone.size)
+    for _index, _record, marginal in results:
+        cone_sum += marginal
     aggregate = np.zeros(graph.num_vertices)
-    for _index, _seed, _o, _p, marginal, _v in results:
-        aggregate += np.asarray(marginal)
-    aggregate /= len(results)
+    aggregate[cone] = cone_sum / len(results)
     hist_lines = ["vertex,probability"]
     for v, prob in enumerate(aggregate):
         hist_lines.append(f"{v},{_fmt(prob)}")
@@ -416,9 +419,9 @@ def cmd_trajectory(args) -> int:
         direction = 1 if step_kwargs["shift"].kind == "direction-preserving" else -1
         start_vertex = description["start"]["vertex"]
         path_lines = ["sample,step,vertex"]
-        for index, _seed, outcomes, _p, _m, _v in results:
+        for index, record, _marginal in results:
             walk = reconstruct_cycle_path(
-                outcomes, start_vertex, graph.num_vertices, direction
+                record.outcomes, start_vertex, graph.num_vertices, direction
             )
             for t, vertex in enumerate(walk):
                 path_lines.append(f"{index},{t},{vertex}")
@@ -428,6 +431,7 @@ def cmd_trajectory(args) -> int:
     description["steps"] = args.steps
     description["samples"] = args.samples
     meta = _metadata(args, description, {
+        "born_weights": BORN_WEIGHT_RULE,
         "seed": {
             "root": root_seed,
             "per_sample": "uint64 stream generated from the root seed, index order",

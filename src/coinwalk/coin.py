@@ -87,9 +87,18 @@ class CoinSpec:
         return cls([block], shared=True)
 
 
+def _full_degree(graph: PortGraph) -> bool:
+    """Whether every vertex has degree d.
+
+    A vertex uses ports 0..d_j-1, so it has full degree exactly when its
+    last port is used: one check of the partner array's last column.
+    """
+    return bool((graph.partner[:, -1] >= 0).all())
+
+
 def default_coin_type(graph: PortGraph) -> str:
     """The package default coin: "hadamard" when every vertex has degree 2, else "dft"."""
-    return "hadamard" if all(dj == 2 for dj in graph.vertex_degrees) else "dft"
+    return "hadamard" if graph.degree == 2 and _full_degree(graph) else "dft"
 
 
 def default_coin_spec(graph: PortGraph, phi: float = math.pi / 2) -> CoinSpec:
@@ -114,7 +123,7 @@ def embedded_blocks(graph: PortGraph, spec: CoinSpec) -> np.ndarray:
     """
     n, d = graph.num_vertices, graph.degree
     if spec.shared:
-        if any(dj != d for dj in graph.vertex_degrees):
+        if not _full_degree(graph):
             raise StructureError(
                 "shared coin block requires every vertex to have full degree"
             )
@@ -184,7 +193,7 @@ def coin_spec_from_config(config: dict, graph: PortGraph, phi: float = math.pi /
         raise ConfigError(f"coin config must be a JSON object, got {type(config).__name__}")
     kind = config.get("type")
     if kind == "hadamard":
-        if any(dj != 2 for dj in graph.vertex_degrees):
+        if graph.degree != 2 or not _full_degree(graph):
             raise ConfigError("the hadamard coin needs every vertex to have degree 2")
         try:
             phi = float(config.get("phi", phi))
@@ -194,7 +203,7 @@ def coin_spec_from_config(config: dict, graph: PortGraph, phi: float = math.pi /
             ) from None
         return CoinSpec.from_shared(hadamard_phi(phi))
     if kind == "dft":
-        if all(dj == graph.degree for dj in graph.vertex_degrees):
+        if _full_degree(graph):
             return CoinSpec.from_shared(dft_coin(graph.degree))
         return CoinSpec([dft_coin(dj) if dj else np.zeros((0, 0)) for dj in graph.vertex_degrees])
     if kind == "custom":

@@ -23,10 +23,14 @@ analysis reads evolve the walk on that cone alone and put the result
 back in place, so their memory and time scale with the cone rather
 than with N; a cone that holds every vertex is the whole walk, run
 as it is. evolve, cp_step and unitary_step always act on the states
-they are given, and trajectories are never restricted.
+they are given.
 
-Trajectory samples advance together as the rows of one (S, N*d) array,
-with the same coin product and elementwise Kraus branches.
+Trajectories run on the light cone as well. Their samples advance
+together as the rows of one (S, cone ports) array, with the same coin
+product and elementwise Kraus branches. A Born weight is taken from the
+per-coin masses of the tossed state, each added up one vertex at a time
+(BORN_WEIGHT_RULE), so a vertex without amplitude changes no weight,
+and the records on the cone are those of the whole graph bit for bit.
 """
 
 from __future__ import annotations
@@ -72,8 +76,14 @@ BRANCH_SUM_TOL = 1e-10
 # the weight-sum tolerance of Generator.choice, kept by _inverse_cdf
 DRAW_SUM_TOL = math.sqrt(np.finfo(float).eps)
 # live amplitudes of one block of samples that sample_trajectories
-# advances together: 16 samples of an N*d = 256 walk
+# advances together: 16 samples of a walk whose light cone has 256 ports
 SAMPLE_BLOCK_AMPLITUDES = 4096
+# how a trajectory's Born weights are computed, named in its sidecar
+BORN_WEIGHT_RULE = (
+    "||K_i phi||^2 = sum over coin index a, in order, of |k_i[a]|^2 times "
+    "the mass of phi at coin a, its re^2 + im^2 summed over the vertices "
+    "one at a time in vertex order"
+)
 
 
 @dataclass(frozen=True)
@@ -317,6 +327,13 @@ def _light_cone(
     return psi0[ports], replace(step, coin=step.coin[vertices], shift=shift), vertices
 
 
+def _in_place(x: np.ndarray, ports: np.ndarray, size: int) -> np.ndarray:
+    """The vector of the given size that holds x at ports and 0 elsewhere."""
+    full = np.zeros(size, dtype=x.dtype)
+    full[ports] = x
+    return full
+
+
 def _marginals(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
     """Yield the position distribution at every time 0..steps, over all N vertices.
 
@@ -395,22 +412,53 @@ def _require_unravelable(step: StepMap) -> None:
         )
 
 
-def _joint_kraus(step: StepMap) -> np.ndarray:
-    """(m, N*d) array: row i is the diagonal of Kraus operator i on the joint space."""
-    return np.tile(_kraus_diagonals(step), step.shift.num_vertices)
+def _squared_moduli(x: np.ndarray) -> np.ndarray:
+    """re**2 + im**2 of every entry of x."""
+    return x.real ** 2 + x.imag ** 2
 
 
-def _branches(phi: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sequential_sum(x: np.ndarray) -> np.ndarray:
+    """x summed over its last axis term by term, in index order."""
+    return x.cumsum(axis=-1)[..., -1]
+
+
+def _coin_masses(x: np.ndarray, degree: int) -> np.ndarray:
+    """(S, d) array: per coin index, the mass of each row of x over its vertices.
+
+    Entry [s, a] adds re**2 + im**2 of x[s, j*d + a] over the vertices j
+    one at a time, in vertex order, as the last row of a running sum. A
+    numpy sum over the vertex axis may group the terms otherwise: at
+    d = 1 that axis is contiguous, and numpy sums it pairwise. A running
+    sum never regroups, and adding a zero leaves it unchanged, so
+    vertices that hold no amplitude, such as those outside a light cone,
+    do not change a mass.
+    """
+    sq = _squared_moduli(x).reshape(x.shape[0], -1, degree)
+    return sq.cumsum(axis=1)[:, -1]
+
+
+def _born_weights(masses: np.ndarray, kraus_sq: np.ndarray) -> np.ndarray:
+    """(S, m) array: the Born weight of each Kraus branch of each sample.
+
+    The weight of branch i of sample s is ||K_i phi_s||^2, taken as
+    sum_a masses[s, a] * kraus_sq[i, a] in coin order, where kraus_sq[i]
+    holds |k_i|^2 on the diagonal of Kraus operator i. No BLAS call and
+    no reduction over vertices is involved, so the weights depend only
+    on the coin masses.
+    """
+    return _sequential_sum(masses[:, None, :] * kraus_sq)
+
+
+def _branches(phi: np.ndarray, diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every Kraus branch K_i phi of a coin-tossed state and its Born weight.
 
-    The weights must sum to 1: the Kraus family is complete on the used
-    ports, which are the only ones a tossed state occupies.
+    diagonals is the (m, d) array of _kraus_diagonals. The weights must
+    sum to 1: the Kraus family is complete on the used ports, which are
+    the only ones a tossed state occupies.
     """
-    children = kraus * phi
-    # one vdot per branch gives bit-for-bit the weights of the dense
-    # operators from assembled_step_operators, so records do not depend
-    # on which form computed them
-    weights = np.array([np.vdot(c, c).real for c in children])
+    m, d = diagonals.shape
+    children = (diagonals[:, None, :] * phi.reshape(-1, d)).reshape(m, -1)
+    weights = _born_weights(_coin_masses(phi[None], d), _squared_moduli(diagonals))[0]
     _check_branch_sums(weights.sum(keepdims=True))
     return children, weights
 
@@ -458,35 +506,95 @@ def _viable_weights(w: np.ndarray) -> np.ndarray:
     return kept / sums[:, None]
 
 
-def _born_weights(kraus: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """(S, m) array: the weight of each Kraus branch of each row of phi.
-
-    One vdot per sample and branch of the one-sample product kraus * row
-    gives bit-for-bit the weights of _branches; a batched reduction sums
-    in another order.
-    """
-    return np.array([[np.vdot(c, c).real for c in kraus * row] for row in phi])
-
-
 def _measure_vertices(
     psi: np.ndarray, degree: int, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read the vertex of each row of psi with its Born probability.
 
     Returns the rows projected onto the vertices read and renormalized,
-    and the vertices.
+    and the vertices. The draw's normaliser and the projection's norm
+    are coin masses summed in order, so vertices without amplitude
+    change neither.
     """
     s = psi.shape[0]
     pv = pure_position_marginal(psi, degree).reshape(s, -1)
-    vertices = _inverse_cdf(pv / pv.sum(axis=1, keepdims=True), u)
+    total = _sequential_sum(_coin_masses(psi, degree))
+    vertices = _inverse_cdf(pv / total[:, None], u)
     rows = np.arange(s)[:, None]
     ports = vertices[:, None] * degree + np.arange(degree)
-    out = np.zeros_like(psi)
-    out[rows, ports] = psi[rows, ports]
-    norm = np.array([np.vdot(r, r).real for r in out])
+    kept = psi[rows, ports]
+    norm = _sequential_sum(_squared_moduli(kept))
     if not all(x >= 1e-14 for x in norm.tolist()):
         raise InvariantViolation("vertex projection left a state of negligible norm")
-    return out / np.sqrt(norm)[:, None], vertices
+    out = np.zeros_like(psi)
+    out[rows, ports] = kept / np.sqrt(norm)[:, None]
+    return out, vertices
+
+
+def _cone_trajectories(
+    psi0: np.ndarray, step: StepMap, steps: int, seeds
+) -> Iterator[tuple[np.ndarray, np.ndarray, TrajectoryRecord]]:
+    """sample_trajectories on the light cone of psi0.
+
+    Yields, per seed, the sorted cone vertices, the final state on the
+    cone's ports and the record, whose vertex outcomes are vertices of
+    the whole graph.
+    """
+    _require_unravelable(step)
+    if steps < 0:
+        raise ConfigError(f"step count must be nonnegative, got {steps}")
+    cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
+    diagonals = _kraus_diagonals(step)
+    kraus_sq = _squared_moduli(diagonals)
+    n, d = cone_step.shift.num_vertices, cone_step.shift.degree
+    # the drawn branches are taken from rows of the diagonals tiled over
+    # the cone, which is faster than a product broadcast over vertices
+    kraus = np.tile(diagonals, n)
+    measure_position = step.vertex_dephasing == 1.0
+    measure_before = measure_position and step.placement == "before-shift"
+    measure_after = measure_position and step.placement == "after-shift"
+    draws = 2 if measure_position else 1
+    seeds = list(seeds)
+    block = max(1, SAMPLE_BLOCK_AMPLITUDES // cone_psi0.size)
+    for lo in range(0, len(seeds), block):
+        chunk = seeds[lo: lo + block]
+        s = len(chunk)
+        rows = np.arange(s)
+        uniforms = np.array(
+            [np.random.default_rng(seed).random(steps * draws) for seed in chunk]
+        ).reshape(s, steps, draws)
+        outcomes = np.empty((s, steps), dtype=int)
+        weights = np.empty((s, steps, len(diagonals)))
+        vertices = np.empty((s, steps), dtype=int)
+        psi = np.array([cone_psi0] * s)
+        for t in range(steps):
+            phi = (cone_step.coin @ psi.reshape(s, n, d, 1)).reshape(s, n * d)
+            raw = _born_weights(_coin_masses(phi, d), kraus_sq)
+            total = raw.sum(axis=1)
+            _check_branch_sums(total)
+            w = np.divide(raw, total[:, None], out=weights[:, t])
+            i = _inverse_cdf(_viable_weights(w), uniforms[:, t, 0])
+            norm = raw[rows, i]
+            if not all(x >= 1e-14 for x in norm.tolist()):
+                raise InvariantViolation("sampled branch has negligible norm")
+            # only the drawn branch is formed, so that no more than one
+            # sample's branches are ever held at once
+            psi = kraus.take(i, axis=0) * phi / np.sqrt(norm)[:, None]
+            outcomes[:, t] = i
+            if measure_before:
+                psi, vertices[:, t] = _measure_vertices(psi, d, uniforms[:, t, 1])
+            psi = cone_step.shift.apply(psi)
+            if measure_after:
+                psi, vertices[:, t] = _measure_vertices(psi, d, uniforms[:, t, 1])
+        probs = weights[rows[:, None], np.arange(steps), outcomes]
+        for r, seed in enumerate(chunk):
+            record = TrajectoryRecord(
+                seed,
+                tuple(outcomes[r].tolist()),
+                tuple(probs[r].tolist()),
+                tuple(cone[vertices[r]].tolist()) if measure_position else None,
+            )
+            yield cone, psi[r], record
 
 
 def sample_trajectories(
@@ -499,61 +607,20 @@ def sample_trajectories(
     walker's position is also measured each step and recorded. Every
     draw takes the next uniform double of the sample's own
     default_rng(seed) stream through an inverse CDF, so a record depends
-    on its seed alone. The samples advance together as the rows of an
-    (S, N*d) array, in blocks of S = SAMPLE_BLOCK_AMPLITUDES // (N*d)
-    samples (at least one), and the (final state, record) pairs are
-    yielded in seed order.
+    on its seed alone.
+
+    The walk runs on the light cone of psi0. A Born weight is
+    ||K_i phi||^2 summed from the per-coin masses of the tossed state
+    phi, each added up over the vertices in vertex order, so the records
+    and final states are those of the whole graph bit for bit. The
+    samples advance together as the rows of an (S, cone ports) array, in
+    blocks of S = SAMPLE_BLOCK_AMPLITUDES // (cone ports) samples (at
+    least one), and the (final state, record) pairs are yielded in seed
+    order, each final state over all N*d ports.
     """
-    _require_unravelable(step)
-    if steps < 0:
-        raise ConfigError(f"step count must be nonnegative, got {steps}")
-    kraus = _joint_kraus(step)
-    n, d = step.shift.num_vertices, step.shift.degree
-    measure_position = step.vertex_dephasing == 1.0
-    measure_before = measure_position and step.placement == "before-shift"
-    measure_after = measure_position and step.placement == "after-shift"
-    draws = 2 if measure_position else 1
-    seeds = list(seeds)
-    block = max(1, SAMPLE_BLOCK_AMPLITUDES // psi0.size)
-    for lo in range(0, len(seeds), block):
-        chunk = seeds[lo: lo + block]
-        s = len(chunk)
-        rows = np.arange(s)
-        uniforms = np.array(
-            [np.random.default_rng(seed).random(steps * draws) for seed in chunk]
-        ).reshape(s, steps, draws)
-        outcomes = np.empty((s, steps), dtype=int)
-        weights = np.empty((s, steps, len(kraus)))
-        vertices = np.empty((s, steps), dtype=int)
-        psi = np.array([psi0] * s)
-        for t in range(steps):
-            phi = (step.coin @ psi.reshape(s, n, d, 1)).reshape(s, n * d)
-            raw = _born_weights(kraus, phi)
-            total = raw.sum(axis=1)
-            _check_branch_sums(total)
-            w = np.divide(raw, total[:, None], out=weights[:, t])
-            i = _inverse_cdf(_viable_weights(w), uniforms[:, t, 0])
-            norm = raw[rows, i]
-            if not all(x >= 1e-14 for x in norm.tolist()):
-                raise InvariantViolation("sampled branch has negligible norm")
-            # the drawn branch is formed again, so that no more than one
-            # sample's branches are ever held at once
-            psi = kraus.take(i, axis=0) * phi / np.sqrt(norm)[:, None]
-            outcomes[:, t] = i
-            if measure_before:
-                psi, vertices[:, t] = _measure_vertices(psi, d, uniforms[:, t, 1])
-            psi = step.shift.apply(psi)
-            if measure_after:
-                psi, vertices[:, t] = _measure_vertices(psi, d, uniforms[:, t, 1])
-        probs = weights[rows[:, None], np.arange(steps), outcomes]
-        for r, seed in enumerate(chunk):
-            record = TrajectoryRecord(
-                seed,
-                tuple(outcomes[r].tolist()),
-                tuple(probs[r].tolist()),
-                tuple(vertices[r].tolist()) if measure_position else None,
-            )
-            yield psi[r], record
+    d = step.shift.degree
+    for cone, final, record in _cone_trajectories(psi0, step, steps, seeds):
+        yield _in_place(final, _cone_ports(cone, d), psi0.size), record
 
 
 def sample_trajectory(
@@ -577,26 +644,30 @@ def enumerate_branches(
     probabilities still sum to 1 up to that resolution. The weighted
     mixture of the returned states reproduces the density-matrix
     evolution, which is what makes the record ensemble a faithful
-    unraveling.
+    unraveling. The branches are expanded on the light cone of psi0,
+    with the Born weights of sample_trajectories, and each returned
+    state is put in place over all N*d ports.
     """
     _require_unravelable(step)
     if step.vertex_dephasing != 0.0:
         raise ConfigError("branch enumeration supports coin measurement only")
-    kraus = _joint_kraus(step)
-    branches: list[tuple[float, np.ndarray, tuple[int, ...]]] = [(1.0, psi0.copy(), ())]
+    cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
+    diagonals = _kraus_diagonals(step)
+    branches: list[tuple[float, np.ndarray, tuple[int, ...]]] = [(1.0, cone_psi0, ())]
     for _ in range(steps):
         grown: list[tuple[float, np.ndarray, tuple[int, ...]]] = []
         for weight, psi, history in branches:
-            children, weights = _branches(_apply_coin(step.coin, psi), kraus)
+            children, weights = _branches(_apply_coin(cone_step.coin, psi), diagonals)
             for i, (child, w) in enumerate(zip(children, weights)):
                 w = float(w)
                 if weight * w < prune:
                     continue
                 grown.append(
-                    (weight * w, step.shift.apply(child / math.sqrt(w)), history + (i,))
+                    (weight * w, cone_step.shift.apply(child / math.sqrt(w)), history + (i,))
                 )
         branches = grown
-    return branches
+    ports = _cone_ports(cone, step.shift.degree)
+    return [(w, _in_place(psi, ports, psi0.size), history) for w, psi, history in branches]
 
 
 def reconstruct_cycle_path(

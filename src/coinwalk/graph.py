@@ -308,22 +308,23 @@ def load_graph(path: str) -> PortGraph:
             raise ConfigError(f"{path}: '{key}' must be an integer, got {raw[key]!r}")
     if not isinstance(raw["edges"], list):
         raise ConfigError(f"{path}: 'edges' must be a list")
+    vertices = raw["vertices"]
     edges = []
     for i, entry in enumerate(raw["edges"]):
         try:
-            edges.append(Edge(int(entry["u"]), int(entry["pu"]),
-                              int(entry["v"]), int(entry["pv"])))
+            u, pu, v, pv = int(entry["u"]), int(entry["pu"]), int(entry["v"]), int(entry["pv"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: edges[{i}]: {exc!r}") from None
-    graph = from_edge_list(edges)
-    if graph.num_vertices != raw["vertices"]:
-        # allow trailing isolated vertices declared but not touched by edges
-        if raw["vertices"] < graph.num_vertices:
+        # checked before from_edge_list, which sizes its arrays by the largest vertex
+        if u >= vertices or v >= vertices:
             raise ConfigError(
-                f"{path}: 'vertices' is {raw['vertices']} but edges reference "
-                f"vertex {graph.num_vertices - 1}"
+                f"{path}: edges[{i}] references vertex {max(u, v)}, but 'vertices' is {vertices}"
             )
-        extra = np.full((raw["vertices"] - graph.num_vertices, graph.degree), -1)
+        edges.append(Edge(u, pu, v, pv))
+    graph = from_edge_list(edges)
+    if graph.num_vertices < vertices:
+        # trailing isolated vertices, declared but not touched by edges
+        extra = np.full((vertices - graph.num_vertices, graph.degree), -1)
         graph = PortGraph(np.vstack([graph.partner, extra]))
     if graph.degree != raw["degree"]:
         raise ConfigError(

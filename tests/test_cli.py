@@ -215,6 +215,40 @@ def test_trajectory_reruns_and_parallelism_are_deterministic(tmp_path):
     assert not (tmp_path / "a_paths.csv").exists()
 
 
+def _trajectory_outputs(tmp_path, name, argv):
+    """The bytes of a trajectory run's records and histogram, and its sidecar minus paths."""
+    assert main(argv + ["--out", str(tmp_path / f"{name}.csv")]) == 0
+    meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+    del meta["output"]
+    return ((tmp_path / f"{name}_records.csv").read_bytes(),
+            (tmp_path / f"{name}_histogram.csv").read_bytes(), meta)
+
+
+@pytest.mark.parametrize("extra", [[], ["--vertex-dephasing", "1"]])
+def test_trajectory_on_a_4096_cycle_is_the_whole_graph_walk(tmp_path, extra):
+    from unittest import mock
+
+    from coinwalk import evolution
+
+    argv = ["trajectory", "--cycle", "4096", "--steps", "20", "--beta", "0.5",
+            "--samples", "200", "--start", "2048,0", "--seed", "7", *extra]
+    if extra:
+        argv[argv.index("200")] = "30"
+    cone = _trajectory_outputs(tmp_path, "cone", argv)
+    assert cone[2]["born_weights"] == evolution.BORN_WEIGHT_RULE
+    hist = cone[1].decode().splitlines()[1:]
+    # the walk ends within 20 moves of vertex 2048
+    reached = [i for i, line in enumerate(hist) if line.split(",")[1] != "0.0"]
+    assert 2028 <= reached[0] and reached[-1] <= 2068
+    assert _trajectory_outputs(tmp_path, "jobs2", argv + ["--jobs", "2"]) == cone
+    for amplitudes in (1, 82 * 7):
+        with mock.patch.object(evolution, "SAMPLE_BLOCK_AMPLITUDES", amplitudes):
+            assert _trajectory_outputs(tmp_path, f"block{amplitudes}", argv) == cone
+    with mock.patch.object(evolution, "_light_cone", lambda psi0, step, steps:
+                           (psi0, step, np.arange(step.shift.num_vertices))):
+        assert _trajectory_outputs(tmp_path, "whole", argv) == cone
+
+
 def test_trajectory_without_measurement_is_redirected(tmp_path, capsys):
     out = tmp_path / "none.csv"
     code = main(
@@ -269,6 +303,10 @@ BAD_GRAPH_FILES = {
     "edges-not-a-list": b'{"vertices": 3, "degree": 2, "edges": 5}',
     "vertices-not-an-int":
         b'{"vertices": "x", "degree": 1, "edges": [{"u": 0, "pu": 0, "v": 1, "pv": 0}]}',
+    "vertex-beyond-intp": b'{"vertices": 3, "degree": 1, '
+        b'"edges": [{"u": 0, "pu": 0, "v": 100000000000000000000, "pv": 0}]}',
+    "vertex-equal-to-vertices":
+        b'{"vertices": 2, "degree": 1, "edges": [{"u": 0, "pu": 0, "v": 2, "pv": 0}]}',
 }
 BAD_COIN_FILES = {
     "directory": None,
@@ -302,6 +340,20 @@ def test_unreadable_graph_file_exits_2_with_one_line(tmp_path, capsys, flag, con
     assert err.startswith("coinwalk: configuration error:")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("vertex", [2, 7, 10**20])
+def test_graph_file_edges_stay_below_the_declared_vertices(tmp_path, capsys, vertex):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": 2, "degree": 1, "edges": [
+        {"u": 0, "pu": 0, "v": 1, "pv": 0}, {"u": vertex, "pu": 0, "v": 0, "pv": 1}]}))
+    assert main(["run", "--graph", str(path), "--steps", "2",
+                 "--out", str(tmp_path / "never.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"coinwalk: configuration error: {path}: edges[1] references vertex {vertex}, "
+        "but 'vertices' is 2\n"
+    )
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("target", ["a-directory", "a-file/out.csv"])

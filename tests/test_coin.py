@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from coinwalk import (
     CoinSpec,
     PortGraph,
     StructureError,
+    assign_ports,
     build_coin_operator,
     build_cycle,
     default_coin_spec,
@@ -18,7 +21,7 @@ from coinwalk import (
 from coinwalk.coin import coin_spec_from_config, default_coin_type, embedded_blocks
 from coinwalk.errors import ConfigError
 
-from conftest import random_pure_state
+from conftest import MULTI_ADJACENCY, port_permuted_torus, random_pure_state
 
 ATOL = 1e-12
 
@@ -207,3 +210,55 @@ def test_coin_spec_validation():
         CoinSpec([])
     with pytest.raises(ConfigError):
         CoinSpec([np.eye(2), np.eye(2)], shared=True)
+
+
+def _reference_coin(kind, graph):
+    """The coin stack, or the error message, of the per-vertex degree checks."""
+    degrees = graph.vertex_degrees
+    if kind == "hadamard" and any(dj != 2 for dj in degrees):
+        return "the hadamard coin needs every vertex to have degree 2"
+    if kind == "hadamard" or all(dj == graph.degree for dj in degrees):
+        block = hadamard_phi(np.pi / 2) if kind == "hadamard" else dft_coin(graph.degree)
+        return np.repeat(block[None], graph.num_vertices, axis=0)
+    # a vertex of degree dj gets the dj x dj DFT coin, zero-padded to d x d
+    return np.stack([np.pad(dft_coin(dj) if dj else np.zeros((0, 0), dtype=complex),
+                            (0, graph.degree - dj)) for dj in degrees])
+
+
+def _coin_graphs():
+    """Cycles, tori, multi_graph and a path, and copies with isolated vertices."""
+    rng = np.random.default_rng(2)
+    graphs = [build_cycle(3), build_cycle(8), port_permuted_torus(3, rng),
+              port_permuted_torus(4, rng), from_edge_list(assign_ports(MULTI_ADJACENCY)),
+              from_edge_list(assign_ports([(0, 1), (1, 2), (2, 3)]))]  # a path: ends of degree 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        graphs += [PortGraph(np.vstack([g.partner, np.full((count, g.degree), -1)]))
+                   for g in graphs[:5:2] for count in (1, 3)]
+    return graphs
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_degree_checks_keep_their_coins_and_messages(index):
+    graph = _coin_graphs()[index]
+    full = all(dj == graph.degree for dj in graph.vertex_degrees)
+    assert default_coin_type(graph) == (
+        "hadamard" if all(dj == 2 for dj in graph.vertex_degrees) else "dft"
+    )
+    for kind in ("hadamard", "dft"):
+        expected = _reference_coin(kind, graph)
+        if isinstance(expected, str):
+            with pytest.raises(ConfigError) as err:
+                coin_spec_from_config({"type": kind}, graph)
+            assert str(err.value) == expected
+            continue
+        spec = coin_spec_from_config({"type": kind}, graph)
+        assert spec.shared == full
+        assert np.array_equal(embedded_blocks(graph, spec), expected)
+    shared = CoinSpec.from_shared(dft_coin(graph.degree))
+    if full:
+        assert np.array_equal(embedded_blocks(graph, shared), _reference_coin("dft", graph))
+    else:
+        with pytest.raises(StructureError, match="^shared coin block requires every vertex "
+                           "to have full degree$"):
+            embedded_blocks(graph, shared)

@@ -540,30 +540,92 @@ def test_evolve_checks_every_step(cycle7):
 # ----------------------------------------------------------------------
 # the batched sampler against the one-sample loop it replaced
 
-def _project_vertex(psi, vertex, degree):
-    out = np.zeros_like(psi)
-    lo = vertex * degree
-    out[lo: lo + degree] = psi[lo: lo + degree]
-    norm = float(np.vdot(out, out).real)
-    if not norm >= 1e-14:
-        raise InvariantViolation("vertex projection left a state of negligible norm")
-    return out / math.sqrt(norm)
+def _sq(z):
+    z = complex(z)
+    return z.real * z.real + z.imag * z.imag
+
+
+def _loop_masses(psi, degree):
+    """Per coin index, re**2 + im**2 of psi added up vertex by vertex."""
+    mass = [0.0] * degree
+    for j in range(psi.size // degree):
+        for a in range(degree):
+            mass[a] += _sq(psi[j * degree + a])
+    return mass
+
+
+def _loop_sum(values):
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 def reference_sample_trajectory(psi0, step, steps, seed):
-    """One sample at a time, drawing with Generator.choice."""
-    from coinwalk.evolution import (
-        TrajectoryRecord,
-        _apply_coin,
-        _branches,
-        _joint_kraus,
-        _require_unravelable,
-    )
+    """One sample at a time on the whole graph, drawing with Generator.choice.
+
+    Every Born weight, the vertex draw's normaliser and the vertex
+    projection's norm come from explicit Python loops: the coin masses
+    added up vertex by vertex, then summed over the coin in order.
+    """
+    from coinwalk.evolution import TrajectoryRecord, _apply_coin, _require_unravelable
 
     _require_unravelable(step)
     rng = np.random.default_rng(seed)
-    kraus = _joint_kraus(step)
+    diagonals = [np.diagonal(k) for k in step.coin_kraus]
     n, d = step.shift.num_vertices, step.shift.degree
+    measure_position = step.vertex_dephasing == 1.0
+
+    psi = psi0.copy()
+    outcomes, probs, vertices = [], [], []
+
+    def measure_vertex(psi):
+        pv = pure_position_marginal(psi, d)
+        v = int(rng.choice(n, p=pv / _loop_sum(_loop_masses(psi, d))))
+        vertices.append(v)
+        ports = slice(v * d, v * d + d)
+        norm = _loop_sum(_sq(z) for z in psi[ports])
+        if not norm >= 1e-14:
+            raise InvariantViolation("vertex projection left a state of negligible norm")
+        out = np.zeros_like(psi)
+        out[ports] = psi[ports] / math.sqrt(norm)
+        return out
+
+    for _ in range(steps):
+        phi = _apply_coin(step.coin, psi)
+        mass = _loop_masses(phi, d)
+        raw = np.array([_loop_sum(m * _sq(k) for m, k in zip(mass, diag))
+                        for diag in diagonals])
+        w = raw / raw.sum()
+        viable = np.flatnonzero(w > 1e-28)
+        i = int(viable[rng.choice(viable.size, p=w[viable] / w[viable].sum())])
+        if not raw[i] >= 1e-14:
+            raise InvariantViolation("sampled branch has negligible norm")
+        psi = np.tile(diagonals[i], n) * phi / math.sqrt(raw[i])
+        outcomes.append(i)
+        probs.append(float(w[i]))
+        if measure_position and step.placement == "before-shift":
+            psi = measure_vertex(psi)
+        psi = step.shift.apply(psi)
+        if measure_position and step.placement == "after-shift":
+            psi = measure_vertex(psi)
+    record = TrajectoryRecord(
+        seed, tuple(outcomes), tuple(probs), tuple(vertices) if measure_position else None
+    )
+    return psi, record
+
+
+def vdot_sample_trajectory(psi0, step, steps, seed):
+    """The one-sample loop of the earlier weight rule: one np.vdot per branch.
+
+    Its vertex draw is normalised by a numpy sum of the vertex marginal,
+    and its vertex projection by a vdot of the projected state.
+    """
+    from coinwalk.evolution import TrajectoryRecord, _apply_coin
+
+    rng = np.random.default_rng(seed)
+    n, d = step.shift.num_vertices, step.shift.degree
+    kraus = np.tile(np.array([np.diagonal(k) for k in step.coin_kraus]), n)
     measure_position = step.vertex_dephasing == 1.0
 
     psi = psi0.copy()
@@ -573,18 +635,17 @@ def reference_sample_trajectory(psi0, step, steps, seed):
         pv = pure_position_marginal(psi, d)
         v = int(rng.choice(n, p=pv / pv.sum()))
         vertices.append(v)
-        return _project_vertex(psi, v, d)
+        out = np.zeros_like(psi)
+        out[v * d: v * d + d] = psi[v * d: v * d + d]
+        return out / math.sqrt(np.vdot(out, out).real)
 
     for _ in range(steps):
-        children, w = _branches(_apply_coin(step.coin, psi), kraus)
+        children = kraus * _apply_coin(step.coin, psi)
+        w = np.array([np.vdot(c, c).real for c in children])
         w = w / w.sum()
         viable = np.flatnonzero(w > 1e-28)
         i = int(viable[rng.choice(viable.size, p=w[viable] / w[viable].sum())])
-        psi = children[i]
-        norm = float(np.vdot(psi, psi).real)
-        if not norm >= 1e-14:
-            raise InvariantViolation("sampled branch has negligible norm")
-        psi = psi / math.sqrt(norm)
+        psi = children[i] / math.sqrt(np.vdot(children[i], children[i]).real)
         outcomes.append(i)
         probs.append(float(w[i]))
         if measure_position and step.placement == "before-shift":
@@ -605,6 +666,21 @@ def _assert_matches_reference(psi0, step, steps, seeds):
         ref_final, ref_record = reference_sample_trajectory(psi0, step, steps, seed)
         assert record == ref_record
         assert np.array_equal(final, ref_final)
+
+
+# the ulp of a probability in [0.5, 1), the coarsest spacing below 1
+PROBABILITY_ULP = np.spacing(0.5)
+
+
+def _assert_near_the_vdot_rule(psi0, step, steps, seeds):
+    """Outcomes equal to the earlier rule's, and every probability within 4 ulp of [0.5, 1)."""
+    for (final, record), seed in zip(sample_trajectories(psi0, step, steps, seeds), seeds):
+        old_final, old = vdot_sample_trajectory(psi0, step, steps, seed)
+        assert record.outcomes == old.outcomes
+        assert record.vertex_outcomes == old.vertex_outcomes
+        new_p, old_p = np.array(record.outcome_probabilities), np.array(old.outcome_probabilities)
+        assert np.all(np.abs(new_p - old_p) <= 4 * PROBABILITY_ULP)
+        np.testing.assert_allclose(final, old_final, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -628,12 +704,121 @@ def test_batched_sampler_matches_the_one_sample_loop(
 
 
 def test_batched_sampler_splits_blocks_of_the_module_constant():
-    from coinwalk.evolution import SAMPLE_BLOCK_AMPLITUDES
+    from coinwalk.evolution import SAMPLE_BLOCK_AMPLITUDES, _light_cone
 
     graph = port_permuted_torus(8, np.random.default_rng(3))
-    block = SAMPLE_BLOCK_AMPLITUDES // (graph.num_vertices * graph.degree)
+    psi0 = basis_state(graph, 9, 2)
+    # the sampler sizes its blocks by the light cone of 6 steps
+    block = SAMPLE_BLOCK_AMPLITUDES // _light_cone(psi0, make_step(graph, beta=0.5), 6)[0].size
     assert block > 1
     seeds = [int(s) for s in np.random.SeedSequence(5).generate_state(2 * block + 3, np.uint64)]
-    psi0 = basis_state(graph, 9, 2)
     _assert_matches_reference(psi0, make_step(graph, beta=0.5), 6, seeds)
     _assert_matches_reference(psi0, make_step(graph, beta=1.0, vertex_p=1.0), 4, seeds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), beta=st.floats(0.0, 1.0, exclude_min=True),
+       p=st.sampled_from([0.0, 1.0]),
+       placement=st.sampled_from(["before-shift", "after-shift"]), steps=st.integers(0, 8))
+def test_sampler_stays_within_4_ulp_of_the_vdot_rule(multi_graph, data, beta, p, placement, steps):
+    graph, shift, psi, _rng = data.draw(walk_cases(multi_graph))
+    step = make_step(graph, shift=shift, beta=beta, vertex_p=p, placement=placement)
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+    _assert_near_the_vdot_rule(psi, step, steps, seeds)
+
+
+def test_torus_records_stay_within_4_ulp_of_the_vdot_rule():
+    """The d = 4 torus of 64 vertices, with the measured steps of a benchmark run."""
+    graph = port_permuted_torus(8, np.random.default_rng(1))
+    seeds = [int(s) for s in np.random.SeedSequence(1).generate_state(6, np.uint64)]
+    _assert_near_the_vdot_rule(basis_state(graph, 27, 1), make_step(graph, beta=0.5), 40, seeds)
+    _assert_near_the_vdot_rule(
+        basis_state(graph, 27, 1), make_step(graph, beta=0.5, vertex_p=1.0), 12, seeds
+    )
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 6])
+def test_coin_masses_add_up_vertex_by_vertex(degree):
+    from coinwalk.evolution import _coin_masses
+
+    rng = np.random.default_rng(degree)
+    for _ in range(30):
+        s, n = int(rng.integers(1, 4)), int(rng.integers(1, 200))
+        x = rng.normal(size=(s, n * degree)) + 1j * rng.normal(size=(s, n * degree))
+        # magnitudes over many decades, so that another order of the sums shows
+        x *= rng.random(x.shape) ** 6
+        masses = _coin_masses(x, degree)
+        assert masses.tolist() == [_loop_masses(row, degree) for row in x]
+        # zero vertices put anywhere among them, as outside a light cone
+        total = n + int(rng.integers(0, 50))
+        at = np.sort(rng.choice(total, size=n, replace=False))
+        padded = np.zeros((s, total, degree), dtype=complex)
+        padded[:, at] = x.reshape(s, n, degree)
+        assert np.array_equal(_coin_masses(padded.reshape(s, -1), degree), masses)
+
+
+def test_numpy_sums_a_single_coin_index_in_another_order():
+    """The trap the running sum avoids: at d = 1 numpy sums the vertices pairwise."""
+    from coinwalk.evolution import _coin_masses
+
+    rng = np.random.default_rng(11)
+    differ = 0
+    for _ in range(30):
+        x = rng.normal(size=(2, 300)) * rng.random((2, 300)) ** 6 + 0j
+        loop = [_loop_masses(row, 1) for row in x]
+        assert _coin_masses(x, 1).tolist() == loop
+        differ += (x.real ** 2).reshape(2, 300, 1).sum(axis=1).tolist() != loop
+    assert differ
+
+
+def test_born_weights_sum_the_coin_in_order():
+    from coinwalk.evolution import _born_weights
+
+    rng = np.random.default_rng(4)
+    for d, m in [(1, 1), (2, 2), (3, 4), (4, 5), (6, 7), (9, 10)]:
+        masses = rng.random((5, d)) ** 4
+        kraus_sq = rng.random((m, d)) ** 2
+        expected = [[_loop_sum(a * k for a, k in zip(row, ks)) for ks in kraus_sq]
+                    for row in masses]
+        assert _born_weights(masses, kraus_sq).tolist() == expected
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 6, 9])
+def test_vertex_reading_normalises_by_the_coin_masses(degree, monkeypatch):
+    from coinwalk import evolution
+
+    drawn_from = []
+
+    def recording_inverse_cdf(p, u):
+        drawn_from.append(p.copy())
+        return inverse_cdf(p, u)
+
+    inverse_cdf = evolution._inverse_cdf
+    monkeypatch.setattr(evolution, "_inverse_cdf", recording_inverse_cdf)
+    rng = np.random.default_rng(degree)
+    for _ in range(20):
+        s, n = int(rng.integers(1, 4)), int(rng.integers(1, 60))
+        psi = rng.normal(size=(s, n * degree)) + 1j * rng.normal(size=(s, n * degree))
+        psi *= rng.random(psi.shape) ** 6
+        u = rng.random(s)
+        out, vertices = evolution._measure_vertices(psi, degree, u)
+        totals = [_loop_sum(_loop_masses(row, degree)) for row in psi]
+        pv = pure_position_marginal(psi, degree).reshape(s, n)
+        assert np.array_equal(drawn_from[-1], pv / np.array(totals)[:, None])
+        for row, got, v in zip(psi, out, vertices.tolist()):
+            kept = row[v * degree: (v + 1) * degree]
+            expected = np.zeros_like(row)
+            expected[v * degree: (v + 1) * degree] = kept / math.sqrt(_loop_sum(map(_sq, kept)))
+            assert np.array_equal(got, expected)
+        # zero vertices among them change neither the draw nor the state
+        total = n + int(rng.integers(1, 30))
+        at = np.sort(rng.choice(total, size=n, replace=False))
+        padded = np.zeros((s, total, degree), dtype=complex)
+        padded[:, at] = psi.reshape(s, n, degree)
+        padded_out, padded_vertices = evolution._measure_vertices(
+            padded.reshape(s, -1), degree, u
+        )
+        assert np.array_equal(drawn_from[-1][:, at], drawn_from[-2])
+        assert np.array_equal(at[vertices], padded_vertices)
+        assert np.array_equal(padded_out.reshape(s, total, degree)[:, at],
+                              out.reshape(s, n, degree))

@@ -9,6 +9,8 @@ allows 1e-15; entries outside the cone must be exactly 0 on both sides.
 
 import math
 import warnings
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,13 +22,16 @@ from coinwalk import (
     build_cycle,
     build_cycle_shift,
     compare_mixing,
+    enumerate_branches,
     evolve,
     make_step,
     marginal_history,
     run,
+    sample_trajectories,
     to_density,
     tvd,
 )
+from coinwalk import evolution
 from coinwalk.classical import uniform_distribution
 from coinwalk.evolution import _light_cone, _marginal
 
@@ -187,3 +192,54 @@ def test_light_cone_stops_when_full_or_closed(cycle7, multi_graph):
     assert np.array_equal(cone_psi0, psi0[:24])
     # a closed cone keeps the graph's own moves: no port leaves it
     assert np.array_equal(cone_step.shift.permutation, step.shift.permutation[:24])
+
+
+def whole_graph(psi0, step, steps):
+    """_light_cone as if every walk reached every vertex."""
+    return psi0, step, np.arange(step.shift.num_vertices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), beta=st.floats(0.0, 1.0, exclude_min=True),
+       p=st.sampled_from([0.0, 1.0]),
+       placement=st.sampled_from(["before-shift", "after-shift"]))
+def test_trajectories_on_the_cone_are_those_of_the_whole_graph(
+    multi_graph, data, beta, p, placement
+):
+    graph, psi0, step, steps = data.draw(cone_cases(multi_graph))
+    kraus = make_step(graph, beta=beta).coin_kraus
+    step = replace(step, coin_kraus=kraus, vertex_dephasing=p, placement=placement, beta=beta)
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+    cone = list(sample_trajectories(psi0, step, steps, seeds))
+    with mock.patch.object(evolution, "_light_cone", whole_graph):
+        whole = list(sample_trajectories(psi0, step, steps, seeds))
+    assert len(cone) == len(whole) == len(seeds)
+    for (final, record), (whole_final, whole_record) in zip(cone, whole):
+        assert record == whole_record
+        assert final.shape == whole_final.shape == psi0.shape
+        assert np.array_equal(final, whole_final)
+
+    if p == 0.0 and steps <= 4:
+        branches = enumerate_branches(psi0, step, steps)
+        with mock.patch.object(evolution, "_light_cone", whole_graph):
+            whole = enumerate_branches(psi0, step, steps)
+        assert [(w, h) for w, _, h in branches] == [(w, h) for w, _, h in whole]
+        for (_, state, _), (_, whole_state, _) in zip(branches, whole):
+            assert np.array_equal(state, whole_state)
+
+
+def test_sampler_walks_only_the_cone_of_a_4096_cycle():
+    """Records and final states of a cycle far larger than the cone, against a 64-cycle."""
+    seeds = list(range(40))
+    results = []
+    for n in (4096, 64):
+        graph = build_cycle(n)
+        step = make_step(graph, shift=build_cycle_shift(n), beta=0.5, vertex_p=1.0)
+        with mock.patch.object(evolution, "SAMPLE_BLOCK_AMPLITUDES", 64 * 2 * 3):
+            results.append(list(sample_trajectories(basis_state(graph, n // 2, 0), step, 20, seeds)))
+    for (big, big_record), (small, small_record) in zip(*results):
+        assert big_record.outcomes == small_record.outcomes
+        assert big_record.outcome_probabilities == small_record.outcome_probabilities
+        assert [v - 2016 for v in big_record.vertex_outcomes] == list(small_record.vertex_outcomes)
+        assert np.array_equal(big[2016 * 2: 2080 * 2], small)
+        assert not big[: 2016 * 2].any() and not big[2080 * 2:].any()
