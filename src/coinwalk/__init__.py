@@ -7,7 +7,7 @@ for which-path knowledge; at full strength the walk becomes the
 classical random chain, at zero strength it stays unitary.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .analysis import (
     ComplementarityPoint,
@@ -30,7 +30,6 @@ from .classical import (
 )
 from .coin import (
     CoinSpec,
-    build_coin_operator,
     default_coin_spec,
     dft_coin,
     hadamard_phi,
@@ -62,9 +61,7 @@ from .graph import (
     save_graph,
 )
 from .meter import (
-    DephasingKraus,
     MeterCoupling,
-    apply_kraus,
     build_meter_unitary,
     conditional_meter_states,
     dephasing_kraus,

@@ -163,6 +163,8 @@ def complementarity_sweep(
     beta=0 among them, so the builtin map runs them in turn and a
     process pool's map runs them in parallel.
     """
+    # rejects a beta outside [0, 1] before any walk runs
+    known = [(visibility(beta), distinguishability(beta)) for beta in betas]
     distinct = list(dict.fromkeys([0.0, *betas]))
     tasks = [(graph, psi0, steps, beta, step_kwargs) for beta in distinct]
     finals = dict(zip(distinct, map_fn(_final_marginal, tasks)))
@@ -172,10 +174,10 @@ def complementarity_sweep(
     return [
         ComplementarityPoint(
             beta=beta,
-            visibility=visibility(beta),
-            distinguishability=distinguishability(beta),
+            visibility=v,
+            distinguishability=k,
             tvd_to_unitary=tvd(finals[beta], finals[0.0]),
             tvd_to_classical=tvd(finals[beta], anchor_classical),
         )
-        for beta in betas
+        for beta, (v, k) in zip(betas, known)
     ]

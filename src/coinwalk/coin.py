@@ -1,4 +1,4 @@
-"""Coin blocks and the block-diagonal coin operator.
+"""Coin blocks: the block-diagonal coin as an (N, d, d) stack.
 
 The coin acts independently at each vertex: vertex j carries a unitary
 on its d_j used ports, embedded into the d x d coin block with zero
@@ -18,8 +18,6 @@ from .graph import PortGraph
 
 __all__ = [
     "CoinSpec",
-    "block_diagonal",
-    "build_coin_operator",
     "coin_spec_from_config",
     "default_coin_spec",
     "default_coin_type",
@@ -158,28 +156,6 @@ def _embedded(block: np.ndarray, dj: int, d: int, where: str) -> np.ndarray:
     raise StructureError(
         f"coin block {where} has shape {block.shape}; expected ({dj},{dj}) or ({d},{d})"
     )
-
-
-def block_diagonal(blocks) -> np.ndarray:
-    """Dense (N d) x (N d) matrix with the N given d x d blocks on its diagonal."""
-    n = len(blocks)
-    d = blocks[0].shape[0]
-    op = np.zeros((n * d, n * d), dtype=complex)
-    for j, block in enumerate(blocks):
-        op[j * d: (j + 1) * d, j * d: (j + 1) * d] = block
-    return op
-
-
-def build_coin_operator(graph: PortGraph, spec: CoinSpec) -> np.ndarray:
-    """Assemble the full coin operator on the joint space.
-
-    Returns a dense (N d) x (N d) matrix, block diagonal over vertices.
-    It is unitary on the used subspace; rows and columns belonging to
-    unused ports are identically zero. The walk itself applies the
-    blocks from embedded_blocks directly; this dense form is a
-    reference for tests.
-    """
-    return block_diagonal(embedded_blocks(graph, spec))
 
 
 def coin_spec_from_config(config: dict, graph: PortGraph, phi: float = math.pi / 2) -> CoinSpec:

@@ -8,14 +8,14 @@ conventions and the choice is recorded with every run.
 
 Every part of the step is applied in its structured form. The coin is a
 stack of per-vertex d x d blocks, applied as a batched product on the
-(N, d, ...) view of a state. The coin measurement Kraus operators are
-diagonal in the coin basis, and vertex dephasing only scales the blocks
+(N, d, ...) view of a state. The coin measurement is the (m, d) array of
+its Kraus diagonals, and vertex dephasing only scales the blocks
 between different vertices, so on a density matrix both are one
 elementwise (Schur) product with a d x d coin mask, and on a pure state
 each Kraus operator is an elementwise product. The shift is a
-permutation. The dense full-space operators are built only by
-assembled_step_operators and vertex_dephasing, which serve as reference
-implementations.
+permutation. The dense (N d) x (N d) forms, assembled_step_operators,
+vertex_dephasing and ShiftOperator.matrix, are never called by the walk;
+they stay public because the benchmark checks the CLI's output with them.
 
 A walk of t steps only reaches the vertices within t shifts of psi0's
 support, its light cone. run, marginal_history and the marginals that
@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coin import CoinSpec, block_diagonal, default_coin_spec, embedded_blocks
+from .coin import CoinSpec, default_coin_spec, embedded_blocks
 from .errors import ConfigError, InvariantViolation, StructureError
 from .graph import PortGraph
 from .meter import dephasing_kraus, uniform_dephasing_kraus
@@ -91,16 +91,16 @@ class StepMap:
     """Everything needed to advance the walk by one time step.
 
     coin is the (N, d, d) stack of per-vertex coin blocks, as returned by
-    coin.embedded_blocks. coin_kraus holds the d x d Kraus operators of
-    the coin measurement, which must be diagonal in the coin basis.
+    coin.embedded_blocks. coin_kraus is the (m, d) array of the coin
+    measurement's Kraus diagonals, row i the diagonal of K_i in the coin
+    basis, or None without a measurement.
     """
 
     coin: np.ndarray
     shift: ShiftOperator
-    coin_kraus: tuple[np.ndarray, ...] | None = None
+    coin_kraus: np.ndarray | None = None
     vertex_dephasing: float = 0.0
     placement: str = "before-shift"
-    beta: float = 0.0
 
     def __post_init__(self) -> None:
         n, d = self.shift.num_vertices, self.shift.degree
@@ -109,11 +109,12 @@ class StepMap:
                 f"coin must be the ({n}, {d}, {d}) stack of vertex blocks, "
                 f"got shape {np.shape(self.coin)}"
             )
-        for k in self.coin_kraus or ():
-            if np.shape(k) != (d, d) or np.count_nonzero(k - np.diag(np.diagonal(k))):
-                raise StructureError(
-                    f"coin Kraus operators must be {d}x{d} and diagonal in the coin basis"
-                )
+        k = self.coin_kraus
+        if k is not None and (np.shape(k)[1:] != (d,) or len(k) == 0):
+            raise StructureError(
+                f"coin Kraus diagonals must be an (m, {d}) array with m >= 1, "
+                f"got shape {np.shape(k)}"
+            )
 
     @property
     def is_unitary(self) -> bool:
@@ -131,10 +132,12 @@ def make_step(
 ) -> StepMap:
     """Assemble a StepMap with the package defaults filled in.
 
-    With beta > 0 the coin measurement Kraus family is attached: the
-    two-outcome meter pair when the coin is two-sided, the uniform
-    dephasing family otherwise.
+    With beta > 0 the diagonals of the coin measurement Kraus family are
+    attached: the two-outcome meter pair when the coin is two-sided, the
+    uniform dephasing family otherwise.
     """
+    if not 0.0 <= beta <= 1.0:  # also rejects NaN
+        raise ConfigError(f"measurement strength beta must lie in [0, 1], got {beta}")
     if placement not in PLACEMENTS:
         raise ConfigError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
     if not 0.0 <= vertex_p <= 1.0:
@@ -143,12 +146,11 @@ def make_step(
     blocks = embedded_blocks(graph, spec)
     shift_op = shift if shift is not None else build_shift(graph)
     kraus = None
-    if beta > 0.0:
-        if graph.degree == 2:
-            kraus = dephasing_kraus(beta).operators
-        else:
-            kraus = uniform_dephasing_kraus(beta, graph.degree)
-    return StepMap(blocks, shift_op, kraus, vertex_p, placement, beta)
+    if beta > 0.0 and graph.degree == 2:
+        kraus = dephasing_kraus(beta)
+    elif beta > 0.0:
+        kraus = uniform_dephasing_kraus(beta, graph.degree)
+    return StepMap(blocks, shift_op, kraus, vertex_p, placement)
 
 
 # ----------------------------------------------------------------------
@@ -164,11 +166,6 @@ def _apply_coin(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (blocks @ x.reshape(n, d, -1)).reshape(x.shape)
 
 
-def _kraus_diagonals(step: StepMap) -> np.ndarray:
-    """(m, d) array: row i is the diagonal of coin Kraus operator i."""
-    return np.array([np.diagonal(k) for k in step.coin_kraus])
-
-
 def _coin_mask(step: StepMap) -> np.ndarray:
     """The coin measurement channel as a d x d Schur factor.
 
@@ -176,10 +173,9 @@ def _coin_mask(step: StepMap) -> np.ndarray:
     coin entry (a, b) by sum_m k_m[a] conj(k_m[b]); all ones without a
     measurement.
     """
-    if step.coin_kraus is None:
-        d = step.shift.degree
-        return np.ones((d, d))
-    k = _kraus_diagonals(step)
+    k = step.coin_kraus
+    if k is None:
+        return np.ones((step.shift.degree,) * 2)
     return k.T @ k.conj()
 
 
@@ -227,9 +223,8 @@ def vertex_dephasing(rho: np.ndarray, p: float, degree: int) -> np.ndarray:
         raise ConfigError(f"vertex dephasing strength must lie in [0, 1], got {p}")
     if p == 0.0:
         return rho.copy()
-    n = rho.shape[0] // degree
-    same_vertex = np.kron(np.eye(n), np.ones((degree, degree)))
-    return rho * ((1.0 - p) + p * same_vertex)
+    vertex = np.arange(rho.shape[0]) // degree
+    return rho * ((1.0 - p) + p * (vertex[:, None] == vertex))
 
 
 def cp_step(rho: np.ndarray, step: StepMap) -> np.ndarray:
@@ -379,12 +374,15 @@ def assembled_step_operators(step: StepMap) -> list[np.ndarray]:
     dephasing is a separate channel and is not included. The operators
     are dense (N d) x (N d) matrices, built as a reference for tests.
     """
+    n, d = step.shift.num_vertices, step.shift.degree
+    coin = np.zeros((n, d, n, d), dtype=complex)
+    v = np.arange(n)
+    coin[v, :, v, :] = step.coin
+    coin = coin.reshape(n * d, n * d)
     smat = step.shift.matrix()
-    coin = block_diagonal(step.coin)
     if step.coin_kraus is None:
         return [smat @ coin]
-    eye = np.eye(step.shift.num_vertices)
-    return [smat @ np.kron(eye, k) @ coin for k in step.coin_kraus]
+    return [smat @ np.diag(np.tile(k, n)) @ coin for k in step.coin_kraus]
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +450,7 @@ def _born_weights(masses: np.ndarray, kraus_sq: np.ndarray) -> np.ndarray:
 def _branches(phi: np.ndarray, diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every Kraus branch K_i phi of a coin-tossed state and its Born weight.
 
-    diagonals is the (m, d) array of _kraus_diagonals. The weights must
+    diagonals is the step's (m, d) coin_kraus array. The weights must
     sum to 1: the Kraus family is complete on the used ports, which are
     the only ones a tossed state occupies.
     """
@@ -544,12 +542,11 @@ def _cone_trajectories(
     if steps < 0:
         raise ConfigError(f"step count must be nonnegative, got {steps}")
     cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
-    diagonals = _kraus_diagonals(step)
-    kraus_sq = _squared_moduli(diagonals)
+    kraus_sq = _squared_moduli(step.coin_kraus)
     n, d = cone_step.shift.num_vertices, cone_step.shift.degree
     # the drawn branches are taken from rows of the diagonals tiled over
     # the cone, which is faster than a product broadcast over vertices
-    kraus = np.tile(diagonals, n)
+    kraus = np.tile(step.coin_kraus, n)
     measure_position = step.vertex_dephasing == 1.0
     measure_before = measure_position and step.placement == "before-shift"
     measure_after = measure_position and step.placement == "after-shift"
@@ -564,7 +561,7 @@ def _cone_trajectories(
             [np.random.default_rng(seed).random(steps * draws) for seed in chunk]
         ).reshape(s, steps, draws)
         outcomes = np.empty((s, steps), dtype=int)
-        weights = np.empty((s, steps, len(diagonals)))
+        weights = np.empty((s, steps, len(step.coin_kraus)))
         vertices = np.empty((s, steps), dtype=int)
         psi = np.array([cone_psi0] * s)
         for t in range(steps):
@@ -652,12 +649,11 @@ def enumerate_branches(
     if step.vertex_dephasing != 0.0:
         raise ConfigError("branch enumeration supports coin measurement only")
     cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
-    diagonals = _kraus_diagonals(step)
     branches: list[tuple[float, np.ndarray, tuple[int, ...]]] = [(1.0, cone_psi0, ())]
     for _ in range(steps):
         grown: list[tuple[float, np.ndarray, tuple[int, ...]]] = []
         for weight, psi, history in branches:
-            children, weights = _branches(_apply_coin(cone_step.coin, psi), diagonals)
+            children, weights = _branches(_apply_coin(cone_step.coin, psi), step.coin_kraus)
             for i, (child, w) in enumerate(zip(children, weights)):
                 w = float(w)
                 if weight * w < prune:

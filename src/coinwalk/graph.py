@@ -309,6 +309,9 @@ def load_graph(path: str) -> PortGraph:
     if not isinstance(raw["edges"], list):
         raise ConfigError(f"{path}: 'edges' must be a list")
     vertices = raw["vertices"]
+    # every port (j, k) gets the flat index j*d + k, which must fit an intp
+    if vertices > np.iinfo(np.intp).max // max(raw["degree"], 1):
+        raise ConfigError(f"{path}: 'vertices' is {vertices}, too many to index their ports")
     edges = []
     for i, entry in enumerate(raw["edges"]):
         try:

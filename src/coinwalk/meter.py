@@ -24,6 +24,10 @@ Reading the meter in its computational basis turns each outcome into a
 Kraus operator on the coin: outcome 0 leaves diag(1, cos(beta pi/2)),
 outcome 1 leaves diag(0, sin(beta pi/2)). Outcome 1 therefore certifies
 the coin was |1>, which is what makes the record a which-path record.
+
+Every such Kraus operator is diagonal in the coin basis, so a Kraus
+family is given by its diagonals alone: a complex (m, d) array whose
+row i is the diagonal of K_i.
 """
 
 from __future__ import annotations
@@ -37,9 +41,7 @@ from .errors import ConfigError
 from .state import partial_trace_meter
 
 __all__ = [
-    "DephasingKraus",
     "MeterCoupling",
-    "apply_kraus",
     "build_meter_unitary",
     "conditional_meter_states",
     "dephasing_kraus",
@@ -77,14 +79,6 @@ class MeterCoupling:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class DephasingKraus:
-    """Two coin Kraus operators labeled by the meter outcome."""
-
-    beta: float
-    operators: tuple[np.ndarray, np.ndarray]
-
-
 def _check_beta(beta: float) -> None:
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"measurement strength beta must lie in [0, 1], got {beta}")
@@ -120,52 +114,40 @@ def induced_coin_channel(coupling: MeterCoupling, coin_rho: np.ndarray) -> np.nd
     return partial_trace_meter(evolved, meter_dim=2)
 
 
-def dephasing_kraus(beta: float) -> DephasingKraus:
-    """Kraus pair of the coin channel, labeled by the meter outcome.
+def dephasing_kraus(beta: float) -> np.ndarray:
+    """Diagonals of the Kraus pair of the coin channel, one row per meter outcome.
 
-    K_0 = diag(1, cos(beta pi/2)) for outcome 0, K_1 = diag(0,
-    sin(beta pi/2)) for outcome 1. Completeness K_0^dag K_0 + K_1^dag
-    K_1 = I holds exactly. The pair reproduces the traced meter model
-    channel for every coin state.
+    Row 0 is the diagonal (1, cos(beta pi/2)) of K_0, row 1 the diagonal
+    (0, sin(beta pi/2)) of K_1. Completeness K_0^dag K_0 + K_1^dag K_1 = I
+    holds exactly. The pair reproduces the traced meter model channel
+    for every coin state.
     """
     _check_beta(beta)
     c = math.cos(beta * math.pi / 2)
     s = math.sin(beta * math.pi / 2)
-    k0 = np.diag([1.0, c]).astype(complex)
-    k1 = np.diag([0.0, s]).astype(complex)
-    return DephasingKraus(beta, (k0, k1))
+    return np.array([[1.0, c], [0.0, s]], dtype=complex)
 
 
-def uniform_dephasing_kraus(beta: float, dim: int) -> tuple[np.ndarray, ...]:
-    """Dephasing Kraus family for a coin of any dimension.
+def uniform_dephasing_kraus(beta: float, dim: int) -> np.ndarray:
+    """Diagonals of the dephasing Kraus family for a coin of any dimension.
 
     The two-level meter construction has no given analogue for a
     many-port coin, so for dim > 2 this package substitutes the channel
     rho -> f rho + (1 - f) diag(rho) with f = cos(beta pi/2): every
     off-diagonal element decays by the same factor as in the two-level
-    case and the diagonal is untouched. Operators are sqrt(f) I plus
-    one sqrt(1-f) projector per coin direction; outcome 0 means no
-    information gained, outcome k >= 1 means the coin was seen at
-    direction k-1.
+    case and the diagonal is untouched. The operators are sqrt(f) I plus
+    one sqrt(1-f) projector per coin direction, so the (dim + 1, dim)
+    array of diagonals has rows sqrt(f) (1, ..., 1) and sqrt(1-f) e_k.
+    Outcome 0 means no information gained, outcome k >= 1 means the coin
+    was seen at direction k-1.
     """
     _check_beta(beta)
     if dim < 1:
         raise ConfigError(f"coin dimension must be positive, got {dim}")
     f = math.cos(beta * math.pi / 2)
-    ops = [math.sqrt(f) * np.eye(dim, dtype=complex)]
-    for k in range(dim):
-        proj = np.zeros((dim, dim), dtype=complex)
-        proj[k, k] = math.sqrt(1.0 - f)
-        ops.append(proj)
-    return tuple(ops)
-
-
-def apply_kraus(rho: np.ndarray, operators) -> np.ndarray:
-    """Sum_i K_i rho K_i^dagger."""
-    out = np.zeros_like(rho, dtype=complex)
-    for op in operators:
-        out += op @ rho @ op.conj().T
-    return out
+    return np.vstack([
+        np.full(dim, math.sqrt(f)), math.sqrt(1.0 - f) * np.eye(dim)
+    ]).astype(complex)
 
 
 def visibility(beta: float) -> float:

@@ -49,6 +49,7 @@ class ShiftOperator:
         return out
 
     def matrix(self) -> np.ndarray:
+        """The dense (N d) x (N d) permutation matrix, an oracle the walk never builds."""
         dim = self.permutation.size
         mat = np.zeros((dim, dim), dtype=complex)
         mat[self.permutation, np.arange(dim)] = 1.0

@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 
 from coinwalk import (
-    apply_kraus,
     basis_state,
-    build_coin_operator,
     build_cycle,
     build_cycle_shift,
     build_meter_unitary,
@@ -40,6 +38,7 @@ from coinwalk import (
 from coinwalk.coin import default_coin_spec
 
 from conftest import random_density, random_pure_state
+from oracles import apply_kraus, build_coin_operator
 
 
 def all_test_graphs(multi_graph):
@@ -85,7 +84,7 @@ def test_criterion_02_kraus_channel_equals_meter_model():
     worst = 0.0
     for beta in np.linspace(0.0, 1.0, 101):
         coupling = build_meter_unitary(beta)
-        ops = dephasing_kraus(beta).operators
+        ops = dephasing_kraus(beta)
         for _ in range(100):
             rho = random_density(rng, 2)
             dev = np.max(np.abs(

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwalk import (
+    ConfigError,
     MixingCurve,
     StructureError,
     basis_state,
@@ -171,6 +172,20 @@ def test_sweep_runs_the_unitary_anchor_once(cycle7, betas):
     for pt in pts:
         final = marginal_history(psi0, make_step(cycle7, beta=pt.beta), 9)[-1]
         assert pt.tvd_to_unitary == tvd(final, unitary)
+
+
+@pytest.mark.parametrize("beta", [-0.5, 1.5, float("nan")])
+def test_sweep_rejects_a_beta_outside_the_unit_interval_before_any_walk(cycle7, beta):
+    walks = []
+
+    def recording_map(fn, tasks):
+        walks.extend(tasks)
+        return map(fn, tasks)
+
+    with pytest.raises(ConfigError, match="beta must lie in"):
+        complementarity_sweep(cycle7, basis_state(cycle7, 0, 0), 5, [0.5, beta],
+                              map_fn=recording_map)
+    assert walks == []
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.4])

@@ -307,6 +307,8 @@ BAD_GRAPH_FILES = {
         b'"edges": [{"u": 0, "pu": 0, "v": 100000000000000000000, "pv": 0}]}',
     "vertex-equal-to-vertices":
         b'{"vertices": 2, "degree": 1, "edges": [{"u": 0, "pu": 0, "v": 2, "pv": 0}]}',
+    "declared-vertices-beyond-intp": b'{"vertices": 100000000000000000000, "degree": 1, '
+        b'"edges": [{"u": 0, "pu": 0, "v": 1, "pv": 0}]}',
 }
 BAD_COIN_FILES = {
     "directory": None,

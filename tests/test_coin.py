@@ -10,7 +10,6 @@ from coinwalk import (
     PortGraph,
     StructureError,
     assign_ports,
-    build_coin_operator,
     build_cycle,
     default_coin_spec,
     dft_coin,
@@ -22,6 +21,7 @@ from coinwalk.coin import coin_spec_from_config, default_coin_type, embedded_blo
 from coinwalk.errors import ConfigError
 
 from conftest import MULTI_ADJACENCY, port_permuted_torus, random_pure_state
+from oracles import build_coin_operator
 
 ATOL = 1e-12
 

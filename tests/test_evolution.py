@@ -13,7 +13,6 @@ from coinwalk import (
     StructureError,
     assembled_step_operators,
     basis_state,
-    build_coin_operator,
     build_cycle,
     build_cycle_shift,
     classical_run,
@@ -39,6 +38,7 @@ from coinwalk import (
 from coinwalk.evolution import StepMap
 
 from conftest import port_permuted_torus, random_density, random_pure_state
+from oracles import block_diagonal, build_coin_operator
 
 
 def hadamard_walk_step(graph, **kwargs):
@@ -209,6 +209,23 @@ def test_assembled_operators_are_complete(cycle7, multi_graph):
     assert len(ops) == 1
 
 
+def test_assembled_operators_are_shift_kraus_coin_products(cycle7):
+    # per-vertex coins that are not symmetric, so a transposed or
+    # misplaced block shows
+    spec = CoinSpec([hadamard_phi(0.3 * j) for j in range(7)])
+    coin = build_coin_operator(cycle7, spec)
+    for shift in (build_cycle_shift(7), None):
+        step = make_step(cycle7, coin_spec=spec, shift=shift, beta=0.6)
+        s = step.shift.matrix()
+        expected = [s @ block_diagonal([np.diag(k)] * 7) @ coin for k in step.coin_kraus]
+        ops = assembled_step_operators(step)
+        assert len(ops) == 2
+        for op, want in zip(ops, expected):
+            np.testing.assert_array_equal(op, want)
+        (unitary,) = assembled_step_operators(make_step(cycle7, coin_spec=spec, shift=shift))
+        np.testing.assert_array_equal(unitary, s @ coin)
+
+
 def test_branch_enumeration_reproduces_density_evolution():
     g = build_cycle(5)
     step = make_step(g, shift=build_cycle_shift(5), beta=0.6)
@@ -253,7 +270,7 @@ def test_zero_probability_branches_are_never_drawn(cycle7):
     from coinwalk.shift import build_shift
 
     coin = np.stack(embedded_blocks(cycle7, default_coin_spec(cycle7)))
-    step = StepMap(coin, build_shift(cycle7), dephasing_kraus(0.0).operators, 0.0)
+    step = StepMap(coin, build_shift(cycle7), dephasing_kraus(0.0), 0.0)
     final, rec = sample_trajectory(basis_state(cycle7, 0, 0), step, 10, seed=1)
     assert rec.outcomes == (0,) * 10
     assert all(p == pytest.approx(1.0, abs=1e-12) for p in rec.outcome_probabilities)
@@ -394,7 +411,13 @@ def test_structured_step_matches_dense_operators(multi_graph, data, beta, p, pla
         np.testing.assert_allclose(state, ops[i] @ psi / math.sqrt(born[i]), atol=1e-12)
 
 
-def test_step_map_rejects_dense_coin_and_non_diagonal_kraus(cycle7):
+@pytest.mark.parametrize("beta", [-0.5, 1.5, float("nan")])
+def test_make_step_rejects_a_beta_outside_the_unit_interval(cycle7, beta):
+    with pytest.raises(ConfigError, match=r"beta must lie in \[0, 1\]"):
+        make_step(cycle7, beta=beta)
+
+
+def test_step_map_rejects_dense_coin_and_misshapen_kraus(cycle7):
     from coinwalk.coin import default_coin_spec, embedded_blocks
     from coinwalk.shift import build_shift
 
@@ -402,9 +425,10 @@ def test_step_map_rejects_dense_coin_and_non_diagonal_kraus(cycle7):
     shift = build_shift(cycle7)
     with pytest.raises(StructureError, match=r"\(7, 2, 2\) stack"):
         StepMap(build_coin_operator(cycle7, default_coin_spec(cycle7)), shift)
-    mixing = (np.ones((2, 2)) / 2, np.eye(2) / 2)
-    with pytest.raises(StructureError, match="diagonal"):
-        StepMap(blocks, shift, mixing)
+    # Kraus diagonals one entry too long, and the d x d operators themselves
+    for kraus in (np.ones((2, 3)), np.array([np.eye(2), np.eye(2)])):
+        with pytest.raises(StructureError, match=r"\(m, 2\) array"):
+            StepMap(blocks, shift, kraus)
 
 
 class _DrawFirst:
@@ -427,7 +451,7 @@ def test_sampler_invariants_still_fire(cycle7, monkeypatch):
     blocks = np.stack(embedded_blocks(cycle7, default_coin_spec(cycle7)))
     shift = build_shift(cycle7)
     psi0 = basis_state(cycle7, 0, 0)
-    leaky = tuple(0.5 * k for k in dephasing_kraus(0.5).operators)
+    leaky = 0.5 * dephasing_kraus(0.5)
     with pytest.raises(InvariantViolation, match="sum to"):
         sample_trajectory(psi0, StepMap(blocks, shift, leaky), 1, seed=0)
     with pytest.raises(InvariantViolation, match="sum to"):
@@ -436,7 +460,7 @@ def test_sampler_invariants_still_fire(cycle7, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", _DrawFirst)
     # the first branch is viable at weight 1e-16 and is drawn: its state is
     # too small to renormalize
-    faint = (1e-8 * np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+    faint = np.array([[1e-8, 1e-8], [1.0, 1.0]], dtype=complex)
     with pytest.raises(InvariantViolation, match="negligible norm"):
         sample_trajectory(psi0, StepMap(blocks, shift, faint), 1, seed=0)
     # vertex 0 holds weight 1e-16 after the coin reading and is the first
@@ -530,11 +554,11 @@ def test_evolve_checks_every_step(cycle7):
     with pytest.raises(InvariantViolation, match="norm"):
         next(states)
     with pytest.raises(InvariantViolation, match="trace"):
-        run(psi0, StepMap(1.01 * blocks, shift, dephasing_kraus(0.5).operators), 3)
+        run(psi0, StepMap(1.01 * blocks, shift, dephasing_kraus(0.5)), 3)
     with pytest.raises(InvariantViolation, match="non-finite"):
         marginal_history(psi0, StepMap(np.nan * blocks, shift, vertex_dephasing=0.5), 2)
     # unit-norm coins pass every step
-    assert len(list(evolve(psi0, StepMap(blocks, shift, dephasing_kraus(0.5).operators), 5))) == 6
+    assert len(list(evolve(psi0, StepMap(blocks, shift, dephasing_kraus(0.5)), 5))) == 6
 
 
 # ----------------------------------------------------------------------
@@ -572,7 +596,7 @@ def reference_sample_trajectory(psi0, step, steps, seed):
 
     _require_unravelable(step)
     rng = np.random.default_rng(seed)
-    diagonals = [np.diagonal(k) for k in step.coin_kraus]
+    diagonals = step.coin_kraus
     n, d = step.shift.num_vertices, step.shift.degree
     measure_position = step.vertex_dephasing == 1.0
 
@@ -625,7 +649,7 @@ def vdot_sample_trajectory(psi0, step, steps, seed):
 
     rng = np.random.default_rng(seed)
     n, d = step.shift.num_vertices, step.shift.degree
-    kraus = np.tile(np.array([np.diagonal(k) for k in step.coin_kraus]), n)
+    kraus = np.tile(step.coin_kraus, n)
     measure_position = step.vertex_dephasing == 1.0
 
     psi = psi0.copy()

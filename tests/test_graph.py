@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwalk import (
+    ConfigError,
     Edge,
     PortGraph,
     StructureError,
@@ -189,6 +191,16 @@ def test_load_graph_checks_declared_counts(tmp_path):
     }
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="degree"):
+        load_graph(str(path))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4])
+def test_load_graph_rejects_more_vertices_than_an_intp_can_index(tmp_path, degree):
+    path = tmp_path / "huge.json"
+    vertices = np.iinfo(np.intp).max // degree + 1
+    path.write_text(json.dumps({"vertices": vertices, "degree": degree, "edges": [
+        {"u": 0, "pu": 0, "v": 1, "pv": 0}]}))
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: 'vertices' is {vertices}, too many")):
         load_graph(str(path))
 
 

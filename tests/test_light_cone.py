@@ -208,7 +208,7 @@ def test_trajectories_on_the_cone_are_those_of_the_whole_graph(
 ):
     graph, psi0, step, steps = data.draw(cone_cases(multi_graph))
     kraus = make_step(graph, beta=beta).coin_kraus
-    step = replace(step, coin_kraus=kraus, vertex_dephasing=p, placement=placement, beta=beta)
+    step = replace(step, coin_kraus=kraus, vertex_dephasing=p, placement=placement)
     seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
     cone = list(sample_trajectories(psi0, step, steps, seeds))
     with mock.patch.object(evolution, "_light_cone", whole_graph):
