@@ -32,7 +32,7 @@ from .evolution import (
     marginal_history,
     reconstruct_cycle_path,
 )
-from .graph import PortGraph, build_cycle, load_graph, read_json
+from .graph import build_cycle, load_graph, read_json
 from .shift import build_cycle_shift, build_shift
 from .state import DEFAULT_TOLERANCES, basis_state, pure_position_marginal
 
@@ -130,15 +130,9 @@ def _mapper(jobs: int):
             yield pool.map
 
 
-def _build_graph(args) -> PortGraph:
-    if args.cycle is not None:
-        return build_cycle(args.cycle)
-    return load_graph(args.graph)
-
-
 def _build_setup(args):
     """Resolve graph, coin, shift, start state, and the step kwargs."""
-    graph = _build_graph(args)
+    graph = build_cycle(args.cycle) if args.cycle is not None else load_graph(args.graph)
 
     coin_kind = args.coin or default_coin_type(graph)
     if coin_kind == "custom":
@@ -410,19 +404,14 @@ def cmd_trajectory(args) -> int:
     files[records_path] = "\n".join(record_lines) + "\n"
     files[hist_path] = "\n".join(hist_lines) + "\n"
 
-    reconstructable = (
-        args.beta == 1.0
-        and step_kwargs["shift"].kind.startswith("direction-preserving")
-    )
+    # the only cycle shift the CLI builds is build_cycle_shift(--cycle)
+    reconstructable = args.beta == 1.0 and step_kwargs["shift"].kind == "direction-preserving"
     paths_path = None
     if reconstructable:
-        direction = 1 if step_kwargs["shift"].kind == "direction-preserving" else -1
         start_vertex = description["start"]["vertex"]
         path_lines = ["sample,step,vertex"]
         for index, record, _marginal in results:
-            walk = reconstruct_cycle_path(
-                record.outcomes, start_vertex, graph.num_vertices, direction
-            )
+            walk = reconstruct_cycle_path(record.outcomes, start_vertex, graph.num_vertices)
             for t, vertex in enumerate(walk):
                 path_lines.append(f"{index},{t},{vertex}")
         paths_path = base + "_paths.csv"
@@ -465,6 +454,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except (ConfigError, StructureError, FileNotFoundError) as exc:
         print(f"coinwalk: configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. numpy refuses a graph too large to hold
+        print(f"coinwalk: configuration error: out of memory: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"coinwalk: numerical invariant violated: {exc}", file=sys.stderr)

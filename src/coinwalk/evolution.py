@@ -27,10 +27,12 @@ they are given.
 
 Trajectories run on the light cone as well. Their samples advance
 together as the rows of one (S, cone ports) array, with the same coin
-product and elementwise Kraus branches. A Born weight is taken from the
-per-coin masses of the tossed state, each added up one vertex at a time
-(BORN_WEIGHT_RULE), so a vertex without amplitude changes no weight,
-and the records on the cone are those of the whole graph bit for bit.
+product and elementwise Kraus branches; enumerate_branches advances
+every live branch through the same step, as the rows of one array. A
+Born weight is taken from the per-coin masses of the tossed state, each
+added up one vertex at a time (BORN_WEIGHT_RULE), so a vertex without
+amplitude changes no weight, and the records on the cone are those of
+the whole graph bit for bit.
 """
 
 from __future__ import annotations
@@ -398,7 +400,7 @@ class TrajectoryRecord:
     vertex_outcomes: tuple[int, ...] | None = None
 
 
-def _require_unravelable(step: StepMap) -> None:
+def _require_unravelable(step: StepMap, steps: int) -> None:
     if step.coin_kraus is None:
         raise ConfigError(
             "trajectory sampling needs a configured coin measurement (beta > 0)"
@@ -408,6 +410,8 @@ def _require_unravelable(step: StepMap) -> None:
             "pure-state trajectories support vertex dephasing 0 (off) or 1 "
             f"(projective), not {step.vertex_dephasing}"
         )
+    if steps < 0:
+        raise ConfigError(f"step count must be nonnegative, got {steps}")
 
 
 def _squared_moduli(x: np.ndarray) -> np.ndarray:
@@ -431,7 +435,7 @@ def _coin_masses(x: np.ndarray, degree: int) -> np.ndarray:
     vertices that hold no amplitude, such as those outside a light cone,
     do not change a mass.
     """
-    sq = _squared_moduli(x).reshape(x.shape[0], -1, degree)
+    sq = _squared_moduli(x).reshape(x.shape[0], x.shape[1] // degree, degree)
     return sq.cumsum(axis=1)[:, -1]
 
 
@@ -445,20 +449,6 @@ def _born_weights(masses: np.ndarray, kraus_sq: np.ndarray) -> np.ndarray:
     on the coin masses.
     """
     return _sequential_sum(masses[:, None, :] * kraus_sq)
-
-
-def _branches(phi: np.ndarray, diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every Kraus branch K_i phi of a coin-tossed state and its Born weight.
-
-    diagonals is the step's (m, d) coin_kraus array. The weights must
-    sum to 1: the Kraus family is complete on the used ports, which are
-    the only ones a tossed state occupies.
-    """
-    m, d = diagonals.shape
-    children = (diagonals[:, None, :] * phi.reshape(-1, d)).reshape(m, -1)
-    weights = _born_weights(_coin_masses(phi[None], d), _squared_moduli(diagonals))[0]
-    _check_branch_sums(weights.sum(keepdims=True))
-    return children, weights
 
 
 def _check_branch_sums(totals: np.ndarray) -> None:
@@ -529,6 +519,42 @@ def _measure_vertices(
     return out, vertices
 
 
+def _unravelling(psi0: np.ndarray, step: StepMap, steps: int):
+    """psi0 on its light cone, the cone's vertices, and the cone's unravelled step.
+
+    The step, advance(psi, choose, read=None), tosses the coin on every
+    row of psi, takes the rows' Born weights raw and checks their totals,
+    and forms only the branches (rows, i) = choose(raw, totals): K_i times
+    the tossed row, over sqrt(raw[row, i]). It shifts them, with read, when
+    given, measuring their vertex at the step's placement.
+    """
+    _require_unravelable(step, steps)
+    cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
+    n, d = cone.size, step.shift.degree
+    # the branches are taken from rows of the diagonals tiled over the
+    # cone, which is faster than a product broadcast over vertices
+    kraus = np.tile(step.coin_kraus, n)
+    kraus_sq = _squared_moduli(step.coin_kraus)
+    read_before = step.placement == "before-shift"
+
+    def advance(psi, choose, read=None):
+        s = psi.shape[0]
+        phi = (cone_step.coin @ psi.reshape(s, n, d, 1)).reshape(s, n * d)
+        raw = _born_weights(_coin_masses(phi, d), kraus_sq)
+        totals = raw.sum(axis=1)
+        _check_branch_sums(totals)
+        rows, i = choose(raw, totals)
+        psi = kraus.take(i, axis=0) * phi[rows] / np.sqrt(raw[rows, i])[:, None]
+        if read is not None and read_before:
+            psi = read(psi)
+        psi = cone_step.shift.apply(psi)
+        if read is not None and not read_before:
+            psi = read(psi)
+        return psi, rows, i, raw
+
+    return cone_psi0, cone, advance
+
+
 def _cone_trajectories(
     psi0: np.ndarray, step: StepMap, steps: int, seeds
 ) -> Iterator[tuple[np.ndarray, np.ndarray, TrajectoryRecord]]:
@@ -538,18 +564,9 @@ def _cone_trajectories(
     cone's ports and the record, whose vertex outcomes are vertices of
     the whole graph.
     """
-    _require_unravelable(step)
-    if steps < 0:
-        raise ConfigError(f"step count must be nonnegative, got {steps}")
-    cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
-    kraus_sq = _squared_moduli(step.coin_kraus)
-    n, d = cone_step.shift.num_vertices, cone_step.shift.degree
-    # the drawn branches are taken from rows of the diagonals tiled over
-    # the cone, which is faster than a product broadcast over vertices
-    kraus = np.tile(step.coin_kraus, n)
+    cone_psi0, cone, advance = _unravelling(psi0, step, steps)
+    d = step.shift.degree
     measure_position = step.vertex_dephasing == 1.0
-    measure_before = measure_position and step.placement == "before-shift"
-    measure_after = measure_position and step.placement == "after-shift"
     draws = 2 if measure_position else 1
     seeds = list(seeds)
     block = max(1, SAMPLE_BLOCK_AMPLITUDES // cone_psi0.size)
@@ -563,26 +580,22 @@ def _cone_trajectories(
         outcomes = np.empty((s, steps), dtype=int)
         weights = np.empty((s, steps, len(step.coin_kraus)))
         vertices = np.empty((s, steps), dtype=int)
+
+        # draw and read act at the step t of the loop below
+        def draw(raw, totals):
+            w = np.divide(raw, totals[:, None], out=weights[:, t])
+            i = _inverse_cdf(_viable_weights(w), uniforms[:, t, 0])
+            if not all(x >= 1e-14 for x in raw[rows, i].tolist()):
+                raise InvariantViolation("sampled branch has negligible norm")
+            return rows, i
+
+        def read(psi):
+            psi, vertices[:, t] = _measure_vertices(psi, d, uniforms[:, t, 1])
+            return psi
+
         psi = np.array([cone_psi0] * s)
         for t in range(steps):
-            phi = (cone_step.coin @ psi.reshape(s, n, d, 1)).reshape(s, n * d)
-            raw = _born_weights(_coin_masses(phi, d), kraus_sq)
-            total = raw.sum(axis=1)
-            _check_branch_sums(total)
-            w = np.divide(raw, total[:, None], out=weights[:, t])
-            i = _inverse_cdf(_viable_weights(w), uniforms[:, t, 0])
-            norm = raw[rows, i]
-            if not all(x >= 1e-14 for x in norm.tolist()):
-                raise InvariantViolation("sampled branch has negligible norm")
-            # only the drawn branch is formed, so that no more than one
-            # sample's branches are ever held at once
-            psi = kraus.take(i, axis=0) * phi / np.sqrt(norm)[:, None]
-            outcomes[:, t] = i
-            if measure_before:
-                psi, vertices[:, t] = _measure_vertices(psi, d, uniforms[:, t, 1])
-            psi = cone_step.shift.apply(psi)
-            if measure_after:
-                psi, vertices[:, t] = _measure_vertices(psi, d, uniforms[:, t, 1])
+            psi, _, outcomes[:, t], _ = advance(psi, draw, read if measure_position else None)
         probs = weights[rows[:, None], np.arange(steps), outcomes]
         for r, seed in enumerate(chunk):
             record = TrajectoryRecord(
@@ -641,29 +654,23 @@ def enumerate_branches(
     probabilities still sum to 1 up to that resolution. The weighted
     mixture of the returned states reproduces the density-matrix
     evolution, which is what makes the record ensemble a faithful
-    unraveling. The branches are expanded on the light cone of psi0,
-    with the Born weights of sample_trajectories, and each returned
-    state is put in place over all N*d ports.
+    unraveling. The branches are expanded on the light cone of psi0
+    through the step of sample_trajectories, every live branch a row of
+    one array, and are returned parent by parent, each parent's in
+    outcome order, with every state put in place over all N*d ports.
     """
-    _require_unravelable(step)
+    cone_psi0, cone, advance = _unravelling(psi0, step, steps)
     if step.vertex_dephasing != 0.0:
         raise ConfigError("branch enumeration supports coin measurement only")
-    cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
-    branches: list[tuple[float, np.ndarray, tuple[int, ...]]] = [(1.0, cone_psi0, ())]
+    psi, probs, histories = cone_psi0[None], np.ones(1), np.empty((1, 0), dtype=int)
     for _ in range(steps):
-        grown: list[tuple[float, np.ndarray, tuple[int, ...]]] = []
-        for weight, psi, history in branches:
-            children, weights = _branches(_apply_coin(cone_step.coin, psi), step.coin_kraus)
-            for i, (child, w) in enumerate(zip(children, weights)):
-                w = float(w)
-                if weight * w < prune:
-                    continue
-                grown.append(
-                    (weight * w, cone_step.shift.apply(child / math.sqrt(w)), history + (i,))
-                )
-        branches = grown
+        # every branch of probability prune or more, parent by parent
+        psi, rows, i, raw = advance(psi, lambda raw, _: np.nonzero(probs[:, None] * raw >= prune))
+        probs = probs[rows] * raw[rows, i]
+        histories = np.column_stack([histories[rows], i])
     ports = _cone_ports(cone, step.shift.degree)
-    return [(w, _in_place(psi, ports, psi0.size), history) for w, psi, history in branches]
+    branches = zip(probs.tolist(), psi, histories.tolist())
+    return [(p, _in_place(x, ports, psi0.size), tuple(h)) for p, x, h in branches]
 
 
 def reconstruct_cycle_path(

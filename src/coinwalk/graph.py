@@ -325,14 +325,14 @@ def load_graph(path: str) -> PortGraph:
             )
         edges.append(Edge(u, pu, v, pv))
     graph = from_edge_list(edges)
-    if graph.num_vertices < vertices:
-        # trailing isolated vertices, declared but not touched by edges
-        extra = np.full((vertices - graph.num_vertices, graph.degree), -1)
-        graph = PortGraph(np.vstack([graph.partner, extra]))
     if graph.degree != raw["degree"]:
         raise ConfigError(
             f"{path}: 'degree' is {raw['degree']} but the edge list gives {graph.degree}"
         )
+    if graph.num_vertices < vertices:
+        # trailing isolated vertices, declared but not touched by edges
+        extra = np.full((vertices - graph.num_vertices, graph.degree), -1)
+        graph = PortGraph(np.vstack([graph.partner, extra]))
     return graph
 
 

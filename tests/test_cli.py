@@ -198,6 +198,15 @@ def test_trajectory_files_are_mutually_consistent(tmp_path):
     assert meta["output"]["path_reconstruction"] is True
 
 
+def test_only_the_direction_preserving_cycle_shift_reconstructs_paths(tmp_path):
+    argv = ["trajectory", "--cycle", "7", "--beta", "1.0", "--steps", "3", "--samples", "2"]
+    for shift, name in (("direction-preserving", "dp"), ("port-swap", "ps")):
+        assert main(argv + ["--shift", shift, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+        assert meta["output"]["path_reconstruction"] is (shift == "direction-preserving")
+        assert (tmp_path / f"{name}_paths.csv").exists() is (shift == "direction-preserving")
+
+
 def test_trajectory_reruns_and_parallelism_are_deterministic(tmp_path):
     argv = [
         "trajectory", "--cycle", "7", "--beta", "0.6", "--steps", "8",
@@ -310,6 +319,32 @@ BAD_GRAPH_FILES = {
     "declared-vertices-beyond-intp": b'{"vertices": 100000000000000000000, "degree": 1, '
         b'"edges": [{"u": 0, "pu": 0, "v": 1, "pv": 0}]}',
 }
+# 10**14 vertices fit an intp, but their ports need more than 2**47 bytes,
+# beyond any address space, so numpy refuses the allocation at once
+TOO_LARGE_TO_HOLD = b'{"vertices": 100000000000000, "degree": 1, ' \
+    b'"edges": [{"u": 0, "pu": 0, "v": 1, "pv": 0}]}'
+
+
+@pytest.mark.parametrize("source", [["--graph", None], ["--cycle", "100000000000000"]])
+def test_inputs_too_large_for_memory_exit_2_with_one_line(tmp_path, capsys, source):
+    if source[1] is None:
+        source[1] = str(tmp_path / "huge.json")
+        (tmp_path / "huge.json").write_bytes(TOO_LARGE_TO_HOLD)
+    out = tmp_path / "never.csv"
+    assert main(["run", *source, "--steps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coinwalk: configuration error: out of memory:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_declared_degree_is_checked_before_isolated_vertices_are_added(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_bytes(TOO_LARGE_TO_HOLD.replace(b'"degree": 1', b'"degree": 3'))
+    assert main(["run", "--graph", str(path), "--steps", "2", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "'degree' is 3 but the edge list gives 1" in capsys.readouterr().err
+
+
 BAD_COIN_FILES = {
     "directory": None,
     "scalar": b"5",

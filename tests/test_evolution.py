@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from coinwalk import (
     CoinSpec,
     ConfigError,
     InvariantViolation,
+    PortGraph,
     StructureError,
     assembled_step_operators,
     basis_state,
@@ -35,10 +38,11 @@ from coinwalk import (
     unitary_step,
     vertex_dephasing,
 )
+from coinwalk import evolution
 from coinwalk.evolution import StepMap
 
 from conftest import port_permuted_torus, random_density, random_pure_state
-from oracles import block_diagonal, build_coin_operator
+from oracles import block_diagonal, build_coin_operator, loop_enumerate_branches
 
 
 def hadamard_walk_step(graph, **kwargs):
@@ -244,6 +248,84 @@ def test_enumeration_requires_pure_coin_measurement(cycle7):
         enumerate_branches(psi, make_step(cycle7), 2)
     with pytest.raises(ConfigError, match="coin measurement only"):
         enumerate_branches(psi, make_step(cycle7, beta=1.0, vertex_p=1.0), 2)
+
+
+def test_enumeration_rejects_a_negative_step_count(cycle7):
+    psi = basis_state(cycle7, 0, 0)
+    with pytest.raises(ConfigError, match="step count must be nonnegative"):
+        enumerate_branches(psi, make_step(cycle7, beta=0.5), -1)
+
+
+def test_enumeration_that_prunes_every_branch_returns_none(cycle7):
+    psi = basis_state(cycle7, 0, 0)
+    step = make_step(cycle7, beta=0.5)
+    assert enumerate_branches(psi, step, 3, prune=2.0) == []
+    assert loop_enumerate_branches(psi, step, 3, prune=2.0) == []
+
+
+def test_enumeration_keeps_a_branch_whose_probability_equals_prune(cycle7):
+    psi = basis_state(cycle7, 0, 0)
+    step = make_step(cycle7, beta=0.5)
+    branches = enumerate_branches(psi, step, 3)
+    least = min(p for p, _, _ in branches)
+    # earlier steps carry larger probabilities, so nothing is pruned
+    for kept in (enumerate_branches(psi, step, 3, prune=least),
+                 loop_enumerate_branches(psi, step, 3, prune=least)):
+        assert [(p, h) for p, _, h in kept] == [(p, h) for p, _, h in branches]
+
+
+def _whole_graph(psi0, step, steps):
+    """_light_cone as if every walk reached every vertex."""
+    return psi0, step, np.arange(step.shift.num_vertices)
+
+
+@st.composite
+def enumeration_cases(draw, multi_graph):
+    """A graph, a measured StepMap, a one- or two-vertex start, steps and prune."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["cycle", "multi", "torus"]))
+    shift = None
+    if kind == "cycle":
+        graph = build_cycle(draw(st.integers(3, 12)))
+        direction = draw(st.sampled_from([None, 1, -1]))
+        if direction is not None:
+            shift = build_cycle_shift(graph.num_vertices, direction)
+        steps = draw(st.integers(0, 6))
+    else:
+        graph = multi_graph if kind == "multi" else port_permuted_torus(draw(st.integers(3, 5)), rng)
+        steps = draw(st.integers(0, 3))
+    if shift is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            extra = np.full((draw(st.integers(0, 3)), graph.degree), -1)
+            graph = PortGraph(np.vstack([graph.partner, extra]))
+    starts = draw(st.lists(
+        st.sampled_from([j for j, dj in enumerate(graph.vertex_degrees) if dj]),
+        min_size=1, max_size=2, unique=True,
+    ))
+    amplitudes = rng.normal(size=len(starts)) + 1j * rng.normal(size=len(starts))
+    psi0 = sum(a * basis_state(graph, j, int(rng.integers(graph.vertex_degrees[j])))
+               for a, j in zip(amplitudes, starts))
+    psi0 /= np.linalg.norm(psi0)
+    beta = draw(st.floats(0.0, 1.0, exclude_min=True))
+    step = make_step(graph, shift=shift, beta=beta)
+    prune = draw(st.sampled_from([{}, {"prune": 1e-4}]))
+    return psi0, step, steps, prune
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), whole=st.booleans())
+def test_enumeration_equals_the_loop_oracle(multi_graph, data, whole):
+    """Same branches in the same order, equal probabilities, histories and states."""
+    psi0, step, steps, prune = data.draw(enumeration_cases(multi_graph))
+    with mock.patch.object(evolution, "_light_cone", _whole_graph if whole else evolution._light_cone):
+        branches = enumerate_branches(psi0, step, steps, **prune)
+        expected = loop_enumerate_branches(psi0, step, steps, **prune)
+    assert [(p, h) for p, _, h in branches] == [(p, h) for p, _, h in expected]
+    assert all(type(p) is float and all(type(i) is int for i in h) for p, _, h in branches)
+    for (_, state, _), (_, expected_state, _) in zip(branches, expected):
+        assert state.shape == psi0.shape
+        assert np.array_equal(state, expected_state)
 
 
 def test_sampling_is_reproducible_and_honest(cycle7):
@@ -594,7 +676,7 @@ def reference_sample_trajectory(psi0, step, steps, seed):
     """
     from coinwalk.evolution import TrajectoryRecord, _apply_coin, _require_unravelable
 
-    _require_unravelable(step)
+    _require_unravelable(step, steps)
     rng = np.random.default_rng(seed)
     diagonals = step.coin_kraus
     n, d = step.shift.num_vertices, step.shift.degree

@@ -10,8 +10,14 @@ import pytest
 import coinwalk
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(coinwalk.__path__))
-# dense reference forms that only tests use; they live in tests/oracles.py
-ORACLES = ("DephasingKraus", "apply_kraus", "block_diagonal", "build_coin_operator")
+# reference forms that only tests use; they live in tests/oracles.py
+ORACLES = (
+    "DephasingKraus",
+    "apply_kraus",
+    "block_diagonal",
+    "build_coin_operator",
+    "loop_enumerate_branches",
+)
 
 
 @pytest.mark.parametrize("name", MODULES)
