@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import classical_run, classical_step, uniform_distribution
+from .classical import _chain, classical_run, uniform_distribution
 from .errors import StructureError
-from .evolution import StepMap, _marginals, make_step, marginal_history
+from .evolution import StepMap, _marginals, make_step
 from .graph import PortGraph
 from .meter import distinguishability, visibility
 from .state import pure_position_marginal
@@ -110,16 +110,25 @@ def compare_mixing(
         raise StructureError(f"t_max must be at least 1, got {t_max}")
     if not 0.0 < epsilon < 1.0 + 1e-12:
         raise StructureError(f"epsilon must lie in (0, 1], got {epsilon}")
-    uniform = uniform_distribution(graph.num_vertices)
-    quantum_tvd, classical_tvd = [], []
-    running_sum = np.zeros(graph.num_vertices)
+    n = graph.num_vertices
+    uniform = uniform_distribution(n)
+    chain = _chain(graph)
+    running_sum = np.zeros(n)
     p = pure_position_marginal(psi0, graph.degree)
-    for t, marginal in enumerate(_marginals(psi0, step, t_max)):
+    # row 0 the walk's time average, row 1 the chain; both are scored by
+    # one row sum per time, which sums each row as tvd's np.sum does
+    pair = np.empty((2, n))
+    distances = np.empty((t_max + 1, 2))
+    for t, (vertices, marginal) in enumerate(_marginals(psi0, step, t_max)):
         if t:
-            p = classical_step(p, graph)
-        running_sum += marginal
-        quantum_tvd.append(tvd(running_sum / (t + 1), uniform))
-        classical_tvd.append(tvd(p, uniform))
+            p = chain(p)
+        running_sum[vertices] += marginal
+        np.divide(running_sum, t + 1, out=pair[0])
+        pair[1] = p
+        np.subtract(pair, uniform, out=pair)
+        np.abs(pair, out=pair)
+        np.sum(pair, axis=1, out=distances[t])
+    quantum_tvd, classical_tvd = (0.5 * distances).T.tolist()
     times = tuple(range(t_max + 1))
     quantum = MixingCurve(times, tuple(quantum_tvd), "time-averaged")
     classical = MixingCurve(times, tuple(classical_tvd), "instantaneous")
@@ -139,7 +148,11 @@ def compare_mixing(
 
 def _final_marginal(task) -> np.ndarray:
     graph, psi0, steps, beta, step_kwargs = task
-    return marginal_history(psi0, make_step(graph, beta=beta, **step_kwargs), steps)[-1]
+    for vertices, marginal in _marginals(psi0, make_step(graph, beta=beta, **step_kwargs), steps):
+        pass
+    final = np.zeros(graph.num_vertices)
+    final[vertices] = marginal
+    return final
 
 
 def complementarity_sweep(

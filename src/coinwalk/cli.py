@@ -28,11 +28,11 @@ from .evolution import (
     BORN_WEIGHT_RULE,
     TrajectoryRecord,
     _cone_trajectories,
+    _marginals,
     make_step,
-    marginal_history,
     reconstruct_cycle_path,
 )
-from .graph import build_cycle, load_graph, read_json
+from .graph import _edges_json, build_cycle, load_graph, read_json
 from .shift import build_cycle_shift, build_shift
 from .state import DEFAULT_TOLERANCES, basis_state, pure_position_marginal
 
@@ -176,7 +176,7 @@ def _build_setup(args):
             "source": f"cycle:{args.cycle}" if args.cycle is not None else args.graph,
             "vertices": graph.num_vertices,
             "degree": graph.degree,
-            "port_labeling": [vars(e) for e in graph.to_edge_list()],
+            "port_labeling": None,  # rendered from the graph by _metadata
         },
         "coin": {"type": coin_kind, "phi": args.phi},
         "shift": shift.kind,
@@ -244,7 +244,18 @@ def _write_outputs(files: dict[str, str]) -> None:
                 os.unlink(tmp)
 
 
-def _metadata(args, description: dict, extra: dict) -> str:
+# configuration.graph's key and the nesting level it sits at in the sidecar
+_PORT_LABELING_LEVEL = 3
+_PORT_LABELING = "\n" + " " * _PORT_LABELING_LEVEL + '"port_labeling": '
+
+
+def _metadata(args, graph, description: dict, extra: dict) -> str:
+    """json.dumps(indent=1, sort_keys=True) of the sidecar, and a newline.
+
+    The graph's port labeling is rendered from its arrays and spliced in
+    where the dump wrote null for it. No JSON string holds a raw newline,
+    so the newline-anchored key can only be the structural one.
+    """
     meta = {
         "tool": "coinwalk",
         "version": __version__,
@@ -254,7 +265,8 @@ def _metadata(args, description: dict, extra: dict) -> str:
         "tolerances": asdict(DEFAULT_TOLERANCES),
     }
     meta.update(extra)
-    return json.dumps(meta, indent=1, sort_keys=True) + "\n"
+    head, tail = json.dumps(meta, indent=1, sort_keys=True).split(_PORT_LABELING + "null")
+    return f"{head}{_PORT_LABELING}{_edges_json(graph, _PORT_LABELING_LEVEL)}{tail}\n"
 
 
 # ----------------------------------------------------------------------
@@ -265,13 +277,15 @@ def cmd_run(args) -> int:
     if args.steps < 0:
         raise ConfigError(f"--steps must be nonnegative, got {args.steps}")
     step = make_step(graph, beta=args.beta, **step_kwargs)
-    history = marginal_history(psi0, step, args.steps)
-
-    ts, vs = np.nonzero(history)  # in C order: by t, then by vertex
-    rows = zip(ts.tolist(), vs.tolist(), history[ts, vs].tolist())
-    lines = ["t,vertex,probability"] + [f"{t},{v},{_fmt(p)}" for t, v, p in rows]
+    lines = ["t,vertex,probability"]
+    # the cone's vertices are sorted, so rows go by t, then by vertex
+    for t, (vertices, marginal) in enumerate(_marginals(psi0, step, args.steps)):
+        nonzero = np.flatnonzero(marginal)
+        rows = zip(vertices[nonzero].tolist(), marginal[nonzero].tolist())
+        lines += [f"{t},{v},{_fmt(p)}" for v, p in rows]
     description["steps"] = args.steps
-    meta = _metadata(args, description, {"output": {"csv": args.out, "rows": len(lines) - 1}})
+    output = {"output": {"csv": args.out, "rows": len(lines) - 1}}
+    meta = _metadata(args, graph, description, output)
     _write_outputs({args.out: "\n".join(lines) + "\n", _sidecar_path(args.out): meta})
     return 0
 
@@ -307,7 +321,7 @@ def cmd_sweep(args) -> int:
         )
     description["steps"] = args.steps
     description["betas"] = betas
-    meta = _metadata(args, description, {"output": {"csv": args.out, "rows": len(points)}})
+    meta = _metadata(args, graph, description, {"output": {"csv": args.out, "rows": len(points)}})
     _write_outputs({args.out: "\n".join(lines) + "\n", _sidecar_path(args.out): meta})
     return 0
 
@@ -327,7 +341,7 @@ def cmd_mix(args) -> int:
         lines.append(f"{t},{_fmt(q)},{_fmt(c)}")
     description["t_max"] = args.t_max
     description["epsilon"] = args.epsilon
-    meta = _metadata(args, description, {
+    meta = _metadata(args, graph, description, {
         "result": {
             "quantum_crossing": result.quantum_crossing,
             "classical_crossing": result.classical_crossing,
@@ -419,7 +433,7 @@ def cmd_trajectory(args) -> int:
 
     description["steps"] = args.steps
     description["samples"] = args.samples
-    meta = _metadata(args, description, {
+    meta = _metadata(args, graph, description, {
         "born_weights": BORN_WEIGHT_RULE,
         "seed": {
             "root": root_seed,

@@ -331,18 +331,17 @@ def _in_place(x: np.ndarray, ports: np.ndarray, size: int) -> np.ndarray:
     return full
 
 
-def _marginals(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
-    """Yield the position distribution at every time 0..steps, over all N vertices.
+def _marginals(
+    psi0: np.ndarray, step: StepMap, steps: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (cone vertices, cone distribution) at every time 0..steps.
 
-    The walk is evolved on its light cone, and each cone distribution is
-    put in place among zeros.
+    The walk is evolved on its light cone, the same sorted vertices at
+    every time; the distribution is zero on every other vertex.
     """
-    n = step.shift.num_vertices
     cone_psi0, cone_step, vertices = _light_cone(psi0, step, steps)
     for state in evolve(cone_psi0, cone_step, steps):
-        marginal = np.zeros(n)
-        marginal[vertices] = _marginal(state, cone_step)
-        yield marginal
+        yield vertices, _marginal(state, cone_step)
 
 
 def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
@@ -365,7 +364,11 @@ def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
 
 def marginal_history(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
     """Position distribution at every time 0..steps, shape (steps+1, N)."""
-    return np.array(list(_marginals(psi0, step, steps)))
+    # a negative step count gets no rows, and evolve rejects it
+    history = np.zeros((max(steps + 1, 0), step.shift.num_vertices))
+    for t, (vertices, marginal) in enumerate(_marginals(psi0, step, steps)):
+        history[t, vertices] = marginal
+    return history
 
 
 def assembled_step_operators(step: StepMap) -> list[np.ndarray]:

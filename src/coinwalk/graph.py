@@ -143,6 +143,33 @@ class PortGraph:
                                              _ends(dst[::2], self.degree))]
 
 
+# an edge's keys in the order json.dumps(sort_keys=True) writes them
+_EDGE_KEYS = ("pu", "pv", "u", "v")
+_EDGE_BLOCK = 4096  # edges per %-format in _edges_json
+
+
+def _edges_json(graph: PortGraph, level: int) -> str:
+    """graph.to_edge_list() as json.dumps(indent=1, sort_keys=True) writes it,
+    as a value whose key sits at the given nesting level, with no Edge built.
+
+    Each block of edges is one %-format of a template that repeats the
+    edge's text, so the template and its values stay small, and the
+    blocks are joined once.
+    """
+    src, dst = graph.half_edges
+    u, pu = np.divmod(src[::2], graph.degree)
+    v, pv = np.divmod(dst[::2], graph.degree)
+    outer, inner = " " * (level + 1), " " * (level + 2)
+    fields = ",\n".join(f'{inner}"{key}": %d' for key in _EDGE_KEYS)
+    edge = f"{outer}{{\n{fields}\n{outer}}}"
+    values = np.stack([pu, pv, u, v], axis=1)
+    pieces = [",\n".join([edge] * len(b)) % tuple(b.ravel().tolist())
+              for b in np.split(values, range(_EDGE_BLOCK, len(values), _EDGE_BLOCK))]
+    pieces[0] = "[\n" + pieces[0]
+    pieces[-1] += f"\n{' ' * level}]"
+    return ",\n".join(pieces)
+
+
 def _ends(flat: np.ndarray, d: int):
     """(vertex, port) tuples of flat indices, as Python ints."""
     j, k = np.divmod(flat, d)
@@ -337,12 +364,8 @@ def load_graph(path: str) -> PortGraph:
 
 
 def save_graph(graph: PortGraph, path: str) -> None:
-    """Write a graph in the JSON file format read by load_graph."""
-    payload = {
-        "vertices": graph.num_vertices,
-        "degree": graph.degree,
-        "edges": [vars(e) for e in graph.to_edge_list()],
-    }
+    """Write a graph in the JSON file format read by load_graph, as
+    json.dump(indent=1, sort_keys=True) writes it, and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(f'{{\n "degree": {graph.degree},\n "edges": {_edges_json(graph, 1)},\n'
+                 f' "vertices": {graph.num_vertices}\n}}\n')

@@ -6,6 +6,11 @@ build_coin_operator and apply_kraus build the same maps as dense
 matrices with explicit loops. loop_enumerate_branches expands the
 measurement branches one at a time in nested Python loops; the batched
 step of enumerate_branches must equal it bit for bit.
+add_at_classical_step and loop_compare_mixing are the classical step
+and the mixing race as they were before the race built its arrays once:
+the chain adds with an unbuffered np.add.at, every marginal is put in
+place among N zeros, and each curve is scored by tvd. classical_step,
+classical_run and compare_mixing must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +20,11 @@ import math
 import numpy as np
 
 from coinwalk import evolution
+from coinwalk.analysis import MixingComparison, MixingCurve, first_crossing, tvd
+from coinwalk.classical import uniform_distribution
 from coinwalk.coin import embedded_blocks
 from coinwalk.errors import ConfigError
+from coinwalk.state import pure_position_marginal
 
 
 def block_diagonal(blocks) -> np.ndarray:
@@ -81,3 +89,48 @@ def loop_enumerate_branches(psi0, step, steps, prune=1e-18):
     ports = evolution._cone_ports(cone, d)
     return [(w, evolution._in_place(psi, ports, psi0.size), history)
             for w, psi, history in branches]
+
+
+def add_at_classical_step(p, graph):
+    """classical_step with its arrays rebuilt per call and np.add.at in half_edges order."""
+    p = np.asarray(p, dtype=float)
+    n, d = graph.partner.shape
+    src, dst = graph.half_edges
+    j = src // d
+    degrees = np.bincount(j, minlength=n)
+    out = np.zeros_like(p)
+    np.add.at(out, dst // d, p[j] / degrees[j])
+    isolated = degrees == 0
+    out[isolated] += p[isolated]
+    return out
+
+
+def loop_compare_mixing(graph, step, psi0, t_max, epsilon):
+    """compare_mixing with one full-length marginal, one chain step and two tvd calls per time."""
+    n = graph.num_vertices
+    uniform = uniform_distribution(n)
+    quantum_tvd, classical_tvd = [], []
+    running_sum = np.zeros(n)
+    p = pure_position_marginal(psi0, graph.degree)
+    cone_psi0, cone_step, vertices = evolution._light_cone(psi0, step, t_max)
+    for t, state in enumerate(evolution.evolve(cone_psi0, cone_step, t_max)):
+        marginal = np.zeros(n)
+        marginal[vertices] = evolution._marginal(state, cone_step)
+        if t:
+            p = add_at_classical_step(p, graph)
+        running_sum += marginal
+        quantum_tvd.append(tvd(running_sum / (t + 1), uniform))
+        classical_tvd.append(tvd(p, uniform))
+    times = tuple(range(t_max + 1))
+    quantum = MixingCurve(times, tuple(quantum_tvd), "time-averaged")
+    classical = MixingCurve(times, tuple(classical_tvd), "instantaneous")
+    qc, cc = first_crossing(quantum, epsilon), first_crossing(classical, epsilon)
+    if qc is None and cc is None:
+        first = "neither"
+    elif cc is None or (qc is not None and qc < cc):
+        first = "quantum"
+    elif qc is None or cc < qc:
+        first = "classical"
+    else:
+        first = "tie"
+    return MixingComparison(quantum, classical, qc, cc, first)

@@ -1,16 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from coinwalk import (
     ConfigError,
     MixingCurve,
+    PortGraph,
+    ShiftOperator,
     StructureError,
     basis_state,
     build_cycle,
     build_cycle_shift,
     classical_run,
+    classical_step,
     coherence_l1,
     compare_mixing,
     complementarity_sweep,
@@ -23,6 +28,10 @@ from coinwalk import (
     tvd,
     uniform_distribution,
 )
+from coinwalk.evolution import _light_cone
+
+from conftest import port_permuted_torus
+from oracles import add_at_classical_step, loop_compare_mixing
 
 distributions = st.lists(
     st.floats(min_value=0.0, max_value=1.0), min_size=5, max_size=5
@@ -201,3 +210,85 @@ def test_streamed_mixing_curve_is_the_running_time_average(multi_graph, beta):
     p0 = hist[0]
     for t, value in enumerate(result.classical.tvd_to_uniform):
         assert value == tvd(classical_run(p0, multi_graph, t), u)
+
+
+@st.composite
+def mixing_cases(draw, multi_graph):
+    """A graph with 0-3 isolated vertices, a StepMap on it, a start and a t_max.
+
+    t_max runs from 1 to past the step at which a cone of every
+    non-isolated vertex is reached, so the race runs on a cone that has
+    and one that has not saturated.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["cycle", "multi", "torus"]))
+    shift = None
+    if kind == "cycle":
+        graph = build_cycle(draw(st.integers(3, 12)))
+        if draw(st.booleans()):
+            shift = build_cycle_shift(graph.num_vertices)
+        t_max = draw(st.integers(1, 14))
+    else:
+        if kind == "multi":
+            graph = multi_graph
+        else:
+            graph = port_permuted_torus(draw(st.integers(3, 5)), rng)
+        t_max = draw(st.integers(1, 8))
+    isolated = draw(st.integers(0, 3))
+    if isolated:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            graph = PortGraph(np.vstack([graph.partner, np.full((isolated, graph.degree), -1)]))
+        if shift is not None:  # the isolated ports map to themselves
+            dim = graph.partner.size
+            padded = np.concatenate([shift.permutation, np.arange(shift.permutation.size, dim)])
+            shift = ShiftOperator(padded, shift.kind, shift.degree)
+    starts = draw(st.lists(
+        st.sampled_from([j for j, dj in enumerate(graph.vertex_degrees) if dj]),
+        min_size=1, max_size=2, unique=True,
+    ))
+    amplitudes = rng.normal(size=len(starts)) + 1j * rng.normal(size=len(starts))
+    psi0 = sum(a * basis_state(graph, j, int(rng.integers(graph.vertex_degrees[j])))
+               for a, j in zip(amplitudes, starts))
+    psi0 /= np.linalg.norm(psi0)
+    beta = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    vertex_p = draw(st.sampled_from([0.0, 0.2]))
+    placement = draw(st.sampled_from(["before-shift", "after-shift"]))
+    step = make_step(graph, shift=shift, beta=beta, vertex_p=vertex_p, placement=placement)
+    epsilon = draw(st.sampled_from([0.05, 0.3, 0.9, 1.0]))
+    return graph, step, psi0, t_max, epsilon
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mixing_race_equals_the_loop_oracle(multi_graph, data):
+    """Every TVD of both curves, both crossings and the winner, bit for bit."""
+    graph, step, psi0, t_max, epsilon = data.draw(mixing_cases(multi_graph))
+    vertices = _light_cone(psi0, step, t_max)[2]
+    event("saturated cone" if vertices.size == graph.num_vertices else "partial cone")
+    result = compare_mixing(graph, step, psi0, t_max, epsilon)
+    assert result == loop_compare_mixing(graph, step, psi0, t_max, epsilon)
+    assert all(type(x) is float for x in result.quantum.tvd_to_uniform
+               + result.classical.tvd_to_uniform)
+
+    p = np.random.default_rng(t_max).random(graph.num_vertices)
+    p /= p.sum()
+    expected = p
+    for t in range(4):
+        assert np.array_equal(classical_run(p, graph, t), expected)
+        stepped = add_at_classical_step(expected, graph)
+        assert np.array_equal(classical_step(expected, graph), stepped)
+        expected = stepped
+
+
+def test_row_sums_of_the_scored_pair_equal_the_one_dimensional_sum():
+    """compare_mixing scores both curves with one sum over the rows of a (2, N)
+    buffer; each row sum must be the np.sum that tvd takes of that row."""
+    rng = np.random.default_rng(20)
+    for n in rng.integers(1, 3001, size=200).tolist():
+        uniform = uniform_distribution(n)
+        pair = rng.dirichlet(np.full(n, 0.3), size=2)
+        rows = np.empty((1, 2))
+        np.sum(np.abs(pair - uniform), axis=1, out=rows[0])
+        assert rows[0, 0] == np.sum(np.abs(pair[0] - uniform))
+        assert rows[0, 1] == np.sum(np.abs(pair[1] - uniform))

@@ -24,6 +24,7 @@ from coinwalk import (
     save_graph,
     tvd,
 )
+from coinwalk import PortGraph, cli
 from coinwalk.cli import main
 from coinwalk.coin import dft_coin
 
@@ -494,6 +495,61 @@ def test_graph_file_and_custom_coin_round_trip(tmp_path, multi_graph):
     meta = json.loads((tmp_path / "multi.meta.json").read_text())
     assert meta["configuration"]["coin"]["type"] == "custom"
     assert meta["configuration"]["shift"] == "port-swap"
+
+
+# a sidecar holds these paths as JSON strings: quotes, a backslash,
+# non-ASCII text and the text at which the port labeling is spliced in
+AWKWARD_PATH = (
+    "q'uo\"te", "back\\slash", "\u00fcn\u00ef \u20ac \u2713", cli._PORT_LABELING + "null",
+)
+SIDECAR_ARGS = {
+    "run": ["--steps", "3", "--beta", "0.3"],
+    "sweep": ["--steps", "3", "--betas", "0,0.5"],
+    "mix": ["--t-max", "5", "--epsilon", "0.1"],
+    "trajectory": ["--steps", "3", "--samples", "2", "--beta", "0.5", "--seed", "1"],
+}
+
+
+@pytest.mark.filterwarnings("ignore:graph has isolated vertices")
+@pytest.mark.parametrize("command", sorted(SIDECAR_ARGS))
+@pytest.mark.parametrize("source", ["cycle", "graph", "isolated", "custom-cycle", "custom-graph"])
+def test_sidecar_is_the_json_dump_of_its_materialised_dict(tmp_path, multi_graph, command, source):
+    """The spliced-in port labeling gives the text json.dumps(indent=1,
+    sort_keys=True) gives of the whole dict, and no user path is touched."""
+    base = tmp_path.joinpath(*AWKWARD_PATH)
+    base.mkdir(parents=True)
+    if source.endswith("cycle"):
+        graph = build_cycle(6)
+        argv = ["--cycle", "6"]
+    else:
+        graph = port_permuted_torus(3, np.random.default_rng(4))
+        if source == "isolated":
+            with pytest.warns(UserWarning, match="isolated"):
+                graph = PortGraph(np.vstack([multi_graph.partner, np.full((2, 4), -1)]))
+        graph_path = base / (AWKWARD_PATH[-1] + ".json")
+        save_graph(graph, str(graph_path))
+        argv = ["--graph", str(graph_path)]
+    if source.startswith("custom"):
+        block = [[[z.real, z.imag] for z in row] for row in dft_coin(graph.degree)]
+        coin_path = base / ("coin " + AWKWARD_PATH[0] + ".json")
+        blocks = [block] * graph.num_vertices
+        coin_path.write_text(json.dumps({"type": "custom", "blocks": blocks}))
+        argv += ["--coin", "custom", "--coin-file", str(coin_path)]
+    out = base / (AWKWARD_PATH[-1] + ".csv")
+    assert main([command, *argv, *SIDECAR_ARGS[command], "--out", str(out)]) == 0
+
+    text = out.with_suffix(".meta.json").read_text(encoding="utf-8")
+    meta = json.loads(text)
+    assert text == json.dumps(meta, indent=1, sort_keys=True) + "\n"
+    configuration = meta["configuration"]
+    assert configuration["graph"]["port_labeling"] == [vars(e) for e in graph.to_edge_list()]
+    assert configuration["graph"]["source"] == ("cycle:6" if argv[0] == "--cycle" else argv[1])
+    if source.startswith("custom"):
+        assert configuration["coin"]["file"] == str(coin_path)
+    if command == "trajectory":
+        assert meta["output"]["records_csv"] == str(out)[: -len(".csv")] + "_records.csv"
+    else:
+        assert meta["output"]["csv"] == str(out)
 
 
 def test_edge_order_of_a_graph_file_does_not_change_the_results(tmp_path):

@@ -13,9 +13,11 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(coinwalk.__path__))
 # reference forms that only tests use; they live in tests/oracles.py
 ORACLES = (
     "DephasingKraus",
+    "add_at_classical_step",
     "apply_kraus",
     "block_diagonal",
     "build_coin_operator",
+    "loop_compare_mixing",
     "loop_enumerate_branches",
 )
 

@@ -168,6 +168,33 @@ def test_graph_json_round_trip(tmp_path, multi_graph):
     assert loaded.degree == multi_graph.degree
 
 
+@pytest.mark.parametrize("level", [0, 1, 3])
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_edge_list_text_is_the_json_dump_of_the_edge_dicts(monkeypatch, multi_graph, level, block):
+    monkeypatch.setattr(graph_module, "_EDGE_BLOCK", block)
+    edges = [vars(e) for e in multi_graph.to_edge_list()]
+    # a value nested at level L is indented L more spaces on every line after its first
+    expected = json.dumps(edges, indent=1, sort_keys=True).replace("\n", "\n" + " " * level)
+    assert graph_module._edges_json(multi_graph, level) == expected
+
+
+@pytest.mark.filterwarnings("ignore:graph has isolated vertices")
+@pytest.mark.parametrize("isolated", [0, 2])
+@pytest.mark.parametrize("n", [3, 5000])
+def test_save_graph_writes_the_json_dump_of_the_graph(tmp_path, n, isolated):
+    """The file text json.dump(indent=1, sort_keys=True) gives, also past one block of edges."""
+    graph = build_cycle(n)
+    if isolated:
+        with pytest.warns(UserWarning, match="isolated"):
+            graph = PortGraph(np.vstack([graph.partner, np.full((isolated, 2), -1)]))
+    path = tmp_path / "graph.json"
+    save_graph(graph, str(path))
+    payload = {"vertices": n + isolated, "degree": 2,
+               "edges": [vars(e) for e in graph.to_edge_list()]}
+    assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    assert np.array_equal(load_graph(str(path)).partner, graph.partner)
+
+
 def test_load_graph_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
