@@ -7,26 +7,21 @@ for which-path knowledge; at full strength the walk becomes the
 classical random chain, at zero strength it stays unitary.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .analysis import (
     ComplementarityPoint,
     MixingComparison,
     MixingCurve,
-    coherence_l1,
     compare_mixing,
     complementarity_sweep,
     first_crossing,
-    time_averaged_distribution,
     tvd,
 )
 from .classical import (
     classical_run,
     classical_step,
-    half_edge_run,
-    half_edge_step,
     uniform_distribution,
-    validate_distribution,
 )
 from .coin import (
     CoinSpec,
@@ -63,11 +58,9 @@ from .graph import (
 from .meter import (
     MeterCoupling,
     build_meter_unitary,
-    conditional_meter_states,
     dephasing_kraus,
     distinguishability,
     induced_coin_channel,
-    trace_distance,
     uniform_dephasing_kraus,
     visibility,
 )
@@ -76,10 +69,8 @@ from .state import (
     DEFAULT_TOLERANCES,
     Tolerances,
     basis_state,
-    check_density,
     check_pure,
     check_trace,
-    flat_index,
     partial_trace_meter,
     position_marginal,
     pure_position_marginal,

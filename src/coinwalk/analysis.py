@@ -17,11 +17,9 @@ __all__ = [
     "ComplementarityPoint",
     "MixingComparison",
     "MixingCurve",
-    "coherence_l1",
     "compare_mixing",
     "complementarity_sweep",
     "first_crossing",
-    "time_averaged_distribution",
     "tvd",
 ]
 
@@ -32,25 +30,6 @@ def tvd(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise StructureError(f"distribution shapes differ: {p.shape} vs {q.shape}")
     return 0.5 * float(np.sum(np.abs(p - q)))
-
-
-def time_averaged_distribution(marginals: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of a nonempty sequence of distributions."""
-    marginals = np.asarray(marginals, dtype=float)
-    if marginals.size == 0:
-        raise StructureError("cannot average an empty sequence of distributions")
-    return marginals.mean(axis=0)
-
-
-def coherence_l1(rho: np.ndarray) -> float:
-    """Sum of absolute off-diagonal elements, zero exactly for diagonal states.
-
-    One of two interference sharpness proxies this package reports; the
-    other is the distance of the position distribution from the fully
-    measured walk's. Neither is privileged.
-    """
-    rho = np.asarray(rho)
-    return float(np.sum(np.abs(rho)) - np.sum(np.abs(np.diagonal(rho))))
 
 
 @dataclass(frozen=True)

@@ -10,22 +10,8 @@ from .graph import PortGraph
 __all__ = [
     "classical_run",
     "classical_step",
-    "half_edge_run",
-    "half_edge_step",
     "uniform_distribution",
-    "validate_distribution",
 ]
-
-SIMPLEX_TOL = 1e-12
-
-
-def validate_distribution(p: np.ndarray) -> None:
-    p = np.asarray(p)
-    # written so that NaN entries fail both checks
-    if not p.min() >= -SIMPLEX_TOL:
-        raise StructureError(f"distribution has negative entry {p.min():.3e}")
-    if not abs(p.sum() - 1.0) <= SIMPLEX_TOL:
-        raise StructureError(f"distribution sums to {p.sum()!r}, not 1")
 
 
 def uniform_distribution(num_vertices: int) -> np.ndarray:
@@ -76,39 +62,3 @@ def classical_run(p0: np.ndarray, graph: PortGraph, steps: int) -> np.ndarray:
         for _ in range(steps):
             p = step(p)
     return p
-
-
-def half_edge_step(
-    q: np.ndarray, graph: PortGraph, transitions: list[np.ndarray]
-) -> np.ndarray:
-    """One step of the port-resolved chain that a fully measured walk follows.
-
-    q holds one occupation per (vertex, port), flattened vertex-major.
-    The coin toss redistributes over ports with the given transition
-    matrices, entry (k, k2) being |coin[k, k2]|^2 for a measured coin,
-    then the walker crosses its chosen edge. Marginalizing the unbiased
-    version over ports gives classical_step.
-    """
-    n, d = graph.num_vertices, graph.degree
-    q = np.asarray(q, dtype=float).reshape(n, d)
-    if len(transitions) != n:
-        raise StructureError(
-            f"need one transition matrix per vertex, got {len(transitions)} for {n}"
-        )
-    tossed = np.zeros_like(q)
-    for j in range(n):
-        m = transitions[j].shape[0]  # reduced-degree matrices are embedded
-        tossed[j, :m] = transitions[j] @ q[j, :m]
-    src, dst = graph.half_edges
-    out = np.zeros(n * d)
-    out[dst] = tossed.flat[src]
-    return out
-
-
-def half_edge_run(
-    q0: np.ndarray, graph: PortGraph, transitions: list[np.ndarray], steps: int
-) -> np.ndarray:
-    q = np.asarray(q0, dtype=float).copy()
-    for _ in range(steps):
-        q = half_edge_step(q, graph, transitions)
-    return q

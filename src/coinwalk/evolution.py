@@ -349,7 +349,9 @@ def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
 
     Returns the density matrix at time steps; steps=0 gives the initial
     projector. The walk is evolved on its light cone, and the final cone
-    state is put in place in the full matrix.
+    state is put in place in the full matrix. This is a small-N helper:
+    the dense (N d) x (N d) return is kept for tests and the acceptance
+    suite, and no command calls it; the CLI reads the cone marginals.
     """
     cone_psi0, cone_step, vertices = _light_cone(psi0, step, steps)
     for state in evolve(cone_psi0, cone_step, steps):
@@ -654,14 +656,17 @@ def enumerate_branches(
 
     Returns (probability, normalized state, outcome tuple) per branch.
     Branches of probability below prune are dropped; the surviving
-    probabilities still sum to 1 up to that resolution. The weighted
-    mixture of the returned states reproduces the density-matrix
-    evolution, which is what makes the record ensemble a faithful
-    unraveling. The branches are expanded on the light cone of psi0
+    probabilities still sum to 1 up to that resolution. prune must be
+    positive, since a kept branch of probability 0 cannot be
+    renormalized. The weighted mixture of the returned states reproduces
+    the density-matrix evolution, which is what makes the record
+    ensemble a faithful unraveling. The branches are expanded on the light cone of psi0
     through the step of sample_trajectories, every live branch a row of
     one array, and are returned parent by parent, each parent's in
     outcome order, with every state put in place over all N*d ports.
     """
+    if not prune > 0.0:
+        raise ConfigError(f"prune must be a positive probability, got {prune}")
     cone_psi0, cone, advance = _unravelling(psi0, step, steps)
     if step.vertex_dephasing != 0.0:
         raise ConfigError("branch enumeration supports coin measurement only")

@@ -43,11 +43,9 @@ from .state import partial_trace_meter
 __all__ = [
     "MeterCoupling",
     "build_meter_unitary",
-    "conditional_meter_states",
     "dephasing_kraus",
     "distinguishability",
     "induced_coin_channel",
-    "trace_distance",
     "uniform_dephasing_kraus",
     "visibility",
 ]
@@ -160,28 +158,3 @@ def distinguishability(beta: float) -> float:
     """Which-path knowledge sin(beta pi/2); squares with visibility to 1."""
     _check_beta(beta)
     return math.sin(beta * math.pi / 2)
-
-
-def conditional_meter_states(beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Meter states conditioned on the coin being |0> or |1>.
-
-    Obtained by applying the coupling to each coin basis state with the
-    meter prepared in |0>. Their trace distance equals
-    distinguishability(beta): orthogonal at beta=1, identical at beta=0.
-    """
-    w = build_meter_unitary(beta).matrix
-    states = []
-    for coin_index in (0, 1):
-        out = w[:, coin_index * 2]  # input (coin basis) (x) |0>_m
-        block = out.reshape(2, 2)[coin_index]
-        leak = np.linalg.norm(out.reshape(2, 2)[1 - coin_index])
-        if leak > 1e-12:
-            raise AssertionError(f"coupling leaked {leak:.3e} across coin states")
-        states.append(block)
-    return states[0], states[1]
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the sum of absolute eigenvalues of the (Hermitian) difference."""
-    eigs = np.linalg.eigvalsh(np.asarray(rho) - np.asarray(sigma))
-    return 0.5 * float(np.sum(np.abs(eigs)))

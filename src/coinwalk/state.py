@@ -35,11 +35,6 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def flat_index(graph: PortGraph, vertex: int, port: int) -> int:
-    """Flat index of basis vector (vertex, port) in the joint space."""
-    return vertex * graph.degree + port
-
-
 def basis_state(graph: PortGraph, vertex: int, port: int) -> np.ndarray:
     """Pure state concentrated on one (vertex, port) basis vector.
 
@@ -51,7 +46,7 @@ def basis_state(graph: PortGraph, vertex: int, port: int) -> np.ndarray:
             f"({vertex},{port}) is not a used (vertex, port) pair of this graph"
         )
     psi = np.zeros(graph.num_vertices * graph.degree, dtype=complex)
-    psi[flat_index(graph, vertex, port)] = 1.0
+    psi[vertex * graph.degree + port] = 1.0
     return psi
 
 
@@ -64,19 +59,8 @@ def check_pure(psi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
         raise InvariantViolation(f"pure state norm deviates from 1 by {dev:.3e}")
 
 
-def check_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
-    """Verify Hermiticity, unit trace, and positivity within tolerance."""
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if not herm <= tol.hermiticity:
-        raise InvariantViolation(f"density matrix not Hermitian: deviation {herm:.3e}")
-    check_trace(rho, tol)
-    lo = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    if not lo >= -tol.eigenvalue:
-        raise InvariantViolation(f"density matrix has eigenvalue {lo:.3e} below 0")
-
-
 def check_trace(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
-    """Verify a finite diagonal of unit trace, the O(N d) part of check_density."""
+    """Verify a finite diagonal of unit trace, an O(N d) check of a density matrix."""
     diag = np.diagonal(rho).real
     if not np.isfinite(diag).all():
         raise InvariantViolation("density matrix has a non-finite diagonal entry")

@@ -11,6 +11,10 @@ and the mixing race as they were before the race built its arrays once:
 the chain adds with an unbuffered np.add.at, every marginal is put in
 place among N zeros, and each curve is scored by tvd. classical_step,
 classical_run and compare_mixing must equal them bit for bit.
+half_edge_step and half_edge_run are the port-resolved chain that a
+fully measured walk follows; check_density, coherence_l1,
+conditional_meter_states and trace_distance are the density-matrix,
+visibility and which-path checks the walk's states are held to.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ import math
 
 import numpy as np
 
-from coinwalk import evolution
+from coinwalk import build_meter_unitary, evolution
 from coinwalk.analysis import MixingComparison, MixingCurve, first_crossing, tvd
 from coinwalk.classical import uniform_distribution
 from coinwalk.coin import embedded_blocks
-from coinwalk.errors import ConfigError
-from coinwalk.state import pure_position_marginal
+from coinwalk.errors import ConfigError, InvariantViolation
+from coinwalk.state import DEFAULT_TOLERANCES, check_trace, pure_position_marginal
 
 
 def block_diagonal(blocks) -> np.ndarray:
@@ -134,3 +138,71 @@ def loop_compare_mixing(graph, step, psi0, t_max, epsilon):
     else:
         first = "tie"
     return MixingComparison(quantum, classical, qc, cc, first)
+
+
+def half_edge_step(q, graph, transitions):
+    """One step of the port-resolved chain that a fully measured walk follows.
+
+    q holds one occupation per (vertex, port), flattened vertex-major.
+    The coin toss redistributes over ports with one transition matrix per
+    vertex, entry (k, k2) being |coin[k, k2]|^2 for a measured coin (a
+    reduced-degree matrix acts on the used ports), then the walker
+    crosses its chosen edge. Marginalizing the unbiased version over
+    ports gives classical_step.
+    """
+    n, d = graph.num_vertices, graph.degree
+    q = np.asarray(q, dtype=float).reshape(n, d)
+    tossed = np.zeros_like(q)
+    for j, t in enumerate(transitions):
+        tossed[j, :len(t)] = t @ q[j, :len(t)]
+    src, dst = graph.half_edges
+    out = np.zeros(n * d)
+    out[dst] = tossed.flat[src]
+    return out
+
+
+def half_edge_run(q0, graph, transitions, steps):
+    q = np.asarray(q0, dtype=float)
+    for _ in range(steps):
+        q = half_edge_step(q, graph, transitions)
+    return q
+
+
+def check_density(rho):
+    """Hermiticity, unit trace and positivity within the default tolerances."""
+    tol = DEFAULT_TOLERANCES
+    herm = np.max(np.abs(rho - rho.conj().T))
+    if not herm <= tol.hermiticity:
+        raise InvariantViolation(f"density matrix not Hermitian: deviation {herm:.3e}")
+    check_trace(rho, tol)
+    lo = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
+    if not lo >= -tol.eigenvalue:
+        raise InvariantViolation(f"density matrix has eigenvalue {lo:.3e} below 0")
+
+
+def coherence_l1(rho) -> float:
+    """Sum of absolute off-diagonal elements, zero exactly for diagonal states."""
+    rho = np.asarray(rho)
+    return float(np.sum(np.abs(rho)) - np.sum(np.abs(np.diagonal(rho))))
+
+
+def conditional_meter_states(beta):
+    """Meter states after the coupling, given coin |0> or |1> and the meter in |0>.
+
+    Their trace distance is the which-path distinguishability (Englert,
+    PRL 77, 2154 (1996)): orthogonal at beta=1, identical at beta=0.
+    """
+    w = build_meter_unitary(beta).matrix
+    states = []
+    for coin_index in (0, 1):
+        out = w[:, coin_index * 2].reshape(2, 2)  # (coin basis) (x) |0>_m
+        leak = np.linalg.norm(out[1 - coin_index])
+        assert leak <= 1e-12, f"coupling leaked {leak:.3e} across coin states"
+        states.append(out[coin_index])
+    return states[0], states[1]
+
+
+def trace_distance(rho, sigma) -> float:
+    """Half the sum of absolute eigenvalues of the (Hermitian) difference."""
+    eigs = np.linalg.eigvalsh(np.asarray(rho) - np.asarray(sigma))
+    return 0.5 * float(np.sum(np.abs(eigs)))

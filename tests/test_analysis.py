@@ -16,14 +16,12 @@ from coinwalk import (
     build_cycle_shift,
     classical_run,
     classical_step,
-    coherence_l1,
     compare_mixing,
     complementarity_sweep,
     first_crossing,
     make_step,
     marginal_history,
     run,
-    time_averaged_distribution,
     to_density,
     tvd,
     uniform_distribution,
@@ -31,7 +29,7 @@ from coinwalk import (
 from coinwalk.evolution import _light_cone
 
 from conftest import port_permuted_torus
-from oracles import add_at_classical_step, loop_compare_mixing
+from oracles import add_at_classical_step, coherence_l1, loop_compare_mixing
 
 distributions = st.lists(
     st.floats(min_value=0.0, max_value=1.0), min_size=5, max_size=5
@@ -57,13 +55,6 @@ def test_tvd_is_a_metric(p, q, r):
 def test_tvd_rejects_shape_mismatch():
     with pytest.raises(StructureError, match="shapes"):
         tvd([0.5, 0.5], [1.0, 0.0, 0.0])
-
-
-def test_time_average_is_the_running_mean():
-    marginals = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-    np.testing.assert_allclose(time_averaged_distribution(marginals), [0.5, 0.5])
-    with pytest.raises(StructureError, match="empty"):
-        time_averaged_distribution(np.empty((0, 3)))
 
 
 def test_coherence_values():
@@ -130,7 +121,7 @@ def test_instantaneous_distribution_keeps_oscillating(cycle7):
     u = uniform_distribution(7)
     instantaneous = [tvd(m, u) for m in hist[100:]]
     assert min(instantaneous) > 0.1
-    averaged = tvd(time_averaged_distribution(hist), u)
+    averaged = tvd(hist.mean(axis=0), u)
     assert averaged < 0.05
 
 
@@ -206,7 +197,7 @@ def test_streamed_mixing_curve_is_the_running_time_average(multi_graph, beta):
     u = uniform_distribution(multi_graph.num_vertices)
     assert result.quantum.times == result.classical.times == tuple(range(41))
     for t, value in enumerate(result.quantum.tvd_to_uniform):
-        assert value == tvd(time_averaged_distribution(hist[: t + 1]), u)
+        assert value == tvd(hist[: t + 1].mean(axis=0), u)
     p0 = hist[0]
     for t, value in enumerate(result.classical.tvd_to_uniform):
         assert value == tvd(classical_run(p0, multi_graph, t), u)

@@ -19,7 +19,6 @@ from coinwalk import (
     build_cycle,
     build_cycle_shift,
     classical_run,
-    coherence_l1,
     cp_step,
     dephasing_kraus,
     enumerate_branches,
@@ -42,7 +41,14 @@ from coinwalk import evolution
 from coinwalk.evolution import StepMap
 
 from conftest import port_permuted_torus, random_density, random_pure_state
-from oracles import block_diagonal, build_coin_operator, loop_enumerate_branches
+from oracles import (
+    block_diagonal,
+    build_coin_operator,
+    check_density,
+    coherence_l1,
+    half_edge_run,
+    loop_enumerate_branches,
+)
 
 
 def hadamard_walk_step(graph, **kwargs):
@@ -179,8 +185,6 @@ def test_irregular_graph_reduces_to_its_classical_chain(multi_graph):
 
 
 def test_biased_coin_measured_walk_matches_port_chain():
-    from coinwalk import half_edge_run
-
     g = build_cycle(5)
     theta = 0.4
     block = np.array(
@@ -261,6 +265,15 @@ def test_enumeration_that_prunes_every_branch_returns_none(cycle7):
     step = make_step(cycle7, beta=0.5)
     assert enumerate_branches(psi, step, 3, prune=2.0) == []
     assert loop_enumerate_branches(psi, step, 3, prune=2.0) == []
+
+
+@pytest.mark.parametrize("prune", [0.0, -1e-3, math.nan])
+def test_enumeration_rejects_a_prune_that_is_not_positive(prune):
+    # at prune 0 a branch of probability 0 would be renormalized into NaNs
+    g = build_cycle(5)
+    step = make_step(g, coin_spec=CoinSpec.from_shared(np.eye(2)), beta=1.0)
+    with pytest.raises(ConfigError, match="prune"):
+        enumerate_branches(basis_state(g, 0, 0), step, 2, prune=prune)
 
 
 def test_enumeration_keeps_a_branch_whose_probability_equals_prune(cycle7):
@@ -418,8 +431,6 @@ def test_step_configuration_validation(cycle7):
 
 
 def test_every_intermediate_state_is_a_density_matrix(cycle7):
-    from coinwalk import check_density
-
     step = make_step(
         cycle7, shift=build_cycle_shift(7), beta=0.4, vertex_p=0.2
     )

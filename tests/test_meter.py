@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 from coinwalk import (
     ConfigError,
     build_meter_unitary,
-    conditional_meter_states,
     dephasing_kraus,
     distinguishability,
     induced_coin_channel,
-    trace_distance,
     uniform_dephasing_kraus,
     visibility,
 )
 
 from conftest import random_density
-from oracles import apply_kraus
+from oracles import apply_kraus, conditional_meter_states, trace_distance
 
 BETA_GRID = np.linspace(0.0, 1.0, 21)
 
