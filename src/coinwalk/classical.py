@@ -54,11 +54,10 @@ def classical_run(p0: np.ndarray, graph: PortGraph, steps: int) -> np.ndarray:
     if steps < 0:
         raise StructureError(f"step count must be nonnegative, got {steps}")
     p = np.asarray(p0, dtype=float).copy()
-    if steps:
-        n = graph.num_vertices
-        if p.size != n:
-            raise StructureError(f"distribution length {p.size} does not match {n} vertices")
-        step = _chain(graph)
-        for _ in range(steps):
-            p = step(p)
+    n = graph.num_vertices
+    if p.size != n:
+        raise StructureError(f"distribution length {p.size} does not match {n} vertices")
+    step = _chain(graph)
+    for _ in range(steps):
+        p = step(p)
     return p

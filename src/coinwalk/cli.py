@@ -14,9 +14,11 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -210,14 +212,15 @@ def _umask() -> int:
     return mask
 
 
-def _write_outputs(files: dict[str, str]) -> None:
+def _write_outputs(files: dict[str, Iterable[str]]) -> None:
     """Write every file whole, or none of them.
 
-    Every destination is checked first. Each text then goes to a temp
-    file beside its destination, and the temp files are renamed into
-    place only once all of them are written; a failure on the way
-    removes them. A temp file is created with mode 0600, so it gets the
-    mode a plain open would give under the process umask.
+    Every destination is checked first. Each file's pieces then go, in
+    order and never joined, to a temp file beside its destination, and
+    the temp files are renamed into place only once all of them are
+    written; a failure on the way removes them. A temp file is created
+    with mode 0600, so it gets the mode a plain open would give under the
+    process umask.
     """
     for path in files:
         if os.path.isdir(path):
@@ -225,13 +228,13 @@ def _write_outputs(files: dict[str, str]) -> None:
     mode = 0o666 & ~_umask()
     pending: list[tuple[str, str]] = []
     try:
-        for path, text in files.items():
+        for path, pieces in files.items():
             directory = os.path.dirname(os.path.abspath(path))
             os.makedirs(directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coinwalk-")
             pending.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
             os.chmod(tmp, mode)
         for tmp, path in pending:
             os.replace(tmp, path)
@@ -249,12 +252,12 @@ _PORT_LABELING_LEVEL = 3
 _PORT_LABELING = "\n" + " " * _PORT_LABELING_LEVEL + '"port_labeling": '
 
 
-def _metadata(args, graph, description: dict, extra: dict) -> str:
-    """json.dumps(indent=1, sort_keys=True) of the sidecar, and a newline.
+def _metadata(args, graph, description: dict, extra: dict) -> Iterable[str]:
+    """json.dumps(indent=1, sort_keys=True) of the sidecar, and a newline, in pieces.
 
-    The graph's port labeling is rendered from its arrays and spliced in
-    where the dump wrote null for it. No JSON string holds a raw newline,
-    so the newline-anchored key can only be the structural one.
+    The graph's port labeling is rendered from its arrays, block by block
+    as it is written, where the dump wrote null for it. No JSON string
+    holds a raw newline, so the newline-anchored key is the structural one.
     """
     meta = {
         "tool": "coinwalk",
@@ -266,7 +269,7 @@ def _metadata(args, graph, description: dict, extra: dict) -> str:
     }
     meta.update(extra)
     head, tail = json.dumps(meta, indent=1, sort_keys=True).split(_PORT_LABELING + "null")
-    return f"{head}{_PORT_LABELING}{_edges_json(graph, _PORT_LABELING_LEVEL)}{tail}\n"
+    return chain([head, _PORT_LABELING], _edges_json(graph, _PORT_LABELING_LEVEL), [tail + "\n"])
 
 
 # ----------------------------------------------------------------------
@@ -277,16 +280,16 @@ def cmd_run(args) -> int:
     if args.steps < 0:
         raise ConfigError(f"--steps must be nonnegative, got {args.steps}")
     step = make_step(graph, beta=args.beta, **step_kwargs)
-    lines = ["t,vertex,probability"]
+    lines = ["t,vertex,probability\n"]
     # the cone's vertices are sorted, so rows go by t, then by vertex
     for t, (vertices, marginal) in enumerate(_marginals(psi0, step, args.steps)):
         nonzero = np.flatnonzero(marginal)
         rows = zip(vertices[nonzero].tolist(), marginal[nonzero].tolist())
-        lines += [f"{t},{v},{_fmt(p)}" for v, p in rows]
+        lines += [f"{t},{v},{_fmt(p)}\n" for v, p in rows]
     description["steps"] = args.steps
     output = {"output": {"csv": args.out, "rows": len(lines) - 1}}
     meta = _metadata(args, graph, description, output)
-    _write_outputs({args.out: "\n".join(lines) + "\n", _sidecar_path(args.out): meta})
+    _write_outputs({args.out: lines, _sidecar_path(args.out): meta})
     return 0
 
 
@@ -311,18 +314,15 @@ def cmd_sweep(args) -> int:
             graph, psi0, args.steps, betas, map_fn=map_fn, **step_kwargs
         )
 
-    lines = ["beta,visibility,distinguishability,tvd_to_unitary,tvd_to_classical"]
+    lines = ["beta,visibility,distinguishability,tvd_to_unitary,tvd_to_classical\n"]
     for pt in points:
-        lines.append(
-            ",".join(_fmt(x) for x in (
-                pt.beta, pt.visibility, pt.distinguishability,
-                pt.tvd_to_unitary, pt.tvd_to_classical,
-            ))
-        )
+        values = (pt.beta, pt.visibility, pt.distinguishability,
+                  pt.tvd_to_unitary, pt.tvd_to_classical)
+        lines.append(",".join(_fmt(x) for x in values) + "\n")
     description["steps"] = args.steps
     description["betas"] = betas
     meta = _metadata(args, graph, description, {"output": {"csv": args.out, "rows": len(points)}})
-    _write_outputs({args.out: "\n".join(lines) + "\n", _sidecar_path(args.out): meta})
+    _write_outputs({args.out: lines, _sidecar_path(args.out): meta})
     return 0
 
 
@@ -335,10 +335,10 @@ def cmd_mix(args) -> int:
     step = make_step(graph, beta=args.beta, **step_kwargs)
     result = compare_mixing(graph, step, psi0, args.t_max, args.epsilon)
 
-    lines = ["t,tvd_quantum_time_averaged,tvd_classical"]
+    lines = ["t,tvd_quantum_time_averaged,tvd_classical\n"]
     for t, q, c in zip(result.quantum.times, result.quantum.tvd_to_uniform,
                        result.classical.tvd_to_uniform):
-        lines.append(f"{t},{_fmt(q)},{_fmt(c)}")
+        lines.append(f"{t},{_fmt(q)},{_fmt(c)}\n")
     description["t_max"] = args.t_max
     description["epsilon"] = args.epsilon
     meta = _metadata(args, graph, description, {
@@ -351,18 +351,17 @@ def cmd_mix(args) -> int:
         },
         "output": {"csv": args.out, "rows": args.t_max + 1},
     })
-    _write_outputs({args.out: "\n".join(lines) + "\n", _sidecar_path(args.out): meta})
+    _write_outputs({args.out: lines, _sidecar_path(args.out): meta})
     return 0
 
 
-def _trajectory_chunk(task) -> tuple[np.ndarray, list[tuple[int, TrajectoryRecord, np.ndarray]]]:
-    """The light cone's vertices, and per sample its index, record and final cone marginal."""
-    graph, psi0, steps, beta, step_kwargs, jobs = task
+def _trajectory_chunk(task) -> tuple[np.ndarray, list[tuple[TrajectoryRecord, np.ndarray]]]:
+    """The light cone's vertices, and per seed its record and final cone marginal."""
+    graph, psi0, steps, beta, step_kwargs, seeds = task
     step = make_step(graph, beta=beta, **step_kwargs)
-    indices, seeds = zip(*jobs)
     out = []
-    for index, (cone, final, record) in zip(indices, _cone_trajectories(psi0, step, steps, seeds)):
-        out.append((index, record, pure_position_marginal(final, graph.degree)))
+    for cone, final, record in _cone_trajectories(psi0, step, steps, seeds):
+        out.append((record, pure_position_marginal(final, graph.degree)))
     return cone, out
 
 
@@ -387,49 +386,43 @@ def cmd_trajectory(args) -> int:
         )
     ]
 
-    jobs = list(enumerate(sample_seeds))
+    # contiguous chunks, so the chunks' results are in sample order
+    size = -(-args.samples // args.jobs)
     tasks = [
-        (graph, psi0, args.steps, args.beta, step_kwargs, jobs[i:: args.jobs])
-        for i in range(min(args.jobs, len(jobs)))
+        (graph, psi0, args.steps, args.beta, step_kwargs, sample_seeds[i: i + size])
+        for i in range(0, args.samples, size)
     ]
     with _mapper(args.jobs) as map_fn:
         chunks = list(map_fn(_trajectory_chunk, tasks))
     cone = chunks[0][0]  # every chunk walks the same light cone
-    results = sorted((r for _cone, rows in chunks for r in rows), key=lambda r: r[0])
+    results = [r for _cone, rows in chunks for r in rows]
 
-    record_lines = ["sample,step,outcome,probability"]
-    for index, record, _marginal in results:
+    record_lines = ["sample,step,outcome,probability\n"]
+    for index, (record, _marginal) in enumerate(results):
         for t, (o, p) in enumerate(zip(record.outcomes, record.outcome_probabilities), start=1):
-            record_lines.append(f"{index},{t},{o},{_fmt(p)}")
+            record_lines.append(f"{index},{t},{o},{_fmt(p)}\n")
 
-    cone_sum = np.zeros(cone.size)
-    for _index, _record, marginal in results:
-        cone_sum += marginal
     aggregate = np.zeros(graph.num_vertices)
-    aggregate[cone] = cone_sum / len(results)
-    hist_lines = ["vertex,probability"]
-    for v, prob in enumerate(aggregate):
-        hist_lines.append(f"{v},{_fmt(prob)}")
+    aggregate[cone] = sum((m for _record, m in results), np.zeros(cone.size)) / len(results)
+    hist_lines = ["vertex,probability\n"] + [f"{v},{_fmt(p)}\n" for v, p in enumerate(aggregate)]
 
-    files = {}
     base = args.out[: -len(".csv")] if args.out.endswith(".csv") else args.out
     records_path = base + "_records.csv"
     hist_path = base + "_histogram.csv"
-    files[records_path] = "\n".join(record_lines) + "\n"
-    files[hist_path] = "\n".join(hist_lines) + "\n"
+    files = {records_path: record_lines, hist_path: hist_lines}
 
     # the only cycle shift the CLI builds is build_cycle_shift(--cycle)
     reconstructable = args.beta == 1.0 and step_kwargs["shift"].kind == "direction-preserving"
     paths_path = None
     if reconstructable:
         start_vertex = description["start"]["vertex"]
-        path_lines = ["sample,step,vertex"]
-        for index, record, _marginal in results:
+        path_lines = ["sample,step,vertex\n"]
+        for index, (record, _marginal) in enumerate(results):
             walk = reconstruct_cycle_path(record.outcomes, start_vertex, graph.num_vertices)
             for t, vertex in enumerate(walk):
-                path_lines.append(f"{index},{t},{vertex}")
+                path_lines.append(f"{index},{t},{vertex}\n")
         paths_path = base + "_paths.csv"
-        files[paths_path] = "\n".join(path_lines) + "\n"
+        files[paths_path] = path_lines
 
     description["steps"] = args.steps
     description["samples"] = args.samples

@@ -117,7 +117,8 @@ def embedded_blocks(graph: PortGraph, spec: CoinSpec) -> np.ndarray:
 
     Each supplied block must be either d_j x d_j (embedded with zero
     padding) or already d x d with exact zeros outside the used-port
-    corner. Anything acting on an unused port is rejected.
+    corner. Anything acting on an unused port is rejected. A shared
+    block is held once, as one read-only view over the N vertices.
     """
     n, d = graph.num_vertices, graph.degree
     if spec.shared:
@@ -125,9 +126,8 @@ def embedded_blocks(graph: PortGraph, spec: CoinSpec) -> np.ndarray:
             raise StructureError(
                 "shared coin block requires every vertex to have full degree"
             )
-        # validated once, then one copy per vertex
         full = _embedded(spec.blocks[0], d, d, "shared by every vertex")
-        return np.repeat(full[None], n, axis=0)
+        return np.broadcast_to(full, (n, d, d))
     if len(spec.blocks) != n:
         raise StructureError(
             f"need {n} coin blocks (one per vertex), got {len(spec.blocks)}"

@@ -93,9 +93,10 @@ class StepMap:
     """Everything needed to advance the walk by one time step.
 
     coin is the (N, d, d) stack of per-vertex coin blocks, as returned by
-    coin.embedded_blocks. coin_kraus is the (m, d) array of the coin
-    measurement's Kraus diagonals, row i the diagonal of K_i in the coin
-    basis, or None without a measurement.
+    coin.embedded_blocks, where a shared block is one read-only view.
+    coin_kraus is the (m, d) array of the coin measurement's Kraus
+    diagonals, row i the diagonal of K_i in the coin basis, or None
+    without a measurement.
     """
 
     coin: np.ndarray
@@ -190,13 +191,10 @@ def _schur(rho: np.ndarray, coin_mask: np.ndarray, p: float) -> np.ndarray:
     d = coin_mask.shape[0]
     n = rho.shape[0] // d
     rho4 = rho.reshape(n, d, n, d)
-    if p == 0.0:
-        rho4 *= coin_mask[:, None, :]
-    else:
-        v = np.arange(n)
-        same_vertex = rho4[v, :, v, :] * coin_mask
-        rho4 *= (1.0 - p) * coin_mask[:, None, :]
-        rho4[v, :, v, :] = same_vertex
+    v = np.arange(n)
+    same_vertex = rho4[v, :, v, :] * coin_mask
+    rho4 *= (1.0 - p) * coin_mask[:, None, :]
+    rho4[v, :, v, :] = same_vertex
     return rho4.reshape(rho.shape)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -146,28 +146,32 @@ class PortGraph:
 # an edge's keys in the order json.dumps(sort_keys=True) writes them
 _EDGE_KEYS = ("pu", "pv", "u", "v")
 _EDGE_BLOCK = 4096  # edges per %-format in _edges_json
+# the most entries an intp array can have, whose bytes numpy counts in an intp
+_MAX_PORTS = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
 
 
-def _edges_json(graph: PortGraph, level: int) -> str:
+def _edges_json(graph: PortGraph, level: int) -> Iterator[str]:
     """graph.to_edge_list() as json.dumps(indent=1, sort_keys=True) writes it,
-    as a value whose key sits at the given nesting level, with no Edge built.
+    as a value whose key sits at the given nesting level, with no Edge built,
+    in pieces: the opening bracket, each block of edges and the separator
+    between blocks, and the closing bracket.
 
-    Each block of edges is one %-format of a template that repeats the
-    edge's text, so the template and its values stay small, and the
-    blocks are joined once.
+    Each block is one %-format of a template that repeats the edge's text,
+    with values decoded from the block's own slice of half_edges.
     """
     src, dst = graph.half_edges
-    u, pu = np.divmod(src[::2], graph.degree)
-    v, pv = np.divmod(dst[::2], graph.degree)
     outer, inner = " " * (level + 1), " " * (level + 2)
     fields = ",\n".join(f'{inner}"{key}": %d' for key in _EDGE_KEYS)
     edge = f"{outer}{{\n{fields}\n{outer}}}"
-    values = np.stack([pu, pv, u, v], axis=1)
-    pieces = [",\n".join([edge] * len(b)) % tuple(b.ravel().tolist())
-              for b in np.split(values, range(_EDGE_BLOCK, len(values), _EDGE_BLOCK))]
-    pieces[0] = "[\n" + pieces[0]
-    pieces[-1] += f"\n{' ' * level}]"
-    return ",\n".join(pieces)
+    yield "[\n"
+    for start in range(0, src.size, 2 * _EDGE_BLOCK):
+        block = slice(start, start + 2 * _EDGE_BLOCK, 2)
+        (u, v), (pu, pv) = np.divmod(np.stack([src[block], dst[block]]), graph.degree)
+        values = np.stack([pu, pv, u, v], axis=1).ravel().tolist()
+        if start:
+            yield ",\n"
+        yield ",\n".join([edge] * len(u)) % tuple(values)
+    yield f"\n{' ' * level}]"
 
 
 def _ends(flat: np.ndarray, d: int):
@@ -222,6 +226,8 @@ def build_cycle(num_vertices: int) -> PortGraph:
             f"cycle needs at least 3 vertices (got {num_vertices}); "
             "N=2 would duplicate the edge between the two vertices"
         )
+    if num_vertices > _MAX_PORTS // 2:
+        raise StructureError(f"cycle of {num_vertices} vertices is too large for its port array")
     n = num_vertices
     j = np.arange(n)
     return PortGraph(np.stack([(j + 1) % n * 2 + 1, (j - 1) % n * 2], axis=1))
@@ -336,15 +342,17 @@ def load_graph(path: str) -> PortGraph:
     if not isinstance(raw["edges"], list):
         raise ConfigError(f"{path}: 'edges' must be a list")
     vertices = raw["vertices"]
-    # every port (j, k) gets the flat index j*d + k, which must fit an intp
-    if vertices > np.iinfo(np.intp).max // max(raw["degree"], 1):
-        raise ConfigError(f"{path}: 'vertices' is {vertices}, too many to index their ports")
+    # numpy must be able to size the (N, d) intp partner array; then each j*d + k fits too
+    if vertices > _MAX_PORTS // max(raw["degree"], 1):
+        raise ConfigError(f"{path}: 'vertices' is {vertices}, too many for their port array")
     edges = []
     for i, entry in enumerate(raw["edges"]):
         try:
-            u, pu, v, pv = int(entry["u"]), int(entry["pu"]), int(entry["v"]), int(entry["pv"])
-        except (KeyError, TypeError, ValueError) as exc:
+            u, pu, v, pv = (entry[key] for key in ("u", "pu", "v", "pv"))
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: edges[{i}]: {exc!r}") from None
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (u, pu, v, pv)):
+            raise ConfigError(f"{path}: edges[{i}]: endpoints must be integers, got {entry!r}")
         # checked before from_edge_list, which sizes its arrays by the largest vertex
         if u >= vertices or v >= vertices:
             raise ConfigError(
@@ -367,5 +375,6 @@ def save_graph(graph: PortGraph, path: str) -> None:
     """Write a graph in the JSON file format read by load_graph, as
     json.dump(indent=1, sort_keys=True) writes it, and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n "degree": {graph.degree},\n "edges": {_edges_json(graph, 1)},\n'
-                 f' "vertices": {graph.num_vertices}\n}}\n')
+        fh.write(f'{{\n "degree": {graph.degree},\n "edges": ')
+        fh.writelines(_edges_json(graph, 1))
+        fh.write(f',\n "vertices": {graph.num_vertices}\n}}\n')

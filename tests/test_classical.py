@@ -171,6 +171,8 @@ def test_biased_toss_changes_the_chain():
 def test_validation_rejects_bad_inputs(cycle7):
     with pytest.raises(StructureError, match="length"):
         classical_step(np.ones(3) / 3, cycle7)
+    with pytest.raises(StructureError, match="length"):
+        classical_run(np.ones(3) / 3, cycle7, 0)
     with pytest.raises(StructureError, match="nonnegative"):
         classical_run(uniform_distribution(7), cycle7, -1)
 

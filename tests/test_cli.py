@@ -4,6 +4,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,9 @@ def test_trajectory_without_measurement_is_redirected(tmp_path, capsys):
         ["sweep", "--cycle", "7", "--steps", "2", "--beta-points", "3", "--jobs", "0"],
         ["trajectory", "--cycle", "7", "--beta", "1.0", "--steps", "2",
          "--samples", "2", "--jobs", "-3"],
+        ["run", "--cycle", "4611686018427387904", "--steps", "2"],
+        ["run", "--cycle", "100000000000000000000", "--steps", "2"],
+        ["run", "--cycle", "9223372036854775807", "--steps", "2"],
     ],
 )
 def test_bad_configurations_exit_2_without_output(tmp_path, capsys, argv):
@@ -303,6 +307,15 @@ def test_bad_configurations_exit_2_without_output(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("coinwalk: configuration error:")
     assert list(tmp_path.iterdir()) == []
+
+
+# the (N, 2) intp port array of 2**62 or more vertices has more bytes than an intp counts
+@pytest.mark.parametrize("n", [4611686018427387904, 100000000000000000000, 9223372036854775807])
+def test_cycles_beyond_their_port_array_exit_2_naming_the_count(tmp_path, capsys, n):
+    assert main(["run", "--cycle", str(n), "--steps", "2", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"coinwalk: configuration error: cycle of {n} vertices is too large for its port array\n"
+    )
 
 
 BAD_GRAPH_FILES = {
@@ -319,6 +332,17 @@ BAD_GRAPH_FILES = {
         b'{"vertices": 2, "degree": 1, "edges": [{"u": 0, "pu": 0, "v": 2, "pv": 0}]}',
     "declared-vertices-beyond-intp": b'{"vertices": 100000000000000000000, "degree": 1, '
         b'"edges": [{"u": 0, "pu": 0, "v": 1, "pv": 0}]}',
+    # fits an intp, but its (N, 1) intp port array has 2**64 bytes
+    "declared-vertices-beyond-the-port-array": b'{"vertices": 2305843009213693952, '
+        b'"degree": 1, "edges": [{"u": 0, "pu": 0, "v": 1, "pv": 0}]}',
+    "edge-field-infinite":
+        b'{"vertices": 2, "degree": 1, "edges": [{"u": Infinity, "pu": 0, "v": 1, "pv": 0}]}',
+    "edge-field-fractional":
+        b'{"vertices": 2, "degree": 1, "edges": [{"u": 0.9, "pu": 0, "v": 1, "pv": 0}]}',
+    "edge-field-string":
+        b'{"vertices": 2, "degree": 1, "edges": [{"u": "0", "pu": 0, "v": 1, "pv": 0}]}',
+    "edge-field-boolean":
+        b'{"vertices": 2, "degree": 1, "edges": [{"u": 0, "pu": 0, "v": true, "pv": 0}]}',
 }
 # 10**14 vertices fit an intp, but their ports need more than 2**47 bytes,
 # beyond any address space, so numpy refuses the allocation at once
@@ -337,6 +361,20 @@ def test_inputs_too_large_for_memory_exit_2_with_one_line(tmp_path, capsys, sour
     assert err.startswith("coinwalk: configuration error: out of memory:")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_a_large_cycle_run_holds_each_output_once(tmp_path):
+    """The sidecar's 10^5 edges are written block by block and the shared coin
+    block is held once, so the peak stays near the graph and the state."""
+    argv = ["run", "--cycle", "100000", "--steps", "20", "--beta", "0.5",
+            "--vertex-dephasing", "0.1", "--out", str(tmp_path / "run.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
 
 
 def test_declared_degree_is_checked_before_isolated_vertices_are_added(tmp_path, capsys):

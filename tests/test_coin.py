@@ -76,11 +76,12 @@ def test_shared_and_per_vertex_builds_agree():
     shared = build_coin_operator(g, CoinSpec.from_shared(block))
     listed = build_coin_operator(g, CoinSpec([block] * 5))
     np.testing.assert_allclose(shared, listed, atol=0)
-    # a shared block is validated once, and each vertex still gets its own copy
+    # a shared block is validated once and held once, as a read-only view,
+    # so one vertex's block cannot be changed through another's
     blocks = embedded_blocks(g, CoinSpec.from_shared(block))
     assert np.array_equal(blocks, embedded_blocks(g, CoinSpec([block] * 5)))
-    blocks[0][0, 0] = 7.0
-    assert blocks[1][0, 0] == block[0, 0]
+    with pytest.raises(ValueError):
+        blocks[0][0, 0] = 7.0
 
 
 def test_default_coin_on_irregular_graph_uses_vertex_degrees(multi_graph):

@@ -175,7 +175,7 @@ def test_edge_list_text_is_the_json_dump_of_the_edge_dicts(monkeypatch, multi_gr
     edges = [vars(e) for e in multi_graph.to_edge_list()]
     # a value nested at level L is indented L more spaces on every line after its first
     expected = json.dumps(edges, indent=1, sort_keys=True).replace("\n", "\n" + " " * level)
-    assert graph_module._edges_json(multi_graph, level) == expected
+    assert "".join(graph_module._edges_json(multi_graph, level)) == expected
 
 
 @pytest.mark.filterwarnings("ignore:graph has isolated vertices")
