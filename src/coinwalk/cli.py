@@ -1,9 +1,9 @@
 """Command line front end: coinwalk run | sweep | mix | trajectory.
 
 Data goes to CSV, run configuration and provenance to a JSON sidecar
-next to it. A command's files are written whole via temp files that
-are renamed into place only once all are written, so a failed command
-leaves no output behind.
+next to it. A command's files all go through graph._write_files, the
+package's one writer, which renames them into place only once all are
+written, so a failed command leaves no output behind.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -34,7 +33,7 @@ from .evolution import (
     make_step,
     reconstruct_cycle_path,
 )
-from .graph import _edges_json, build_cycle, load_graph, read_json
+from .graph import _edges_json, _write_files, build_cycle, load_graph, read_json
 from .shift import build_cycle_shift, build_shift
 from .state import DEFAULT_TOLERANCES, basis_state, pure_position_marginal
 
@@ -134,6 +133,8 @@ def _mapper(jobs: int):
 
 def _build_setup(args):
     """Resolve graph, coin, shift, start state, and the step kwargs."""
+    if args.coin_file is not None and args.coin != "custom":
+        raise ConfigError("--coin-file needs --coin custom")
     graph = build_cycle(args.cycle) if args.cycle is not None else load_graph(args.graph)
 
     coin_kind = args.coin or default_coin_type(graph)
@@ -196,55 +197,11 @@ def _build_setup(args):
 # output helpers
 
 def _sidecar_path(out: str) -> str:
-    if out.endswith(".csv"):
-        return out[: -len(".csv")] + ".meta.json"
-    return out + ".meta.json"
+    return out.removesuffix(".csv") + ".meta.json"
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _umask() -> int:
-    """The process umask, which os.umask reads only by setting it."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-def _write_outputs(files: dict[str, Iterable[str]]) -> None:
-    """Write every file whole, or none of them.
-
-    Every destination is checked first. Each file's pieces then go, in
-    order and never joined, to a temp file beside its destination, and
-    the temp files are renamed into place only once all of them are
-    written; a failure on the way removes them. A temp file is created
-    with mode 0600, so it gets the mode a plain open would give under the
-    process umask.
-    """
-    for path in files:
-        if os.path.isdir(path):
-            raise ConfigError(f"cannot write {path}: Is a directory")
-    mode = 0o666 & ~_umask()
-    pending: list[tuple[str, str]] = []
-    try:
-        for path, pieces in files.items():
-            directory = os.path.dirname(os.path.abspath(path))
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coinwalk-")
-            pending.append((tmp, path))
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.writelines(pieces)
-            os.chmod(tmp, mode)
-        for tmp, path in pending:
-            os.replace(tmp, path)
-    except OSError as exc:
-        # e.g. a file stands where a directory should be
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
-    finally:
-        for tmp, _ in pending:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
 
 
 # configuration.graph's key and the nesting level it sits at in the sidecar
@@ -289,11 +246,13 @@ def cmd_run(args) -> int:
     description["steps"] = args.steps
     output = {"output": {"csv": args.out, "rows": len(lines) - 1}}
     meta = _metadata(args, graph, description, output)
-    _write_outputs({args.out: lines, _sidecar_path(args.out): meta})
+    _write_files({args.out: lines, _sidecar_path(args.out): meta})
     return 0
 
 
 def cmd_sweep(args) -> int:
+    if args.beta != 0.0:
+        raise ConfigError("sweep takes its strengths from --betas or --beta-points, not --beta")
     graph, psi0, step_kwargs, description = _build_setup(args)
     if args.steps < 0:
         raise ConfigError(f"--steps must be nonnegative, got {args.steps}")
@@ -319,10 +278,11 @@ def cmd_sweep(args) -> int:
         values = (pt.beta, pt.visibility, pt.distinguishability,
                   pt.tvd_to_unitary, pt.tvd_to_classical)
         lines.append(",".join(_fmt(x) for x in values) + "\n")
+    del description["beta"]
     description["steps"] = args.steps
     description["betas"] = betas
     meta = _metadata(args, graph, description, {"output": {"csv": args.out, "rows": len(points)}})
-    _write_outputs({args.out: lines, _sidecar_path(args.out): meta})
+    _write_files({args.out: lines, _sidecar_path(args.out): meta})
     return 0
 
 
@@ -351,7 +311,7 @@ def cmd_mix(args) -> int:
         },
         "output": {"csv": args.out, "rows": args.t_max + 1},
     })
-    _write_outputs({args.out: lines, _sidecar_path(args.out): meta})
+    _write_files({args.out: lines, _sidecar_path(args.out): meta})
     return 0
 
 
@@ -406,7 +366,7 @@ def cmd_trajectory(args) -> int:
     aggregate[cone] = sum((m for _record, m in results), np.zeros(cone.size)) / len(results)
     hist_lines = ["vertex,probability\n"] + [f"{v},{_fmt(p)}\n" for v, p in enumerate(aggregate)]
 
-    base = args.out[: -len(".csv")] if args.out.endswith(".csv") else args.out
+    base = args.out.removesuffix(".csv")
     records_path = base + "_records.csv"
     hist_path = base + "_histogram.csv"
     files = {records_path: record_lines, hist_path: hist_lines}
@@ -439,8 +399,8 @@ def cmd_trajectory(args) -> int:
             "path_reconstruction": reconstructable,
         },
     })
-    files[_sidecar_path(base + ".csv")] = meta
-    _write_outputs(files)
+    files[_sidecar_path(args.out)] = meta
+    _write_files(files)
     return 0
 
 

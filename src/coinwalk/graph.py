@@ -19,10 +19,12 @@ index outside the graph, is an error.
 from __future__ import annotations
 
 import json
+import os
 import warnings
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -183,30 +185,28 @@ def _ends(flat: np.ndarray, d: int):
 def _check_half_edges(partner: np.ndarray, degrees: np.ndarray) -> None:
     """StructureError for the first broken half-edge in flat order, by the first check it fails."""
     n, d = partner.shape
+    rows, ports = np.arange(n)[:, None], np.arange(d)
     flat = partner.ravel()
-    index = np.arange(flat.size)
-    j, k = np.divmod(index, d)
-    used = flat >= 0
-    target = np.where(used, flat, index)
-    j2 = target // d
+    used = partner >= 0
     # a forward (j < j2) half-edge is parallel unless it is its vertex pair's first
-    forward = np.flatnonzero(used & (j < j2))
-    first = np.unique(j[forward] * n + j2[forward], return_index=True)[1]
-    parallel = np.zeros(flat.size, dtype=bool)
-    parallel[np.delete(forward, first)] = True
+    forward = np.flatnonzero(partner >= (rows + 1) * d)
+    first = np.unique(forward // d * n + flat[forward] // d, return_index=True)[1]
+    # each check is cut to its first failing flat index, so one mask is alive at a time
     checks = [
-        (used & (k >= degrees[j]), "half-edge ({j},{k}) outside the used port range"),
-        (used & (j2 == j), "self-loop at vertex {j} is not supported"),
-        (used & (flat[target] != index),
+        (np.flatnonzero(used & (ports >= degrees[:, None]))[:1],
+         "half-edge ({j},{k}) outside the used port range"),
+        (np.flatnonzero((rows * d <= partner) & (partner < (rows + 1) * d))[:1],
+         "self-loop at vertex {j} is not supported"),
+        (np.flatnonzero(used & (flat[partner] - ports != rows * d))[:1],
          "pairing is not an involution at ({j},{k}) <-> ({j2},{k2})"),
-        (parallel, "parallel edge between vertices {j} and {j2}"),
+        (np.delete(forward, first)[:1], "parallel edge between vertices {j} and {j2}"),
     ]
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if bad.any():
-        x = int(np.argmax(bad))
-        (j, k), (j2, k2) = divmod(x, d), divmod(int(target[x]), d)
-        message = next(text for mask, text in checks if mask[x])
-        raise StructureError(message.format(j=j, k=k, j2=j2, k2=k2))
+    failures = [(int(hit[0]), text) for hit, text in checks if hit.size]
+    if failures:
+        # min keeps the earlier check on a tie
+        x, text = min(failures, key=lambda failure: failure[0])
+        (j, k), (j2, k2) = divmod(x, d), divmod(int(flat[x]), d)
+        raise StructureError(text.format(j=j, k=k, j2=j2, k2=k2))
 
 
 def build_cycle(num_vertices: int) -> PortGraph:
@@ -318,6 +318,40 @@ def read_json(path: str, what: str):
         raise ConfigError(f"{path}: not valid JSON (line {exc.lineno}): {exc.msg}") from None
 
 
+def _write_files(files: Mapping[str, Iterable[str]]) -> None:
+    """Write every file whole, or none of them; ConfigError, naming the path, if that fails.
+
+    Every destination is checked first. Each file's pieces then go, in
+    order and never joined, to a new temp file beside its destination,
+    and the temp files are renamed into place only once all of them are
+    written; a failure on the way removes them. A temp file is created
+    with mode 0666 as a plain open creates a file, so the kernel applies
+    the process umask to it.
+    """
+    for path in files:
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: Is a directory")
+    pending: list[tuple[str, str]] = []
+    try:
+        for path, pieces in files.items():
+            directory = os.path.dirname(os.path.abspath(path))
+            os.makedirs(directory, exist_ok=True)
+            tmp = os.path.join(directory, f".coinwalk-{os.urandom(8).hex()}")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            pending.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+        for tmp, path in pending:
+            os.replace(tmp, path)
+    except OSError as exc:
+        # e.g. a file stands where a directory should be
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        for tmp, _ in pending:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+
 def load_graph(path: str) -> PortGraph:
     """Read a graph from the JSON file format.
 
@@ -373,8 +407,8 @@ def load_graph(path: str) -> PortGraph:
 
 def save_graph(graph: PortGraph, path: str) -> None:
     """Write a graph in the JSON file format read by load_graph, as
-    json.dump(indent=1, sort_keys=True) writes it, and a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n "degree": {graph.degree},\n "edges": ')
-        fh.writelines(_edges_json(graph, 1))
-        fh.write(f',\n "vertices": {graph.num_vertices}\n}}\n')
+    json.dump(indent=1, sort_keys=True) writes it, and a newline, whole or
+    not at all and with the mode a plain open gives (see _write_files)."""
+    head = f'{{\n "degree": {graph.degree},\n "edges": '
+    tail = f',\n "vertices": {graph.num_vertices}\n}}\n'
+    _write_files({path: chain([head], _edges_json(graph, 1), [tail])})

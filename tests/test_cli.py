@@ -300,6 +300,8 @@ def test_trajectory_without_measurement_is_redirected(tmp_path, capsys):
         ["run", "--cycle", "4611686018427387904", "--steps", "2"],
         ["run", "--cycle", "100000000000000000000", "--steps", "2"],
         ["run", "--cycle", "9223372036854775807", "--steps", "2"],
+        ["run", "--cycle", "7", "--steps", "2", "--coin-file", "/nonexistent/coin.json"],
+        ["sweep", "--cycle", "7", "--steps", "2", "--betas", "0,1", "--beta", "0.7"],
     ],
 )
 def test_bad_configurations_exit_2_without_output(tmp_path, capsys, argv):
@@ -467,12 +469,37 @@ def test_outputs_get_the_mode_of_a_plain_open(tmp_path, umask):
             fh.write("x")
         out = tmp_path / "walk.csv"
         assert main(["run", "--cycle", "5", "--steps", "2", "--out", str(out)]) == 0
+        save_graph(build_cycle(5), str(tmp_path / "graph.json"))
     finally:
         os.umask(old)
     expected = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
     assert expected == 0o666 & ~umask
-    for path in (out, tmp_path / "walk.meta.json"):
+    for path in (out, tmp_path / "walk.meta.json", tmp_path / "graph.json"):
         assert stat.S_IMODE(path.stat().st_mode) == expected
+
+
+def test_no_write_sets_the_process_umask(tmp_path, monkeypatch):
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    assert main(["run", "--cycle", "5", "--steps", "2", "--out", str(tmp_path / "run.csv")]) == 0
+    assert main(["trajectory", "--cycle", "5", "--steps", "2", "--beta", "1", "--samples", "2",
+                 "--seed", "1", "--out", str(tmp_path / "traj.csv")]) == 0
+    save_graph(build_cycle(5), str(tmp_path / "graph.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "graph.json", "run.csv", "run.meta.json", "traj.meta.json", "traj_histogram.csv",
+        "traj_paths.csv", "traj_records.csv",
+    ]
+
+
+def test_sweep_sidecar_records_its_grid_and_no_beta(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--cycle", "5", "--steps", "2", "--betas", "0,1",
+                 "--out", str(out)]) == 0
+    configuration = json.loads((tmp_path / "sweep.meta.json").read_text())["configuration"]
+    assert configuration["betas"] == [0.0, 1.0]
+    assert "beta" not in configuration
 
 
 def test_default_coin_runs_graphs_with_isolated_vertices(tmp_path):
@@ -669,9 +696,12 @@ def test_metadata_is_enough_to_reproduce_a_run(tmp_path):
 
 
 def test_console_entry_point_is_installed(tmp_path):
+    # the child imports the coinwalk these tests imported, installed or not
+    source = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "coinwalk.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     # the version pyproject.toml declares (tomllib needs Python 3.11)

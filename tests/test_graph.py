@@ -195,6 +195,17 @@ def test_save_graph_writes_the_json_dump_of_the_graph(tmp_path, n, isolated):
     assert np.array_equal(load_graph(str(path)).partner, graph.partner)
 
 
+@pytest.mark.parametrize("target", ["a-directory", "a-file/graph.json"])
+def test_save_graph_that_cannot_write_raises_config_error_naming_the_path(tmp_path, target):
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "a-file").write_text("x")
+    path = str(tmp_path / target)
+    with pytest.raises(ConfigError, match=f"cannot write {re.escape(path)}: "):
+        save_graph(build_cycle(5), path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "a-file"]
+    assert not list((tmp_path / "a-directory").iterdir())
+
+
 def test_load_graph_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

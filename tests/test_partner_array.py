@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -170,6 +171,17 @@ def test_port_graph_holds_only_the_partner_array(multi_graph):
     g = PortGraph(source)
     source[0, 0] = -1  # the graph keeps its own copy
     assert g.opposite_end(0, 0) == (1, 1)
+
+
+def test_validation_peaks_below_eight_times_the_partner_array():
+    partner = build_cycle(10**5).partner.copy()
+    tracemalloc.start()
+    try:
+        PortGraph(partner)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * partner.nbytes
 
 
 def test_partner_arrays_out_of_range_or_of_the_wrong_kind_are_rejected():
