@@ -7,7 +7,7 @@ for which-path knowledge; at full strength the walk becomes the
 classical random chain, at zero strength it stays unitary.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .analysis import (
     ComplementarityPoint,
@@ -24,7 +24,6 @@ from .classical import (
     uniform_distribution,
 )
 from .coin import (
-    CoinSpec,
     default_coin_spec,
     dft_coin,
     hadamard_phi,

@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="coin family (default: hadamard on two-port graphs, dft otherwise)",
     )
     common.add_argument("--coin-file", metavar="FILE", help="JSON config for --coin custom")
-    common.add_argument("--phi", type=float, default=math.pi / 2,
-                        help="phase angle of the hadamard coin (radians)")
+    common.add_argument("--phi", type=float, default=None,
+                        help="phase angle of the hadamard coin (radians, default pi/2)")
     common.add_argument("--shift", choices=["port-swap", "direction-preserving"],
                         default=None,
                         help="shift convention (direction-preserving is cycle-only; "
@@ -144,7 +144,11 @@ def _build_setup(args):
         coin_config = read_json(args.coin_file, "coin")
     else:
         coin_config = {"type": coin_kind}
-    spec = coin_spec_from_config(coin_config, graph, phi=args.phi)
+    phi = math.pi / 2 if args.phi is None else args.phi
+    spec = coin_spec_from_config(coin_config, graph, phi)
+    if args.phi is not None and (coin_config["type"] != "hadamard" or "phi" in coin_config):
+        raise ConfigError("--phi sets the phase of a hadamard coin whose config sets no 'phi'")
+    phi = float(coin_config.get("phi", phi)) if coin_config["type"] == "hadamard" else phi
 
     shift_kind = args.shift
     if shift_kind is None:
@@ -172,7 +176,6 @@ def _build_setup(args):
         shift=shift,
         vertex_p=args.vertex_dephasing,
         placement=args.dephasing_placement,
-        phi=args.phi,
     )
     description = {
         "graph": {
@@ -181,7 +184,7 @@ def _build_setup(args):
             "degree": graph.degree,
             "port_labeling": None,  # rendered from the graph by _metadata
         },
-        "coin": {"type": coin_kind, "phi": args.phi},
+        "coin": {"type": coin_kind, "phi": phi},
         "shift": shift.kind,
         "beta": args.beta,
         "vertex_dephasing": args.vertex_dephasing,

@@ -2,14 +2,17 @@
 
 The coin acts independently at each vertex: vertex j carries a unitary
 on its d_j used ports, embedded into the d x d coin block with zero
-rows and columns at unused ports. Blocks may differ per vertex or be
-shared when the graph is regular.
+rows and columns at unused ports. A coin is given in one of two forms:
+one 2-D array, the block every vertex shares (the graph must then be
+regular), or a sequence of one block per vertex.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -17,7 +20,6 @@ from .errors import ConfigError, StructureError
 from .graph import PortGraph
 
 __all__ = [
-    "CoinSpec",
     "coin_spec_from_config",
     "default_coin_spec",
     "default_coin_type",
@@ -27,6 +29,8 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-10
+# a coin: the one 2-D block every vertex shares, or one block per vertex
+Coin = np.ndarray | Sequence[np.ndarray]
 
 
 def hadamard_phi(phi: float) -> np.ndarray:
@@ -65,26 +69,6 @@ def dft_coin(dim: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(k, k) / dim) / math.sqrt(dim)
 
 
-class CoinSpec:
-    """Per-vertex coin blocks, or one block shared by every vertex.
-
-    A shared block is only allowed when all vertices have full degree,
-    since a reduced-degree vertex needs its own smaller unitary.
-    """
-
-    def __init__(self, blocks: list[np.ndarray], shared: bool = False):
-        self.blocks = [np.asarray(b, dtype=complex) for b in blocks]
-        self.shared = shared
-        if shared and len(self.blocks) != 1:
-            raise ConfigError("a shared CoinSpec takes exactly one block")
-        if not self.blocks:
-            raise ConfigError("CoinSpec needs at least one block")
-
-    @classmethod
-    def from_shared(cls, block: np.ndarray) -> "CoinSpec":
-        return cls([block], shared=True)
-
-
 def _full_degree(graph: PortGraph) -> bool:
     """Whether every vertex has degree d.
 
@@ -99,7 +83,7 @@ def default_coin_type(graph: PortGraph) -> str:
     return "hadamard" if graph.degree == 2 and _full_degree(graph) else "dft"
 
 
-def default_coin_spec(graph: PortGraph, phi: float = math.pi / 2) -> CoinSpec:
+def default_coin_spec(graph: PortGraph, phi: float = math.pi / 2) -> Coin:
     """The package default: hadamard_phi(phi) on degree-2 regular graphs,
     otherwise a DFT coin of each vertex's own degree."""
     return coin_spec_from_config({"type": default_coin_type(graph)}, graph, phi)
@@ -112,30 +96,33 @@ def _check_block_unitary(block: np.ndarray, where: str) -> None:
         raise StructureError(f"coin block {where} is not unitary (deviation {dev:.3e})")
 
 
-def embedded_blocks(graph: PortGraph, spec: CoinSpec) -> np.ndarray:
-    """Validate a CoinSpec against a graph and return the (N, d, d) block stack.
+def embedded_blocks(graph: PortGraph, coin: Coin) -> np.ndarray:
+    """Validate a coin against a graph and return the (N, d, d) block stack.
 
-    Each supplied block must be either d_j x d_j (embedded with zero
-    padding) or already d x d with exact zeros outside the used-port
-    corner. Anything acting on an unused port is rejected. A shared
-    block is held once, as one read-only view over the N vertices.
+    Each block must be either d_j x d_j (embedded with zero padding) or
+    already d x d with exact zeros outside the used-port corner. Anything
+    acting on an unused port is rejected. A shared block is held once, as
+    one read-only view over the N vertices. Of a per-vertex sequence, each
+    distinct (block object, degree) pair is checked and embedded once; the
+    list of blocks keeps every keyed object alive, so no id is reused.
     """
     n, d = graph.num_vertices, graph.degree
-    if spec.shared:
+    if isinstance(coin, np.ndarray) and coin.ndim == 2:
         if not _full_degree(graph):
             raise StructureError(
                 "shared coin block requires every vertex to have full degree"
             )
-        full = _embedded(spec.blocks[0], d, d, "shared by every vertex")
+        full = _embedded(coin, d, d, "shared by every vertex")
         return np.broadcast_to(full, (n, d, d))
-    if len(spec.blocks) != n:
-        raise StructureError(
-            f"need {n} coin blocks (one per vertex), got {len(spec.blocks)}"
-        )
-    return np.stack([
-        _embedded(block, dj, d, f"at vertex {j}")
-        for j, (block, dj) in enumerate(zip(spec.blocks, graph.vertex_degrees))
-    ])
+    blocks = list(coin)
+    if len(blocks) != n:
+        raise StructureError(f"need {n} coin blocks (one per vertex), got {len(blocks)}")
+    degrees, embedded, position = graph.vertex_degrees, [], {}
+    for j, (block, dj) in enumerate(zip(blocks, degrees)):
+        if (id(block), dj) not in position:
+            position[id(block), dj] = len(embedded)
+            embedded.append(_embedded(np.asarray(block, dtype=complex), dj, d, f"at vertex {j}"))
+    return np.stack(embedded)[[position[id(block), dj] for block, dj in zip(blocks, degrees)]]
 
 
 def _embedded(block: np.ndarray, dj: int, d: int, where: str) -> np.ndarray:
@@ -158,12 +145,18 @@ def _embedded(block: np.ndarray, dj: int, d: int, where: str) -> np.ndarray:
     )
 
 
-def coin_spec_from_config(config: dict, graph: PortGraph, phi: float = math.pi / 2) -> CoinSpec:
-    """Parse the coin section of a config dict.
+def _is_number(x) -> bool:
+    """Whether x is a JSON number that a float holds: a float, or an int and not a bool."""
+    return isinstance(x, float) or type(x) is int and abs(x) <= sys.float_info.max
+
+
+def coin_spec_from_config(config: dict, graph: PortGraph, phi: float = math.pi / 2) -> Coin:
+    """Parse the coin section of a config dict into a coin.
 
     Accepted shapes: {"type": "hadamard", "phi": x}, {"type": "dft"},
     {"type": "custom", "blocks": [...]} where each block is a nested
-    list of [re, im] pairs, one block per vertex.
+    list of [re, im] pairs, one block per vertex. Every number must be a
+    JSON number that a float holds; a phi in the config replaces the one given.
     """
     if not isinstance(config, dict):
         raise ConfigError(f"coin config must be a JSON object, got {type(config).__name__}")
@@ -171,30 +164,29 @@ def coin_spec_from_config(config: dict, graph: PortGraph, phi: float = math.pi /
     if kind == "hadamard":
         if graph.degree != 2 or not _full_degree(graph):
             raise ConfigError("the hadamard coin needs every vertex to have degree 2")
-        try:
-            phi = float(config.get("phi", phi))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"coin 'phi' must be a number, got {config.get('phi', phi)!r}"
-            ) from None
-        return CoinSpec.from_shared(hadamard_phi(phi))
+        phi = config.get("phi", phi)
+        if "phi" in config and not _is_number(phi):
+            raise ConfigError(f"coin 'phi' must be a number, got {phi!r}")
+        return hadamard_phi(phi)
     if kind == "dft":
         if _full_degree(graph):
-            return CoinSpec.from_shared(dft_coin(graph.degree))
-        return CoinSpec([dft_coin(dj) if dj else np.zeros((0, 0)) for dj in graph.vertex_degrees])
+            return dft_coin(graph.degree)
+        degrees = graph.vertex_degrees
+        dft = {dj: dft_coin(dj) if dj else np.zeros((0, 0)) for dj in set(degrees)}
+        return [dft[dj] for dj in degrees]
     if kind == "custom":
         if not isinstance(config.get("blocks"), list):
             raise ConfigError("custom coin config needs a 'blocks' list")
         blocks = []
         for j, raw in enumerate(config["blocks"]):
             try:
-                block = np.array(
-                    [[complex(re, im) for re, im in row] for row in raw], dtype=complex
-                )
+                numbers = all(_is_number(x) for row in raw for pair in row for x in pair)
+                if numbers:
+                    pairs = [[complex(re, im) for re, im in row] for row in raw]
+                    blocks.append(np.array(pairs, dtype=complex))
             except (TypeError, ValueError):
-                raise ConfigError(
-                    f"coin blocks[{j}]: entries must be [re, im] pairs"
-                ) from None
-            blocks.append(block)
-        return CoinSpec(blocks)
+                numbers = False
+            if not numbers:
+                raise ConfigError(f"coin blocks[{j}]: entries must be [re, im] pairs of numbers")
+        return blocks
     raise ConfigError(f"unknown coin type {kind!r}; use hadamard, dft, or custom")

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coin import CoinSpec, default_coin_spec, embedded_blocks
+from .coin import Coin, default_coin_spec, embedded_blocks
 from .errors import ConfigError, InvariantViolation, StructureError
 from .graph import PortGraph
 from .meter import dephasing_kraus, uniform_dephasing_kraus
@@ -126,18 +126,18 @@ class StepMap:
 
 def make_step(
     graph: PortGraph,
-    coin_spec: CoinSpec | None = None,
+    coin_spec: Coin | None = None,
     shift: ShiftOperator | None = None,
     beta: float = 0.0,
     vertex_p: float = 0.0,
     placement: str = "before-shift",
-    phi: float = math.pi / 2,
 ) -> StepMap:
     """Assemble a StepMap with the package defaults filled in.
 
-    With beta > 0 the diagonals of the coin measurement Kraus family are
-    attached: the two-outcome meter pair when the coin is two-sided, the
-    uniform dephasing family otherwise.
+    coin_spec is a coin in either form that coin.embedded_blocks takes,
+    by default default_coin_spec(graph). With beta > 0 the diagonals of
+    the coin measurement Kraus family are attached: the two-outcome meter
+    pair when the coin is two-sided, the uniform dephasing family otherwise.
     """
     if not 0.0 <= beta <= 1.0:  # also rejects NaN
         raise ConfigError(f"measurement strength beta must lie in [0, 1], got {beta}")
@@ -145,8 +145,8 @@ def make_step(
         raise ConfigError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
     if not 0.0 <= vertex_p <= 1.0:
         raise ConfigError(f"vertex dephasing strength must lie in [0, 1], got {vertex_p}")
-    spec = coin_spec if coin_spec is not None else default_coin_spec(graph, phi)
-    blocks = embedded_blocks(graph, spec)
+    coin = coin_spec if coin_spec is not None else default_coin_spec(graph)
+    blocks = embedded_blocks(graph, coin)
     shift_op = shift if shift is not None else build_shift(graph)
     kraus = None
     if beta > 0.0 and graph.degree == 2:

@@ -133,7 +133,7 @@ def test_port_chain_marginal_equals_vertex_chain(cycle7, multi_graph):
     for g in (cycle7, multi_graph):
         n, d = g.num_vertices, g.degree
         spec = default_coin_spec(g)
-        blocks = spec.blocks if not spec.shared else [spec.blocks[0]] * n
+        blocks = [spec] * n if isinstance(spec, np.ndarray) else spec
         transitions = [np.abs(b) ** 2 for b in blocks]
         # start from port-uniform occupation within each vertex
         p0 = rng.random(n)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import stat
@@ -292,6 +293,8 @@ def test_trajectory_without_measurement_is_redirected(tmp_path, capsys):
          "--samples", "0"],
         ["run", "--cycle", "5", "--steps", "2", "--phi", "nan"],
         ["run", "--cycle", "5", "--steps", "2", "--phi", "nan", "--beta", "0.5"],
+        ["run", "--cycle", "5", "--steps", "2", "--coin", "dft", "--phi", "0.3"],
+        ["run", "--cycle", "5", "--steps", "2", "--coin", "dft", "--phi", "nan"],
         ["trajectory", "--cycle", "7", "--beta", "1.0", "--steps", "2",
          "--samples", "2", "--seed", "-1"],
         ["sweep", "--cycle", "7", "--steps", "2", "--beta-points", "3", "--jobs", "0"],
@@ -693,6 +696,35 @@ def test_metadata_is_enough_to_reproduce_a_run(tmp_path):
     ]
     assert main(rebuilt) == 0
     assert out.read_bytes() == (tmp_path / "second.csv").read_bytes()
+
+
+def test_sidecar_records_the_phase_walked(tmp_path, capsys):
+    with_phi, without_phi = tmp_path / "with.json", tmp_path / "without.json"
+    with_phi.write_text('{"type": "hadamard", "phi": 0.3}')
+    without_phi.write_text('{"type": "hadamard"}')
+    runs = {
+        "flag": ["--phi", "0.3"],
+        "file": ["--coin", "custom", "--coin-file", str(with_phi)],
+        "file-and-flag": ["--coin", "custom", "--coin-file", str(without_phi), "--phi", "0.3"],
+    }
+    for name, extra in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", "--cycle", "5", "--steps", "4", *extra, "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+        assert meta["configuration"]["coin"]["phi"] == 0.3
+        assert out.read_bytes() == (tmp_path / "flag.csv").read_bytes()
+    # a phase set twice, by the file and by --phi, is rejected
+    argv = ["run", "--cycle", "5", "--steps", "4", "--coin", "custom", "--coin-file",
+            str(with_phi), "--phi", "0.3", "--out", str(tmp_path / "never.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coinwalk: configuration error: --phi") and err.count("\n") == 1
+    assert not (tmp_path / "never.csv").exists()
+    # without --phi a coin records pi/2, whatever its type
+    assert main(["run", "--cycle", "5", "--steps", "4", "--coin", "dft",
+                 "--out", str(tmp_path / "dft.csv")]) == 0
+    meta = json.loads((tmp_path / "dft.meta.json").read_text())
+    assert meta["configuration"]["coin"]["phi"] == math.pi / 2
 
 
 def test_console_entry_point_is_installed(tmp_path):

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwalk import (
-    CoinSpec,
     PortGraph,
     StructureError,
     assign_ports,
@@ -17,6 +17,7 @@ from coinwalk import (
     hadamard_phi,
     pure_position_marginal,
 )
+from coinwalk import coin
 from coinwalk.coin import coin_spec_from_config, default_coin_type, embedded_blocks
 from coinwalk.errors import ConfigError
 
@@ -62,7 +63,7 @@ def test_dft_rejects_nonpositive_dimension():
 
 def test_shared_coin_on_small_cycle():
     g = build_cycle(3)
-    op = build_coin_operator(g, CoinSpec.from_shared(hadamard_phi(np.pi / 2)))
+    op = build_coin_operator(g, hadamard_phi(np.pi / 2))
     assert op.shape == (6, 6)
     block = hadamard_phi(np.pi / 2)
     for j in range(3):
@@ -73,13 +74,13 @@ def test_shared_coin_on_small_cycle():
 def test_shared_and_per_vertex_builds_agree():
     g = build_cycle(5)
     block = hadamard_phi(1.2)
-    shared = build_coin_operator(g, CoinSpec.from_shared(block))
-    listed = build_coin_operator(g, CoinSpec([block] * 5))
+    shared = build_coin_operator(g, block)
+    listed = build_coin_operator(g, [block] * 5)
     np.testing.assert_allclose(shared, listed, atol=0)
     # a shared block is validated once and held once, as a read-only view,
     # so one vertex's block cannot be changed through another's
-    blocks = embedded_blocks(g, CoinSpec.from_shared(block))
-    assert np.array_equal(blocks, embedded_blocks(g, CoinSpec([block] * 5)))
+    blocks = embedded_blocks(g, block)
+    assert np.array_equal(blocks, embedded_blocks(g, [block] * 5))
     with pytest.raises(ValueError):
         blocks[0][0, 0] = 7.0
 
@@ -107,13 +108,13 @@ def test_full_block_on_reduced_vertex_is_rejected():
     path = from_edge_list([(0, 0, 1, 0), (1, 1, 2, 0)])
     blocks = [hadamard_phi(np.pi / 2)] * 3  # vertices 0 and 2 have degree 1
     with pytest.raises(StructureError, match="unused ports"):
-        build_coin_operator(path, CoinSpec(blocks))
+        build_coin_operator(path, blocks)
 
 
 def test_reduced_vertex_takes_small_unitary():
     path = from_edge_list([(0, 0, 1, 0), (1, 1, 2, 0)])
     blocks = [np.eye(1), hadamard_phi(np.pi / 2), np.eye(1)]
-    op = build_coin_operator(path, CoinSpec(blocks))
+    op = build_coin_operator(path, blocks)
     assert op[0, 0] == 1.0
     assert np.all(op[1, :] == 0) and np.all(op[:, 1] == 0)
 
@@ -123,28 +124,47 @@ def test_padded_full_size_block_is_accepted():
     padded = np.zeros((2, 2), dtype=complex)
     padded[0, 0] = 1.0
     blocks = [padded, hadamard_phi(np.pi / 2), np.eye(1)]
-    op = build_coin_operator(path, CoinSpec(blocks))
+    op = build_coin_operator(path, blocks)
     assert op[0, 0] == 1.0
 
 
 def test_non_unitary_block_is_rejected():
     g = build_cycle(3)
     with pytest.raises(StructureError, match="unitary"):
-        build_coin_operator(g, CoinSpec.from_shared(np.ones((2, 2))))
+        build_coin_operator(g, np.ones((2, 2)))
     for bad in (np.nan, np.inf):
         with pytest.raises(StructureError, match="unitary"):
-            embedded_blocks(g, CoinSpec.from_shared(hadamard_phi(bad)))
+            embedded_blocks(g, hadamard_phi(bad))
 
 
 def test_shared_spec_requires_regular_graph(multi_graph):
     with pytest.raises(StructureError, match="full degree"):
-        embedded_blocks(multi_graph, CoinSpec.from_shared(dft_coin(4)))
+        embedded_blocks(multi_graph, dft_coin(4))
+
+
+def test_default_coin_checks_each_distinct_block_once():
+    path = from_edge_list(assign_ports([(j, j + 1) for j in range(999)]))
+    with mock.patch.object(coin, "_check_block_unitary",
+                           wraps=coin._check_block_unitary) as check:
+        blocks = embedded_blocks(path, default_coin_spec(path))
+    assert check.call_count <= path.degree + 1
+    assert np.array_equal(blocks, _reference_coin("dft", path))
+
+
+def test_stacked_coin_names_its_non_unitary_vertex():
+    g = build_cycle(6)
+    stack = np.repeat(hadamard_phi(0.4)[None], 6, axis=0)
+    assert np.array_equal(embedded_blocks(g, stack), stack)
+    # every vertex is a new view of the stack, and each is checked
+    stack[-1] = np.ones((2, 2))
+    with pytest.raises(StructureError, match="^coin block at vertex 5 is not unitary"):
+        embedded_blocks(g, stack)
 
 
 def test_block_count_must_match_vertices():
     g = build_cycle(4)
     with pytest.raises(StructureError, match="blocks"):
-        build_coin_operator(g, CoinSpec([hadamard_phi(0.0)] * 3))
+        build_coin_operator(g, [hadamard_phi(0.0)] * 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,9 +182,9 @@ def test_coin_never_moves_the_walker(cycle7, seed):
 
 def test_coin_config_parsing(cycle7):
     h = coin_spec_from_config({"type": "hadamard", "phi": 0.0}, cycle7)
-    np.testing.assert_allclose(h.blocks[0], hadamard_phi(0.0), atol=0)
+    np.testing.assert_allclose(h, hadamard_phi(0.0), atol=0)
     f = coin_spec_from_config({"type": "dft"}, cycle7)
-    assert f.shared
+    assert f.ndim == 2
     custom = coin_spec_from_config(
         {
             "type": "custom",
@@ -172,7 +192,7 @@ def test_coin_config_parsing(cycle7):
         },
         build_cycle(3),
     )
-    np.testing.assert_allclose(custom.blocks[0], np.eye(2), atol=0)
+    np.testing.assert_allclose(custom[0], np.eye(2), atol=0)
 
 
 def test_default_and_dft_coins_give_isolated_vertices_an_empty_block(multi_graph):
@@ -196,6 +216,15 @@ def test_coin_config_errors(cycle7, multi_graph):
     for phi in ("x", [1], None):
         with pytest.raises(ConfigError, match="phi"):
             coin_spec_from_config({"type": "hadamard", "phi": phi}, cycle7)
+    # JSON numbers a float holds only: a boolean, a string or a huge integer is not one
+    for phi in (True, "0.3", 10**400):
+        with pytest.raises(ConfigError, match="phi"):
+            coin_spec_from_config({"type": "hadamard", "phi": phi}, cycle7)
+    identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    for entry in ([True, 0], [1, False], ["1", 0], [1, "0"], [10**400, 0], [0, -10**400]):
+        blocks = [identity, [[entry, [0, 0]], [[0, 0], [1, 0]]]]
+        with pytest.raises(ConfigError, match=r"blocks\[1\]"):
+            coin_spec_from_config({"type": "custom", "blocks": blocks}, cycle7)
     with pytest.raises(ConfigError, match="degree 2"):
         coin_spec_from_config({"type": "hadamard"}, multi_graph)
     with pytest.raises(ConfigError, match="unknown coin type"):
@@ -207,10 +236,8 @@ def test_coin_config_errors(cycle7, multi_graph):
 
 
 def test_coin_spec_validation():
-    with pytest.raises(ConfigError):
-        CoinSpec([])
-    with pytest.raises(ConfigError):
-        CoinSpec([np.eye(2), np.eye(2)], shared=True)
+    with pytest.raises(StructureError, match="need 7 coin blocks"):
+        embedded_blocks(build_cycle(7), [])
 
 
 def _reference_coin(kind, graph):
@@ -254,9 +281,9 @@ def test_degree_checks_keep_their_coins_and_messages(index):
             assert str(err.value) == expected
             continue
         spec = coin_spec_from_config({"type": kind}, graph)
-        assert spec.shared == full
+        assert isinstance(spec, np.ndarray) == full
         assert np.array_equal(embedded_blocks(graph, spec), expected)
-    shared = CoinSpec.from_shared(dft_coin(graph.degree))
+    shared = dft_coin(graph.degree)
     if full:
         assert np.array_equal(embedded_blocks(graph, shared), _reference_coin("dft", graph))
     else:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwalk import (
-    CoinSpec,
     ConfigError,
     InvariantViolation,
     PortGraph,
@@ -72,7 +71,7 @@ def test_first_steps_worked_by_hand(cycle7):
 def test_identity_coin_circulates_deterministically():
     g = build_cycle(5)
     step = make_step(
-        g, coin_spec=CoinSpec.from_shared(np.eye(2, dtype=complex)),
+        g, coin_spec=np.eye(2, dtype=complex),
         shift=build_cycle_shift(5),
     )
     psi = basis_state(g, 0, 0)
@@ -191,7 +190,7 @@ def test_biased_coin_measured_walk_matches_port_chain():
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]],
         dtype=complex,
     )
-    step = make_step(g, coin_spec=CoinSpec.from_shared(block), beta=1.0)
+    step = make_step(g, coin_spec=block, beta=1.0)
     transitions = [np.abs(block) ** 2] * 5
     q0 = np.zeros(10)
     q0[0] = 1.0
@@ -220,7 +219,7 @@ def test_assembled_operators_are_complete(cycle7, multi_graph):
 def test_assembled_operators_are_shift_kraus_coin_products(cycle7):
     # per-vertex coins that are not symmetric, so a transposed or
     # misplaced block shows
-    spec = CoinSpec([hadamard_phi(0.3 * j) for j in range(7)])
+    spec = [hadamard_phi(0.3 * j) for j in range(7)]
     coin = build_coin_operator(cycle7, spec)
     for shift in (build_cycle_shift(7), None):
         step = make_step(cycle7, coin_spec=spec, shift=shift, beta=0.6)
@@ -271,7 +270,7 @@ def test_enumeration_that_prunes_every_branch_returns_none(cycle7):
 def test_enumeration_rejects_a_prune_that_is_not_positive(prune):
     # at prune 0 a branch of probability 0 would be renormalized into NaNs
     g = build_cycle(5)
-    step = make_step(g, coin_spec=CoinSpec.from_shared(np.eye(2)), beta=1.0)
+    step = make_step(g, coin_spec=np.eye(2), beta=1.0)
     with pytest.raises(ConfigError, match="prune"):
         enumerate_branches(basis_state(g, 0, 0), step, 2, prune=prune)
 

@@ -29,6 +29,7 @@ ORACLES = (
 )
 # names that left the package with nothing in the tests to replace them
 REMOVED = (
+    "CoinSpec",
     "SIMPLEX_TOL",
     "flat_index",
     "time_averaged_distribution",

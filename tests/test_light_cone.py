@@ -22,6 +22,7 @@ from coinwalk import (
     build_cycle,
     build_cycle_shift,
     compare_mixing,
+    default_coin_spec,
     enumerate_branches,
     evolve,
     make_step,
@@ -94,7 +95,8 @@ def cone_cases(draw, multi_graph):
     beta = draw(st.sampled_from([0.0, x, 1.0]))
     p = draw(st.sampled_from([0.0, x, 1.0]))
     placement = draw(st.sampled_from(["before-shift", "after-shift"]))
-    step = make_step(graph, shift=shift, beta=beta, vertex_p=p, placement=placement, phi=phi)
+    step = make_step(graph, coin_spec=default_coin_spec(graph, phi), shift=shift, beta=beta,
+                     vertex_p=p, placement=placement)
 
     saturation = saturation_time(psi0, step.shift)
     when = draw(st.sampled_from(["below", "at", "above"]))
