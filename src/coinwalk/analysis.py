@@ -87,7 +87,7 @@ def compare_mixing(
     """
     if t_max < 1:
         raise StructureError(f"t_max must be at least 1, got {t_max}")
-    if not 0.0 < epsilon < 1.0 + 1e-12:
+    if not 0.0 < epsilon <= 1.0:
         raise StructureError(f"epsilon must lie in (0, 1], got {epsilon}")
     n = graph.num_vertices
     uniform = uniform_distribution(n)

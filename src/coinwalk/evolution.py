@@ -96,7 +96,8 @@ class StepMap:
     coin.embedded_blocks, where a shared block is one read-only view.
     coin_kraus is the (m, d) array of the coin measurement's Kraus
     diagonals, row i the diagonal of K_i in the coin basis, or None
-    without a measurement.
+    without a measurement. vertex_dephasing lies in [0, 1], and placement
+    is one of PLACEMENTS; every field is checked however the map is built.
     """
 
     coin: np.ndarray
@@ -117,6 +118,12 @@ class StepMap:
             raise StructureError(
                 f"coin Kraus diagonals must be an (m, {d}) array with m >= 1, "
                 f"got shape {np.shape(k)}"
+            )
+        if self.placement not in PLACEMENTS:
+            raise ConfigError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
+        if not 0.0 <= self.vertex_dephasing <= 1.0:  # also rejects NaN
+            raise ConfigError(
+                f"vertex dephasing strength must lie in [0, 1], got {self.vertex_dephasing}"
             )
 
     @property
@@ -141,10 +148,6 @@ def make_step(
     """
     if not 0.0 <= beta <= 1.0:  # also rejects NaN
         raise ConfigError(f"measurement strength beta must lie in [0, 1], got {beta}")
-    if placement not in PLACEMENTS:
-        raise ConfigError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
-    if not 0.0 <= vertex_p <= 1.0:
-        raise ConfigError(f"vertex dephasing strength must lie in [0, 1], got {vertex_p}")
     coin = coin_spec if coin_spec is not None else default_coin_spec(graph)
     blocks = embedded_blocks(graph, coin)
     shift_op = shift if shift is not None else build_shift(graph)

@@ -233,12 +233,9 @@ def build_cycle(num_vertices: int) -> PortGraph:
     return PortGraph(np.stack([(j + 1) % n * 2 + 1, (j - 1) % n * 2], axis=1))
 
 
-def from_edge_list(edges: list[Edge] | list[tuple[int, int, int, int]]) -> PortGraph:
-    """Build a PortGraph from explicit (vertex, port) edge endpoints.
-
-    Every violated rule is reported, not just the first one found, so a
-    bad input file can be fixed in one pass.
-    """
+def _edge_partner(edges: list[Edge] | list[tuple[int, int, int, int]]) -> np.ndarray:
+    """The partner array of from_edge_list, with every rule of the edge list
+    checked; it has a row for each vertex up to the largest an edge names."""
     normalized = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
     if not normalized:
         raise StructureError("edge list is empty")
@@ -246,7 +243,11 @@ def from_edge_list(edges: list[Edge] | list[tuple[int, int, int, int]]) -> PortG
     seen_ports: set[tuple[int, int]] = set()
     seen_pairs: set[tuple[int, int]] = set()
     for e in normalized:
-        if min(e.u, e.pu, e.v, e.pv) < 0:
+        ends = (e.u, e.pu, e.v, e.pv)
+        if not all(type(x) is int or isinstance(x, np.integer) for x in ends):
+            problems.append(f"non-integer vertex or port in {e}")
+            continue
+        if min(ends) < 0:
             problems.append(f"negative vertex or port in {e}")
             continue
         if e.u == e.v:
@@ -275,7 +276,17 @@ def from_edge_list(edges: list[Edge] | list[tuple[int, int, int, int]]) -> PortG
     partner = np.full((len(counts), degree), -1, dtype=np.intp)
     partner[u, pu] = v * degree + pv
     partner[v, pv] = u * degree + pu
-    return PortGraph(partner)
+    return partner
+
+
+def from_edge_list(edges: list[Edge] | list[tuple[int, int, int, int]]) -> PortGraph:
+    """Build a PortGraph from explicit (vertex, port) edge endpoints.
+
+    Every endpoint must be a Python or numpy integer. Every violated rule
+    is reported, not just the first one found, so a bad input file can be
+    fixed in one pass.
+    """
+    return PortGraph(_edge_partner(edges))
 
 
 def assign_ports(adjacency: list[tuple[int, int]]) -> list[Edge]:
@@ -385,24 +396,24 @@ def load_graph(path: str) -> PortGraph:
             u, pu, v, pv = (entry[key] for key in ("u", "pu", "v", "pv"))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: edges[{i}]: {exc!r}") from None
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (u, pu, v, pv)):
+        # the one int subclass json gives is bool, so this rejects booleans too
+        if not type(u) is type(pu) is type(v) is type(pv) is int:
             raise ConfigError(f"{path}: edges[{i}]: endpoints must be integers, got {entry!r}")
-        # checked before from_edge_list, which sizes its arrays by the largest vertex
+        # checked before _edge_partner, which sizes its arrays by the largest vertex
         if u >= vertices or v >= vertices:
             raise ConfigError(
                 f"{path}: edges[{i}] references vertex {max(u, v)}, but 'vertices' is {vertices}"
             )
         edges.append(Edge(u, pu, v, pv))
-    graph = from_edge_list(edges)
-    if graph.degree != raw["degree"]:
+    partner = _edge_partner(edges)
+    if partner.shape[1] != raw["degree"]:
         raise ConfigError(
-            f"{path}: 'degree' is {raw['degree']} but the edge list gives {graph.degree}"
+            f"{path}: 'degree' is {raw['degree']} but the edge list gives {partner.shape[1]}"
         )
-    if graph.num_vertices < vertices:
+    if len(partner) < vertices:
         # trailing isolated vertices, declared but not touched by edges
-        extra = np.full((vertices - graph.num_vertices, graph.degree), -1)
-        graph = PortGraph(np.vstack([graph.partner, extra]))
-    return graph
+        partner = np.vstack([partner, np.full((vertices - len(partner), partner.shape[1]), -1)])
+    return PortGraph(partner)
 
 
 def save_graph(graph: PortGraph, path: str) -> None:

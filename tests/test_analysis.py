@@ -113,6 +113,14 @@ def test_mixing_race_validation(cycle7):
         compare_mixing(cycle7, step, psi, 10, 1.5)
 
 
+def test_mixing_race_epsilon_bound_is_exactly_one(cycle7):
+    step = make_step(cycle7)
+    psi = basis_state(cycle7, 0, 0)
+    assert compare_mixing(cycle7, step, psi, 3, 1.0).quantum_crossing == 0
+    with pytest.raises(StructureError, match="epsilon"):
+        compare_mixing(cycle7, step, psi, 3, 1.0 + 5e-13)
+
+
 def test_instantaneous_distribution_keeps_oscillating(cycle7):
     # the raw distribution never settles, which is why the race uses
     # the running average for the quantum side

@@ -305,6 +305,12 @@ def test_trajectory_without_measurement_is_redirected(tmp_path, capsys):
         ["run", "--cycle", "9223372036854775807", "--steps", "2"],
         ["run", "--cycle", "7", "--steps", "2", "--coin-file", "/nonexistent/coin.json"],
         ["sweep", "--cycle", "7", "--steps", "2", "--betas", "0,1", "--beta", "0.7"],
+        ["run", "--cycle", "7", "--steps", "2", "--vertex-dephasing", "nan"],
+        ["sweep", "--cycle", "7", "--steps", "2", "--betas", "0,1", "--vertex-dephasing", "2"],
+        ["sweep", "--cycle", "7", "--steps", "-1", "--betas", "0,1", "--jobs", "2"],
+        ["sweep", "--cycle", "7", "--steps", "2", "--betas", "0,1.5"],
+        ["mix", "--cycle", "7", "--t-max", "10", "--epsilon", "1.5"],
+        ["trajectory", "--cycle", "7", "--beta", "1.0", "--steps", "-1", "--samples", "2"],
     ],
 )
 def test_bad_configurations_exit_2_without_output(tmp_path, capsys, argv):

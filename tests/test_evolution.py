@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -521,6 +522,22 @@ def test_step_map_rejects_dense_coin_and_misshapen_kraus(cycle7):
     for kraus in (np.ones((2, 3)), np.array([np.eye(2), np.eye(2)])):
         with pytest.raises(StructureError, match=r"\(m, 2\) array"):
             StepMap(blocks, shift, kraus)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("vertex_dephasing", -0.1), ("vertex_dephasing", 1.5), ("vertex_dephasing", math.nan),
+     ("placement", "sideways")],
+)
+def test_step_map_checks_its_configuration_however_it_is_built(cycle7, field, value):
+    step = make_step(cycle7, beta=0.5)
+    name = {"vertex_dephasing": "vertex dephasing", "placement": "placement"}[field]
+    with pytest.raises(ConfigError, match=name):
+        StepMap(step.coin, step.shift, step.coin_kraus, **{field: value})
+    with pytest.raises(ConfigError, match=name):
+        dataclasses.replace(step, **{field: value})
+    with pytest.raises(ConfigError, match=name):
+        make_step(cycle7, beta=0.5, **{"vertex_p" if field == "vertex_dephasing" else field: value})
 
 
 class _DrawFirst:

@@ -101,6 +101,35 @@ def test_from_edge_list_reports_every_problem_at_once():
     assert "self-loop" in message and "duplicate" in message
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 0.5, 1, 0)],
+        [(0, 0, 1, 0), (1, 1, 2, 0.9)],
+        [(0, 0, 1.0, 0)],
+        [(0, 0, True, 0)],
+        [(0, 0, 1, False)],
+        [("0", 0, 1, 0)],
+    ],
+)
+def test_from_edge_list_rejects_non_integer_endpoints(edges):
+    bad = Edge(*next(e for e in edges if any(type(x) is not int for x in e)))
+    with pytest.raises(StructureError, match=re.escape(f"non-integer vertex or port in {bad}")):
+        from_edge_list(edges)
+
+
+def test_from_edge_list_reports_non_integer_and_negative_endpoints_together():
+    with pytest.raises(StructureError) as err:
+        from_edge_list([(0, 0.5, 1, 0), (-1, 0, 2, 0)])
+    assert "non-integer" in str(err.value) and "negative" in str(err.value)
+
+
+def test_from_edge_list_accepts_numpy_integers():
+    edges = [(0, 0, 1, 0), (1, 1, 2, 0)]
+    graph = from_edge_list([tuple(np.int64(x) for x in e) for e in edges])
+    assert graph.to_edge_list() == [Edge(*e) for e in edges]
+
+
 def test_edge_list_round_trip(multi_graph):
     rebuilt = from_edge_list(multi_graph.to_edge_list())
     assert rebuilt.pairing == multi_graph.pairing
@@ -259,6 +288,21 @@ def test_load_graph_allows_declared_isolated_vertices(tmp_path):
     (record,) = records
     assert record.filename != "<string>"
     assert record.filename == graph_module.__file__
+
+
+def test_load_graph_checks_and_warns_once(tmp_path, monkeypatch):
+    path = tmp_path / "isolated.json"
+    path.write_text(json.dumps(
+        {"vertices": 4, "degree": 1, "edges": [{"u": 0, "pu": 0, "v": 2, "pv": 0}]}))
+    calls = []
+    check = graph_module._check_half_edges
+    monkeypatch.setattr(graph_module, "_check_half_edges",
+                        lambda *args: calls.append(args) or check(*args))
+    with pytest.warns(UserWarning, match="isolated") as records:
+        g = load_graph(str(path))
+    assert g.vertex_degrees == (1, 0, 1, 0)
+    assert len(records) == 1
+    assert len(calls) == 1
 
 
 def test_isolated_vertex_warning_points_at_the_constructor_call(multi_graph):
