@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import _chain, classical_run, uniform_distribution
-from .errors import StructureError
+from .errors import ConfigError, StructureError
 from .evolution import StepMap, _marginals, make_step
 from .graph import PortGraph
 from .meter import distinguishability, visibility
@@ -86,9 +86,9 @@ def compare_mixing(
     reports which reaches epsilon first.
     """
     if t_max < 1:
-        raise StructureError(f"t_max must be at least 1, got {t_max}")
+        raise ConfigError(f"t_max must be at least 1, got {t_max}")
     if not 0.0 < epsilon <= 1.0:
-        raise StructureError(f"epsilon must lie in (0, 1], got {epsilon}")
+        raise ConfigError(f"epsilon must lie in (0, 1], got {epsilon}")
     n = graph.num_vertices
     uniform = uniform_distribution(n)
     chain = _chain(graph)

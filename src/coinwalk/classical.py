@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import ConfigError, StructureError
 from .graph import PortGraph
 
 __all__ = [
@@ -52,7 +52,7 @@ def classical_run(p0: np.ndarray, graph: PortGraph, steps: int) -> np.ndarray:
     """Apply classical_step steps times, with the chain's arrays built once;
     steps=0 returns the input unchanged."""
     if steps < 0:
-        raise StructureError(f"step count must be nonnegative, got {steps}")
+        raise ConfigError(f"step count must be nonnegative, got {steps}")
     p = np.asarray(p0, dtype=float).copy()
     n = graph.num_vertices
     if p.size != n:

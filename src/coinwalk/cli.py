@@ -1,23 +1,24 @@
 """Command line front end: coinwalk run | sweep | mix | trajectory.
 
 Data goes to CSV, run configuration and provenance to a JSON sidecar
-next to it. A command's files all go through graph._write_files, the
-package's one writer, which renames them into place only once all are
-written, so a failed command leaves no output behind.
+next to it; the sidecar names the graph by partner_sha256, the SHA-256
+of partner.astype("<i8").tobytes(), so it does not grow with the graph.
+A command's files all go through graph._write_files, the package's one
+writer, which renames them into place only once all are written, so a
+failed command leaves no output behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import sys
-from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
-from itertools import chain
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .evolution import (
     make_step,
     reconstruct_cycle_path,
 )
-from .graph import _edges_json, _write_files, build_cycle, load_graph, read_json
+from .graph import _write_files, build_cycle, load_graph, read_json
 from .shift import build_cycle_shift, build_shift
 from .state import DEFAULT_TOLERANCES, basis_state, pure_position_marginal
 
@@ -178,7 +179,7 @@ def _build_setup(args):
             "source": f"cycle:{args.cycle}" if args.cycle is not None else args.graph,
             "vertices": graph.num_vertices,
             "degree": graph.degree,
-            "port_labeling": None,  # rendered from the graph by _metadata
+            "partner_sha256": hashlib.sha256(graph.partner.astype("<i8", copy=False)).hexdigest(),
         },
         "coin": {"type": coin_kind, "phi": phi},
         "shift": shift.kind,
@@ -195,26 +196,12 @@ def _build_setup(args):
 # ----------------------------------------------------------------------
 # output helpers
 
-def _sidecar_path(out: str) -> str:
-    return out.removesuffix(".csv") + ".meta.json"
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# configuration.graph's key and the nesting level it sits at in the sidecar
-_PORT_LABELING_LEVEL = 3
-_PORT_LABELING = "\n" + " " * _PORT_LABELING_LEVEL + '"port_labeling": '
-
-
-def _metadata(args, graph, description: dict, extra: dict) -> Iterable[str]:
-    """json.dumps(indent=1, sort_keys=True) of the sidecar, and a newline, in pieces.
-
-    The graph's port labeling is rendered from its arrays, block by block
-    as it is written, where the dump wrote null for it. No JSON string
-    holds a raw newline, so the newline-anchored key is the structural one.
-    """
+def _write_outputs(args, files: dict, description: dict, extra: dict) -> None:
+    """Write a command's files and <out>.meta.json, json.dumps(meta, indent=1, sort_keys=True)."""
     meta = {
         "tool": "coinwalk",
         "version": __version__,
@@ -224,8 +211,8 @@ def _metadata(args, graph, description: dict, extra: dict) -> Iterable[str]:
         "tolerances": asdict(DEFAULT_TOLERANCES),
     }
     meta.update(extra)
-    head, tail = json.dumps(meta, indent=1, sort_keys=True).split(_PORT_LABELING + "null")
-    return chain([head, _PORT_LABELING], _edges_json(graph, _PORT_LABELING_LEVEL), [tail + "\n"])
+    sidecar = args.out.removesuffix(".csv") + ".meta.json"
+    _write_files({**files, sidecar: [json.dumps(meta, indent=1, sort_keys=True) + "\n"]})
 
 
 # ----------------------------------------------------------------------
@@ -242,8 +229,7 @@ def cmd_run(args) -> int:
         lines += [f"{t},{v},{_fmt(p)}\n" for v, p in rows]
     description["steps"] = args.steps
     output = {"output": {"csv": args.out, "rows": len(lines) - 1}}
-    meta = _metadata(args, graph, description, output)
-    _write_files({args.out: lines, _sidecar_path(args.out): meta})
+    _write_outputs(args, {args.out: lines}, description, output)
     return 0
 
 
@@ -274,8 +260,8 @@ def cmd_sweep(args) -> int:
     del description["beta"]
     description["steps"] = args.steps
     description["betas"] = betas
-    meta = _metadata(args, graph, description, {"output": {"csv": args.out, "rows": len(points)}})
-    _write_files({args.out: lines, _sidecar_path(args.out): meta})
+    _write_outputs(args, {args.out: lines}, description,
+                   {"output": {"csv": args.out, "rows": len(points)}})
     return 0
 
 
@@ -290,7 +276,7 @@ def cmd_mix(args) -> int:
         lines.append(f"{t},{_fmt(q)},{_fmt(c)}\n")
     description["t_max"] = args.t_max
     description["epsilon"] = args.epsilon
-    meta = _metadata(args, graph, description, {
+    _write_outputs(args, {args.out: lines}, description, {
         "result": {
             "quantum_crossing": result.quantum_crossing,
             "classical_crossing": result.classical_crossing,
@@ -300,7 +286,6 @@ def cmd_mix(args) -> int:
         },
         "output": {"csv": args.out, "rows": args.t_max + 1},
     })
-    _write_files({args.out: lines, _sidecar_path(args.out): meta})
     return 0
 
 
@@ -373,7 +358,7 @@ def cmd_trajectory(args) -> int:
 
     description["steps"] = args.steps
     description["samples"] = args.samples
-    meta = _metadata(args, graph, description, {
+    _write_outputs(args, files, description, {
         "born_weights": BORN_WEIGHT_RULE,
         "seed": {
             "root": root_seed,
@@ -386,8 +371,6 @@ def cmd_trajectory(args) -> int:
             "path_reconstruction": reconstructable,
         },
     })
-    files[_sidecar_path(args.out)] = meta
-    _write_files(files)
     return 0
 
 

@@ -152,19 +152,13 @@ _EDGE_BLOCK = 4096  # edges per %-format in _edges_json
 _MAX_PORTS = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
 
 
-def _edges_json(graph: PortGraph, level: int) -> Iterator[str]:
-    """graph.to_edge_list() as json.dumps(indent=1, sort_keys=True) writes it,
-    as a value whose key sits at the given nesting level, with no Edge built,
-    in pieces: the opening bracket, each block of edges and the separator
-    between blocks, and the closing bracket.
-
-    Each block is one %-format of a template that repeats the edge's text,
-    with values decoded from the block's own slice of half_edges.
-    """
+def _edges_json(graph: PortGraph) -> Iterator[str]:
+    """graph.to_edge_list() as json.dump(indent=1, sort_keys=True) writes a graph
+    file's "edges", with no Edge built, in pieces: brackets, separators, and
+    blocks of edges, each one %-format of a template repeating an edge's text."""
     src, dst = graph.half_edges
-    outer, inner = " " * (level + 1), " " * (level + 2)
-    fields = ",\n".join(f'{inner}"{key}": %d' for key in _EDGE_KEYS)
-    edge = f"{outer}{{\n{fields}\n{outer}}}"
+    fields = ",\n".join(f'   "{key}": %d' for key in _EDGE_KEYS)
+    edge = f"  {{\n{fields}\n  }}"
     yield "[\n"
     for start in range(0, src.size, 2 * _EDGE_BLOCK):
         block = slice(start, start + 2 * _EDGE_BLOCK, 2)
@@ -173,7 +167,7 @@ def _edges_json(graph: PortGraph, level: int) -> Iterator[str]:
         if start:
             yield ",\n"
         yield ",\n".join([edge] * len(u)) % tuple(values)
-    yield f"\n{' ' * level}]"
+    yield "\n ]"
 
 
 def _ends(flat: np.ndarray, d: int):
@@ -182,24 +176,32 @@ def _ends(flat: np.ndarray, d: int):
     return zip(j.tolist(), k.tolist())
 
 
+def _repeats(*keys: np.ndarray) -> np.ndarray:
+    """Positions of the key tuples equal to one at an earlier position, by a stable sort."""
+    order = np.lexsort(keys[::-1])
+    same = np.logical_and.reduce([key[order[1:]] == key[order[:-1]] for key in keys])
+    return order[1:][same]
+
+
 def _check_half_edges(partner: np.ndarray, degrees: np.ndarray) -> None:
-    """StructureError for the first broken half-edge in flat order, by the first check it fails."""
+    """StructureError for the first broken half-edge in flat order, by the first check it fails.
+    The checks run on the flat array: an (N, d) one against (N, 1) columns makes N loops."""
     n, d = partner.shape
-    rows, ports = np.arange(n)[:, None], np.arange(d)
     flat = partner.ravel()
-    used = partner >= 0
+    index = np.arange(flat.size)
+    used = flat >= 0
     # a forward (j < j2) half-edge is parallel unless it is its vertex pair's first
-    forward = np.flatnonzero(partner >= (rows + 1) * d)
-    first = np.unique(forward // d * n + flat[forward] // d, return_index=True)[1]
+    forward = np.flatnonzero(flat // d > index // d)
     # each check is cut to its first failing flat index, so one mask is alive at a time
     checks = [
-        (np.flatnonzero(used & (ports >= degrees[:, None]))[:1],
+        # a used port at or past the flat index that ends its vertex's used ports
+        (np.flatnonzero(used & (index >= np.repeat(np.arange(n) * d + degrees, d)))[:1],
          "half-edge ({j},{k}) outside the used port range"),
-        (np.flatnonzero((rows * d <= partner) & (partner < (rows + 1) * d))[:1],
-         "self-loop at vertex {j} is not supported"),
-        (np.flatnonzero(used & (flat[partner] - ports != rows * d))[:1],
+        (np.flatnonzero(flat // d == index // d)[:1], "self-loop at vertex {j} is not supported"),
+        (np.flatnonzero(used & (flat[flat] != index))[:1],
          "pairing is not an involution at ({j},{k}) <-> ({j2},{k2})"),
-        (np.delete(forward, first)[:1], "parallel edge between vertices {j} and {j2}"),
+        (np.sort(forward[_repeats(forward // d * n + flat[forward] // d)])[:1],
+         "parallel edge between vertices {j} and {j2}"),
     ]
     failures = [(int(hit[0]), text) for hit, text in checks if hit.size]
     if failures:
@@ -233,50 +235,64 @@ def build_cycle(num_vertices: int) -> PortGraph:
     return PortGraph(np.stack([(j + 1) % n * 2 + 1, (j - 1) % n * 2], axis=1))
 
 
-def _edge_partner(edges: list[Edge] | list[tuple[int, int, int, int]]) -> np.ndarray:
-    """The partner array of from_edge_list, with every rule of the edge list
-    checked; it has a row for each vertex up to the largest an edge names."""
-    normalized = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
-    if not normalized:
+def _edge_array(values: list, dtype=np.intp) -> np.ndarray:
+    """Edge ends, four to an edge, as the (E, 4) array _edge_partner takes: of intp,
+    or of objects where an end is no integer or one too large for any port."""
+    try:
+        return np.fromiter(values, dtype=dtype, count=len(values)).reshape(-1, 4)
+    except OverflowError:
+        return _edge_array(values, object)
+
+
+def _edge_partner(ends: np.ndarray) -> np.ndarray:
+    """The partner array of the edges in the (u, pu, v, pv) rows of ends, from
+    _edge_array, with a row for each vertex up to the largest an edge names.
+
+    Each rule is checked over all edges with array operations. Problems are
+    listed by edge, then as: a non-integer or negative end (no other rule
+    then applies), a self-loop, a repeat of either half-edge or of the
+    vertex pair. Ports meet the degrees only when none of those occur.
+    """
+    if not len(ends):
         raise StructureError("edge list is empty")
-    problems: list[str] = []
-    seen_ports: set[tuple[int, int]] = set()
-    seen_pairs: set[tuple[int, int]] = set()
-    for e in normalized:
-        ends = (e.u, e.pu, e.v, e.pv)
-        if not all(type(x) is int or isinstance(x, np.integer) for x in ends):
-            problems.append(f"non-integer vertex or port in {e}")
-            continue
-        if min(ends) < 0:
-            problems.append(f"negative vertex or port in {e}")
-            continue
-        if e.u == e.v:
-            problems.append(f"self-loop at vertex {e.u}")
-        for endpoint in [(e.u, e.pu), (e.v, e.pv)]:
-            if endpoint in seen_ports:
-                problems.append(f"duplicate half-edge {endpoint}")
-            seen_ports.add(endpoint)
-        pair = (min(e.u, e.v), max(e.u, e.v))
-        if pair in seen_pairs and e.u != e.v:
-            problems.append(f"parallel edge between vertices {pair[0]} and {pair[1]}")
-        seen_pairs.add(pair)
-    if problems:
-        raise StructureError("invalid edge list: " + "; ".join(problems))
+    is_integer = np.vectorize(lambda x: type(x) is int or isinstance(x, np.integer), otypes=[bool])
+    # only an object array can hold a non-integer
+    integer = is_integer(ends).all(axis=1) if ends.dtype == object else np.ones(len(ends), bool)
+    skipped = ~integer
+    skipped[integer] = (ends[integer] < 0).any(axis=1)
+    kept = np.flatnonzero(~skipped)
+    u, pu, v, pv = ends[kept].T
+    # the half-edges u0, v0, u1, v1, ... of the kept edges: h is an end of edge kept[h // 2]
+    vertex, port = np.stack([u, v], axis=1).ravel(), np.stack([pu, pv], axis=1).ravel()
+    low, high = np.minimum(u, v), np.maximum(u, v)
+    loops, repeated, parallel = np.flatnonzero(u == v), _repeats(vertex, port), _repeats(low, high)
+    parallel = parallel[u[parallel] != v[parallel]]
+    if skipped.any() or loops.size or repeated.size or parallel.size:
+        problems = np.full((len(ends), 5), "", dtype=object)  # by edge, then by rule
+        for i in np.flatnonzero(skipped):
+            kind = "negative" if integer[i] else "non-integer"
+            problems[i, 0] = f"{kind} vertex or port in {Edge(*ends[i].tolist())}"
+        problems[kept[loops], 1] = [f"self-loop at vertex {j}" for j in u[loops]]
+        problems[kept[repeated // 2], 2 + repeated % 2] = [
+            f"duplicate half-edge ({j}, {k})" for j, k in zip(vertex[repeated], port[repeated])]
+        problems[kept[parallel], 4] = [
+            f"parallel edge between vertices {j} and {j2}"
+            for j, j2 in zip(low[parallel], high[parallel])]
+        raise StructureError("invalid edge list: " + "; ".join(filter(None, problems.ravel())))
 
-    u, v = np.array([(e.u, e.v) for e in normalized], dtype=np.intp).T
-    counts = np.bincount(np.concatenate([u, v])).tolist()
-    degree = max(counts)
-    problems += [f"vertex {j} has degree {counts[j]} but uses port {k}; "
-                 f"ports must be 0..{counts[j] - 1}" for j, k in seen_ports if k >= counts[j]]
-    if problems:
-        raise StructureError("invalid edge list: " + "; ".join(problems))
-
-    # every port is below its vertex's degree now, so it fits an intp
-    pu, pv = np.array([(e.pu, e.pv) for e in normalized], dtype=np.intp).T
-    partner = np.full((len(counts), degree), -1, dtype=np.intp)
-    partner[u, pu] = v * degree + pv
-    partner[v, pv] = u * degree + pu
-    return partner
+    vertex = vertex.astype(np.intp, copy=False)
+    counts = np.bincount(vertex)
+    if (port >= counts[vertex]).any():
+        # in the order a set of the half-edges iterates, the order they were always listed in
+        raise StructureError("invalid edge list: " + "; ".join(
+            f"vertex {j} has degree {counts[j]} but uses port {k}; "
+            f"ports must be 0..{counts[j] - 1}"
+            for j, k in set(zip(vertex.tolist(), port.tolist())) if k >= counts[j]))
+    degree = counts.max()
+    flat = vertex * degree + port.astype(np.intp)  # every port is below its vertex's degree now
+    partner = np.full(len(counts) * degree, -1, dtype=np.intp)
+    partner[flat] = flat.reshape(-1, 2)[:, ::-1].ravel()  # each edge's two ends swapped
+    return partner.reshape(-1, degree)
 
 
 def from_edge_list(edges: list[Edge] | list[tuple[int, int, int, int]]) -> PortGraph:
@@ -286,7 +302,10 @@ def from_edge_list(edges: list[Edge] | list[tuple[int, int, int, int]]) -> PortG
     is reported, not just the first one found, so a bad input file can be
     fixed in one pass.
     """
-    return PortGraph(_edge_partner(edges))
+    values = [x for e in edges for x in vars(e if isinstance(e, Edge) else Edge(*e)).values()]
+    # numpy would convert a float, bool or string end to an intp; _edge_partner lists it
+    exact = all(t is int or issubclass(t, np.integer) for t in set(map(type, values)))
+    return PortGraph(_edge_partner(_edge_array(values, np.intp if exact else object)))
 
 
 def assign_ports(adjacency: list[tuple[int, int]]) -> list[Edge]:
@@ -390,10 +409,10 @@ def load_graph(path: str) -> PortGraph:
     # numpy must be able to size the (N, d) intp partner array; then each j*d + k fits too
     if vertices > _MAX_PORTS // max(raw["degree"], 1):
         raise ConfigError(f"{path}: 'vertices' is {vertices}, too many for their port array")
-    edges = []
+    values: list[int] = []  # the ends of every edge, read in one pass with no Edge built
     for i, entry in enumerate(raw["edges"]):
         try:
-            u, pu, v, pv = (entry[key] for key in ("u", "pu", "v", "pv"))
+            u, pu, v, pv = ends = entry["u"], entry["pu"], entry["v"], entry["pv"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: edges[{i}]: {exc!r}") from None
         # the one int subclass json gives is bool, so this rejects booleans too
@@ -401,15 +420,13 @@ def load_graph(path: str) -> PortGraph:
             raise ConfigError(f"{path}: edges[{i}]: endpoints must be integers, got {entry!r}")
         # checked before _edge_partner, which sizes its arrays by the largest vertex
         if u >= vertices or v >= vertices:
-            raise ConfigError(
-                f"{path}: edges[{i}] references vertex {max(u, v)}, but 'vertices' is {vertices}"
-            )
-        edges.append(Edge(u, pu, v, pv))
-    partner = _edge_partner(edges)
+            raise ConfigError(f"{path}: edges[{i}] references vertex {max(u, v)}, "
+                              f"but 'vertices' is {vertices}")
+        values += ends
+    partner = _edge_partner(_edge_array(values))
     if partner.shape[1] != raw["degree"]:
-        raise ConfigError(
-            f"{path}: 'degree' is {raw['degree']} but the edge list gives {partner.shape[1]}"
-        )
+        raise ConfigError(f"{path}: 'degree' is {raw['degree']} "
+                          f"but the edge list gives {partner.shape[1]}")
     if len(partner) < vertices:
         # trailing isolated vertices, declared but not touched by edges
         partner = np.vstack([partner, np.full((vertices - len(partner), partner.shape[1]), -1)])
@@ -422,4 +439,4 @@ def save_graph(graph: PortGraph, path: str) -> None:
     not at all and with the mode a plain open gives (see _write_files)."""
     head = f'{{\n "degree": {graph.degree},\n "edges": '
     tail = f',\n "vertices": {graph.num_vertices}\n}}\n'
-    _write_files({path: chain([head], _edges_json(graph, 1), [tail])})
+    _write_files({path: chain([head], _edges_json(graph), [tail])})

@@ -105,11 +105,11 @@ def test_even_cycle_classical_chain_never_crosses():
 def test_mixing_race_validation(cycle7):
     step = make_step(cycle7)
     psi = basis_state(cycle7, 0, 0)
-    with pytest.raises(StructureError, match="t_max"):
+    with pytest.raises(ConfigError, match="t_max"):
         compare_mixing(cycle7, step, psi, 0, 0.05)
-    with pytest.raises(StructureError, match="epsilon"):
+    with pytest.raises(ConfigError, match="epsilon"):
         compare_mixing(cycle7, step, psi, 10, 0.0)
-    with pytest.raises(StructureError, match="epsilon"):
+    with pytest.raises(ConfigError, match="epsilon"):
         compare_mixing(cycle7, step, psi, 10, 1.5)
 
 
@@ -117,7 +117,7 @@ def test_mixing_race_epsilon_bound_is_exactly_one(cycle7):
     step = make_step(cycle7)
     psi = basis_state(cycle7, 0, 0)
     assert compare_mixing(cycle7, step, psi, 3, 1.0).quantum_crossing == 0
-    with pytest.raises(StructureError, match="epsilon"):
+    with pytest.raises(ConfigError, match="epsilon"):
         compare_mixing(cycle7, step, psi, 3, 1.0 + 5e-13)
 
 

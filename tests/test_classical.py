@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwalk import (
+    ConfigError,
     PortGraph,
     StructureError,
     build_cycle,
@@ -173,7 +174,7 @@ def test_validation_rejects_bad_inputs(cycle7):
         classical_step(np.ones(3) / 3, cycle7)
     with pytest.raises(StructureError, match="length"):
         classical_run(np.ones(3) / 3, cycle7, 0)
-    with pytest.raises(StructureError, match="nonnegative"):
+    with pytest.raises(ConfigError, match="nonnegative"):
         classical_run(uniform_distribution(7), cycle7, -1)
 
 

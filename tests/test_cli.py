@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -33,6 +34,11 @@ from coinwalk.coin import dft_coin
 from conftest import MULTI_ADJACENCY, port_permuted_torus
 
 
+def partner_sha256(graph):
+    """The sidecar's name for a graph, as the README defines it."""
+    return hashlib.sha256(graph.partner.astype("<i8").tobytes()).hexdigest()
+
+
 def read_rows(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -61,7 +67,9 @@ def test_run_emits_marginals_per_step(tmp_path):
     assert meta["command"] == "run"
     assert meta["configuration"]["graph"]["vertices"] == 7
     assert meta["configuration"]["shift"] == "direction-preserving"
-    assert len(meta["configuration"]["graph"]["port_labeling"]) == 7
+    saved = tmp_path / "cycle7.json"
+    save_graph(build_cycle(7), str(saved))
+    assert meta["configuration"]["graph"]["partner_sha256"] == partner_sha256(load_graph(str(saved)))
 
 
 def test_run_rows_are_the_nonzero_entries_in_time_then_vertex_order(tmp_path):
@@ -443,6 +451,23 @@ def test_graph_file_edges_stay_below_the_declared_vertices(tmp_path, capsys, ver
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("value", [True, 0.9, "0"])
+def test_graph_file_with_a_non_integer_end_exits_2_naming_its_edge(tmp_path, capsys, value):
+    # numpy would read each of these as an intp without a word
+    path = tmp_path / "graph.json"
+    save_graph(build_cycle(6), str(path))
+    raw = json.loads(path.read_text())
+    raw["edges"][3]["pv"] = value
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--graph", str(path), "--steps", "2",
+                 "--out", str(tmp_path / "never.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"coinwalk: configuration error: {path}: edges[3]: endpoints must be integers, got ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("target", ["a-directory", "a-file/out.csv"])
 def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, target):
     (tmp_path / "a-directory").mkdir()
@@ -572,10 +597,8 @@ def test_graph_file_and_custom_coin_round_trip(tmp_path, multi_graph):
 
 
 # a sidecar holds these paths as JSON strings: quotes, a backslash,
-# non-ASCII text and the text at which the port labeling is spliced in
-AWKWARD_PATH = (
-    "q'uo\"te", "back\\slash", "\u00fcn\u00ef \u20ac \u2713", cli._PORT_LABELING + "null",
-)
+# non-ASCII text and a newline
+AWKWARD_PATH = ("q'uo\"te", "back\\slash", "\u00fcn\u00ef \u20ac \u2713", "new\nline")
 SIDECAR_ARGS = {
     "run": ["--steps", "3", "--beta", "0.3"],
     "sweep": ["--steps", "3", "--betas", "0,0.5"],
@@ -588,8 +611,8 @@ SIDECAR_ARGS = {
 @pytest.mark.parametrize("command", sorted(SIDECAR_ARGS))
 @pytest.mark.parametrize("source", ["cycle", "graph", "isolated", "custom-cycle", "custom-graph"])
 def test_sidecar_is_the_json_dump_of_its_materialised_dict(tmp_path, multi_graph, command, source):
-    """The spliced-in port labeling gives the text json.dumps(indent=1,
-    sort_keys=True) gives of the whole dict, and no user path is touched."""
+    """The sidecar is the text json.dumps(indent=1, sort_keys=True) gives of
+    the whole dict, it names the graph it walked, and no user path is touched."""
     base = tmp_path.joinpath(*AWKWARD_PATH)
     base.mkdir(parents=True)
     if source.endswith("cycle"):
@@ -616,7 +639,8 @@ def test_sidecar_is_the_json_dump_of_its_materialised_dict(tmp_path, multi_graph
     meta = json.loads(text)
     assert text == json.dumps(meta, indent=1, sort_keys=True) + "\n"
     configuration = meta["configuration"]
-    assert configuration["graph"]["port_labeling"] == [vars(e) for e in graph.to_edge_list()]
+    walked = graph if argv[0] == "--cycle" else load_graph(argv[1])
+    assert configuration["graph"]["partner_sha256"] == partner_sha256(walked)
     assert configuration["graph"]["source"] == ("cycle:6" if argv[0] == "--cycle" else argv[1])
     if source.startswith("custom"):
         assert configuration["coin"]["file"] == str(coin_path)
@@ -653,6 +677,31 @@ def test_edge_order_of_a_graph_file_does_not_change_the_results(tmp_path):
             assert main(argv + ["--graph", str(path), "--out", str(out)]) == 0
             csv[path] = out.read_bytes()
         assert csv[sorted_path] == csv[shuffled_path], name
+
+
+def test_sidecar_hash_names_the_graph_and_not_its_file(tmp_path):
+    # the same edges in another order keep the hash; swapping ports 0 and 1
+    # at one vertex gives another graph, and another hash
+    rng = np.random.default_rng(8)
+    paths = {name: tmp_path / f"{name}.json" for name in ("saved", "shuffled", "swapped")}
+    save_graph(port_permuted_torus(5, rng), str(paths["saved"]))
+    raw = json.loads(paths["saved"].read_text())
+    raw["edges"] = [raw["edges"][i] for i in rng.permutation(len(raw["edges"]))]
+    paths["shuffled"].write_text(json.dumps(raw))
+    for e in raw["edges"]:
+        for end, port in (("u", "pu"), ("v", "pv")):
+            if e[end] == 0 and e[port] in (0, 1):
+                e[port] = 1 - e[port]
+    paths["swapped"].write_text(json.dumps(raw))
+    hashes = {}
+    for name, path in paths.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", "--graph", str(path), "--steps", "1", "--out", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        hashes[name] = meta["configuration"]["graph"]["partner_sha256"]
+        assert hashes[name] == partner_sha256(load_graph(str(path)))
+    assert hashes["shuffled"] == hashes["saved"]
+    assert hashes["swapped"] != hashes["saved"]
 
 
 def test_hadamard_coin_rejected_on_irregular_graph(tmp_path, multi_graph, capsys):

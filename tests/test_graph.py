@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from coinwalk import (
 from coinwalk import graph as graph_module
 from coinwalk.graph import load_graph, save_graph
 
-from conftest import MULTI_ADJACENCY
+import reference_graph as reference
+from conftest import MULTI_ADJACENCY, port_permuted_torus_edges
 
 
 def test_cycle_basic_counts():
@@ -197,14 +199,18 @@ def test_graph_json_round_trip(tmp_path, multi_graph):
     assert loaded.degree == multi_graph.degree
 
 
-@pytest.mark.parametrize("level", [0, 1, 3])
+@pytest.mark.filterwarnings("ignore:graph has isolated vertices")
+@pytest.mark.parametrize("isolated", [0, 1, 3])
 @pytest.mark.parametrize("block", [1, 3, 4096])
-def test_edge_list_text_is_the_json_dump_of_the_edge_dicts(monkeypatch, multi_graph, level, block):
+def test_edge_list_text_is_the_json_dump_of_the_edge_dicts(monkeypatch, multi_graph, isolated,
+                                                           block):
     monkeypatch.setattr(graph_module, "_EDGE_BLOCK", block)
+    graph = PortGraph(np.vstack([multi_graph.partner, np.full((isolated, 4), -1)]))
     edges = [vars(e) for e in multi_graph.to_edge_list()]
-    # a value nested at level L is indented L more spaces on every line after its first
-    expected = json.dumps(edges, indent=1, sort_keys=True).replace("\n", "\n" + " " * level)
-    assert "".join(graph_module._edges_json(multi_graph, level)) == expected
+    # the value of a graph file's "edges" key, one level deep, is indented
+    # one more space on every line after its first; isolated vertices add nothing
+    expected = json.dumps(edges, indent=1, sort_keys=True).replace("\n", "\n ")
+    assert "".join(graph_module._edges_json(graph)) == expected
 
 
 @pytest.mark.filterwarnings("ignore:graph has isolated vertices")
@@ -288,6 +294,65 @@ def test_load_graph_allows_declared_isolated_vertices(tmp_path):
     (record,) = records
     assert record.filename != "<string>"
     assert record.filename == graph_module.__file__
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["multi", "torus"]),
+    isolated=st.integers(0, 2),
+)
+def test_load_graph_reads_the_partner_of_from_edge_list(tmp_path_factory, seed, kind, isolated):
+    # a file save_graph wrote, and the same edges shuffled with about half
+    # of them written end first, both load to from_edge_list's partner
+    rng = np.random.default_rng(seed)
+    if kind == "multi":
+        edges = assign_ports(MULTI_ADJACENCY)
+    else:
+        edges = port_permuted_torus_edges(int(rng.integers(3, 6)), rng)
+    built = from_edge_list(edges).partner
+    expected = np.vstack([built, np.full((isolated, built.shape[1]), -1)])
+    saved = tmp_path_factory.mktemp("load") / "saved.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        save_graph(PortGraph(expected), str(saved))
+    raw = json.loads(saved.read_text())
+    raw["edges"] = [raw["edges"][i] for i in rng.permutation(len(raw["edges"]))]
+    for e in raw["edges"]:
+        if rng.random() < 0.5:
+            e["u"], e["pu"], e["v"], e["pv"] = e["v"], e["pv"], e["u"], e["pu"]
+    shuffled = saved.with_name("shuffled.json")
+    shuffled.write_text(json.dumps(raw))
+    for path in (saved, shuffled):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert np.array_equal(load_graph(str(path)).partner, expected)
+
+
+def test_load_graph_builds_no_edge(tmp_path, monkeypatch, multi_graph):
+    path = tmp_path / "multi.json"
+    save_graph(multi_graph, str(path))
+
+    def no_edge(*args, **kwargs):
+        raise AssertionError("load_graph built an Edge")
+
+    monkeypatch.setattr(graph_module, "Edge", no_edge)
+    assert np.array_equal(load_graph(str(path)).partner, multi_graph.partner)
+
+
+def test_load_graph_reports_every_problem_of_its_edge_list(tmp_path):
+    # a self-loop, a repeated half-edge, a parallel edge and a negative port,
+    # reported as from_edge_list reported them when it checked one edge at a time
+    edges = [(0, 0, 0, 1), (1, 0, 2, 0), (1, 0, 3, 0), (2, 1, 3, 1), (3, 2, 2, 2), (4, 0, 1, -1)]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": 5, "degree": 3, "edges": [
+        dict(zip(("u", "pu", "v", "pv"), e)) for e in edges]}))
+    with pytest.raises(StructureError) as expected:
+        reference.from_edge_list(edges)
+    assert str(expected.value).count(";") == 3  # four problems
+    with pytest.raises(StructureError) as err:
+        load_graph(str(path))
+    assert str(err.value) == str(expected.value)
 
 
 def test_load_graph_checks_and_warns_once(tmp_path, monkeypatch):
