@@ -145,11 +145,13 @@ def _build_setup(args):
         coin_config = read_json(args.coin_file, "coin")
     else:
         coin_config = {"type": coin_kind}
-    phi = math.pi / 2 if args.phi is None else args.phi
-    spec = coin_spec_from_config(coin_config, graph, phi)
-    if args.phi is not None and (coin_config["type"] != "hadamard" or "phi" in coin_config):
-        raise ConfigError("--phi sets the phase of a hadamard coin whose config sets no 'phi'")
-    phi = float(coin_config.get("phi", phi)) if coin_config["type"] == "hadamard" else phi
+    # a config that is no JSON object is left for the parser to name
+    if args.phi is not None and isinstance(coin_config, dict):
+        if coin_config.get("type") != "hadamard" or "phi" in coin_config:
+            raise ConfigError("--phi sets the phase of a hadamard coin whose config sets no 'phi'")
+        coin_config["phi"] = args.phi
+    spec = coin_spec_from_config(coin_config, graph)
+    phi = coin_config.get("phi", math.pi / 2) if coin_config["type"] == "hadamard" else math.pi / 2
 
     shift_kind = args.shift
     if shift_kind is None:
@@ -181,7 +183,7 @@ def _build_setup(args):
             "degree": graph.degree,
             "partner_sha256": hashlib.sha256(graph.partner.astype("<i8", copy=False)).hexdigest(),
         },
-        "coin": {"type": coin_kind, "phi": phi},
+        "coin": {"type": coin_kind, "phi": float(phi)},
         "shift": shift.kind,
         "beta": args.beta,
         "vertex_dephasing": args.vertex_dephasing,
@@ -303,11 +305,6 @@ def cmd_trajectory(args) -> int:
     graph, psi0, step_kwargs, description = _build_setup(args)
     if args.samples < 1:
         raise ConfigError(f"--samples must be positive, got {args.samples}")
-    if args.beta <= 0.0:
-        raise ConfigError(
-            "trajectory sampling needs --beta > 0; with no measurement there is "
-            "a single deterministic branch, which the run command already covers"
-        )
 
     root_seed = args.seed
     if root_seed is None:

@@ -4,7 +4,8 @@ The coin acts independently at each vertex: vertex j carries a unitary
 on its d_j used ports, embedded into the d x d coin block with zero
 rows and columns at unused ports. A coin is given in one of two forms:
 one 2-D array, the block every vertex shares (the graph must then be
-regular), or a sequence of one block per vertex.
+regular), or a sequence of one block per vertex. A config names a coin
+by type, and the phase of a hadamard coin is the config's phi alone.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, StructureError
 from .graph import PortGraph
+from .state import DEFAULT_TOLERANCES
 
 __all__ = [
     "coin_spec_from_config",
@@ -28,7 +30,6 @@ __all__ = [
     "hadamard_phi",
 ]
 
-UNITARITY_TOL = 1e-10
 # a coin: the one 2-D block every vertex shares, or one block per vertex
 Coin = np.ndarray | Sequence[np.ndarray]
 
@@ -83,16 +84,16 @@ def default_coin_type(graph: PortGraph) -> str:
     return "hadamard" if graph.degree == 2 and _full_degree(graph) else "dft"
 
 
-def default_coin_spec(graph: PortGraph, phi: float = math.pi / 2) -> Coin:
-    """The package default: hadamard_phi(phi) on degree-2 regular graphs,
+def default_coin_spec(graph: PortGraph) -> Coin:
+    """The package default: hadamard_phi(pi/2) on degree-2 regular graphs,
     otherwise a DFT coin of each vertex's own degree."""
-    return coin_spec_from_config({"type": default_coin_type(graph)}, graph, phi)
+    return coin_spec_from_config({"type": default_coin_type(graph)}, graph)
 
 
 def _check_block_unitary(block: np.ndarray, where: str) -> None:
     dim = block.shape[0]
     dev = np.max(np.abs(block.conj().T @ block - np.eye(dim))) if dim else 0.0
-    if not dev <= UNITARITY_TOL:  # also rejects NaN and Inf entries
+    if not dev <= DEFAULT_TOLERANCES.unitarity:  # also rejects NaN and Inf entries
         raise StructureError(f"coin block {where} is not unitary (deviation {dev:.3e})")
 
 
@@ -150,13 +151,13 @@ def _is_number(x) -> bool:
     return isinstance(x, float) or type(x) is int and abs(x) <= sys.float_info.max
 
 
-def coin_spec_from_config(config: dict, graph: PortGraph, phi: float = math.pi / 2) -> Coin:
+def coin_spec_from_config(config: dict, graph: PortGraph) -> Coin:
     """Parse the coin section of a config dict into a coin.
 
     Accepted shapes: {"type": "hadamard", "phi": x}, {"type": "dft"},
     {"type": "custom", "blocks": [...]} where each block is a nested
     list of [re, im] pairs, one block per vertex. Every number must be a
-    JSON number that a float holds; a phi in the config replaces the one given.
+    JSON number that a float holds; a hadamard coin without a phi has phi = pi/2.
     """
     if not isinstance(config, dict):
         raise ConfigError(f"coin config must be a JSON object, got {type(config).__name__}")
@@ -164,8 +165,8 @@ def coin_spec_from_config(config: dict, graph: PortGraph, phi: float = math.pi /
     if kind == "hadamard":
         if graph.degree != 2 or not _full_degree(graph):
             raise ConfigError("the hadamard coin needs every vertex to have degree 2")
-        phi = config.get("phi", phi)
-        if "phi" in config and not _is_number(phi):
+        phi = config.get("phi", math.pi / 2)
+        if not _is_number(phi):
             raise ConfigError(f"coin 'phi' must be a number, got {phi!r}")
         return hadamard_phi(phi)
     if kind == "dft":

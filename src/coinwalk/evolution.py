@@ -49,6 +49,7 @@ from .graph import PortGraph
 from .meter import dephasing_kraus, uniform_dephasing_kraus
 from .shift import ShiftOperator, build_shift
 from .state import (
+    DEFAULT_TOLERANCES,
     check_pure,
     check_trace,
     pure_position_marginal,
@@ -74,9 +75,6 @@ __all__ = [
 ]
 
 PLACEMENTS = ("before-shift", "after-shift")
-BRANCH_SUM_TOL = 1e-10
-# the weight-sum tolerance of Generator.choice, kept by _inverse_cdf
-DRAW_SUM_TOL = math.sqrt(np.finfo(float).eps)
 # live amplitudes of one block of samples that sample_trajectories
 # advances together: 16 samples of a walk whose light cone has 256 ports
 SAMPLE_BLOCK_AMPLITUDES = 4096
@@ -408,9 +406,8 @@ class TrajectoryRecord:
 
 def _require_unravelable(step: StepMap, steps: int) -> None:
     if step.coin_kraus is None:
-        raise ConfigError(
-            "trajectory sampling needs a configured coin measurement (beta > 0)"
-        )
+        raise ConfigError("trajectory sampling needs a coin measurement (beta > 0); without one "
+                          "there is a single deterministic branch, which the run command covers")
     if step.vertex_dephasing not in (0.0, 1.0):
         raise ConfigError(
             "pure-state trajectories support vertex dephasing 0 (off) or 1 "
@@ -458,12 +455,19 @@ def _born_weights(masses: np.ndarray, kraus_sq: np.ndarray) -> np.ndarray:
 
 
 def _check_branch_sums(totals: np.ndarray) -> None:
-    """Raise unless every total of branch weights is 1 within BRANCH_SUM_TOL."""
-    # the sampler's guards test the few values of a step as Python
-    # floats, several times faster than numpy reductions of that size
+    """Raise unless every total of branch weights is 1 within the branch-sum bound."""
+    # the sampler's guards test a step's few values as Python floats, faster than numpy
+    tol = DEFAULT_TOLERANCES.branch_sum
     for total in totals.tolist():
-        if not abs(total - 1.0) <= BRANCH_SUM_TOL:
+        if not abs(total - 1.0) <= tol:
             raise InvariantViolation(f"branch probabilities sum to {total!r}")
+
+
+def _check_norms(norms: np.ndarray, what: str) -> None:
+    """Raise unless every squared norm is finite and not below the negligible-norm bound."""
+    floor = DEFAULT_TOLERANCES.negligible_norm
+    if not all(floor <= x < math.inf for x in norms.tolist()):
+        raise InvariantViolation(f"{what} has negligible norm or a non-finite one")
 
 
 def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -475,21 +479,21 @@ def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     non-negative weights summing to 1 within sqrt(eps) per row.
     """
     cdf = p.cumsum(axis=1)
-    sums = cdf[:, -1].tolist()
-    if not (p.min() >= 0.0 and all(abs(x - 1.0) <= DRAW_SUM_TOL for x in sums)):
+    tol = DEFAULT_TOLERANCES.draw_sum
+    if not (p.min() >= 0.0 and all(abs(x - 1.0) <= tol for x in cdf[:, -1].tolist())):
         raise InvariantViolation("draw weights are negative or do not sum to 1")
     return (cdf / cdf[:, -1:] > u[:, None]).argmax(axis=1)
 
 
 def _viable_weights(w: np.ndarray) -> np.ndarray:
-    """Each row of w renormalized over its entries above 1e-28, the rest 0.
+    """Each row of w renormalized over its entries above the viable-weight bound, the rest 0.
 
     Row by row this is bit-for-bit w[viable] / w[viable].sum() put back
     in place.
     """
-    if w.min() > 1e-28:
+    viable = w > DEFAULT_TOLERANCES.viable_weight
+    if viable.all():
         return w / w.sum(axis=1, keepdims=True)
-    viable = w > 1e-28
     kept = np.where(viable, w, 0.0)
     sums = kept.sum(axis=1)
     if w.shape[1] >= 8:
@@ -518,8 +522,7 @@ def _measure_vertices(
     ports = vertices[:, None] * degree + np.arange(degree)
     kept = psi[rows, ports]
     norm = _sequential_sum(_squared_moduli(kept))
-    if not all(x >= 1e-14 for x in norm.tolist()):
-        raise InvariantViolation("vertex projection left a state of negligible norm")
+    _check_norms(norm, "vertex projection")
     out = np.zeros_like(psi)
     out[rows, ports] = kept / np.sqrt(norm)[:, None]
     return out, vertices
@@ -584,15 +587,15 @@ def _cone_trajectories(
             [np.random.default_rng(seed).random(steps * draws) for seed in chunk]
         ).reshape(s, steps, draws)
         outcomes = np.empty((s, steps), dtype=int)
-        weights = np.empty((s, steps, len(step.coin_kraus)))
+        probs = np.empty((s, steps))  # the drawn outcome's probability
         vertices = np.empty((s, steps), dtype=int)
 
         # draw and read act at the step t of the loop below
         def draw(raw, totals):
-            w = np.divide(raw, totals[:, None], out=weights[:, t])
+            w = raw / totals[:, None]
             i = _inverse_cdf(_viable_weights(w), uniforms[:, t, 0])
-            if not all(x >= 1e-14 for x in raw[rows, i].tolist()):
-                raise InvariantViolation("sampled branch has negligible norm")
+            _check_norms(raw[rows, i], "sampled branch")
+            probs[:, t] = w[rows, i]
             return rows, i
 
         def read(psi):
@@ -602,7 +605,6 @@ def _cone_trajectories(
         psi = np.array([cone_psi0] * s)
         for t in range(steps):
             psi, _, outcomes[:, t], _ = advance(psi, draw, read if measure_position else None)
-        probs = weights[rows[:, None], np.arange(steps), outcomes]
         for r, seed in enumerate(chunk):
             record = TrajectoryRecord(
                 seed,

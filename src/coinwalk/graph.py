@@ -237,7 +237,7 @@ def build_cycle(num_vertices: int) -> PortGraph:
 
 def _edge_array(values: list, dtype=np.intp) -> np.ndarray:
     """Edge ends, four to an edge, as the (E, 4) array _edge_partner takes: of intp,
-    or of objects where an end is no integer or one too large for any port."""
+    or of objects where an end is no integer or one too large for an intp."""
     try:
         return np.fromiter(values, dtype=dtype, count=len(values)).reshape(-1, 4)
     except OverflowError:
@@ -249,9 +249,9 @@ def _edge_partner(ends: np.ndarray) -> np.ndarray:
     _edge_array, with a row for each vertex up to the largest an edge names.
 
     Each rule is checked over all edges with array operations. Problems are
-    listed by edge, then as: a non-integer or negative end (no other rule
-    then applies), a self-loop, a repeat of either half-edge or of the
-    vertex pair. Ports meet the degrees only when none of those occur.
+    listed by edge, then as: a non-integer, negative or oversized (_MAX_PORTS
+    or more) end (no other rule then applies), a self-loop, a repeat of either
+    half-edge or of the vertex pair. Port gaps, also by edge, only if none occur.
     """
     if not len(ends):
         raise StructureError("edge list is empty")
@@ -259,7 +259,7 @@ def _edge_partner(ends: np.ndarray) -> np.ndarray:
     # only an object array can hold a non-integer
     integer = is_integer(ends).all(axis=1) if ends.dtype == object else np.ones(len(ends), bool)
     skipped = ~integer
-    skipped[integer] = (ends[integer] < 0).any(axis=1)
+    skipped[integer] = ((ends[integer] < 0) | (ends[integer] >= _MAX_PORTS)).any(axis=1)
     kept = np.flatnonzero(~skipped)
     u, pu, v, pv = ends[kept].T
     # the half-edges u0, v0, u1, v1, ... of the kept edges: h is an end of edge kept[h // 2]
@@ -270,7 +270,8 @@ def _edge_partner(ends: np.ndarray) -> np.ndarray:
     if skipped.any() or loops.size or repeated.size or parallel.size:
         problems = np.full((len(ends), 5), "", dtype=object)  # by edge, then by rule
         for i in np.flatnonzero(skipped):
-            kind = "negative" if integer[i] else "non-integer"
+            kind = ("non-integer" if not integer[i]
+                    else "negative" if min(ends[i]) < 0 else "oversized")
             problems[i, 0] = f"{kind} vertex or port in {Edge(*ends[i].tolist())}"
         problems[kept[loops], 1] = [f"self-loop at vertex {j}" for j in u[loops]]
         problems[kept[repeated // 2], 2 + repeated % 2] = [
@@ -280,16 +281,16 @@ def _edge_partner(ends: np.ndarray) -> np.ndarray:
             for j, j2 in zip(low[parallel], high[parallel])]
         raise StructureError("invalid edge list: " + "; ".join(filter(None, problems.ravel())))
 
-    vertex = vertex.astype(np.intp, copy=False)
+    # every end is now an integer in 0.._MAX_PORTS - 1, so ends is an intp array
     counts = np.bincount(vertex)
-    if (port >= counts[vertex]).any():
-        # in the order a set of the half-edges iterates, the order they were always listed in
+    gaps = np.flatnonzero(port >= counts[vertex])
+    if gaps.size:
         raise StructureError("invalid edge list: " + "; ".join(
             f"vertex {j} has degree {counts[j]} but uses port {k}; "
             f"ports must be 0..{counts[j] - 1}"
-            for j, k in set(zip(vertex.tolist(), port.tolist())) if k >= counts[j]))
+            for j, k in zip(vertex[gaps].tolist(), port[gaps].tolist())))
     degree = counts.max()
-    flat = vertex * degree + port.astype(np.intp)  # every port is below its vertex's degree now
+    flat = vertex * degree + port  # every port is below its vertex's degree now
     partner = np.full(len(counts) * degree, -1, dtype=np.intp)
     partner[flat] = flat.reshape(-1, 2)[:, ::-1].ravel()  # each edge's two ends swapped
     return partner.reshape(-1, degree)

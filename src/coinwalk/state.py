@@ -5,6 +5,7 @@ The joint space has dimension N*d. Basis vectors are indexed by
 vertex owns a contiguous d-dimensional coin block. Pure states are
 complex vectors, mixed states are density matrices, and both are plain
 numpy arrays; the functions here validate and convert between them.
+DEFAULT_TOLERANCES holds every numerical bound the package's guards enforce.
 """
 
 from __future__ import annotations
@@ -19,17 +20,17 @@ from .graph import PortGraph
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances used by validators across the package.
+    """Every numerical bound the package enforces: each guard reads its field of
+    DEFAULT_TOLERANCES, and a sidecar records asdict(DEFAULT_TOLERANCES)."""
 
-    Tests can pass a tightened instance; the defaults match the
-    documented contracts.
-    """
-
-    norm: float = 1e-10
-    trace: float = 1e-10
-    hermiticity: float = 1e-10
-    eigenvalue: float = 1e-10
-    marginal_clamp: float = 1e-12
+    norm: float = 1e-10  # |<psi|psi> - 1| of an evolved pure state
+    trace: float = 1e-10  # |tr rho - 1| of an evolved density matrix
+    marginal_clamp: float = 1e-12  # a marginal entry this far below 0 is clamped to 0
+    branch_sum: float = 1e-10  # |sum of a step's Born weights - 1|, per sample or branch
+    draw_sum: float = float(np.sqrt(np.finfo(float).eps))  # Generator.choice's |sum of weights - 1|
+    unitarity: float = 1e-10  # largest entry of |U^dagger U - I| of a coin block
+    negligible_norm: float = 1e-14  # least squared norm a drawn branch or vertex may have
+    viable_weight: float = 1e-28  # draw weights at or below this are never drawn
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -53,19 +54,19 @@ def basis_state(graph: PortGraph, vertex: int, port: int) -> np.ndarray:
 # Every guard below is written as `not (value within bound)`, so that a
 # NaN, which fails every comparison, is rejected rather than let through.
 
-def check_pure(psi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+def check_pure(psi: np.ndarray) -> None:
     dev = abs(np.vdot(psi, psi).real - 1.0)
-    if not dev <= tol.norm:
+    if not dev <= DEFAULT_TOLERANCES.norm:
         raise InvariantViolation(f"pure state norm deviates from 1 by {dev:.3e}")
 
 
-def check_trace(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+def check_trace(rho: np.ndarray) -> None:
     """Verify a finite diagonal of unit trace, an O(N d) check of a density matrix."""
     diag = np.diagonal(rho).real
     if not np.isfinite(diag).all():
         raise InvariantViolation("density matrix has a non-finite diagonal entry")
     tr = diag.sum()
-    if not abs(tr - 1.0) <= tol.trace:
+    if not abs(tr - 1.0) <= DEFAULT_TOLERANCES.trace:
         raise InvariantViolation(f"density matrix trace {tr!r} is not 1")
 
 
@@ -75,14 +76,12 @@ def to_density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def position_marginal(
-    rho: np.ndarray, degree: int, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def position_marginal(rho: np.ndarray, degree: int) -> np.ndarray:
     """Probability of finding the walker at each vertex.
 
     Sums the diagonal over each vertex's coin block of the given
     dimension. Tiny negative entries from roundoff (within
-    tol.marginal_clamp) are clamped to zero; anything more negative
+    DEFAULT_TOLERANCES.marginal_clamp) are clamped to zero; anything more negative
     indicates a logic error upstream and raises, as do NaN and Inf.
     """
     diag = np.real(np.diagonal(rho)).reshape(-1, degree)
@@ -90,7 +89,7 @@ def position_marginal(
     if not np.all(np.isfinite(probs)):
         raise InvariantViolation("marginal has a non-finite entry")
     lo = probs.min()
-    if not lo >= -tol.marginal_clamp:
+    if not lo >= -DEFAULT_TOLERANCES.marginal_clamp:
         raise InvariantViolation(f"marginal entry {lo:.3e} below the clamp threshold")
     return np.clip(probs, 0.0, None)
 

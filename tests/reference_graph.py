@@ -16,6 +16,9 @@ import numpy as np
 
 from coinwalk import Edge, StructureError
 
+# the most entries an intp array can have; an edge end must lie below it
+MAX_PORTS = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
+
 
 @dataclass(frozen=True, eq=False)
 class ReferencePortGraph:
@@ -100,6 +103,9 @@ def from_edge_list(edges) -> ReferencePortGraph:
         if min(e.u, e.pu, e.v, e.pv) < 0:
             problems.append(f"negative vertex or port in {e}")
             continue
+        if max(e.u, e.pu, e.v, e.pv) >= MAX_PORTS:
+            problems.append(f"oversized vertex or port in {e}")
+            continue
         if e.u == e.v:
             problems.append(f"self-loop at vertex {e.u}")
         for endpoint in [(e.u, e.pu), (e.v, e.pv)]:
@@ -118,12 +124,13 @@ def from_edge_list(edges) -> ReferencePortGraph:
     for j, k in seen_ports:
         counts[j] += 1
     degree = max(counts)
-    for j, k in seen_ports:
-        if k >= counts[j]:
-            problems.append(
-                f"vertex {j} has degree {counts[j]} but uses port {k}; "
-                f"ports must be 0..{counts[j] - 1}"
-            )
+    for e in normalized:
+        for j, k in [(e.u, e.pu), (e.v, e.pv)]:
+            if k >= counts[j]:
+                problems.append(
+                    f"vertex {j} has degree {counts[j]} but uses port {k}; "
+                    f"ports must be 0..{counts[j] - 1}"
+                )
     if problems:
         raise StructureError("invalid edge list: " + "; ".join(problems))
 

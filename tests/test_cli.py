@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from coinwalk import (
+    DEFAULT_TOLERANCES,
     ConfigError,
     basis_state,
     build_cycle,
@@ -282,6 +284,19 @@ def test_trajectory_without_measurement_is_redirected(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("beta", ["0.0", "-0.5"])
+def test_trajectory_without_measurement_exits_2_from_a_worker(tmp_path, capsys, beta):
+    # the library, not the command line, rejects the strength, in the worker
+    out = tmp_path / "none.csv"
+    argv = ["trajectory", "--cycle", "7", "--beta", beta, "--steps", "5",
+            "--samples", "4", "--jobs", "2", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coinwalk: configuration error:") and err.count("\n") == 1
+    assert ("run command" if beta == "0.0" else "measurement strength beta") in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -435,6 +450,20 @@ def test_unreadable_graph_file_exits_2_with_one_line(tmp_path, capsys, flag, con
     assert err.startswith("coinwalk: configuration error:")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content, kind", [("5", "int"), ("[1, 2]", "list")])
+def test_coin_file_that_is_no_object_is_named_so_with_phi(tmp_path, capsys, content, kind):
+    # --phi goes into the coin config only when that config is a JSON object
+    path = tmp_path / "coin.json"
+    path.write_text(content)
+    argv = ["run", "--cycle", "5", "--steps", "2", "--coin", "custom", "--coin-file", str(path),
+            "--phi", "0.3", "--out", str(tmp_path / "never.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"coinwalk: configuration error: coin config must be a JSON object, got {kind}\n"
+    )
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("vertex", [2, 7, 10**20])
@@ -648,6 +677,15 @@ def test_sidecar_is_the_json_dump_of_its_materialised_dict(tmp_path, multi_graph
         assert meta["output"]["records_csv"] == str(out)[: -len(".csv")] + "_records.csv"
     else:
         assert meta["output"]["csv"] == str(out)
+
+
+@pytest.mark.parametrize("command", sorted(SIDECAR_ARGS))
+def test_sidecar_records_the_tolerance_table_the_guards_read(tmp_path, command):
+    out = tmp_path / "out.csv"
+    assert main([command, "--cycle", "6", *SIDECAR_ARGS[command], "--out", str(out)]) == 0
+    tolerances = json.loads((tmp_path / "out.meta.json").read_text())["tolerances"]
+    assert tolerances == asdict(DEFAULT_TOLERANCES)
+    assert "hermiticity" not in tolerances and "eigenvalue" not in tolerances
 
 
 def test_edge_order_of_a_graph_file_does_not_change_the_results(tmp_path):

@@ -96,6 +96,29 @@ def test_from_edge_list_rejects_port_gaps():
         from_edge_list([(0, 1, 1, 0)])
 
 
+def test_from_edge_list_lists_port_gaps_in_edge_order():
+    edges = [(3, 5, 4, 0), (0, 2, 1, 0), (1, 1, 2, 0)]
+    with pytest.raises(StructureError) as err:
+        from_edge_list(edges)
+    assert str(err.value) == (
+        "invalid edge list: vertex 3 has degree 1 but uses port 5; ports must be 0..0; "
+        "vertex 0 has degree 1 but uses port 2; ports must be 0..0"
+    )
+
+
+@pytest.mark.parametrize("edge", [(2**70, 0, 1, 0), (0, 0, 1, 2**70)])
+def test_from_edge_list_rejects_an_end_too_large_for_a_port_array(edge):
+    # listed with the edge list's other problems, as a negative end is
+    edges = [edge, (0, 0, 0, 1)]
+    with pytest.raises(StructureError) as err:
+        from_edge_list(edges)
+    assert str(err.value) == (
+        f"invalid edge list: oversized vertex or port in {Edge(*edge)}; self-loop at vertex 0"
+    )
+    with pytest.raises(StructureError, match="oversized vertex or port"):
+        from_edge_list([(0, 0, 1, graph_module._MAX_PORTS)])
+
+
 def test_from_edge_list_reports_every_problem_at_once():
     with pytest.raises(StructureError) as err:
         from_edge_list([(0, 0, 0, 1), (1, 0, 2, 0), (1, 0, 3, 0)])

@@ -22,9 +22,9 @@ from coinwalk import (
     build_cycle,
     build_cycle_shift,
     compare_mixing,
-    default_coin_spec,
     enumerate_branches,
     evolve,
+    hadamard_phi,
     make_step,
     marginal_history,
     run,
@@ -34,6 +34,7 @@ from coinwalk import (
 )
 from coinwalk import evolution
 from coinwalk.classical import uniform_distribution
+from coinwalk.coin import default_coin_type
 from coinwalk.evolution import _light_cone, _marginal
 
 from conftest import port_permuted_torus
@@ -95,7 +96,8 @@ def cone_cases(draw, multi_graph):
     beta = draw(st.sampled_from([0.0, x, 1.0]))
     p = draw(st.sampled_from([0.0, x, 1.0]))
     placement = draw(st.sampled_from(["before-shift", "after-shift"]))
-    step = make_step(graph, coin_spec=default_coin_spec(graph, phi), shift=shift, beta=beta,
+    coin = hadamard_phi(phi) if default_coin_type(graph) == "hadamard" else None
+    step = make_step(graph, coin_spec=coin, shift=shift, beta=beta,
                      vertex_p=p, placement=placement)
 
     saturation = saturation_time(psi0, step.shift)

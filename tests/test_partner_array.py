@@ -143,7 +143,7 @@ def test_validation_matches_the_reference(seed, kind, isolated, mutations):
         assert_same_graph(mine[1], theirs[1])
 
 
-# a port too large for an intp is reported as a port gap, as it was
+# a port too large for an intp is reported as an oversized end
 PORTS = st.integers(-1, 4) | st.just(2**70)
 
 

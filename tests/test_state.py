@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +10,6 @@ from hypothesis import strategies as st
 from coinwalk import (
     InvariantViolation,
     StructureError,
-    Tolerances,
     basis_state,
     build_cycle,
     partial_trace_meter,
@@ -14,7 +17,9 @@ from coinwalk import (
     pure_position_marginal,
     to_density,
 )
-from coinwalk.state import check_pure
+from coinwalk import evolution
+from coinwalk.coin import embedded_blocks
+from coinwalk.state import Tolerances, check_pure, check_trace
 
 from conftest import random_density, random_pure_state
 from oracles import check_density
@@ -183,9 +188,45 @@ def test_check_pure_accepts_unit_norm():
     check_pure(np.array([1.0, 0.0], dtype=complex))
 
 
-def test_tolerances_can_be_tightened():
-    strict = Tolerances(norm=1e-14)
-    psi = np.array([1.0 + 5e-14, 0.0], dtype=complex)
-    check_pure(psi)  # fine at the default tolerance
-    with pytest.raises(InvariantViolation):
-        check_pure(psi, strict)
+def _with(values, x):
+    """values as a complex array with its first entry replaced by x."""
+    out = np.array(values, dtype=complex)
+    out.flat[0] = x
+    return out
+
+
+# every guard that reads a bound of DEFAULT_TOLERANCES, as a call that passes
+# when x is 1 and must fail, with the message given, when x is NaN or Inf
+GUARDS = {
+    "norm": (lambda x: check_pure(_with([0.0, 0.0], x)), InvariantViolation, "norm"),
+    "trace": (lambda x: check_trace(_with(np.zeros((2, 2)), x)), InvariantViolation,
+              "non-finite"),
+    "marginal_clamp": (lambda x: position_marginal(_with(np.zeros((4, 4)), x), 2),
+                       InvariantViolation, "non-finite"),
+    "branch_sum": (lambda x: evolution._check_branch_sums(np.array([x])),
+                   InvariantViolation, "sum to"),
+    "draw_sum": (lambda x: evolution._inverse_cdf(np.array([[x, 0.0]]), np.zeros(1)),
+                 InvariantViolation, "draw weights"),
+    "unitarity": (lambda x: embedded_blocks(build_cycle(3), _with(np.eye(2), x)),
+                  StructureError, "not unitary"),
+    "negligible_norm": (lambda x: evolution._check_norms(np.array([x]), "branch"),
+                        InvariantViolation, "negligible norm"),
+}
+
+
+@np.errstate(invalid="ignore")  # inf * 0 in the unitarity check of an Inf block
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bound", GUARDS)
+def test_every_guard_of_the_table_fires_on_nan_and_inf(bound, bad):
+    guard, error, message = GUARDS[bound]
+    guard(1.0)
+    with pytest.raises(error, match=message):
+        guard(bad)
+
+
+def test_every_bound_of_the_table_is_read_by_the_package():
+    source = "\n".join(path.read_text(encoding="utf-8")
+                       for path in Path(evolution.__file__).parent.glob("*.py"))
+    fields = [field.name for field in dataclasses.fields(Tolerances)]
+    assert [f for f in fields if not re.search(rf"DEFAULT_TOLERANCES\.{f}\b", source)] == []
+    assert "hermiticity" not in fields and "eigenvalue" not in fields
