@@ -147,8 +147,13 @@ def _embedded(block: np.ndarray, dj: int, d: int, where: str) -> np.ndarray:
 
 
 def _is_number(x) -> bool:
-    """Whether x is a JSON number that a float holds: a float, or an int and not a bool."""
-    return isinstance(x, float) or type(x) is int and abs(x) <= sys.float_info.max
+    """Whether x is a finite JSON number: a finite float, or an int, not a bool, that a float holds.
+
+    Python's json reads Infinity, -Infinity and NaN as floats, so a float must be finite too.
+    """
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return type(x) is int and abs(x) <= sys.float_info.max
 
 
 def coin_spec_from_config(config: dict, graph: PortGraph) -> Coin:
@@ -157,7 +162,8 @@ def coin_spec_from_config(config: dict, graph: PortGraph) -> Coin:
     Accepted shapes: {"type": "hadamard", "phi": x}, {"type": "dft"},
     {"type": "custom", "blocks": [...]} where each block is a nested
     list of [re, im] pairs, one block per vertex. Every number must be a
-    JSON number that a float holds; a hadamard coin without a phi has phi = pi/2.
+    finite JSON number that a float holds; a hadamard coin without a phi
+    has phi = pi/2.
     """
     if not isinstance(config, dict):
         raise ConfigError(f"coin config must be a JSON object, got {type(config).__name__}")
@@ -167,7 +173,7 @@ def coin_spec_from_config(config: dict, graph: PortGraph) -> Coin:
             raise ConfigError("the hadamard coin needs every vertex to have degree 2")
         phi = config.get("phi", math.pi / 2)
         if not _is_number(phi):
-            raise ConfigError(f"coin 'phi' must be a number, got {phi!r}")
+            raise ConfigError(f"coin 'phi' must be a finite number, got {phi!r}")
         return hadamard_phi(phi)
     if kind == "dft":
         if _full_degree(graph):
@@ -188,6 +194,8 @@ def coin_spec_from_config(config: dict, graph: PortGraph) -> Coin:
             except (TypeError, ValueError):
                 numbers = False
             if not numbers:
-                raise ConfigError(f"coin blocks[{j}]: entries must be [re, im] pairs of numbers")
+                raise ConfigError(
+                    f"coin blocks[{j}]: entries must be [re, im] pairs of finite numbers"
+                )
         return blocks
     raise ConfigError(f"unknown coin type {kind!r}; use hadamard, dft, or custom")

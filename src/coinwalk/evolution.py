@@ -7,13 +7,16 @@ dephasing may instead be placed after the shift; both orders are
 conventions and the choice is recorded with every run.
 
 Every part of the step is applied in its structured form. The coin is a
-stack of per-vertex d x d blocks, applied as a batched product on the
-(N, d, ...) view of a state. The coin measurement is the (m, d) array of
-its Kraus diagonals, and vertex dephasing only scales the blocks
-between different vertices, so on a density matrix both are one
-elementwise (Schur) product with a d x d coin mask, and on a pure state
-each Kraus operator is an elementwise product. The shift is a
-permutation. The dense (N d) x (N d) forms, assembled_step_operators,
+stack of per-vertex d x d blocks. On a pure state, or on the rows of a
+stack of them, a block that every vertex shares tosses all the (row,
+vertex) pairs of d amplitudes in one matrix product, and per-vertex
+blocks are one batched product; a density matrix takes a batched
+product on its (N, d, N d) view from each side. The coin measurement
+is the (m, d) array of its Kraus diagonals, and vertex dephasing only
+scales the blocks between different vertices, so on a density matrix
+both are one elementwise (Schur) product with a d x d coin mask, and on
+a pure state each Kraus operator is an elementwise product. The shift
+is a permutation. The dense (N d) x (N d) forms, assembled_step_operators,
 vertex_dephasing and ShiftOperator.matrix, are never called by the walk;
 they stay public because the benchmark checks the CLI's output with them.
 
@@ -22,8 +25,9 @@ support, its light cone. run, marginal_history and the marginals that
 analysis reads evolve the walk on that cone alone and put the result
 back in place, so their memory and time scale with the cone rather
 than with N; a cone that holds every vertex is the whole walk, run
-as it is. evolve, cp_step and unitary_step always act on the states
-they are given.
+as it is. A shared block stays one block on the cone, so the cone is
+tossed as the whole graph is. evolve, cp_step and unitary_step always
+act on the states they are given.
 
 Trajectories run on the light cone as well. Their samples advance
 together as the rows of one (S, cone ports) array, with the same coin
@@ -160,14 +164,33 @@ def make_step(
 # ----------------------------------------------------------------------
 # structured pieces of a step
 
-def _apply_coin(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Block-diagonal coin times x, whose first axis has length N*d.
+def _shared_block(coin: np.ndarray) -> np.ndarray | None:
+    """The d x d block every vertex of a coin stack shares, or None.
 
-    Vertex j's block acts on rows j*d..j*d+d-1, so the product is one
-    batched matmul on the (N, d, ...) view of x.
+    coin.embedded_blocks holds a coin given as one block as a read-only
+    view broadcast over the vertices, so its vertex axis has stride 0;
+    a coin given per vertex is a stack of its own rows, equal or not.
     """
-    n, d, _ = blocks.shape
-    return (blocks @ x.reshape(n, d, -1)).reshape(x.shape)
+    return coin[0] if coin.strides[0] == 0 else None
+
+
+def _apply_coin(coin: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The coin on a pure state, or on each row of an (S, N*d) stack of them.
+
+    Each (row, vertex) pair of d amplitudes is tossed by its vertex's
+    block. A shared block tosses all the pairs in one matrix product,
+    psi.reshape(-1, d) @ block.T, in which each output pair depends on
+    its own amplitudes only: the bits do not depend on how many samples
+    or vertices are tossed together, as long as there are at least two
+    pairs (numpy hands a one-row product to gemv, which rounds
+    otherwise). Per-vertex blocks are one batched product, a
+    matrix-vector product per pair.
+    """
+    n, d, _ = coin.shape
+    block = _shared_block(coin)
+    if block is not None:
+        return (psi.reshape(-1, d) @ block.T).reshape(psi.shape)
+    return (coin @ psi.reshape(-1, n, d, 1)).reshape(psi.shape)
 
 
 def _coin_mask(step: StepMap) -> np.ndarray:
@@ -230,12 +253,15 @@ def vertex_dephasing(rho: np.ndarray, p: float, degree: int) -> np.ndarray:
 
 def cp_step(rho: np.ndarray, step: StepMap) -> np.ndarray:
     """Advance a density matrix one step through the full channel."""
+    n, d = step.shift.num_vertices, step.shift.degree
     p = step.vertex_dephasing
     p_before = p if step.placement == "before-shift" else 0.0
-    # U rho U^dagger, the right factor applied as blocks.conj() to the
-    # transposed view: `out` holds the coin-tossed state transposed, in
-    # row-major order, so the Schur factor is taken transposed as well.
-    out = _apply_coin(step.coin.conj(), _apply_coin(step.coin, rho).T)
+    # U rho U^dagger as a batched product of the blocks on the (N, d, N*d)
+    # view, then of blocks.conj() on the view of its transpose: `out`
+    # holds the coin-tossed state transposed, in row-major order, so the
+    # Schur factor is taken transposed as well.
+    out = (step.coin @ rho.reshape(n, d, -1)).reshape(rho.shape).T
+    out = (step.coin.conj() @ out.reshape(n, d, -1)).reshape(rho.shape)
     if step.coin_kraus is not None or p_before > 0.0:
         out = _schur(out, _coin_mask(step).T, p_before)
     out = step.shift.conjugate(out.T)
@@ -320,7 +346,10 @@ def _light_cone(
     reached_ports[perm[~leaving]] = True
     perm[leaving] = np.flatnonzero(~reached_ports)
     shift = ShiftOperator(perm, step.shift.kind, d)
-    return psi0[ports], replace(step, coin=step.coin[vertices], shift=shift), vertices
+    # a shared block stays one view, so the cone is tossed as the whole graph is
+    block = _shared_block(step.coin)
+    coin = step.coin[vertices] if block is None else np.broadcast_to(block, (vertices.size, d, d))
+    return psi0[ports], replace(step, coin=coin, shift=shift), vertices
 
 
 def _in_place(x: np.ndarray, ports: np.ndarray, size: int) -> np.ndarray:
@@ -547,8 +576,7 @@ def _unravelling(psi0: np.ndarray, step: StepMap, steps: int):
     read_before = step.placement == "before-shift"
 
     def advance(psi, choose, read=None):
-        s = psi.shape[0]
-        phi = (cone_step.coin @ psi.reshape(s, n, d, 1)).reshape(s, n * d)
+        phi = _apply_coin(cone_step.coin, psi)
         raw = _born_weights(_coin_masses(phi, d), kraus_sq)
         totals = raw.sum(axis=1)
         _check_branch_sums(totals)

@@ -281,17 +281,24 @@ def _edge_partner(ends: np.ndarray) -> np.ndarray:
             for j, j2 in zip(low[parallel], high[parallel])]
         raise StructureError("invalid edge list: " + "; ".join(filter(None, problems.ravel())))
 
-    # every end is now an integer in 0.._MAX_PORTS - 1, so ends is an intp array
-    counts = np.bincount(vertex)
+    # every end is now an integer in 0.._MAX_PORTS - 1, so ends is an intp array;
+    # the arrays below have a row for each vertex up to the largest
+    try:
+        counts = np.bincount(vertex)
+        degree = counts.max()
+        partner = np.full(len(counts) * degree, -1, dtype=np.intp)
+    except MemoryError:
+        n = int(vertex.max()) + 1
+        raise StructureError(
+            f"edge list names vertex {n - 1}: no memory for the partner array of {n} vertices"
+        ) from None
     gaps = np.flatnonzero(port >= counts[vertex])
     if gaps.size:
         raise StructureError("invalid edge list: " + "; ".join(
             f"vertex {j} has degree {counts[j]} but uses port {k}; "
             f"ports must be 0..{counts[j] - 1}"
             for j, k in zip(vertex[gaps].tolist(), port[gaps].tolist())))
-    degree = counts.max()
     flat = vertex * degree + port  # every port is below its vertex's degree now
-    partner = np.full(len(counts) * degree, -1, dtype=np.intp)
     partner[flat] = flat.reshape(-1, 2)[:, ::-1].ravel()  # each edge's two ends swapped
     return partner.reshape(-1, degree)
 

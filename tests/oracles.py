@@ -6,6 +6,9 @@ build_coin_operator and apply_kraus build the same maps as dense
 matrices with explicit loops. loop_enumerate_branches expands the
 measurement branches one at a time in nested Python loops; the batched
 step of enumerate_branches must equal it bit for bit.
+per_vertex_apply_coin is the coin toss as it was before a shared block
+was one matrix product: one matrix-vector product per (row, vertex)
+pair, whatever form the coin is in.
 add_at_classical_step and loop_compare_mixing are the classical step
 and the mixing race as they were before the race built its arrays once:
 the chain adds with an unbuffered np.add.at, every marginal is put in
@@ -43,6 +46,12 @@ def block_diagonal(blocks) -> np.ndarray:
     for j, block in enumerate(blocks):
         op[j * d: (j + 1) * d, j * d: (j + 1) * d] = block
     return op
+
+
+def per_vertex_apply_coin(coin, psi) -> np.ndarray:
+    """evolution._apply_coin with every coin taken as per-vertex blocks."""
+    n, d, _ = coin.shape
+    return (coin @ psi.reshape(-1, n, d, 1)).reshape(psi.shape)
 
 
 def build_coin_operator(graph, spec) -> np.ndarray:

@@ -452,6 +452,34 @@ def test_unreadable_graph_file_exits_2_with_one_line(tmp_path, capsys, flag, con
     assert not out.exists()
 
 
+IDENTITY_BLOCK = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("where", ["blocks", "phi"])
+def test_non_finite_coin_file_numbers_exit_2_with_one_line(tmp_path, where, value):
+    # a child process, so that a numpy warning reaches stderr as it would from the shell
+    if where == "blocks":
+        bad = [[[value, 0], [0, 0]], [[0, 0], [1, 0]]]
+        text = json.dumps([bad, IDENTITY_BLOCK, IDENTITY_BLOCK]).replace(f'"{value}"', value)
+        config, message = f'{{"type": "custom", "blocks": {text}}}', "coin blocks[0]"
+    else:
+        config, message = f'{{"type": "hadamard", "phi": {value}}}', "coin 'phi'"
+    path = tmp_path / "coin.json"
+    path.write_text(config)
+    source = str(Path(cli.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "coinwalk.cli", "run", "--cycle", "3",
+         "--steps", "2", "--coin", "custom", "--coin-file", str(path),
+         "--out", str(tmp_path / "never.csv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": source},
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"coinwalk: configuration error: {message}")
+    assert result.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("content, kind", [("5", "int"), ("[1, 2]", "list")])
 def test_coin_file_that_is_no_object_is_named_so_with_phi(tmp_path, capsys, content, kind):
     # --phi goes into the coin config only when that config is a JSON object

@@ -1,3 +1,4 @@
+import math
 import warnings
 from unittest import mock
 
@@ -216,12 +217,14 @@ def test_coin_config_errors(cycle7, multi_graph):
     for phi in ("x", [1], None):
         with pytest.raises(ConfigError, match="phi"):
             coin_spec_from_config({"type": "hadamard", "phi": phi}, cycle7)
-    # JSON numbers a float holds only: a boolean, a string or a huge integer is not one
-    for phi in (True, "0.3", 10**400):
+    # finite JSON numbers a float holds only: a boolean, a string, a huge integer or
+    # Infinity, -Infinity and NaN, which Python's json reads as floats, is not one
+    for phi in (True, "0.3", 10**400, math.inf, -math.inf, math.nan):
         with pytest.raises(ConfigError, match="phi"):
             coin_spec_from_config({"type": "hadamard", "phi": phi}, cycle7)
     identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
-    for entry in ([True, 0], [1, False], ["1", 0], [1, "0"], [10**400, 0], [0, -10**400]):
+    for entry in ([True, 0], [1, False], ["1", 0], [1, "0"], [10**400, 0], [0, -10**400],
+                  [math.inf, 0], [0, -math.inf], [math.nan, 0]):
         blocks = [identity, [[entry, [0, 0]], [[0, 0], [1, 0]]]]
         with pytest.raises(ConfigError, match=r"blocks\[1\]"):
             coin_spec_from_config({"type": "custom", "blocks": blocks}, cycle7)

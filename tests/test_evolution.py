@@ -21,6 +21,7 @@ from coinwalk import (
     classical_run,
     cp_step,
     dephasing_kraus,
+    dft_coin,
     enumerate_branches,
     evolve,
     hadamard_phi,
@@ -48,6 +49,7 @@ from oracles import (
     coherence_l1,
     half_edge_run,
     loop_enumerate_branches,
+    per_vertex_apply_coin,
 )
 
 
@@ -868,6 +870,112 @@ def test_torus_records_stay_within_4_ulp_of_the_vdot_rule():
     _assert_near_the_vdot_rule(
         basis_state(graph, 27, 1), make_step(graph, beta=0.5, vertex_p=1.0), 12, seeds
     )
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_a_shared_block_tosses_each_row_on_its_own(degree):
+    """A pair of d amplitudes gets the same bits in any batch of two or more pairs."""
+    from coinwalk.evolution import _apply_coin
+
+    rng = np.random.default_rng(degree)
+    block = np.linalg.qr(rng.normal(size=(degree, degree))
+                         + 1j * rng.normal(size=(degree, degree)))[0]
+    for _ in range(20):
+        # at least 2 vertices: numpy hands a one-pair product to gemv, which rounds otherwise
+        s, n = int(rng.integers(1, 20)), int(rng.integers(2, 80))
+        extra = int(rng.integers(0, 40))
+        x = rng.normal(size=(s, n * degree)) + 1j * rng.normal(size=(s, n * degree))
+        x *= rng.random(x.shape) ** 6
+        tossed = _apply_coin(np.broadcast_to(block, (n, degree, degree)), x)
+        # the cone's vertices at a random place in a whole graph with amplitude elsewhere too
+        whole = np.broadcast_to(block, (n + extra, degree, degree))
+        at = int(rng.integers(0, extra + 1)) * degree
+        for row, got in zip(x, tossed):
+            alone = _apply_coin(np.broadcast_to(block, (n, degree, degree)), row)
+            assert np.array_equal(alone, got)
+            psi = rng.normal(size=(n + extra) * degree) + 0j
+            psi[at: at + n * degree] = row
+            assert np.array_equal(_apply_coin(whole, psi)[at: at + n * degree], got)
+        assert np.allclose(tossed, per_vertex_apply_coin(np.stack([block] * n), x), atol=1e-15)
+
+
+def test_per_vertex_blocks_keep_the_batched_product():
+    from coinwalk.evolution import _apply_coin
+
+    rng = np.random.default_rng(8)
+    for d, n in [(1, 5), (2, 7), (4, 16)]:
+        blocks = np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
+        x = rng.normal(size=(3, n * d)) + 1j * rng.normal(size=(3, n * d))
+        assert np.array_equal(_apply_coin(blocks, x), per_vertex_apply_coin(blocks, x))
+        assert np.array_equal(_apply_coin(blocks, x[1]), per_vertex_apply_coin(blocks, x[1]))
+        # equal blocks stacked per vertex are per-vertex blocks too
+        same = np.stack([blocks[0]] * n)
+        assert np.array_equal(_apply_coin(same, x), per_vertex_apply_coin(same, x))
+
+
+def test_the_light_cone_keeps_a_shared_block_shared():
+    from coinwalk.evolution import _light_cone, _shared_block
+
+    graph = port_permuted_torus(8, np.random.default_rng(2))
+    psi0 = basis_state(graph, 9, 2)
+    shared = make_step(graph, beta=0.5)
+    per_vertex = make_step(graph, coin_spec=[dft_coin(4)] * 64, beta=0.5)
+    assert np.array_equal(shared.coin, per_vertex.coin)
+    _, cone_step, cone = _light_cone(psi0, shared, 2)
+    assert 1 < cone.size < 64
+    assert np.array_equal(_shared_block(cone_step.coin), _shared_block(shared.coin))
+    _, cone_step, _ = _light_cone(psi0, per_vertex, 2)
+    assert _shared_block(cone_step.coin) is None
+    assert np.array_equal(cone_step.coin, per_vertex.coin[cone])
+
+
+def _assert_near_the_per_vertex_product(psi0, step, steps, seeds):
+    """Outcomes equal to those of the per-vertex coin product, probabilities within 4 ulp.
+
+    Returns how many probabilities the shared block's product moved.
+    """
+    with mock.patch.object(evolution, "_apply_coin", per_vertex_apply_coin):
+        old = list(sample_trajectories(psi0, step, steps, seeds))
+    new = list(sample_trajectories(psi0, step, steps, seeds))
+    assert [r.seed for _, r in new] == seeds
+    moved = 0
+    for (final, record), (old_final, old_record) in zip(new, old):
+        assert record.outcomes == old_record.outcomes
+        assert record.vertex_outcomes == old_record.vertex_outcomes
+        new_p = np.array(record.outcome_probabilities)
+        old_p = np.array(old_record.outcome_probabilities)
+        assert np.all(np.abs(new_p - old_p) <= 4 * PROBABILITY_ULP)
+        np.testing.assert_allclose(final, old_final, rtol=0, atol=1e-12)
+        moved += int(np.count_nonzero(new_p != old_p))
+    return moved
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
+def test_records_stay_within_4_ulp_of_the_per_vertex_product(beta):
+    """The 8x8 DFT torus of a benchmark run, and a Hadamard cycle."""
+    seeds = [int(s) for s in np.random.SeedSequence(18).generate_state(20, np.uint64)]
+    torus = port_permuted_torus(8, np.random.default_rng(1))
+    step = make_step(torus, beta=beta)
+    assert evolution._shared_block(step.coin) is not None
+    _assert_near_the_per_vertex_product(basis_state(torus, 27, 1), step, 40, seeds)
+    _assert_near_the_per_vertex_product(
+        basis_state(torus, 27, 1), make_step(torus, beta=beta, vertex_p=1.0), 12, seeds[:6]
+    )
+    cycle = build_cycle(31)
+    psi0 = (basis_state(cycle, 15, 0) + 1j * basis_state(cycle, 15, 1)) / math.sqrt(2)
+    step = hadamard_walk_step(cycle, beta=beta)
+    # the rounding did change, so the patched product is the other one
+    assert _assert_near_the_per_vertex_product(psi0, step, 40, seeds) > 0
+
+
+def test_unitary_walk_stays_near_the_per_vertex_product():
+    torus = port_permuted_torus(8, np.random.default_rng(1))
+    step, psi0 = make_step(torus), basis_state(torus, 27, 1)
+    with mock.patch.object(evolution, "_apply_coin", per_vertex_apply_coin):
+        old = marginal_history(psi0, step, 200)
+    new = marginal_history(psi0, step, 200)
+    assert not np.array_equal(new, old)  # the rounding did change
+    np.testing.assert_allclose(new, old, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 6])

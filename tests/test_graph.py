@@ -119,6 +119,16 @@ def test_from_edge_list_rejects_an_end_too_large_for_a_port_array(edge):
         from_edge_list([(0, 0, 1, graph_module._MAX_PORTS)])
 
 
+def test_from_edge_list_names_a_vertex_count_it_cannot_allocate():
+    # 10**12 + 1 vertices: a count array of 8 TB, far beyond any memory
+    with pytest.raises(StructureError) as err:
+        from_edge_list([(10**12, 0, 1, 0)])
+    assert str(err.value) == (
+        "edge list names vertex 1000000000000: "
+        "no memory for the partner array of 1000000000001 vertices"
+    )
+
+
 def test_from_edge_list_reports_every_problem_at_once():
     with pytest.raises(StructureError) as err:
         from_edge_list([(0, 0, 0, 1), (1, 0, 2, 0), (1, 0, 3, 0)])
