@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .classical import _chain, classical_run, uniform_distribution
 from .errors import ConfigError, StructureError
-from .evolution import StepMap, _marginals, make_step
+from .evolution import StepMap, _coin_kraus, _marginals
 from .graph import PortGraph
 from .meter import distinguishability, visibility
 from .state import pure_position_marginal
@@ -126,39 +126,43 @@ def compare_mixing(
 
 
 def _final_marginal(task) -> np.ndarray:
-    graph, psi0, steps, beta, step_kwargs = task
-    for vertices, marginal in _marginals(psi0, make_step(graph, beta=beta, **step_kwargs), steps):
+    psi0, step, steps = task
+    for vertices, marginal in _marginals(psi0, step, steps):
         pass
-    final = np.zeros(graph.num_vertices)
+    final = np.zeros(step.shift.num_vertices)
     final[vertices] = marginal
     return final
 
 
 def complementarity_sweep(
     graph: PortGraph,
+    step: StepMap,
     psi0: np.ndarray,
     steps: int,
     betas: list[float],
     map_fn=map,
-    **step_kwargs,
 ) -> list[ComplementarityPoint]:
     """Trace the trade-off curve over a grid of measurement strengths.
 
-    For each beta the walk runs for the given number of steps and its
-    final position distribution is compared against two anchors: the
-    unmeasured walk (beta=0) and the classical chain. Visibility and
-    which-path knowledge come straight from beta. At beta=0 the first
-    distance is zero by construction; at beta=1 the second vanishes
-    for basis-state starts.
+    step is the walk without a coin measurement. For each beta it walks
+    with the measurement of that strength attached, as make_step attaches
+    it, and its final position distribution is compared against two
+    anchors: the unmeasured walk (beta=0) and the classical chain.
+    Visibility and which-path knowledge come straight from beta. At
+    beta=0 the first distance is zero by construction; at beta=1 the
+    second vanishes for basis-state starts.
 
     map_fn(worker, tasks) runs the walks, one per distinct beta with
     beta=0 among them, so the builtin map runs them in turn and a
     process pool's map runs them in parallel.
     """
+    if step.coin_kraus is not None:
+        raise ConfigError("sweep takes its strengths from betas; its step must measure no coin")
     # rejects a beta outside [0, 1] before any walk runs
     known = [(visibility(beta), distinguishability(beta)) for beta in betas]
     distinct = list(dict.fromkeys([0.0, *betas]))
-    tasks = [(graph, psi0, steps, beta, step_kwargs) for beta in distinct]
+    d = graph.degree
+    tasks = [(psi0, replace(step, coin_kraus=_coin_kraus(beta, d)), steps) for beta in distinct]
     finals = dict(zip(distinct, map_fn(_final_marginal, tasks)))
     anchor_classical = classical_run(
         pure_position_marginal(psi0, graph.degree), graph, steps

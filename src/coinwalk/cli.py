@@ -1,9 +1,11 @@
 """Command line front end: coinwalk run | sweep | mix | trajectory.
 
-Data goes to CSV, run configuration and provenance to a JSON sidecar
-next to it; the sidecar names the graph by partner_sha256, the SHA-256
-of partner.astype("<i8").tobytes(), so it does not grow with the graph.
-A command's files all go through graph._write_files, the package's one
+Each command builds one StepMap before any worker starts, and sweep and
+trajectory hand that step to their workers as plain data. Data goes to
+CSV, run configuration and provenance to a JSON sidecar next to it; the
+sidecar names the graph by partner_sha256, the SHA-256 of
+partner.astype("<i8").tobytes(), so it does not grow with the graph. A
+command's files all go through graph._write_files, the package's one
 writer, which renames them into place only once all are written, so a
 failed command leaves no output behind.
 """
@@ -77,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="before-shift")
     common.add_argument("--start", default="0,0", metavar="J,K",
                         help="initial (vertex, port) basis state")
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--jobs", type=int, default=1, metavar="W",
                         help="worker processes for sweep and trajectory")
     common.add_argument("--out", required=True, metavar="PATH", help="output CSV path")
@@ -103,6 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="sample measurement records")
     p_traj.add_argument("--steps", type=int, required=True)
     p_traj.add_argument("--samples", type=int, required=True)
+    p_traj.add_argument("--seed", type=int, default=None,
+                        help="root seed of the samples' streams (default: fresh entropy)")
 
     return parser
 
@@ -133,7 +136,7 @@ def _mapper(jobs: int):
 
 
 def _build_setup(args):
-    """Resolve graph, coin, shift, start state, and the step kwargs."""
+    """Resolve the graph, the start state and the command's one StepMap."""
     if args.coin_file is not None and args.coin != "custom":
         raise ConfigError("--coin-file needs --coin custom")
     graph = build_cycle(args.cycle) if args.cycle is not None else load_graph(args.graph)
@@ -163,19 +166,13 @@ def _build_setup(args):
     else:
         shift = build_shift(graph)
 
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     args.jobs = _worker_count(args.jobs)
 
     start = _parse_start(args.start)
     psi0 = basis_state(graph, *start)
 
-    step_kwargs = dict(
-        coin_spec=spec,
-        shift=shift,
-        vertex_p=args.vertex_dephasing,
-        placement=args.dephasing_placement,
-    )
+    step = make_step(graph, spec, shift, args.beta, args.vertex_dephasing,
+                     args.dephasing_placement)
     description = {
         "graph": {
             "source": f"cycle:{args.cycle}" if args.cycle is not None else args.graph,
@@ -192,7 +189,7 @@ def _build_setup(args):
     }
     if coin_kind == "custom":
         description["coin"]["file"] = args.coin_file
-    return graph, psi0, step_kwargs, description
+    return graph, psi0, step, description
 
 
 # ----------------------------------------------------------------------
@@ -221,8 +218,7 @@ def _write_outputs(args, files: dict, description: dict, extra: dict) -> None:
 # commands
 
 def cmd_run(args) -> int:
-    graph, psi0, step_kwargs, description = _build_setup(args)
-    step = make_step(graph, beta=args.beta, **step_kwargs)
+    _graph, psi0, step, description = _build_setup(args)
     lines = ["t,vertex,probability\n"]
     # the cone's vertices are sorted, so rows go by t, then by vertex
     for t, (vertices, marginal) in enumerate(_marginals(psi0, step, args.steps)):
@@ -236,9 +232,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.beta != 0.0:
-        raise ConfigError("sweep takes its strengths from --betas or --beta-points, not --beta")
-    graph, psi0, step_kwargs, description = _build_setup(args)
+    graph, psi0, step, description = _build_setup(args)
     if args.betas is not None:
         try:
             betas = sorted(float(x) for x in args.betas.split(","))
@@ -250,9 +244,7 @@ def cmd_sweep(args) -> int:
         betas = np.linspace(0.0, 1.0, args.beta_points).tolist()
 
     with _mapper(args.jobs) as map_fn:
-        points = complementarity_sweep(
-            graph, psi0, args.steps, betas, map_fn=map_fn, **step_kwargs
-        )
+        points = complementarity_sweep(graph, step, psi0, args.steps, betas, map_fn=map_fn)
 
     lines = ["beta,visibility,distinguishability,tvd_to_unitary,tvd_to_classical\n"]
     for pt in points:
@@ -268,8 +260,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    graph, psi0, step_kwargs, description = _build_setup(args)
-    step = make_step(graph, beta=args.beta, **step_kwargs)
+    graph, psi0, step, description = _build_setup(args)
     result = compare_mixing(graph, step, psi0, args.t_max, args.epsilon)
 
     lines = ["t,tvd_quantum_time_averaged,tvd_classical\n"]
@@ -293,18 +284,19 @@ def cmd_mix(args) -> int:
 
 def _trajectory_chunk(task) -> tuple[np.ndarray, list[tuple[TrajectoryRecord, np.ndarray]]]:
     """The light cone's vertices, and per seed its record and final cone marginal."""
-    graph, psi0, steps, beta, step_kwargs, seeds = task
-    step = make_step(graph, beta=beta, **step_kwargs)
+    psi0, step, steps, seeds = task
     out = []
     for cone, final, record in _cone_trajectories(psi0, step, steps, seeds):
-        out.append((record, pure_position_marginal(final, graph.degree)))
+        out.append((record, pure_position_marginal(final, step.shift.degree)))
     return cone, out
 
 
 def cmd_trajectory(args) -> int:
-    graph, psi0, step_kwargs, description = _build_setup(args)
+    graph, psi0, step, description = _build_setup(args)
     if args.samples < 1:
         raise ConfigError(f"--samples must be positive, got {args.samples}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
 
     root_seed = args.seed
     if root_seed is None:
@@ -318,7 +310,7 @@ def cmd_trajectory(args) -> int:
     # contiguous chunks, so the chunks' results are in sample order
     size = -(-args.samples // args.jobs)
     tasks = [
-        (graph, psi0, args.steps, args.beta, step_kwargs, sample_seeds[i: i + size])
+        (psi0, step, args.steps, sample_seeds[i: i + size])
         for i in range(0, args.samples, size)
     ]
     with _mapper(args.jobs) as map_fn:
@@ -341,7 +333,7 @@ def cmd_trajectory(args) -> int:
     files = {records_path: record_lines, hist_path: hist_lines}
 
     # the only cycle shift the CLI builds is build_cycle_shift(--cycle)
-    reconstructable = args.beta == 1.0 and step_kwargs["shift"].kind == "direction-preserving"
+    reconstructable = args.beta == 1.0 and step.shift.kind == "direction-preserving"
     paths_path = None
     if reconstructable:
         start_vertex = description["start"]["vertex"]

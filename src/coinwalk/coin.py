@@ -1,11 +1,12 @@
-"""Coin blocks: the block-diagonal coin as an (N, d, d) stack.
+"""Coin blocks: the block-diagonal coin, one d x d block or an (N, d, d) stack.
 
 The coin acts independently at each vertex: vertex j carries a unitary
 on its d_j used ports, embedded into the d x d coin block with zero
 rows and columns at unused ports. A coin is given in one of two forms:
 one 2-D array, the block every vertex shares (the graph must then be
-regular), or a sequence of one block per vertex. A config names a coin
-by type, and the phase of a hadamard coin is the config's phi alone.
+regular), or a sequence of one block per vertex; embedded_blocks keeps
+that form. A config names a coin by type, and the phase of a hadamard
+coin is the config's phi alone.
 """
 
 from __future__ import annotations
@@ -98,12 +99,13 @@ def _check_block_unitary(block: np.ndarray, where: str) -> None:
 
 
 def embedded_blocks(graph: PortGraph, coin: Coin) -> np.ndarray:
-    """Validate a coin against a graph and return the (N, d, d) block stack.
+    """Validate a coin against a graph and return it as d x d blocks.
 
     Each block must be either d_j x d_j (embedded with zero padding) or
     already d x d with exact zeros outside the used-port corner. Anything
-    acting on an unused port is rejected. A shared block is held once, as
-    one read-only view over the N vertices. Of a per-vertex sequence, each
+    acting on an unused port is rejected. A shared block comes back as
+    the one read-only (d, d) block every vertex uses, a per-vertex
+    sequence as the (N, d, d) stack. Of a per-vertex sequence, each
     distinct (block object, degree) pair is checked and embedded once; the
     list of blocks keeps every keyed object alive, so no id is reused.
     """
@@ -114,7 +116,8 @@ def embedded_blocks(graph: PortGraph, coin: Coin) -> np.ndarray:
                 "shared coin block requires every vertex to have full degree"
             )
         full = _embedded(coin, d, d, "shared by every vertex")
-        return np.broadcast_to(full, (n, d, d))
+        full.flags.writeable = False
+        return full
     blocks = list(coin)
     if len(blocks) != n:
         raise StructureError(f"need {n} coin blocks (one per vertex), got {len(blocks)}")

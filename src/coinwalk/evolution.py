@@ -6,13 +6,13 @@ optional dephasing between vertices, and the shift. The vertex
 dephasing may instead be placed after the shift; both orders are
 conventions and the choice is recorded with every run.
 
-Every part of the step is applied in its structured form. The coin is a
-stack of per-vertex d x d blocks. On a pure state, or on the rows of a
-stack of them, a block that every vertex shares tosses all the (row,
-vertex) pairs of d amplitudes in one matrix product, and per-vertex
-blocks are one batched product; a density matrix takes a batched
-product on its (N, d, N d) view from each side. The coin measurement
-is the (m, d) array of its Kraus diagonals, and vertex dephasing only
+Every part of the step is applied in its structured form. The coin is
+one d x d block that every vertex shares, or a stack of per-vertex
+blocks. On a pure state, or on the rows of a stack of them, a shared
+block tosses all the (row, vertex) pairs of d amplitudes in one matrix
+product, and per-vertex blocks are one batched product; a density
+matrix takes a batched product, broadcast for a shared block, on its
+(N, d, N d) view from each side. The coin measurement is the (m, d) array of its Kraus diagonals, and vertex dephasing only
 scales the blocks between different vertices, so on a density matrix
 both are one elementwise (Schur) product with a d x d coin mask, and on
 a pure state each Kraus operator is an elementwise product. The shift
@@ -54,6 +54,7 @@ from .meter import dephasing_kraus, uniform_dephasing_kraus
 from .shift import ShiftOperator, build_shift
 from .state import (
     DEFAULT_TOLERANCES,
+    _squared_moduli,
     check_pure,
     check_trace,
     pure_position_marginal,
@@ -94,8 +95,9 @@ BORN_WEIGHT_RULE = (
 class StepMap:
     """Everything needed to advance the walk by one time step.
 
-    coin is the (N, d, d) stack of per-vertex coin blocks, as returned by
-    coin.embedded_blocks, where a shared block is one read-only view.
+    coin is as coin.embedded_blocks returns it: the (d, d) block every
+    vertex shares, or the (N, d, d) stack of per-vertex blocks. The map
+    is plain data, so a pickled or copied step walks as the original does.
     coin_kraus is the (m, d) array of the coin measurement's Kraus
     diagonals, row i the diagonal of K_i in the coin basis, or None
     without a measurement. vertex_dephasing lies in [0, 1], and placement
@@ -110,10 +112,10 @@ class StepMap:
 
     def __post_init__(self) -> None:
         n, d = self.shift.num_vertices, self.shift.degree
-        if np.shape(self.coin) != (n, d, d):
+        if np.shape(self.coin) not in ((d, d), (n, d, d)):
             raise StructureError(
-                f"coin must be the ({n}, {d}, {d}) stack of vertex blocks, "
-                f"got shape {np.shape(self.coin)}"
+                f"coin must be the shared ({d}, {d}) block or the ({n}, {d}, {d}) "
+                f"stack of vertex blocks, got shape {np.shape(self.coin)}"
             )
         k = self.coin_kraus
         if k is not None and (np.shape(k)[1:] != (d,) or len(k) == 0):
@@ -144,53 +146,51 @@ def make_step(
     """Assemble a StepMap with the package defaults filled in.
 
     coin_spec is a coin in either form that coin.embedded_blocks takes,
-    by default default_coin_spec(graph). With beta > 0 the diagonals of
-    the coin measurement Kraus family are attached: the two-outcome meter
-    pair when the coin is two-sided, the uniform dephasing family otherwise.
+    by default default_coin_spec(graph). With beta > 0 the coin
+    measurement's Kraus diagonals are attached, as _coin_kraus picks them.
     """
-    if not 0.0 <= beta <= 1.0:  # also rejects NaN
-        raise ConfigError(f"measurement strength beta must lie in [0, 1], got {beta}")
+    kraus = _coin_kraus(beta, graph.degree)
     coin = coin_spec if coin_spec is not None else default_coin_spec(graph)
     blocks = embedded_blocks(graph, coin)
     shift_op = shift if shift is not None else build_shift(graph)
-    kraus = None
-    if beta > 0.0 and graph.degree == 2:
-        kraus = dephasing_kraus(beta)
-    elif beta > 0.0:
-        kraus = uniform_dephasing_kraus(beta, graph.degree)
     return StepMap(blocks, shift_op, kraus, vertex_p, placement)
+
+
+def _coin_kraus(beta: float, degree: int) -> np.ndarray | None:
+    """The coin measurement's Kraus diagonals at strength beta, None at beta = 0.
+
+    The two-outcome meter pair when the coin is two-sided, the uniform
+    dephasing family otherwise; both reject a beta outside [0, 1], NaN too.
+    """
+    if beta == 0.0:
+        return None
+    if degree == 2:
+        return dephasing_kraus(beta)
+    return uniform_dephasing_kraus(beta, degree)
 
 
 # ----------------------------------------------------------------------
 # structured pieces of a step
 
-def _shared_block(coin: np.ndarray) -> np.ndarray | None:
-    """The d x d block every vertex of a coin stack shares, or None.
-
-    coin.embedded_blocks holds a coin given as one block as a read-only
-    view broadcast over the vertices, so its vertex axis has stride 0;
-    a coin given per vertex is a stack of its own rows, equal or not.
-    """
-    return coin[0] if coin.strides[0] == 0 else None
-
+# ----------------------------------------------------------------------
+# structured pieces of a step
 
 def _apply_coin(coin: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """The coin on a pure state, or on each row of an (S, N*d) stack of them.
 
     Each (row, vertex) pair of d amplitudes is tossed by its vertex's
-    block. A shared block tosses all the pairs in one matrix product,
-    psi.reshape(-1, d) @ block.T, in which each output pair depends on
+    block. A shared (d, d) block tosses all the pairs in one matrix
+    product, psi.reshape(-1, d) @ block.T, in which each output pair depends on
     its own amplitudes only: the bits do not depend on how many samples
     or vertices are tossed together, as long as there are at least two
     pairs (numpy hands a one-row product to gemv, which rounds
     otherwise). Per-vertex blocks are one batched product, a
     matrix-vector product per pair.
     """
-    n, d, _ = coin.shape
-    block = _shared_block(coin)
-    if block is not None:
-        return (psi.reshape(-1, d) @ block.T).reshape(psi.shape)
-    return (coin @ psi.reshape(-1, n, d, 1)).reshape(psi.shape)
+    d = coin.shape[-1]
+    if coin.ndim == 2:
+        return (psi.reshape(-1, d) @ coin.T).reshape(psi.shape)
+    return (coin @ psi.reshape(-1, coin.shape[0], d, 1)).reshape(psi.shape)
 
 
 def _coin_mask(step: StepMap) -> np.ndarray:
@@ -346,9 +346,8 @@ def _light_cone(
     reached_ports[perm[~leaving]] = True
     perm[leaving] = np.flatnonzero(~reached_ports)
     shift = ShiftOperator(perm, step.shift.kind, d)
-    # a shared block stays one view, so the cone is tossed as the whole graph is
-    block = _shared_block(step.coin)
-    coin = step.coin[vertices] if block is None else np.broadcast_to(block, (vertices.size, d, d))
+    # a shared block stays the one block, so the cone is tossed as the whole graph is
+    coin = step.coin if step.coin.ndim == 2 else step.coin[vertices]
     return psi0[ports], replace(step, coin=coin, shift=shift), vertices
 
 
@@ -444,11 +443,6 @@ def _require_unravelable(step: StepMap, steps: int) -> None:
         )
     if steps < 0:
         raise ConfigError(f"step count must be nonnegative, got {steps}")
-
-
-def _squared_moduli(x: np.ndarray) -> np.ndarray:
-    """re**2 + im**2 of every entry of x."""
-    return x.real ** 2 + x.imag ** 2
 
 
 def _sequential_sum(x: np.ndarray) -> np.ndarray:

@@ -94,9 +94,14 @@ def position_marginal(rho: np.ndarray, degree: int) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
+def _squared_moduli(x: np.ndarray) -> np.ndarray:
+    """re**2 + im**2 of every entry of x, the package's one rule for |x|**2."""
+    return x.real ** 2 + x.imag ** 2
+
+
 def pure_position_marginal(psi: np.ndarray, degree: int) -> np.ndarray:
     """Position distribution of a pure state, squared amplitudes by vertex."""
-    return (np.abs(psi) ** 2).reshape(-1, degree).sum(axis=1)
+    return _squared_moduli(psi).reshape(-1, degree).sum(axis=1)
 
 
 def partial_trace_meter(joint: np.ndarray, meter_dim: int = 2) -> np.ndarray:

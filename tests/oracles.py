@@ -8,7 +8,8 @@ measurement branches one at a time in nested Python loops; the batched
 step of enumerate_branches must equal it bit for bit.
 per_vertex_apply_coin is the coin toss as it was before a shared block
 was one matrix product: one matrix-vector product per (row, vertex)
-pair, whatever form the coin is in.
+pair, whatever form the coin is in, a shared block broadcast over the
+vertices.
 add_at_classical_step and loop_compare_mixing are the classical step
 and the mixing race as they were before the race built its arrays once:
 the chain adds with an unbuffered np.add.at, every marginal is put in
@@ -31,7 +32,7 @@ from coinwalk.analysis import MixingComparison, MixingCurve, first_crossing, tvd
 from coinwalk.classical import uniform_distribution
 from coinwalk.coin import embedded_blocks
 from coinwalk.errors import ConfigError, InvariantViolation
-from coinwalk.state import check_trace, pure_position_marginal
+from coinwalk.state import _squared_moduli, check_trace, pure_position_marginal
 
 # the bounds of check_density's two checks that the package never makes
 HERMITICITY_TOL = 1e-10
@@ -50,7 +51,9 @@ def block_diagonal(blocks) -> np.ndarray:
 
 def per_vertex_apply_coin(coin, psi) -> np.ndarray:
     """evolution._apply_coin with every coin taken as per-vertex blocks."""
-    n, d, _ = coin.shape
+    d = coin.shape[-1]
+    n = psi.shape[-1] // d
+    coin = np.broadcast_to(coin, (n, d, d))
     return (coin @ psi.reshape(-1, n, d, 1)).reshape(psi.shape)
 
 
@@ -60,7 +63,8 @@ def build_coin_operator(graph, spec) -> np.ndarray:
     It is block diagonal over vertices and unitary on the used subspace;
     rows and columns belonging to unused ports are identically zero.
     """
-    return block_diagonal(embedded_blocks(graph, spec))
+    blocks = embedded_blocks(graph, spec)
+    return block_diagonal(np.broadcast_to(blocks, (graph.num_vertices, *blocks.shape[-2:])))
 
 
 def apply_kraus(rho: np.ndarray, diagonals) -> np.ndarray:
@@ -86,7 +90,7 @@ def loop_enumerate_branches(psi0, step, steps, prune=1e-18):
     cone_psi0, cone_step, cone = evolution._light_cone(psi0, step, steps)
     diagonals = step.coin_kraus
     m, d = diagonals.shape
-    kraus_sq = evolution._squared_moduli(diagonals)
+    kraus_sq = _squared_moduli(diagonals)
     branches = [(1.0, cone_psi0, ())]
     for _ in range(steps):
         grown = []

@@ -136,7 +136,7 @@ def test_instantaneous_distribution_keeps_oscillating(cycle7):
 def test_tradeoff_sweep_endpoints_on_cycle(cycle7):
     shift = build_cycle_shift(7)
     pts = complementarity_sweep(
-        cycle7, basis_state(cycle7, 0, 0), 20, [0.0, 0.5, 1.0], shift=shift
+        cycle7, make_step(cycle7, shift=shift), basis_state(cycle7, 0, 0), 20, [0.0, 0.5, 1.0]
     )
     assert pts[0].tvd_to_unitary == 0.0
     assert pts[0].visibility == 1.0
@@ -152,7 +152,7 @@ def test_tradeoff_sweep_endpoints_on_cycle(cycle7):
 
 def test_tradeoff_sweep_on_irregular_graph(multi_graph):
     pts = complementarity_sweep(
-        multi_graph, basis_state(multi_graph, 0, 0), 12, [0.0, 0.5, 1.0]
+        multi_graph, make_step(multi_graph), basis_state(multi_graph, 0, 0), 12, [0.0, 0.5, 1.0]
     )
     assert pts[0].tvd_to_unitary == 0.0
     assert pts[2].tvd_to_classical < 1e-10
@@ -167,15 +167,19 @@ def test_sweep_runs_the_unitary_anchor_once(cycle7, betas):
 
     def counting_map(fn, tasks):
         tasks = list(tasks)
-        calls.extend(task[3] for task in tasks)
+        calls.extend(step.coin_kraus for _psi0, step, _steps in tasks)
         return map(fn, tasks)
 
-    psi0 = basis_state(cycle7, 0, 0)
-    pts = complementarity_sweep(cycle7, psi0, 9, betas, map_fn=counting_map)
-    assert calls.count(0.0) == 1
-    assert sorted(calls) == sorted(set(betas) | {0.0})
+    def key(kraus):
+        return b"" if kraus is None else kraus.tobytes()
+
+    psi0, step = basis_state(cycle7, 0, 0), make_step(cycle7)
+    pts = complementarity_sweep(cycle7, step, psi0, 9, betas, map_fn=counting_map)
+    assert sum(kraus is None for kraus in calls) == 1
+    expected = [make_step(cycle7, beta=beta).coin_kraus for beta in set(betas) | {0.0}]
+    assert sorted(map(key, calls)) == sorted(map(key, expected))
     assert [pt.beta for pt in pts] == betas
-    assert pts == complementarity_sweep(cycle7, psi0, 9, betas)
+    assert pts == complementarity_sweep(cycle7, step, psi0, 9, betas)
     unitary = marginal_history(psi0, make_step(cycle7), 9)[-1]
     for pt in pts:
         final = marginal_history(psi0, make_step(cycle7, beta=pt.beta), 9)[-1]
@@ -191,9 +195,15 @@ def test_sweep_rejects_a_beta_outside_the_unit_interval_before_any_walk(cycle7, 
         return map(fn, tasks)
 
     with pytest.raises(ConfigError, match="beta must lie in"):
-        complementarity_sweep(cycle7, basis_state(cycle7, 0, 0), 5, [0.5, beta],
-                              map_fn=recording_map)
+        complementarity_sweep(cycle7, make_step(cycle7), basis_state(cycle7, 0, 0), 5,
+                              [0.5, beta], map_fn=recording_map)
     assert walks == []
+
+
+def test_sweep_rejects_a_step_that_already_measures_the_coin(cycle7):
+    with pytest.raises(ConfigError, match="must measure no coin"):
+        complementarity_sweep(cycle7, make_step(cycle7, beta=0.5), basis_state(cycle7, 0, 0),
+                              5, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.4])

@@ -133,14 +133,45 @@ def test_sweep_grid_anchors_and_determinism(tmp_path):
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
-    base = ["sweep", "--cycle", "5", "--steps", "8", "--betas", "0.75,0.0,0.25,1.0"]
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "parallel.csv"
-    assert main(base + ["--jobs", "1", "--out", str(out1)]) == 0
-    assert main(base + ["--jobs", "2", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    _, rows = read_rows(out1)
-    assert [float(r[0]) for r in rows] == [0.0, 0.25, 0.75, 1.0]
+    # on the DFT torus (d = 4) every measured step the workers get is the
+    # uniform dephasing family over a shared (4, 4) coin block
+    torus_path = tmp_path / "torus.json"
+    save_graph(port_permuted_torus(4, np.random.default_rng(3)), str(torus_path))
+    for source in (["--cycle", "5"], ["--graph", str(torus_path), "--vertex-dephasing", "0.2"]):
+        base = ["sweep", *source, "--steps", "8", "--betas", "0.75,0.0,0.25,1.0"]
+        out1 = tmp_path / "serial.csv"
+        out2 = tmp_path / "parallel.csv"
+        assert main(base + ["--jobs", "1", "--out", str(out1)]) == 0
+        assert main(base + ["--jobs", "2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        _, rows = read_rows(out1)
+        assert [float(r[0]) for r in rows] == [0.0, 0.25, 0.75, 1.0]
+
+
+def test_a_bad_trajectory_beta_is_rejected_before_any_pool_starts(tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "traj.csv"
+    assert main(["trajectory", "--cycle", "7", "--beta", "-0.5", "--steps", "2",
+                 "--samples", "4", "--jobs", "2", "--out", str(out)]) == 2
+    assert "measurement strength beta" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--steps", "2"],
+    ["mix", "--t-max", "2", "--epsilon", "0.5"],
+    ["sweep", "--steps", "2", "--betas", "0,1"],
+])
+def test_only_trajectory_takes_a_seed(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--cycle", "5", "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mix_reports_the_crossing_race(tmp_path):

@@ -78,12 +78,13 @@ def test_shared_and_per_vertex_builds_agree():
     shared = build_coin_operator(g, block)
     listed = build_coin_operator(g, [block] * 5)
     np.testing.assert_allclose(shared, listed, atol=0)
-    # a shared block is validated once and held once, as a read-only view,
-    # so one vertex's block cannot be changed through another's
+    # a shared block is validated once and held once, as one read-only
+    # (d, d) block, so no vertex's block can be changed through it
     blocks = embedded_blocks(g, block)
-    assert np.array_equal(blocks, embedded_blocks(g, [block] * 5))
+    assert blocks.shape == (2, 2)
+    assert np.array_equal(_as_stack(g, blocks), embedded_blocks(g, [block] * 5))
     with pytest.raises(ValueError):
-        blocks[0][0, 0] = 7.0
+        blocks[0, 0] = 7.0
 
 
 def test_default_coin_on_irregular_graph_uses_vertex_degrees(multi_graph):
@@ -243,6 +244,11 @@ def test_coin_spec_validation():
         embedded_blocks(build_cycle(7), [])
 
 
+def _as_stack(graph, blocks):
+    """An embedded_blocks result as the (N, d, d) stack, a shared block broadcast."""
+    return np.broadcast_to(blocks, (graph.num_vertices, graph.degree, graph.degree))
+
+
 def _reference_coin(kind, graph):
     """The coin stack, or the error message, of the per-vertex degree checks."""
     degrees = graph.vertex_degrees
@@ -285,10 +291,14 @@ def test_degree_checks_keep_their_coins_and_messages(index):
             continue
         spec = coin_spec_from_config({"type": kind}, graph)
         assert isinstance(spec, np.ndarray) == full
-        assert np.array_equal(embedded_blocks(graph, spec), expected)
+        blocks = embedded_blocks(graph, spec)
+        assert blocks.ndim == (2 if full else 3)
+        assert np.array_equal(_as_stack(graph, blocks), expected)
     shared = dft_coin(graph.degree)
     if full:
-        assert np.array_equal(embedded_blocks(graph, shared), _reference_coin("dft", graph))
+        blocks = embedded_blocks(graph, shared)
+        assert blocks.shape == (graph.degree, graph.degree)
+        assert np.array_equal(_as_stack(graph, blocks), _reference_coin("dft", graph))
     else:
         with pytest.raises(StructureError, match="^shared coin block requires every vertex "
                            "to have full degree$"):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import warnings
 from unittest import mock
 
@@ -886,16 +888,14 @@ def test_a_shared_block_tosses_each_row_on_its_own(degree):
         extra = int(rng.integers(0, 40))
         x = rng.normal(size=(s, n * degree)) + 1j * rng.normal(size=(s, n * degree))
         x *= rng.random(x.shape) ** 6
-        tossed = _apply_coin(np.broadcast_to(block, (n, degree, degree)), x)
+        tossed = _apply_coin(block, x)
         # the cone's vertices at a random place in a whole graph with amplitude elsewhere too
-        whole = np.broadcast_to(block, (n + extra, degree, degree))
         at = int(rng.integers(0, extra + 1)) * degree
         for row, got in zip(x, tossed):
-            alone = _apply_coin(np.broadcast_to(block, (n, degree, degree)), row)
-            assert np.array_equal(alone, got)
+            assert np.array_equal(_apply_coin(block, row), got)
             psi = rng.normal(size=(n + extra) * degree) + 0j
             psi[at: at + n * degree] = row
-            assert np.array_equal(_apply_coin(whole, psi)[at: at + n * degree], got)
+            assert np.array_equal(_apply_coin(block, psi)[at: at + n * degree], got)
         assert np.allclose(tossed, per_vertex_apply_coin(np.stack([block] * n), x), atol=1e-15)
 
 
@@ -914,19 +914,51 @@ def test_per_vertex_blocks_keep_the_batched_product():
 
 
 def test_the_light_cone_keeps_a_shared_block_shared():
-    from coinwalk.evolution import _light_cone, _shared_block
+    from coinwalk.evolution import _light_cone
 
     graph = port_permuted_torus(8, np.random.default_rng(2))
     psi0 = basis_state(graph, 9, 2)
     shared = make_step(graph, beta=0.5)
     per_vertex = make_step(graph, coin_spec=[dft_coin(4)] * 64, beta=0.5)
-    assert np.array_equal(shared.coin, per_vertex.coin)
+    assert shared.coin.shape == (4, 4)
+    assert np.array_equal(np.broadcast_to(shared.coin, (64, 4, 4)), per_vertex.coin)
     _, cone_step, cone = _light_cone(psi0, shared, 2)
     assert 1 < cone.size < 64
-    assert np.array_equal(_shared_block(cone_step.coin), _shared_block(shared.coin))
+    assert cone_step.coin is shared.coin
     _, cone_step, _ = _light_cone(psi0, per_vertex, 2)
-    assert _shared_block(cone_step.coin) is None
+    assert cone_step.coin.shape == (cone.size, 4, 4)
     assert np.array_equal(cone_step.coin, per_vertex.coin[cone])
+
+
+def _copied_step_cases():
+    """(psi0, step) of a shared Hadamard, a shared DFT and a per-vertex coin."""
+    cycle = build_cycle(64)
+    torus = port_permuted_torus(8, np.random.default_rng(1))
+    phases = [hadamard_phi(0.05 * j) for j in range(64)]
+    return {
+        "hadamard-cycle": (basis_state(cycle, 30, 0), make_step(cycle, beta=0.5)),
+        "dft-torus": (basis_state(torus, 27, 1), make_step(torus, beta=0.5)),
+        "per-vertex": (basis_state(cycle, 30, 1), make_step(cycle, coin_spec=phases, beta=0.5)),
+    }
+
+
+@pytest.mark.parametrize("case", ["hadamard-cycle", "dft-torus", "per-vertex"])
+@pytest.mark.parametrize("duplicate", [lambda step: pickle.loads(pickle.dumps(step)),
+                                       copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_a_pickled_or_copied_step_walks_as_the_original(case, duplicate):
+    """A process pool pickles the step; the copy must keep the coin's form and every bit."""
+    psi0, step = _copied_step_cases()[case]
+    seeds = [int(s) for s in np.random.SeedSequence(19).generate_state(50, np.uint64)]
+    copied = duplicate(step)
+    assert copied.coin.shape == step.coin.shape
+    old = list(sample_trajectories(psi0, step, 30, seeds))
+    new = list(sample_trajectories(psi0, copied, 30, seeds))
+    for (final, record), (old_final, old_record) in zip(new, old, strict=True):
+        assert record == old_record
+        assert np.array_equal(final, old_final)
+    for walk in (step, dataclasses.replace(step, coin_kraus=None)):
+        assert np.array_equal(marginal_history(psi0, duplicate(walk), 30),
+                              marginal_history(psi0, walk, 30))
 
 
 def _assert_near_the_per_vertex_product(psi0, step, steps, seeds):
@@ -956,7 +988,7 @@ def test_records_stay_within_4_ulp_of_the_per_vertex_product(beta):
     seeds = [int(s) for s in np.random.SeedSequence(18).generate_state(20, np.uint64)]
     torus = port_permuted_torus(8, np.random.default_rng(1))
     step = make_step(torus, beta=beta)
-    assert evolution._shared_block(step.coin) is not None
+    assert step.coin.shape == (4, 4)
     _assert_near_the_per_vertex_product(basis_state(torus, 27, 1), step, 40, seeds)
     _assert_near_the_per_vertex_product(
         basis_state(torus, 27, 1), make_step(torus, beta=beta, vertex_p=1.0), 12, seeds[:6]
