@@ -93,14 +93,13 @@ def compare_mixing(
     uniform = uniform_distribution(n)
     chain = _chain(graph)
     running_sum = np.zeros(n)
-    p = pure_position_marginal(psi0, graph.degree)
     # row 0 the walk's time average, row 1 the chain; both are scored by
     # one row sum per time, which sums each row as tvd's np.sum does
     pair = np.empty((2, n))
     distances = np.empty((t_max + 1, 2))
+    # the chain starts from psi0 once the walk has checked it
     for t, (vertices, marginal) in enumerate(_marginals(psi0, step, t_max)):
-        if t:
-            p = chain(p)
+        p = chain(p) if t else pure_position_marginal(psi0, graph.degree)
         running_sum[vertices] += marginal
         np.divide(running_sum, t + 1, out=pair[0])
         pair[1] = p

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,15 +25,15 @@ import numpy as np
 
 from . import __version__
 from .analysis import compare_mixing, complementarity_sweep
-from .coin import coin_spec_from_config, default_coin_type
+from .coin import DEFAULT_PHI, coin_spec_from_config, default_coin_type
 from .errors import ConfigError, InvariantViolation, StructureError
 from .evolution import (
     BORN_WEIGHT_RULE,
     TrajectoryRecord,
-    _cone_trajectories,
     _marginals,
     make_step,
     reconstruct_cycle_path,
+    sample_trajectories,
 )
 from .graph import _write_files, build_cycle, load_graph, read_json
 from .shift import build_cycle_shift, build_shift
@@ -70,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="shift convention (direction-preserving is cycle-only; "
                         "default: direction-preserving on cycles, port-swap otherwise)")
-    common.add_argument("--beta", type=float, default=0.0,
-                        help="coin measurement strength in [0,1]")
     common.add_argument("--vertex-dephasing", type=float, default=0.0, metavar="P",
                         help="position dephasing strength in [0,1]")
     common.add_argument("--dephasing-placement",
@@ -106,6 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_traj.add_argument("--samples", type=int, required=True)
     p_traj.add_argument("--seed", type=int, default=None,
                         help="root seed of the samples' streams (default: fresh entropy)")
+    for p in (p_run, p_mix, p_traj):  # sweep takes its strengths from its grid
+        p.add_argument("--beta", type=float, default=0.0, help="coin measurement strength in [0,1]")
 
     return parser
 
@@ -154,7 +153,6 @@ def _build_setup(args):
             raise ConfigError("--phi sets the phase of a hadamard coin whose config sets no 'phi'")
         coin_config["phi"] = args.phi
     spec = coin_spec_from_config(coin_config, graph)
-    phi = coin_config.get("phi", math.pi / 2) if coin_config["type"] == "hadamard" else math.pi / 2
 
     shift_kind = args.shift
     if shift_kind is None:
@@ -171,7 +169,8 @@ def _build_setup(args):
     start = _parse_start(args.start)
     psi0 = basis_state(graph, *start)
 
-    step = make_step(graph, spec, shift, args.beta, args.vertex_dephasing,
+    beta = getattr(args, "beta", None)  # None on sweep, which has no --beta
+    step = make_step(graph, spec, shift, 0.0 if beta is None else beta, args.vertex_dephasing,
                      args.dephasing_placement)
     description = {
         "graph": {
@@ -180,13 +179,15 @@ def _build_setup(args):
             "degree": graph.degree,
             "partner_sha256": hashlib.sha256(graph.partner.astype("<i8", copy=False)).hexdigest(),
         },
-        "coin": {"type": coin_kind, "phi": float(phi)},
+        "coin": {"type": coin_kind},
         "shift": shift.kind,
-        "beta": args.beta,
+        **({} if beta is None else {"beta": beta}),
         "vertex_dephasing": args.vertex_dephasing,
         "dephasing_placement": args.dephasing_placement,
         "start": {"vertex": start[0], "port": start[1]},
     }
+    if coin_config["type"] == "hadamard":
+        description["coin"]["phi"] = float(coin_config.get("phi", DEFAULT_PHI))
     if coin_kind == "custom":
         description["coin"]["file"] = args.coin_file
     return graph, psi0, step, description
@@ -251,7 +252,6 @@ def cmd_sweep(args) -> int:
         values = (pt.beta, pt.visibility, pt.distinguishability,
                   pt.tvd_to_unitary, pt.tvd_to_classical)
         lines.append(",".join(_fmt(x) for x in values) + "\n")
-    del description["beta"]
     description["steps"] = args.steps
     description["betas"] = betas
     _write_outputs(args, {args.out: lines}, description,
@@ -286,7 +286,7 @@ def _trajectory_chunk(task) -> tuple[np.ndarray, list[tuple[TrajectoryRecord, np
     """The light cone's vertices, and per seed its record and final cone marginal."""
     psi0, step, steps, seeds = task
     out = []
-    for cone, final, record in _cone_trajectories(psi0, step, steps, seeds):
+    for cone, final, record in sample_trajectories(psi0, step, steps, seeds):
         out.append((record, pure_position_marginal(final, step.shift.degree)))
     return cone, out
 
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, StructureError, FileNotFoundError) as exc:
+    except (ConfigError, StructureError) as exc:
         print(f"coinwalk: configuration error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # e.g. numpy refuses a graph too large to hold

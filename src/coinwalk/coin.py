@@ -33,6 +33,8 @@ __all__ = [
 
 # a coin: the one 2-D block every vertex shares, or one block per vertex
 Coin = np.ndarray | Sequence[np.ndarray]
+# the phase of a hadamard coin whose config sets no phi: the real Hadamard matrix
+DEFAULT_PHI = math.pi / 2
 
 
 def hadamard_phi(phi: float) -> np.ndarray:
@@ -174,7 +176,7 @@ def coin_spec_from_config(config: dict, graph: PortGraph) -> Coin:
     if kind == "hadamard":
         if graph.degree != 2 or not _full_degree(graph):
             raise ConfigError("the hadamard coin needs every vertex to have degree 2")
-        phi = config.get("phi", math.pi / 2)
+        phi = config.get("phi", DEFAULT_PHI)
         if not _is_number(phi):
             raise ConfigError(f"coin 'phi' must be a finite number, got {phi!r}")
         return hadamard_phi(phi)

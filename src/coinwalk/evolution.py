@@ -10,15 +10,16 @@ Every part of the step is applied in its structured form. The coin is
 one d x d block that every vertex shares, or a stack of per-vertex
 blocks. On a pure state, or on the rows of a stack of them, a shared
 block tosses all the (row, vertex) pairs of d amplitudes in one matrix
-product, and per-vertex blocks are one batched product; a density
-matrix takes a batched product, broadcast for a shared block, on its
-(N, d, N d) view from each side. The coin measurement is the (m, d) array of its Kraus diagonals, and vertex dephasing only
-scales the blocks between different vertices, so on a density matrix
-both are one elementwise (Schur) product with a d x d coin mask, and on
-a pure state each Kraus operator is an elementwise product. The shift
-is a permutation. The dense (N d) x (N d) forms, assembled_step_operators,
-vertex_dephasing and ShiftOperator.matrix, are never called by the walk;
-they stay public because the benchmark checks the CLI's output with them.
+product, and per-vertex blocks are one batched product; a density matrix
+takes a batched product, broadcast for a shared block, on its
+(N, d, N*d) view from each side. The coin measurement is the (m, d) array of
+its Kraus diagonals, and vertex dephasing only scales the blocks between
+different vertices, so on a density matrix both are one elementwise
+(Schur) product with a d x d coin mask, and on a pure state each Kraus
+operator is an elementwise product. The shift is a permutation. The
+dense (N*d) x (N*d) forms, assembled_step_operators, vertex_dephasing
+and ShiftOperator.matrix, are never called by the walk; they stay public
+because the benchmark checks the CLI's output with them.
 
 A walk of t steps only reaches the vertices within t shifts of psi0's
 support, its light cone. run, marginal_history and the marginals that
@@ -29,14 +30,15 @@ as it is. A shared block stays one block on the cone, so the cone is
 tossed as the whole graph is. evolve, cp_step and unitary_step always
 act on the states they are given.
 
-Trajectories run on the light cone as well. Their samples advance
-together as the rows of one (S, cone ports) array, with the same coin
-product and elementwise Kraus branches; enumerate_branches advances
-every live branch through the same step, as the rows of one array. A
-Born weight is taken from the per-coin masses of the tossed state, each
-added up one vertex at a time (BORN_WEIGHT_RULE), so a vertex without
-amplitude changes no weight, and the records on the cone are those of
-the whole graph bit for bit.
+Trajectories run on the light cone as well, through one generator,
+_unravel, that advances the rows of one array with the same coin product
+and elementwise Kraus branches: the sampler's rows are samples, the
+enumerator's every live branch. A Born weight is taken from the per-coin
+masses of the tossed state, each added up one vertex at a time
+(BORN_WEIGHT_RULE), so a vertex without amplitude changes no weight, and
+the records on the cone are those of the whole graph bit for bit. A
+state leaves the cone only where a caller takes it. Every walk checks
+its start state where it starts, in _light_cone and at evolve's t = 0.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ BORN_WEIGHT_RULE = (
 
 @dataclass(frozen=True)
 class StepMap:
-    """Everything needed to advance the walk by one time step.
+    """Everything needed to take the walk one time step.
 
     coin is as coin.embedded_blocks returns it: the (d, d) block every
     vertex shares, or the (N, d, d) stack of per-vertex blocks. The map
@@ -168,9 +170,6 @@ def _coin_kraus(beta: float, degree: int) -> np.ndarray | None:
         return dephasing_kraus(beta)
     return uniform_dephasing_kraus(beta, degree)
 
-
-# ----------------------------------------------------------------------
-# structured pieces of a step
 
 # ----------------------------------------------------------------------
 # structured pieces of a step
@@ -280,15 +279,24 @@ def evolve(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
     """
     if steps < 0:
         raise ConfigError(f"step count must be nonnegative, got {steps}")
+    _check_start(psi0, step)
     if step.is_unitary:
-        state, advance, check = psi0.copy(), unitary_step, check_pure
+        state, apply_step, check = psi0.copy(), unitary_step, check_pure
     else:
-        state, advance, check = to_density(psi0), cp_step, check_trace
+        state, apply_step, check = to_density(psi0), cp_step, check_trace
     yield state
     for _ in range(steps):
-        state = advance(state, step)
+        state = apply_step(state, step)
         check(state)
         yield state
+
+
+def _check_start(psi0: np.ndarray, step: StepMap) -> None:
+    """Raise StructureError unless psi0 has shape (N*d,), then check_pure it."""
+    size = step.shift.num_vertices * step.shift.degree
+    if np.shape(psi0) != (size,):
+        raise StructureError(f"start state needs N*d = {size} amplitudes, got shape {np.shape(psi0)}")
+    check_pure(psi0)
 
 
 def _marginal(state: np.ndarray, step: StepMap) -> np.ndarray:
@@ -320,6 +328,7 @@ def _light_cone(
     order with the cone ports no inside move reaches, and the shift stays
     a permutation.
     """
+    _check_start(psi0, step)
     n, d = step.shift.num_vertices, step.shift.degree
     neighbours = step.shift.permutation.reshape(n, d) // d
     frontier = np.unique(np.flatnonzero(psi0) // d)
@@ -551,51 +560,61 @@ def _measure_vertices(
     return out, vertices
 
 
-def _unravelling(psi0: np.ndarray, step: StepMap, steps: int):
-    """psi0 on its light cone, the cone's vertices, and the cone's unravelled step.
+def _unravel(psi: np.ndarray, cone_step: StepMap, steps: int, choose, read=None) -> Iterator:
+    """Advance the rows of psi, states on a light cone, through steps unravelled steps.
 
-    The step, advance(psi, choose, read=None), tosses the coin on every
-    row of psi, takes the rows' Born weights raw and checks their totals,
-    and forms only the branches (rows, i) = choose(raw, totals): K_i times
-    the tossed row, over sqrt(raw[row, i]). It shifts them, with read, when
-    given, measuring their vertex at the step's placement.
+    Step t tosses the coin on every row of psi, takes the rows' Born
+    weights raw and checks their totals, and forms only the branches
+    (rows, i) = choose(t, raw, totals): K_i times the tossed row, over
+    sqrt(raw[row, i]). It shifts them, with read(t, psi), when given,
+    measuring their vertex at the step's placement, and yields
+    (psi, rows, i, raw).
     """
-    _require_unravelable(step, steps)
-    cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
-    n, d = cone.size, step.shift.degree
+    d = cone_step.shift.degree
     # the branches are taken from rows of the diagonals tiled over the
     # cone, which is faster than a product broadcast over vertices
-    kraus = np.tile(step.coin_kraus, n)
-    kraus_sq = _squared_moduli(step.coin_kraus)
-    read_before = step.placement == "before-shift"
-
-    def advance(psi, choose, read=None):
+    kraus = np.tile(cone_step.coin_kraus, cone_step.shift.num_vertices)
+    kraus_sq = _squared_moduli(cone_step.coin_kraus)
+    read_before = cone_step.placement == "before-shift"
+    for t in range(steps):
         phi = _apply_coin(cone_step.coin, psi)
         raw = _born_weights(_coin_masses(phi, d), kraus_sq)
         totals = raw.sum(axis=1)
         _check_branch_sums(totals)
-        rows, i = choose(raw, totals)
+        rows, i = choose(t, raw, totals)
         psi = kraus.take(i, axis=0) * phi[rows] / np.sqrt(raw[rows, i])[:, None]
         if read is not None and read_before:
-            psi = read(psi)
+            psi = read(t, psi)
         psi = cone_step.shift.apply(psi)
         if read is not None and not read_before:
-            psi = read(psi)
-        return psi, rows, i, raw
-
-    return cone_psi0, cone, advance
+            psi = read(t, psi)
+        yield psi, rows, i, raw
 
 
-def _cone_trajectories(
+def sample_trajectories(
     psi0: np.ndarray, step: StepMap, steps: int, seeds
 ) -> Iterator[tuple[np.ndarray, np.ndarray, TrajectoryRecord]]:
-    """sample_trajectories on the light cone of psi0.
+    """Sample one measurement record and conditioned final state per seed.
 
-    Yields, per seed, the sorted cone vertices, the final state on the
-    cone's ports and the record, whose vertex outcomes are vertices of
-    the whole graph.
+    Each step draws a meter outcome with the Born probability of its
+    Kraus branch, renormalizes, and shifts. With vertex dephasing 1 the
+    walker's position is also measured each step and recorded. Every
+    draw takes the next uniform double of the sample's own
+    default_rng(seed) stream through an inverse CDF, so a record depends
+    on its seed alone.
+
+    The walk runs on the light cone of psi0. A Born weight is
+    ||K_i phi||^2 summed from the per-coin masses of the tossed state
+    phi, each added up over the vertices in vertex order, so the records
+    and final states are those of the whole graph bit for bit. The
+    samples move together as the rows of an (S, cone ports) array, in
+    blocks of S = SAMPLE_BLOCK_AMPLITUDES // (cone ports) samples (at
+    least one). Yields, in seed order, the sorted cone vertices, the
+    final state on the cone's ports and the record, whose vertex
+    outcomes are vertices of the whole graph.
     """
-    cone_psi0, cone, advance = _unravelling(psi0, step, steps)
+    _require_unravelable(step, steps)
+    cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
     d = step.shift.degree
     measure_position = step.vertex_dephasing == 1.0
     draws = 2 if measure_position else 1
@@ -612,21 +631,20 @@ def _cone_trajectories(
         probs = np.empty((s, steps))  # the drawn outcome's probability
         vertices = np.empty((s, steps), dtype=int)
 
-        # draw and read act at the step t of the loop below
-        def draw(raw, totals):
+        def draw(t, raw, totals):
             w = raw / totals[:, None]
-            i = _inverse_cdf(_viable_weights(w), uniforms[:, t, 0])
+            outcomes[:, t] = i = _inverse_cdf(_viable_weights(w), uniforms[:, t, 0])
             _check_norms(raw[rows, i], "sampled branch")
             probs[:, t] = w[rows, i]
             return rows, i
 
-        def read(psi):
+        def read(t, psi):
             psi, vertices[:, t] = _measure_vertices(psi, d, uniforms[:, t, 1])
             return psi
 
         psi = np.array([cone_psi0] * s)
-        for t in range(steps):
-            psi, _, outcomes[:, t], _ = advance(psi, draw, read if measure_position else None)
+        for psi, *_ in _unravel(psi, cone_step, steps, draw, read if measure_position else None):
+            pass
         for r, seed in enumerate(chunk):
             record = TrajectoryRecord(
                 seed,
@@ -637,73 +655,52 @@ def _cone_trajectories(
             yield cone, psi[r], record
 
 
-def sample_trajectories(
-    psi0: np.ndarray, step: StepMap, steps: int, seeds
-) -> Iterator[tuple[np.ndarray, TrajectoryRecord]]:
-    """Sample one measurement record and conditioned final state per seed.
-
-    Each step draws a meter outcome with the Born probability of its
-    Kraus branch, renormalizes, and shifts. With vertex dephasing 1 the
-    walker's position is also measured each step and recorded. Every
-    draw takes the next uniform double of the sample's own
-    default_rng(seed) stream through an inverse CDF, so a record depends
-    on its seed alone.
-
-    The walk runs on the light cone of psi0. A Born weight is
-    ||K_i phi||^2 summed from the per-coin masses of the tossed state
-    phi, each added up over the vertices in vertex order, so the records
-    and final states are those of the whole graph bit for bit. The
-    samples advance together as the rows of an (S, cone ports) array, in
-    blocks of S = SAMPLE_BLOCK_AMPLITUDES // (cone ports) samples (at
-    least one), and the (final state, record) pairs are yielded in seed
-    order, each final state over all N*d ports.
-    """
-    d = step.shift.degree
-    for cone, final, record in _cone_trajectories(psi0, step, steps, seeds):
-        yield _in_place(final, _cone_ports(cone, d), psi0.size), record
-
-
 def sample_trajectory(
     psi0: np.ndarray, step: StepMap, steps: int, seed: int
 ) -> tuple[np.ndarray, TrajectoryRecord]:
     """Sample one measurement record and the conditioned final state.
 
-    This is sample_trajectories for the single seed.
+    This is sample_trajectories for the single seed, with the final
+    state put back over all N*d ports.
     """
-    (result,) = sample_trajectories(psi0, step, steps, [seed])
-    return result
+    ((cone, final, record),) = sample_trajectories(psi0, step, steps, [seed])
+    return _in_place(final, _cone_ports(cone, step.shift.degree), psi0.size), record
 
 
 def enumerate_branches(
     psi0: np.ndarray, step: StepMap, steps: int, prune: float = 1e-18
-) -> list[tuple[float, np.ndarray, tuple[int, ...]]]:
+) -> Iterator[tuple[float, np.ndarray, tuple[int, ...]]]:
     """Expand every measurement branch exactly, for small step counts.
 
-    Returns (probability, normalized state, outcome tuple) per branch.
-    Branches of probability below prune are dropped; the surviving
-    probabilities still sum to 1 up to that resolution. prune must be
-    positive, since a kept branch of probability 0 cannot be
-    renormalized. The weighted mixture of the returned states reproduces
-    the density-matrix evolution, which is what makes the record
-    ensemble a faithful unraveling. The branches are expanded on the light cone of psi0
-    through the step of sample_trajectories, every live branch a row of
-    one array, and are returned parent by parent, each parent's in
-    outcome order, with every state put in place over all N*d ports.
+    Returns an iterator of (probability, normalized state, outcome tuple)
+    per branch. Branches of probability below prune are dropped; the
+    surviving probabilities still sum to 1 up to that resolution. prune
+    must be positive, since a kept branch of probability 0 cannot be
+    renormalized. The weighted mixture of the states reproduces the
+    density-matrix evolution, which is what makes the record ensemble a
+    faithful unraveling. The branches are expanded on the light cone of
+    psi0 through the step of sample_trajectories, every live branch a row
+    of one array, and come parent by parent, each parent's in outcome
+    order. Every check and the whole expansion run before the function
+    returns; each state is put back over all N*d ports only as it is taken.
     """
     if not prune > 0.0:
         raise ConfigError(f"prune must be a positive probability, got {prune}")
-    cone_psi0, cone, advance = _unravelling(psi0, step, steps)
+    _require_unravelable(step, steps)
     if step.vertex_dephasing != 0.0:
         raise ConfigError("branch enumeration supports coin measurement only")
+    cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
     psi, probs, histories = cone_psi0[None], np.ones(1), np.empty((1, 0), dtype=int)
-    for _ in range(steps):
-        # every branch of probability prune or more, parent by parent
-        psi, rows, i, raw = advance(psi, lambda raw, _: np.nonzero(probs[:, None] * raw >= prune))
+
+    def keep(_t, raw, _totals):  # every branch of probability prune or more, parent by parent
+        return np.nonzero(probs[:, None] * raw >= prune)
+
+    for psi, rows, i, raw in _unravel(psi, cone_step, steps, keep):
         probs = probs[rows] * raw[rows, i]
         histories = np.column_stack([histories[rows], i])
     ports = _cone_ports(cone, step.shift.degree)
     branches = zip(probs.tolist(), psi, histories.tolist())
-    return [(p, _in_place(x, ports, psi0.size), tuple(h)) for p, x, h in branches]
+    return ((p, _in_place(x, ports, psi0.size), tuple(h)) for p, x, h in branches)
 
 
 def reconstruct_cycle_path(

@@ -31,6 +31,13 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def in_place(cone: np.ndarray, state: np.ndarray, size: int) -> np.ndarray:
+    """A state on the ports of the sorted cone vertices, put back among zeros over size ports."""
+    full = np.zeros(size, dtype=state.dtype)
+    full.reshape(-1, state.size // cone.size)[cone] = state.reshape(cone.size, -1)
+    return full
+
+
 def port_permuted_torus(side: int, rng: np.random.Generator):
     """side x side torus with the port labels permuted at every vertex."""
     return from_edge_list(port_permuted_torus_edges(side, rng))

@@ -174,6 +174,33 @@ def test_only_trajectory_takes_a_seed(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("beta", ["0", "0.7"])
+def test_sweep_takes_no_beta(tmp_path, capsys, beta):
+    """sweep takes its strengths from --betas or --beta-points, and argparse names the clash."""
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--cycle", "7", "--steps", "2", "--betas", "0,1", "--beta", beta,
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "ambiguous option: --beta could match --betas, --beta-points" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("entry, message", [
+    (5, "edges[1]: TypeError(\"'int' object is not subscriptable\")"),
+    ({"u": 1, "pu": 0, "v": 2}, "edges[1]: KeyError('pv')"),
+])
+def test_a_graph_file_edge_that_is_no_edge_object_exits_2(tmp_path, capsys, entry, message):
+    edges = [{"u": 0, "pu": 0, "v": 1, "pv": 1}, entry]
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertices": 3, "degree": 2, "edges": edges}))
+    out = tmp_path / "out.csv"
+    assert main(["run", "--graph", str(graph), "--steps", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"coinwalk: configuration error: {graph}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.json"]
+
+
 def test_mix_reports_the_crossing_race(tmp_path):
     out = tmp_path / "mix.csv"
     assert main(
@@ -358,7 +385,7 @@ def test_trajectory_without_measurement_exits_2_from_a_worker(tmp_path, capsys, 
         ["run", "--cycle", "100000000000000000000", "--steps", "2"],
         ["run", "--cycle", "9223372036854775807", "--steps", "2"],
         ["run", "--cycle", "7", "--steps", "2", "--coin-file", "/nonexistent/coin.json"],
-        ["sweep", "--cycle", "7", "--steps", "2", "--betas", "0,1", "--beta", "0.7"],
+        ["mix", "--cycle", "7", "--t-max", "10", "--epsilon", "0.5", "--beta", "1.5"],
         ["run", "--cycle", "7", "--steps", "2", "--vertex-dephasing", "nan"],
         ["sweep", "--cycle", "7", "--steps", "2", "--betas", "0,1", "--vertex-dephasing", "2"],
         ["sweep", "--cycle", "7", "--steps", "-1", "--betas", "0,1", "--jobs", "2"],
@@ -872,11 +899,14 @@ def test_sidecar_records_the_phase_walked(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("coinwalk: configuration error: --phi") and err.count("\n") == 1
     assert not (tmp_path / "never.csv").exists()
-    # without --phi a coin records pi/2, whatever its type
-    assert main(["run", "--cycle", "5", "--steps", "4", "--coin", "dft",
-                 "--out", str(tmp_path / "dft.csv")]) == 0
-    meta = json.loads((tmp_path / "dft.meta.json").read_text())
+    # without --phi a hadamard coin records pi/2, and a coin of another type no phase
+    for coin in ("hadamard", "dft"):
+        assert main(["run", "--cycle", "5", "--steps", "4", "--coin", coin,
+                     "--out", str(tmp_path / f"{coin}.csv")]) == 0
+    meta = json.loads((tmp_path / "hadamard.meta.json").read_text())
     assert meta["configuration"]["coin"]["phi"] == math.pi / 2
+    meta = json.loads((tmp_path / "dft.meta.json").read_text())
+    assert meta["configuration"]["coin"] == {"type": "dft"}
 
 
 def test_console_entry_point_is_installed(tmp_path):

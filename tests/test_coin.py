@@ -139,6 +139,18 @@ def test_non_unitary_block_is_rejected():
             embedded_blocks(g, hadamard_phi(bad))
 
 
+def test_block_of_neither_size_is_rejected(multi_graph):
+    with pytest.raises(StructureError, match=r"^coin block shared by every vertex has shape \(3, 3\); "
+                       r"expected \(2,2\) or \(2,2\)$"):
+        embedded_blocks(build_cycle(5), dft_coin(3))
+    # vertex 1 of the multi graph has degree 2, inside a graph of degree 4
+    blocks = [dft_coin(dj) for dj in multi_graph.vertex_degrees]
+    blocks[1] = dft_coin(3)
+    with pytest.raises(StructureError, match=r"^coin block at vertex 1 has shape \(3, 3\); "
+                       r"expected \(2,2\) or \(4,4\)$"):
+        embedded_blocks(multi_graph, blocks)
+
+
 def test_shared_spec_requires_regular_graph(multi_graph):
     with pytest.raises(StructureError, match="full degree"):
         embedded_blocks(multi_graph, dft_coin(4))

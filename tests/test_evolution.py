@@ -21,6 +21,7 @@ from coinwalk import (
     build_cycle,
     build_cycle_shift,
     classical_run,
+    compare_mixing,
     cp_step,
     dephasing_kraus,
     dft_coin,
@@ -43,7 +44,7 @@ from coinwalk import (
 from coinwalk import evolution
 from coinwalk.evolution import StepMap
 
-from conftest import port_permuted_torus, random_density, random_pure_state
+from conftest import in_place, port_permuted_torus, random_density, random_pure_state
 from oracles import (
     block_diagonal,
     build_coin_operator,
@@ -242,7 +243,7 @@ def test_branch_enumeration_reproduces_density_evolution():
     g = build_cycle(5)
     step = make_step(g, shift=build_cycle_shift(5), beta=0.6)
     psi0 = basis_state(g, 0, 0)
-    branches = enumerate_branches(psi0, step, 6)
+    branches = list(enumerate_branches(psi0, step, 6))
     weights = np.array([w for w, _, _ in branches])
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     mixture = sum(w * to_density(psi) for w, psi, _ in branches)
@@ -267,7 +268,7 @@ def test_enumeration_rejects_a_negative_step_count(cycle7):
 def test_enumeration_that_prunes_every_branch_returns_none(cycle7):
     psi = basis_state(cycle7, 0, 0)
     step = make_step(cycle7, beta=0.5)
-    assert enumerate_branches(psi, step, 3, prune=2.0) == []
+    assert list(enumerate_branches(psi, step, 3, prune=2.0)) == []
     assert loop_enumerate_branches(psi, step, 3, prune=2.0) == []
 
 
@@ -283,7 +284,7 @@ def test_enumeration_rejects_a_prune_that_is_not_positive(prune):
 def test_enumeration_keeps_a_branch_whose_probability_equals_prune(cycle7):
     psi = basis_state(cycle7, 0, 0)
     step = make_step(cycle7, beta=0.5)
-    branches = enumerate_branches(psi, step, 3)
+    branches = list(enumerate_branches(psi, step, 3))
     least = min(p for p, _, _ in branches)
     # earlier steps carry larger probabilities, so nothing is pruned
     for kept in (enumerate_branches(psi, step, 3, prune=least),
@@ -336,7 +337,7 @@ def test_enumeration_equals_the_loop_oracle(multi_graph, data, whole):
     """Same branches in the same order, equal probabilities, histories and states."""
     psi0, step, steps, prune = data.draw(enumeration_cases(multi_graph))
     with mock.patch.object(evolution, "_light_cone", _whole_graph if whole else evolution._light_cone):
-        branches = enumerate_branches(psi0, step, steps, **prune)
+        branches = list(enumerate_branches(psi0, step, steps, **prune))
         expected = loop_enumerate_branches(psi0, step, steps, **prune)
     assert [(p, h) for p, _, h in branches] == [(p, h) for p, _, h in expected]
     assert all(type(p) is float and all(type(i) is int for i in h) for p, _, h in branches)
@@ -501,7 +502,7 @@ def test_structured_step_matches_dense_operators(multi_graph, data, beta, p, pla
     _, record = sample_trajectory(psi, measured, 1, seed=data.draw(st.integers(0, 2**32 - 1)))
     (outcome,), (prob,) = record.outcomes, record.outcome_probabilities
     assert prob == pytest.approx(born[outcome], abs=1e-12)
-    branches = enumerate_branches(psi, measured, 1)
+    branches = list(enumerate_branches(psi, measured, 1))
     assert [h for _, _, h in branches] == [(i,) for i, w in enumerate(born) if w >= 1e-18]
     for w, state, (i,) in branches:
         assert w == pytest.approx(born[i], abs=1e-12)
@@ -799,10 +800,10 @@ def vdot_sample_trajectory(psi0, step, steps, seed):
 def _assert_matches_reference(psi0, step, steps, seeds):
     results = list(sample_trajectories(psi0, step, steps, seeds))
     assert len(results) == len(seeds)
-    for (final, record), seed in zip(results, seeds):
+    for (cone, final, record), seed in zip(results, seeds):
         ref_final, ref_record = reference_sample_trajectory(psi0, step, steps, seed)
         assert record == ref_record
-        assert np.array_equal(final, ref_final)
+        assert np.array_equal(in_place(cone, final, psi0.size), ref_final)
 
 
 # the ulp of a probability in [0.5, 1), the coarsest spacing below 1
@@ -811,7 +812,8 @@ PROBABILITY_ULP = np.spacing(0.5)
 
 def _assert_near_the_vdot_rule(psi0, step, steps, seeds):
     """Outcomes equal to the earlier rule's, and every probability within 4 ulp of [0.5, 1)."""
-    for (final, record), seed in zip(sample_trajectories(psi0, step, steps, seeds), seeds):
+    for (cone, final, record), seed in zip(sample_trajectories(psi0, step, steps, seeds), seeds):
+        final = in_place(cone, final, psi0.size)
         old_final, old = vdot_sample_trajectory(psi0, step, steps, seed)
         assert record.outcomes == old.outcomes
         assert record.vertex_outcomes == old.vertex_outcomes
@@ -953,8 +955,9 @@ def test_a_pickled_or_copied_step_walks_as_the_original(case, duplicate):
     assert copied.coin.shape == step.coin.shape
     old = list(sample_trajectories(psi0, step, 30, seeds))
     new = list(sample_trajectories(psi0, copied, 30, seeds))
-    for (final, record), (old_final, old_record) in zip(new, old, strict=True):
+    for (cone, final, record), (old_cone, old_final, old_record) in zip(new, old, strict=True):
         assert record == old_record
+        assert np.array_equal(cone, old_cone)
         assert np.array_equal(final, old_final)
     for walk in (step, dataclasses.replace(step, coin_kraus=None)):
         assert np.array_equal(marginal_history(psi0, duplicate(walk), 30),
@@ -969,9 +972,10 @@ def _assert_near_the_per_vertex_product(psi0, step, steps, seeds):
     with mock.patch.object(evolution, "_apply_coin", per_vertex_apply_coin):
         old = list(sample_trajectories(psi0, step, steps, seeds))
     new = list(sample_trajectories(psi0, step, steps, seeds))
-    assert [r.seed for _, r in new] == seeds
+    assert [r.seed for _, _, r in new] == seeds
     moved = 0
-    for (final, record), (old_final, old_record) in zip(new, old):
+    for (cone, final, record), (old_cone, old_final, old_record) in zip(new, old, strict=True):
+        assert np.array_equal(cone, old_cone)
         assert record.outcomes == old_record.outcomes
         assert record.vertex_outcomes == old_record.vertex_outcomes
         new_p = np.array(record.outcome_probabilities)
@@ -1095,3 +1099,43 @@ def test_vertex_reading_normalises_by_the_coin_masses(degree, monkeypatch):
         assert np.array_equal(at[vertices], padded_vertices)
         assert np.array_equal(padded_out.reshape(s, total, degree)[:, at],
                               out.reshape(s, n, degree))
+
+
+def _with_nan(psi):
+    psi = psi.copy()
+    psi[1] = math.nan
+    return psi
+
+
+# bad start states of a 5-cycle, whose N*d is 10, and the error each raises
+BAD_STARTS = {
+    "twice": (lambda psi: 2 * psi, InvariantViolation),
+    "zero": (lambda psi: 0 * psi, InvariantViolation),
+    "nan": (_with_nan, InvariantViolation),
+    "length-11": (lambda psi: np.append(psi, 0), StructureError),
+    "shape-5x2": (lambda psi: psi.reshape(5, 2), StructureError),
+}
+# every public entry that starts a walk, at its smallest step count
+START_ENTRIES = {
+    "run": lambda graph, psi, step: run(psi, step, 0),
+    "marginal_history": lambda graph, psi, step: marginal_history(psi, step, 0),
+    "evolve": lambda graph, psi, step: next(evolve(psi, step, 0)),
+    "compare_mixing": lambda graph, psi, step: compare_mixing(graph, step, psi, 1, 0.5),
+    "sample_trajectory": lambda graph, psi, step: sample_trajectory(psi, step, 0, seed=1),
+    "sample_trajectories": lambda graph, psi, step: list(sample_trajectories(psi, step, 0, [1])),
+    "enumerate_branches": lambda graph, psi, step: enumerate_branches(psi, step, 0),
+}
+
+
+@pytest.mark.parametrize("start", sorted(BAD_STARTS))
+@pytest.mark.parametrize("entry", sorted(START_ENTRIES))
+def test_a_bad_start_state_is_rejected_where_the_walk_starts(entry, start):
+    """A start of another shape than (N*d,) is a StructureError, one of norm other than 1 an
+    InvariantViolation, on the unitary and the measured path alike, even at 0 steps."""
+    graph = build_cycle(5)
+    bad, error = BAD_STARTS[start]
+    psi = bad(basis_state(graph, 0, 0))
+    sampler = entry.startswith(("sample", "enumerate"))
+    for beta in (0.5,) if sampler else (0.0, 0.5):
+        with pytest.raises(error, match="N\\*d = 10" if error is StructureError else "norm"):
+            START_ENTRIES[entry](graph, psi, make_step(graph, beta=beta))

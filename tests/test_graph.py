@@ -274,6 +274,15 @@ def test_save_graph_that_cannot_write_raises_config_error_naming_the_path(tmp_pa
     assert not list((tmp_path / "a-directory").iterdir())
 
 
+def test_a_failed_later_file_removes_the_temp_file_of_an_earlier_one(tmp_path):
+    (tmp_path / "a-file").write_text("x")
+    first, second = str(tmp_path / "first.csv"), str(tmp_path / "a-file" / "second.csv")
+    with pytest.raises(ConfigError, match=f"cannot write {re.escape(second)}: "):
+        graph_module._write_files({first: ["1\n"], second: ["2\n"]})
+    # the first file's temp file was written in full before the second failed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
+
+
 def test_load_graph_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -8,6 +8,7 @@ allows 1e-15; entries outside the cone must be exactly 0 on both sides.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -27,6 +28,7 @@ from coinwalk import (
     hadamard_phi,
     make_step,
     marginal_history,
+    pure_position_marginal,
     run,
     sample_trajectories,
     to_density,
@@ -37,7 +39,7 @@ from coinwalk.classical import uniform_distribution
 from coinwalk.coin import default_coin_type
 from coinwalk.evolution import _light_cone, _marginal
 
-from conftest import port_permuted_torus
+from conftest import in_place, port_permuted_torus
 
 
 def with_isolated_vertices(graph, count):
@@ -218,15 +220,16 @@ def test_trajectories_on_the_cone_are_those_of_the_whole_graph(
     with mock.patch.object(evolution, "_light_cone", whole_graph):
         whole = list(sample_trajectories(psi0, step, steps, seeds))
     assert len(cone) == len(whole) == len(seeds)
-    for (final, record), (whole_final, whole_record) in zip(cone, whole):
+    for (vertices, final, record), (every, whole_final, whole_record) in zip(cone, whole):
         assert record == whole_record
-        assert final.shape == whole_final.shape == psi0.shape
-        assert np.array_equal(final, whole_final)
+        assert np.array_equal(every, np.arange(graph.num_vertices))
+        assert final.shape == (vertices.size * graph.degree,) and whole_final.shape == psi0.shape
+        assert np.array_equal(in_place(vertices, final, psi0.size), whole_final)
 
     if p == 0.0 and steps <= 4:
-        branches = enumerate_branches(psi0, step, steps)
+        branches = list(enumerate_branches(psi0, step, steps))
         with mock.patch.object(evolution, "_light_cone", whole_graph):
-            whole = enumerate_branches(psi0, step, steps)
+            whole = list(enumerate_branches(psi0, step, steps))
         assert [(w, h) for w, _, h in branches] == [(w, h) for w, _, h in whole]
         for (_, state, _), (_, whole_state, _) in zip(branches, whole):
             assert np.array_equal(state, whole_state)
@@ -241,9 +244,33 @@ def test_sampler_walks_only_the_cone_of_a_4096_cycle():
         step = make_step(graph, shift=build_cycle_shift(n), beta=0.5, vertex_p=1.0)
         with mock.patch.object(evolution, "SAMPLE_BLOCK_AMPLITUDES", 64 * 2 * 3):
             results.append(list(sample_trajectories(basis_state(graph, n // 2, 0), step, 20, seeds)))
-    for (big, big_record), (small, small_record) in zip(*results):
+    for (big_cone, big, big_record), (small_cone, small, small_record) in zip(*results, strict=True):
         assert big_record.outcomes == small_record.outcomes
         assert big_record.outcome_probabilities == small_record.outcome_probabilities
         assert [v - 2016 for v in big_record.vertex_outcomes] == list(small_record.vertex_outcomes)
-        assert np.array_equal(big[2016 * 2: 2080 * 2], small)
-        assert not big[: 2016 * 2].any() and not big[2080 * 2:].any()
+        # the cones of 20 steps from vertex n // 2, shifted by 4096 // 2 - 64 // 2
+        assert np.array_equal(big_cone - 2016, small_cone)
+        assert np.array_equal(small_cone, np.arange(12, 53))
+        assert np.array_equal(big, small)
+
+
+def test_folded_branches_of_a_4096_cycle_hold_one_full_state_at_a_time():
+    """1024 branches of 10 measured steps live on a cone of 21 vertices; a
+    list of them over all 8192 ports held 135 MB."""
+    n = 4096
+    graph = build_cycle(n)
+    step = make_step(graph, beta=0.5)
+    psi0 = basis_state(graph, n // 2, 0)
+    tracemalloc.start()
+    try:
+        mixture, count = np.zeros(n), 0
+        for p, psi, _outcomes in enumerate_branches(psi0, step, 10):
+            mixture += p * pure_position_marginal(psi, 2)
+            count += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2 ** 10
+    assert np.flatnonzero(mixture).tolist() == list(range(n // 2 - 10, n // 2 + 11, 2))
+    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+
