@@ -13,6 +13,7 @@ failed command leaves no output behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -45,7 +46,9 @@ RNG_NAME = "numpy.random.default_rng (PCG64)"
 # ----------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="coinwalk",
         description="Coined quantum walks on port-labeled graphs with "

@@ -38,15 +38,29 @@ class ShiftOperator:
         inverse[self.permutation] = np.arange(self.permutation.size)
         return inverse
 
+    @cached_property
+    def _conjugation_index(self) -> np.ndarray:
+        """conjugate's read-only flat index: row-major entry (a, b) reads entry
+        (inverse[a], inverse[b]). 8 (N d)^2 bytes, built on first use."""
+        inv = self.inverse
+        index = inv[:, None] * inv.size + inv[None, :]
+        index.flags.writeable = False
+        return index
+
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """S psi, for one state or for each row of a stack of states."""
         return psi.take(self.inverse, axis=-1)
 
     def conjugate(self, rho: np.ndarray) -> np.ndarray:
-        """S rho S^dagger for a permutation S, done by reindexing."""
-        out = np.empty_like(rho)
-        out[np.ix_(self.permutation, self.permutation)] = rho
-        return out
+        """S rho S^dagger for a permutation S, as one row-major gather.
+
+        Entry (a, b) is rho[inverse[a], inverse[b]], read from rho's
+        row-major flat form (a view of a C-ordered rho, a copy of any
+        other) into a new C-ordered array, so its bits are rho's. It
+        indexes rather than calls ndarray.take, which copies a read-only
+        index on every call.
+        """
+        return rho.ravel()[self._conjugation_index]
 
     def matrix(self) -> np.ndarray:
         """The dense (N d) x (N d) permutation matrix, an oracle the walk never builds."""

@@ -61,12 +61,16 @@ def check_pure(psi: np.ndarray) -> None:
 
 
 def check_trace(rho: np.ndarray) -> None:
-    """Verify a finite diagonal of unit trace, an O(N d) check of a density matrix."""
+    """Verify a finite diagonal of unit trace, an O(N d) check of a density matrix.
+
+    The diagonal is read once, for the trace; a NaN or Inf entry makes
+    the trace fail, and only then are the entries looked at.
+    """
     diag = np.diagonal(rho).real
-    if not np.isfinite(diag).all():
-        raise InvariantViolation("density matrix has a non-finite diagonal entry")
     tr = diag.sum()
     if not abs(tr - 1.0) <= DEFAULT_TOLERANCES.trace:
+        if not np.isfinite(diag).all():
+            raise InvariantViolation("density matrix has a non-finite diagonal entry")
         raise InvariantViolation(f"density matrix trace {tr!r} is not 1")
 
 
@@ -84,14 +88,14 @@ def position_marginal(rho: np.ndarray, degree: int) -> np.ndarray:
     DEFAULT_TOLERANCES.marginal_clamp) are clamped to zero; anything more negative
     indicates a logic error upstream and raises, as do NaN and Inf.
     """
-    diag = np.real(np.diagonal(rho)).reshape(-1, degree)
-    probs = diag.sum(axis=1)
-    if not np.all(np.isfinite(probs)):
-        raise InvariantViolation("marginal has a non-finite entry")
+    probs = np.diagonal(rho).real.reshape(-1, degree).sum(axis=1)
     lo = probs.min()
-    if not lo >= -DEFAULT_TOLERANCES.marginal_clamp:
+    # a NaN fails both comparisons, -Inf the first and +Inf the second
+    if not (lo >= -DEFAULT_TOLERANCES.marginal_clamp and probs.max() < np.inf):
+        if not np.isfinite(probs).all():
+            raise InvariantViolation("marginal has a non-finite entry")
         raise InvariantViolation(f"marginal entry {lo:.3e} below the clamp threshold")
-    return np.clip(probs, 0.0, None)
+    return np.maximum(probs, 0.0, out=probs)
 
 
 def _squared_moduli(x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,10 @@ and the mixing race as they were before the race built its arrays once:
 the chain adds with an unbuffered np.add.at, every marginal is put in
 place among N zeros, and each curve is scored by tvd. classical_step,
 classical_run and compare_mixing must equal them bit for bit.
+scatter_cp_step is the density step as it was before the shift became a
+gather: the shift scatters the transposed tossed state through np.ix_,
+and each Schur product saves and restores the same-vertex blocks by
+fancy indexing; cp_step must equal it bit for bit.
 half_edge_step and half_edge_run are the port-resolved chain that a
 fully measured walk follows; check_density, coherence_l1,
 conditional_meter_states and trace_distance are the density-matrix,
@@ -110,6 +114,37 @@ def loop_enumerate_branches(psi0, step, steps, prune=1e-18):
     ports = evolution._cone_ports(cone, d)
     return [(w, evolution._in_place(psi, ports, psi0.size), history)
             for w, psi, history in branches]
+
+
+def _scatter_schur(rho, coin_mask, p):
+    """Scale rho[(i, a), (j, b)] by coin_mask[a, b], and by (1 - p) when i != j."""
+    d = coin_mask.shape[0]
+    n = rho.shape[0] // d
+    rho4 = rho.reshape(n, d, n, d)
+    v = np.arange(n)
+    same_vertex = rho4[v, :, v, :] * coin_mask
+    rho4 *= (1.0 - p) * coin_mask[:, None, :]
+    rho4[v, :, v, :] = same_vertex
+    return rho4.reshape(rho.shape)
+
+
+def scatter_cp_step(rho, step):
+    """cp_step with the shift as an np.ix_ scatter of the transposed tossed state."""
+    n, d = step.shift.num_vertices, step.shift.degree
+    p = step.vertex_dephasing
+    p_before = p if step.placement == "before-shift" else 0.0
+    out = (step.coin @ rho.reshape(n, d, -1)).reshape(rho.shape).T
+    out = (step.coin.conj() @ out.reshape(n, d, -1)).reshape(rho.shape)
+    if step.coin_kraus is not None or p_before > 0.0:
+        k = step.coin_kraus
+        mask = np.ones((d, d)) if k is None else k.T @ k.conj()
+        out = _scatter_schur(out, mask.T, p_before)
+    src = out.T
+    out = np.empty_like(src)
+    out[np.ix_(step.shift.permutation, step.shift.permutation)] = src
+    if p > 0.0 and step.placement == "after-shift":
+        out = _scatter_schur(out, np.ones((d, d)), p)
+    return out
 
 
 def add_at_classical_step(p, graph):

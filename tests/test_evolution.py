@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -53,6 +54,7 @@ from oracles import (
     half_edge_run,
     loop_enumerate_branches,
     per_vertex_apply_coin,
+    scatter_cp_step,
 )
 
 
@@ -507,6 +509,84 @@ def test_structured_step_matches_dense_operators(multi_graph, data, beta, p, pla
     for w, state, (i,) in branches:
         assert w == pytest.approx(born[i], abs=1e-12)
         np.testing.assert_allclose(state, ops[i] @ psi / math.sqrt(born[i]), atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the density step's layout: a gathered shift, bit for bit the scatter
+
+def _oracle_graph(kind):
+    """(graph, shift) of a direction-preserving cycle, a port-swap cycle or a port-permuted torus."""
+    if kind == "cycle":
+        return build_cycle(31), build_cycle_shift(31)
+    if kind == "port-swap-cycle":
+        return build_cycle(12), None
+    return port_permuted_torus(5, np.random.default_rng(3)), None
+
+
+@pytest.mark.parametrize("kind", ["cycle", "port-swap-cycle", "torus"])
+@pytest.mark.parametrize("coin", ["shared", "per-vertex"])
+def test_cp_step_equals_the_scatter_step_bit_for_bit(kind, coin):
+    graph, shift = _oracle_graph(kind)
+    n, d = graph.num_vertices, graph.degree
+    rng = np.random.default_rng(21)
+    spec = None
+    if coin == "per-vertex":
+        spec = list(np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0])
+    start = random_density(rng, n * d)
+    for beta in (0.0, 0.3, 1.0):
+        for p in (0.0, 0.1, 1.0):
+            for placement in ("before-shift", "after-shift"):
+                step = make_step(graph, spec, shift, beta, p, placement)
+                for rho in (np.ascontiguousarray(start), np.asfortranarray(start)):
+                    want = rho
+                    for t in range(25):
+                        rho, want = cp_step(rho, step), scatter_cp_step(want, step)
+                        assert np.array_equal(rho, want), (beta, p, placement, t)
+
+
+@pytest.mark.parametrize("placement", ["before-shift", "after-shift"])
+def test_a_density_step_hands_back_the_transpose_of_a_row_major_gather(cycle7, placement):
+    step = make_step(cycle7, shift=build_cycle_shift(7), beta=0.4, vertex_p=0.2,
+                     placement=placement)
+    rho = to_density(basis_state(cycle7, 0, 0))
+    for _ in range(3):
+        rho = cp_step(rho, step)
+        assert rho.flags.f_contiguous and not rho.flags.c_contiguous
+        # the next step's (N, d, N d) view is still a view, so its products keep their shapes
+        assert np.shares_memory(rho.reshape(7, 2, -1), rho)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_schur_scales_in_place_on_either_layout(order):
+    n, d, p = 5, 3, 0.25
+    rng = np.random.default_rng(8)
+    mask = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = np.asarray(random_density(rng, n * d), order=order)
+    vertex = np.arange(n * d) // d
+    factor = np.tile(mask, (n, n)) * np.where(vertex[:, None] == vertex, 1.0, 1.0 - p)
+    want = rho * factor
+    out = evolution._schur(rho, mask, np.tile((1.0 - p) * mask, (1, n)))
+    assert np.shares_memory(out, rho)
+    np.testing.assert_allclose(out, want, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(out, rho)
+
+
+@pytest.mark.parametrize("cycle", [41, 256])
+def test_a_density_step_peaks_near_two_copies_of_its_input(cycle):
+    """82 and 512 ports: the coin halves hold two arrays at once, and nothing else holds more."""
+    graph = build_cycle(cycle)
+    step = make_step(graph, shift=build_cycle_shift(cycle), beta=0.5, vertex_p=0.1)
+    rho = cp_step(random_density(np.random.default_rng(2), 2 * cycle), step)  # builds the gather index
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = cp_step(rho, step)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == rho.shape
+    assert peak <= 2.1 * rho.nbytes, peak / rho.nbytes
 
 
 @pytest.mark.parametrize("beta", [-0.5, 1.5, float("nan")])

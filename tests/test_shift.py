@@ -11,7 +11,7 @@ from coinwalk import (
     build_shift,
 )
 
-from conftest import random_pure_state
+from conftest import port_permuted_torus, random_pure_state
 
 
 def test_port_swap_on_triangle():
@@ -115,7 +115,39 @@ def test_conjugate_matches_matrix_sandwich(seed):
     psi = random_pure_state(rng, 10)
     rho = np.outer(psi, psi.conj())
     m = s.matrix()
-    np.testing.assert_allclose(s.conjugate(rho), m @ rho @ m.conj().T, atol=1e-14)
+    assert np.array_equal(s.conjugate(rho), m @ rho @ m.conj().T)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("shift", ["port-swap", "direction-preserving", "torus"])
+def test_conjugate_reads_every_layout_exactly(layout, shift):
+    rng = np.random.default_rng(5)
+    if shift == "port-swap":
+        s = build_shift(build_cycle(6))
+    elif shift == "direction-preserving":
+        s = build_cycle_shift(6)
+    else:
+        s = build_shift(port_permuted_torus(3, rng))
+    dim = s.permutation.size
+    full = rng.normal(size=(2 * dim, 2 * dim)) + 1j * rng.normal(size=(2 * dim, 2 * dim))
+    rho = {"C": np.ascontiguousarray(full[:dim, :dim]),
+           "F": np.asfortranarray(full[:dim, :dim]),
+           "strided": full[::2, ::2]}[layout]
+    m = s.matrix()
+    out = s.conjugate(rho)
+    assert np.array_equal(out, m @ rho @ m.conj().T)
+    assert out.flags.c_contiguous and not np.shares_memory(out, rho)
+    assert np.array_equal(out[s.permutation[:, None], s.permutation], rho)
+
+
+def test_the_gather_index_is_built_once_and_read_only():
+    s = build_cycle_shift(5)
+    s.conjugate(np.eye(10, dtype=complex))
+    index = s._conjugation_index
+    assert not index.flags.writeable
+    assert index.nbytes == 8 * 10 ** 2
+    s.conjugate(np.eye(10, dtype=complex))
+    assert s._conjugation_index is index
 
 
 def test_cycle_shift_rejects_bad_arguments():

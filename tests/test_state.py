@@ -224,6 +224,42 @@ def test_every_guard_of_the_table_fires_on_nan_and_inf(bound, bad):
         guard(bad)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf, and 1e308 + 1e308
+@pytest.mark.parametrize("diagonal, message", [
+    ([0.5, 0.5, 0.0, np.nan], "non-finite diagonal entry"),
+    ([0.5, 0.5, 0.0, np.inf], "non-finite diagonal entry"),
+    ([0.5, 0.5, -np.inf, np.inf], "non-finite diagonal entry"),
+    ([0.5, 0.5, 0.5, 0.0], r"trace np.float64\(1.5\) is not 1"),
+    ([1e308, 1e308, 0.0, 0.0], r"trace np.float64\(inf\) is not 1"),
+])
+def test_check_trace_names_what_is_wrong(diagonal, message):
+    rho = np.diag(diagonal).astype(complex)
+    for layout in (rho, np.asfortranarray(rho)):
+        with pytest.raises(InvariantViolation, match=message):
+            check_trace(layout)
+
+
+@np.errstate(invalid="ignore")  # inf - inf
+@pytest.mark.parametrize("diagonal, message", [
+    ([0.5, 0.5, 0.0, np.nan], "non-finite entry"),
+    ([0.5, 0.5, 0.0, np.inf], "non-finite entry"),
+    ([0.5, 0.5, -np.inf, 0.0], "non-finite entry"),
+    ([1.0, 0.5, -0.5, 0.0], "marginal entry -5.000e-01 below the clamp threshold"),
+    ([1.0, 0.5, -0.5, np.inf], "non-finite entry"),
+])
+def test_position_marginal_names_what_is_wrong(diagonal, message):
+    rho = np.diag(diagonal).astype(complex)
+    for layout in (rho, np.asfortranarray(rho)):
+        with pytest.raises(InvariantViolation, match=message):
+            position_marginal(layout, 2)
+
+
+def test_position_marginal_clamps_roundoff_to_zero():
+    rho = np.diag([0.5, 0.5, -1e-13, 0.0]).astype(complex)
+    probs = position_marginal(rho, 2)
+    assert probs.tolist() == [1.0, 0.0] and not np.signbit(probs).any()
+
+
 def test_every_bound_of_the_table_is_read_by_the_package():
     source = "\n".join(path.read_text(encoding="utf-8")
                        for path in Path(evolution.__file__).parent.glob("*.py"))
