@@ -199,10 +199,6 @@ def _build_setup(args):
 # ----------------------------------------------------------------------
 # output helpers
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_outputs(args, files: dict, description: dict, extra: dict) -> None:
     """Write a command's files and <out>.meta.json, json.dumps(meta, indent=1, sort_keys=True)."""
     meta = {
@@ -228,7 +224,7 @@ def cmd_run(args) -> int:
     for t, (vertices, marginal) in enumerate(_marginals(psi0, step, args.steps)):
         nonzero = np.flatnonzero(marginal)
         rows = zip(vertices[nonzero].tolist(), marginal[nonzero].tolist())
-        lines += [f"{t},{v},{_fmt(p)}\n" for v, p in rows]
+        lines += [f"{t},{v},{p!r}\n" for v, p in rows]
     description["steps"] = args.steps
     output = {"output": {"csv": args.out, "rows": len(lines) - 1}}
     _write_outputs(args, {args.out: lines}, description, output)
@@ -254,7 +250,7 @@ def cmd_sweep(args) -> int:
     for pt in points:
         values = (pt.beta, pt.visibility, pt.distinguishability,
                   pt.tvd_to_unitary, pt.tvd_to_classical)
-        lines.append(",".join(_fmt(x) for x in values) + "\n")
+        lines.append(",".join(map(repr, values)) + "\n")
     description["steps"] = args.steps
     description["betas"] = betas
     _write_outputs(args, {args.out: lines}, description,
@@ -269,7 +265,7 @@ def cmd_mix(args) -> int:
     lines = ["t,tvd_quantum_time_averaged,tvd_classical\n"]
     for t, q, c in zip(result.quantum.times, result.quantum.tvd_to_uniform,
                        result.classical.tvd_to_uniform):
-        lines.append(f"{t},{_fmt(q)},{_fmt(c)}\n")
+        lines.append(f"{t},{q!r},{c!r}\n")
     description["t_max"] = args.t_max
     description["epsilon"] = args.epsilon
     _write_outputs(args, {args.out: lines}, description, {
@@ -324,11 +320,11 @@ def cmd_trajectory(args) -> int:
     record_lines = ["sample,step,outcome,probability\n"]
     for index, (record, _marginal) in enumerate(results):
         for t, (o, p) in enumerate(zip(record.outcomes, record.outcome_probabilities), start=1):
-            record_lines.append(f"{index},{t},{o},{_fmt(p)}\n")
+            record_lines.append(f"{index},{t},{o},{p!r}\n")
 
     aggregate = np.zeros(graph.num_vertices)
     aggregate[cone] = sum((m for _record, m in results), np.zeros(cone.size)) / len(results)
-    hist_lines = ["vertex,probability\n"] + [f"{v},{_fmt(p)}\n" for v, p in enumerate(aggregate)]
+    hist_lines = ["vertex,probability\n"] + [f"{v},{p!r}\n" for v, p in enumerate(aggregate.tolist())]
 
     base = args.out.removesuffix(".csv")
     records_path = base + "_records.csv"

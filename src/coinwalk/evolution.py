@@ -8,21 +8,30 @@ conventions and the choice is recorded with every run.
 
 Every part of the step is applied in its structured form. The coin is
 one d x d block that every vertex shares, or a stack of per-vertex
-blocks. On a pure state, or on the rows of a stack of them, a shared
+blocks, and the coin measurement is the (m, d) array of its Kraus
+diagonals. On a pure state, or on the rows of a stack of them, a shared
 block tosses all the (row, vertex) pairs of d amplitudes in one matrix
-product, and per-vertex blocks are one batched product; a density matrix
-takes a batched product, broadcast for a shared block, on its
-(N, d, N*d) view from each side. The coin measurement is the (m, d) array of
-its Kraus diagonals, and vertex dephasing only scales the blocks between
-different vertices, so on a density matrix both are one elementwise
-(Schur) product with a d x d coin mask, and on a pure state each Kraus
-operator is an elementwise product. The shift is a permutation, on a
-density matrix one row-major gather through a cached flat index of
-8 (N d)^2 bytes; cp_step hands back its transpose, an F-ordered matrix,
-and evolve yields it as it is. The
-dense (N*d) x (N*d) forms, assembled_step_operators, vertex_dephasing
-and ShiftOperator.matrix, are never called by the walk; they stay public
-because the benchmark checks the CLI's output with them.
+product, per-vertex blocks are one batched product, and each Kraus
+operator is an elementwise product.
+
+A density walk holds rho as its vertex-pair blocks, an (N^2, d^2) array
+whose row i N + j is rho's (i, j) block flattened. The coin, the coin
+measurement and vertex dephasing act on each block alone, as one
+d^2 x d^2 superoperator on the coin space (Brun, Carteret and Ambainis,
+PRA 67, 032304): for a shared coin the whole local channel is one matrix
+product of all the blocks, for a stacked coin one batched product over
+the block columns and one over the block rows. Before-shift dephasing
+is folded into that factor, and the N same-vertex blocks are taken
+again by the unscaled one. The shift is one gather through a cached
+block index of 8 (N d)^2 bytes, and after-shift dephasing scales the
+blocks between different vertices. The trace check and the position
+distribution are read off the same-vertex blocks' diagonals. cp_step,
+evolve and run take and give density matrices, converting at their
+boundary; ShiftOperator.conjugate, the shift on a matrix, is not called
+by the walk. The dense (N*d) x (N*d) forms, assembled_step_operators,
+vertex_dephasing and ShiftOperator.matrix, are never called by the walk
+either; they stay public because the benchmark checks the CLI's output
+with them.
 
 A walk of t steps only reaches the vertices within t shifts of psi0's
 support, its light cone. run, marginal_history and the marginals that
@@ -49,7 +58,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -60,11 +69,11 @@ from .meter import dephasing_kraus, uniform_dephasing_kraus
 from .shift import ShiftOperator, build_shift
 from .state import (
     DEFAULT_TOLERANCES,
+    _check_unit_trace,
+    _clamped_marginal,
     _squared_moduli,
     check_pure,
-    check_trace,
     pure_position_marginal,
-    position_marginal,
     to_density,
 )
 
@@ -141,25 +150,53 @@ class StepMap:
         return self.coin_kraus is None and self.vertex_dephasing == 0.0
 
     @cached_property
-    def _schur_factors(self) -> tuple[tuple[np.ndarray, np.ndarray] | None, ...]:
-        """cp_step's _schur arguments (block mask, row mask) before the shift and after it.
+    def _block_factors(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """_toss_blocks' right factors (first, second, same_vertex) on the (N^2, d^2) blocks.
 
-        cp_step holds the state transposed at both points, so the coin
-        measurement's mask is taken transposed; the all-ones mask after the
-        shift is its own transpose. An identity channel is None. The masks
-        are complex, as rho is, so the multiply casts nothing.
+        A block X of rho, flattened row-major, is taken by the coin and the
+        coin measurement to mask * (C_i X C_j^dagger), with mask[a, b] =
+        sum_m k_m[a] conj(k_m[b]), all ones without a measurement. For a
+        shared coin this is E = mask * (C kron conj(C)) on every block:
+        first is E^T and second is None. For a stacked coin, first is the
+        (N, d^2, d^2) stack of (I kron conj(C_j))^T, taken by block column
+        j, and second that of (mask * (C_i kron I))^T, taken by block row i.
+        Before-shift dephasing scales first by (1 - p), and same_vertex is
+        then the unscaled first, which the N same-vertex blocks take;
+        otherwise it is None. Each factor is held in _superoperator's real
+        form.
         """
-        n, d = self.shift.num_vertices, self.shift.degree
-        p = self.vertex_dephasing
-        p_before = p if self.placement == "before-shift" else 0.0
-        before = after = None
-        if self.coin_kraus is not None or p_before > 0.0:
-            mask = _coin_mask(self).T
-            before = mask, np.tile((1.0 - p_before) * mask, (1, n))
-        if p > p_before:
-            mask = np.ones((d, d), dtype=complex)
-            after = mask, np.tile((1.0 - p) * mask, (1, n))
-        return before, after
+        d = self.shift.degree
+        k = self.coin_kraus
+        mask = np.ones((d, d)) if k is None else k.T @ k.conj()
+        if self.coin.ndim == 2:
+            first, second = _superoperator(self.coin, self.coin, mask), None
+        else:
+            eye = np.eye(d)
+            first = _superoperator(eye, self.coin, np.ones((d, d)))
+            second = _superoperator(self.coin, eye, mask)
+        if self.placement == "after-shift" or self.vertex_dephasing == 0.0:
+            return first, second, None
+        return (1.0 - self.vertex_dephasing) * first, second, first
+
+
+def _superoperator(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(mask * (a kron conj(b)))^T in the real form that _toss_blocks multiplies by.
+
+    For X a row of d x d blocks flattened row-major, X @ (mask * (a kron
+    conj(b)))^T is mask * (a X b^dagger). The complex (d^2, d^2) factor F
+    is returned as the real (2 d^2, 2 d^2) matrix that takes X's
+    interleaved (re, im) floats to those of X @ F: numpy's complex matmul
+    of such thin products took 1.8 to 3 times as long as the real one. a or b
+    may be an (N, d, d) stack, and the result is then a stack too.
+    """
+    d = mask.shape[0]
+    e = a[..., :, None, :, None] * b.conj()[..., None, :, None, :] * mask[:, :, None, None]
+    f = e.reshape(*e.shape[:-4], d * d, d * d).swapaxes(-1, -2)
+    real = np.empty((*f.shape[:-2], d * d, 2, d * d, 2))
+    real[..., 0, :, 0] = real[..., 1, :, 1] = f.real
+    real[..., 0, :, 1] = f.imag
+    real[..., 1, :, 0] = -f.imag
+    return real.reshape(*f.shape[:-2], 2 * d * d, 2 * d * d)
 
 
 def make_step(
@@ -217,36 +254,76 @@ def _apply_coin(coin: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (coin @ psi.reshape(-1, coin.shape[0], d, 1)).reshape(psi.shape)
 
 
-def _coin_mask(step: StepMap) -> np.ndarray:
-    """The coin measurement channel as a d x d Schur factor.
+def _to_blocks(rho: np.ndarray, degree: int) -> np.ndarray:
+    """rho as its (N^2, d^2) vertex-pair blocks: row i N + j holds block (i, j), row-major."""
+    n = rho.shape[0] // degree
+    return rho.reshape(n, degree, n, degree).swapaxes(1, 2).reshape(n * n, degree * degree)
 
-    For diagonal Kraus operators k_m, sum_m K_m rho K_m^dagger scales
-    coin entry (a, b) by sum_m k_m[a] conj(k_m[b]); all ones without a
-    measurement.
+
+def _pure_blocks(psi: np.ndarray, degree: int) -> np.ndarray:
+    """The vertex-pair blocks of psi's density matrix, bit for bit _to_blocks(to_density(psi))."""
+    n = psi.size // degree
+    amplitudes = psi.reshape(n, degree)
+    rows = np.repeat(amplitudes, degree, axis=1)
+    cols = np.tile(amplitudes.conj(), degree)
+    return (rows[:, None] * cols).reshape(n * n, degree * degree)
+
+
+def _from_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The C-ordered density matrix whose vertex-pair blocks these are."""
+    n, d = math.isqrt(blocks.shape[0]), math.isqrt(blocks.shape[1])
+    return blocks.reshape(n, n, d, d).swapaxes(1, 2).reshape(n * d, n * d)
+
+
+def _diagonal(blocks: np.ndarray) -> np.ndarray:
+    """(N, d) copy of the real diagonal: the (a, a) entries of the N same-vertex blocks."""
+    n, d = math.isqrt(blocks.shape[0]), math.isqrt(blocks.shape[1])
+    return np.ascontiguousarray(blocks[::n + 1, ::d + 1].real)
+
+
+def _check_block_trace(blocks: np.ndarray) -> None:
+    """check_trace of the density matrix held as these blocks."""
+    _check_unit_trace(_diagonal(blocks))
+
+
+def _block_marginal(blocks: np.ndarray) -> np.ndarray:
+    """position_marginal of the density matrix held as these blocks."""
+    return _clamped_marginal(_diagonal(blocks).sum(axis=1))
+
+
+def _toss_blocks(blocks: np.ndarray, step: StepMap) -> np.ndarray:
+    """The coin, the coin measurement and before-shift dephasing on the blocks, as a new array.
+
+    The products run on the blocks' interleaved (re, im) floats. A shared
+    coin is one matrix product of all N^2 blocks. A stacked coin is a
+    batched product over the block columns, into an array held by column,
+    and then one over the block rows. With before-shift dephasing the
+    same-vertex blocks are taken again by the unscaled first factor. Each
+    block's bits depend only on the block and the factors, not on N.
     """
-    k = step.coin_kraus
-    if k is None:
-        return np.ones((step.shift.degree,) * 2, dtype=complex)
-    return k.T @ k.conj()
+    n = step.shift.num_vertices
+    first, second, same_vertex = step._block_factors
+    x = blocks.view(float)
+    if second is None:
+        out = x @ first
+        if same_vertex is not None:
+            out[::n + 1] = x[::n + 1] @ same_vertex
+        return out.view(complex)
+    by_column = np.matmul(x.reshape(n, n, -1).transpose(1, 0, 2), first)
+    if same_vertex is not None:
+        by_column.reshape(n * n, -1)[::n + 1] = (x[::n + 1, None] @ same_vertex)[:, 0]
+    return np.matmul(by_column.transpose(1, 0, 2), second).reshape(x.shape).view(complex)
 
 
-def _schur(rho: np.ndarray, block_mask: np.ndarray, row_mask: np.ndarray) -> np.ndarray:
-    """Scale rho[(i, a), (j, b)] by block_mask[a, b] when i == j, by row_mask[a, j*d + b] otherwise.
-
-    row_mask is (1 - p) * block_mask tiled over the N vertices, so this is
-    one broadcast multiply, with the same-vertex blocks saved first through
-    einsum's writeable diagonal view. Works in place on the (N, d, N, d)
-    view, which shares rho's memory on either memory order, and returns
-    the scaled matrix.
-    """
-    d = block_mask.shape[0]
-    n = rho.shape[0] // d
-    rho4 = rho.reshape(n, d, n, d)
-    blocks = np.einsum("iaib->iab", rho4)
-    same_vertex = blocks * block_mask
-    rho4 *= row_mask.reshape(d, n, d)
-    blocks[...] = same_vertex
-    return rho4.reshape(rho.shape)
+def _shift_blocks(blocks: np.ndarray, step: StepMap) -> np.ndarray:
+    """The shift and after-shift dephasing on the blocks, as a new array."""
+    out = step.shift.conjugate_blocks(blocks)
+    if step.placement == "after-shift" and step.vertex_dephasing > 0.0:
+        n = step.shift.num_vertices
+        same_vertex = out[::n + 1].copy()
+        out *= 1.0 - step.vertex_dephasing
+        out[::n + 1] = same_vertex
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -279,49 +356,53 @@ def vertex_dephasing(rho: np.ndarray, p: float, degree: int) -> np.ndarray:
 
 
 def cp_step(rho: np.ndarray, step: StepMap) -> np.ndarray:
-    """Advance a density matrix, C- or F-ordered, one step through the full channel.
+    """Advance a density matrix one step through the full channel.
 
-    The result is F-ordered, the transpose of the shift's row-major gather
-    (ShiftOperator.conjugate). Besides rho, a step holds at most two
-    density matrices at once.
+    rho is taken to its vertex-pair blocks, stepped as every density walk
+    is, and the result is a new C-ordered matrix. Besides rho, a step
+    holds at most two copies of it at once.
     """
-    n, d = step.shift.num_vertices, step.shift.degree
-    before, after = step._schur_factors
-    # U rho U^dagger as a batched product of the blocks on the (N, d, N*d)
-    # view, then of blocks.conj() on the view of its transpose: `out`
-    # holds the coin-tossed state transposed, in row-major order, and stays
-    # so through the channels and the gather; only the result is handed
-    # back transposed.
-    out = (step.coin @ rho.reshape(n, d, -1)).reshape(rho.shape).T
-    out = (step.coin.conj() @ out.reshape(n, d, -1)).reshape(rho.shape)
-    if before is not None:
-        out = _schur(out, *before)
-    out = step.shift.conjugate(out)
-    if after is not None:
-        out = _schur(out, *after)
-    return out.T
+    blocks = _to_blocks(rho, step.shift.degree)
+    # each stage's input is freed as its result is bound
+    blocks = _toss_blocks(blocks, step)
+    blocks = _shift_blocks(blocks, step)
+    return _from_blocks(blocks)
+
+
+def _walk(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
+    """evolve's states, with each density matrix held as its (N^2, d^2) blocks.
+
+    A density step is taken in two stages, and each stage's input is freed
+    as its result is bound, so the walk holds at most two states at once
+    beside what its caller keeps.
+    """
+    if steps < 0:
+        raise ConfigError(f"step count must be nonnegative, got {steps}")
+    _check_start(psi0, step)
+    if step.is_unitary:
+        state, stages, check = psi0.copy(), (unitary_step,), check_pure
+    else:
+        state = _pure_blocks(psi0, step.shift.degree)
+        stages, check = (_toss_blocks, _shift_blocks), _check_block_trace
+    yield state
+    for _ in range(steps):
+        for stage in stages:
+            state = stage(state, step)
+        check(state)
+        yield state
 
 
 def evolve(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
     """Yield the walk's state at every time 0..steps.
 
     The states are pure vectors advanced by unitary_step when the step
-    is unitary, and density matrices advanced by cp_step otherwise. Every
-    advanced state gets an O(N*d) check, of its norm or of its diagonal
-    and trace, which raises InvariantViolation.
+    is unitary, and C-ordered density matrices advanced as cp_step
+    advances them otherwise. Every advanced state gets an O(N*d) check,
+    of its norm or of its diagonal and trace, which raises
+    InvariantViolation; a negative step count raises ConfigError.
     """
-    if steps < 0:
-        raise ConfigError(f"step count must be nonnegative, got {steps}")
-    _check_start(psi0, step)
-    if step.is_unitary:
-        state, apply_step, check = psi0.copy(), unitary_step, check_pure
-    else:
-        state, apply_step, check = to_density(psi0), cp_step, check_trace
-    yield state
-    for _ in range(steps):
-        state = apply_step(state, step)
-        check(state)
-        yield state
+    states = _walk(psi0, step, steps)
+    return states if step.is_unitary else map(_from_blocks, states)
 
 
 def _check_start(psi0: np.ndarray, step: StepMap) -> None:
@@ -330,13 +411,6 @@ def _check_start(psi0: np.ndarray, step: StepMap) -> None:
     if np.shape(psi0) != (size,):
         raise StructureError(f"start state needs N*d = {size} amplitudes, got shape {np.shape(psi0)}")
     check_pure(psi0)
-
-
-def _marginal(state: np.ndarray, step: StepMap) -> np.ndarray:
-    """Position distribution of a state yielded by evolve for this step."""
-    if step.is_unitary:
-        return pure_position_marginal(state, step.shift.degree)
-    return position_marginal(state, step.shift.degree)
 
 
 def _cone_ports(vertices: np.ndarray, degree: int) -> np.ndarray:
@@ -371,8 +445,12 @@ def _light_cone(
     for _ in range(steps):
         if size == n or frontier.size == 0:
             break
-        reached = np.unique(neighbours[frontier])
-        frontier = reached[~inside[reached]]
+        reached = neighbours[frontier].ravel()
+        reached.sort()
+        # each fresh vertex once: a frontier with repeats would count paths
+        fresh = ~inside[reached]
+        fresh[1:] &= reached[1:] != reached[:-1]
+        frontier = reached[fresh]
         inside[frontier] = True
         size += frontier.size
     if size == n:
@@ -406,11 +484,17 @@ def _marginals(
     """Yield (cone vertices, cone distribution) at every time 0..steps.
 
     The walk is evolved on its light cone, the same sorted vertices at
-    every time; the distribution is zero on every other vertex.
+    every time; the distribution is zero on every other vertex. A density
+    walk's distribution is read off its blocks' diagonal.
     """
     cone_psi0, cone_step, vertices = _light_cone(psi0, step, steps)
-    for state in evolve(cone_psi0, cone_step, steps):
-        yield vertices, _marginal(state, cone_step)
+    if cone_step.is_unitary:
+        marginal = partial(pure_position_marginal, degree=step.shift.degree)
+    else:
+        marginal = _block_marginal
+    # map holds no state once its marginal is taken, so the walk can free it
+    for distribution in map(marginal, _walk(cone_psi0, cone_step, steps)):
+        yield vertices, distribution
 
 
 def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
@@ -423,10 +507,9 @@ def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
     suite, and no command calls it; the CLI reads the cone marginals.
     """
     cone_psi0, cone_step, vertices = _light_cone(psi0, step, steps)
-    for state in evolve(cone_psi0, cone_step, steps):
+    for state in _walk(cone_psi0, cone_step, steps):
         pass
-    if step.is_unitary:
-        state = to_density(state)
+    state = to_density(state) if step.is_unitary else _from_blocks(state)
     ports = _cone_ports(vertices, step.shift.degree)
     rho = np.zeros((psi0.size, psi0.size), dtype=state.dtype)
     rho[np.ix_(ports, ports)] = state

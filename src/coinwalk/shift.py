@@ -47,6 +47,24 @@ class ShiftOperator:
         index.flags.writeable = False
         return index
 
+    @cached_property
+    def _block_index(self) -> np.ndarray:
+        """conjugate_blocks' read-only (N^2, d^2) flat index, 8 (N d)^2 bytes, built on first use.
+
+        Block (i', j') entry (a', b') reads block (i, j) entry (a, b), where
+        (i, a) and (j, b) are the vertex and port of inverse[i' d + a'] and
+        inverse[j' d + b'].
+        """
+        n, d = self.num_vertices, self.degree
+        vertex, port = np.divmod(self.inverse.reshape(n, d), d)
+        # rows[i', a' d + b'] and cols[j', a' d + b'] are the parts of the flat
+        # index that (i', a') and (j', b') give, laid out as the block's entries
+        rows = np.repeat(vertex * (n * d * d) + port * d, d, axis=1)
+        cols = np.tile(vertex * (d * d) + port, d)
+        index = (rows[:, None] + cols).reshape(n * n, d * d)
+        index.flags.writeable = False
+        return index
+
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """S psi, for one state or for each row of a stack of states."""
         return psi.take(self.inverse, axis=-1)
@@ -61,6 +79,15 @@ class ShiftOperator:
         index on every call.
         """
         return rho.ravel()[self._conjugation_index]
+
+    def conjugate_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """S rho S^dagger on rho held as its vertex-pair blocks, as one gather.
+
+        blocks is C-ordered with shape (N^2, d^2): row i N + j holds rho's
+        (i, j) block of d x d coin entries, flattened row-major. The result
+        is a new array of the same form whose bits are rho's.
+        """
+        return blocks.ravel()[self._block_index]
 
     def matrix(self) -> np.ndarray:
         """The dense (N d) x (N d) permutation matrix, an oracle the walk never builds."""

@@ -61,12 +61,16 @@ def check_pure(psi: np.ndarray) -> None:
 
 
 def check_trace(rho: np.ndarray) -> None:
-    """Verify a finite diagonal of unit trace, an O(N d) check of a density matrix.
+    """Verify a finite diagonal of unit trace, an O(N d) check of a density matrix."""
+    _check_unit_trace(np.diagonal(rho).real)
+
+
+def _check_unit_trace(diag: np.ndarray) -> None:
+    """check_trace on a density matrix's real diagonal, in any shape.
 
     The diagonal is read once, for the trace; a NaN or Inf entry makes
     the trace fail, and only then are the entries looked at.
     """
-    diag = np.diagonal(rho).real
     tr = diag.sum()
     if not abs(tr - 1.0) <= DEFAULT_TOLERANCES.trace:
         if not np.isfinite(diag).all():
@@ -88,7 +92,11 @@ def position_marginal(rho: np.ndarray, degree: int) -> np.ndarray:
     DEFAULT_TOLERANCES.marginal_clamp) are clamped to zero; anything more negative
     indicates a logic error upstream and raises, as do NaN and Inf.
     """
-    probs = np.diagonal(rho).real.reshape(-1, degree).sum(axis=1)
+    return _clamped_marginal(np.diagonal(rho).real.reshape(-1, degree).sum(axis=1))
+
+
+def _clamped_marginal(probs: np.ndarray) -> np.ndarray:
+    """position_marginal's guard and clamp on the per-vertex sums of a diagonal, in place."""
     lo = probs.min()
     # a NaN fails both comparisons, -Inf the first and +Inf the second
     if not (lo >= -DEFAULT_TOLERANCES.marginal_clamp and probs.max() < np.inf):

@@ -15,10 +15,13 @@ and the mixing race as they were before the race built its arrays once:
 the chain adds with an unbuffered np.add.at, every marginal is put in
 place among N zeros, and each curve is scored by tvd. classical_step,
 classical_run and compare_mixing must equal them bit for bit.
-scatter_cp_step is the density step as it was before the shift became a
-gather: the shift scatters the transposed tossed state through np.ix_,
-and each Schur product saves and restores the same-vertex blocks by
-fancy indexing; cp_step must equal it bit for bit.
+scatter_cp_step is the density step on the matrix as it was before the
+walk held vertex-pair blocks and the shift became a gather: the shift
+scatters the transposed tossed state through np.ix_, and each Schur
+product saves and restores the same-vertex blocks by fancy indexing;
+cp_step sums in another order and must stay within 64 eps of it.
+state_marginal is the position distribution of a state evolve yields,
+read from the matrix.
 half_edge_step and half_edge_run are the port-resolved chain that a
 fully measured walk follows; check_density, coherence_l1,
 conditional_meter_states and trace_distance are the density-matrix,
@@ -36,7 +39,12 @@ from coinwalk.analysis import MixingComparison, MixingCurve, first_crossing, tvd
 from coinwalk.classical import uniform_distribution
 from coinwalk.coin import embedded_blocks
 from coinwalk.errors import ConfigError, InvariantViolation
-from coinwalk.state import _squared_moduli, check_trace, pure_position_marginal
+from coinwalk.state import (
+    _squared_moduli,
+    check_trace,
+    position_marginal,
+    pure_position_marginal,
+)
 
 # the bounds of check_density's two checks that the package never makes
 HERMITICITY_TOL = 1e-10
@@ -147,6 +155,13 @@ def scatter_cp_step(rho, step):
     return out
 
 
+def state_marginal(state, step):
+    """Position distribution of a state evolve yields for this step, pure or density matrix."""
+    if step.is_unitary:
+        return pure_position_marginal(state, step.shift.degree)
+    return position_marginal(state, step.shift.degree)
+
+
 def add_at_classical_step(p, graph):
     """classical_step with its arrays rebuilt per call and np.add.at in half_edges order."""
     p = np.asarray(p, dtype=float)
@@ -171,7 +186,7 @@ def loop_compare_mixing(graph, step, psi0, t_max, epsilon):
     cone_psi0, cone_step, vertices = evolution._light_cone(psi0, step, t_max)
     for t, state in enumerate(evolution.evolve(cone_psi0, cone_step, t_max)):
         marginal = np.zeros(n)
-        marginal[vertices] = evolution._marginal(state, cone_step)
+        marginal[vertices] = state_marginal(state, cone_step)
         if t:
             p = add_at_classical_step(p, graph)
         running_sum += marginal

@@ -1,10 +1,11 @@
 """The light-cone restriction of the deterministic paths against the whole walk.
 
 The reference is the unrestricted evolution: the position distribution of
-every state evolve yields on the full StepMap. The restricted path may
-differ from it in the last bit, because the batched coin product rounds
-differently on a different number of columns, so the general comparison
-allows 1e-15; entries outside the cone must be exactly 0 on both sides.
+every state evolve yields on the full StepMap. A density walk steps each
+vertex-pair block by matrix products whose rows do not depend on how many
+blocks there are, so on the cone it is the whole walk bit for bit. The
+pure path's comparison keeps its 1e-15; entries outside the cone must be
+exactly 0 on both sides.
 """
 
 import math
@@ -37,9 +38,10 @@ from coinwalk import (
 from coinwalk import evolution
 from coinwalk.classical import uniform_distribution
 from coinwalk.coin import default_coin_type
-from coinwalk.evolution import _light_cone, _marginal
+from coinwalk.evolution import _light_cone
 
 from conftest import in_place, port_permuted_torus
+from oracles import state_marginal
 
 
 def with_isolated_vertices(graph, count):
@@ -130,28 +132,53 @@ def test_light_cone_path_matches_the_whole_walk(multi_graph, data):
         assert cone_psi0 is psi0 and cone_step is step
 
     states = list(evolve(psi0, step, steps))
-    reference = np.array([_marginal(state, step) for state in states])
+    reference = np.array([state_marginal(state, step) for state in states])
     hist = marginal_history(psi0, step, steps)
     assert hist.shape == reference.shape == (steps + 1, n)
     assert not reference[:, outside].any() and not hist[:, outside].any()
-    np.testing.assert_allclose(hist, reference, rtol=0, atol=1e-15)
+    tolerance = 1e-15 if step.is_unitary else 0.0
+    np.testing.assert_allclose(hist, reference, rtol=0, atol=tolerance)
 
     final = to_density(states[-1]) if step.is_unitary else states[-1]
     rho = run(psi0, step, steps)
     assert rho.shape == final.shape
     assert not rho[outside_ports].any() and not rho[:, outside_ports].any()
     assert not final[outside_ports].any() and not final[:, outside_ports].any()
-    np.testing.assert_allclose(rho, final, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rho, final, rtol=0, atol=tolerance)
 
     t_max = max(steps, 1)
     result = compare_mixing(graph, step, psi0, t_max, 0.05)
     uniform = uniform_distribution(n)
     running = np.zeros(n)
     for t, state in enumerate(evolve(psi0, step, t_max)):
-        running += _marginal(state, step)
+        running += state_marginal(state, step)
         # a TVD sums n entries, each within 1e-15 of the reference's
         expected = tvd(running / (t + 1), uniform)
         assert abs(result.quantum.tvd_to_uniform[t] - expected) <= n * 1e-15
+
+
+def whole_graph(psi0, step, steps):
+    """_light_cone as if every walk reached every vertex."""
+    return psi0, step, np.arange(step.shift.num_vertices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), stacked=st.booleans(),
+       placement=st.sampled_from(["before-shift", "after-shift"]))
+def test_the_density_walk_on_the_cone_is_the_whole_walk_bit_for_bit(
+    multi_graph, data, stacked, placement
+):
+    graph, psi0, step, steps = data.draw(cone_cases(multi_graph))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    step = replace(step, coin_kraus=make_step(graph, beta=0.5).coin_kraus, placement=placement)
+    if stacked:
+        # every vertex its own block: the step's, times a phase of its own
+        coin = np.broadcast_to(step.coin, (graph.num_vertices, graph.degree, graph.degree))
+        step = replace(step, coin=coin * np.exp(2j * np.pi * rng.random(graph.num_vertices))[:, None, None])
+    cone = marginal_history(psi0, step, steps)
+    with mock.patch.object(evolution, "_light_cone", whole_graph):
+        whole = marginal_history(psi0, step, steps)
+    assert np.array_equal(cone, whole)
 
 
 def test_cycle_density_configuration_is_bit_identical():
@@ -160,7 +187,7 @@ def test_cycle_density_configuration_is_bit_identical():
     step = make_step(graph, shift=build_cycle_shift(256), beta=0.5, vertex_p=0.1)
     for start in [(0, 0), (128, 1), (250, 0)]:
         psi0 = basis_state(graph, *start)
-        reference = np.array([_marginal(s, step) for s in evolve(psi0, step, 20)])
+        reference = np.array([state_marginal(s, step) for s in evolve(psi0, step, 20)])
         assert np.array_equal(marginal_history(psi0, step, 20), reference)
 
 
@@ -198,11 +225,6 @@ def test_light_cone_stops_when_full_or_closed(cycle7, multi_graph):
     assert np.array_equal(cone_psi0, psi0[:24])
     # a closed cone keeps the graph's own moves: no port leaves it
     assert np.array_equal(cone_step.shift.permutation, step.shift.permutation[:24])
-
-
-def whole_graph(psi0, step, steps):
-    """_light_cone as if every walk reached every vertex."""
-    return psi0, step, np.arange(step.shift.num_vertices)
 
 
 @settings(max_examples=80, deadline=None)

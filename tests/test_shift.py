@@ -10,6 +10,7 @@ from coinwalk import (
     build_cycle_shift,
     build_shift,
 )
+from coinwalk.evolution import _to_blocks
 
 from conftest import port_permuted_torus, random_pure_state
 
@@ -138,6 +139,9 @@ def test_conjugate_reads_every_layout_exactly(layout, shift):
     assert np.array_equal(out, m @ rho @ m.conj().T)
     assert out.flags.c_contiguous and not np.shares_memory(out, rho)
     assert np.array_equal(out[s.permutation[:, None], s.permutation], rho)
+    # the same gather on rho held as its vertex-pair blocks
+    blocks = s.conjugate_blocks(_to_blocks(rho, s.degree))
+    assert blocks.flags.c_contiguous and np.array_equal(blocks, _to_blocks(out, s.degree))
 
 
 def test_the_gather_index_is_built_once_and_read_only():
@@ -148,6 +152,13 @@ def test_the_gather_index_is_built_once_and_read_only():
     assert index.nbytes == 8 * 10 ** 2
     s.conjugate(np.eye(10, dtype=complex))
     assert s._conjugation_index is index
+    blocks = _to_blocks(np.eye(10, dtype=complex), 2)
+    s.conjugate_blocks(blocks)
+    index = s._block_index
+    assert not index.flags.writeable
+    assert index.shape == (5 ** 2, 2 ** 2) and index.nbytes == 8 * 10 ** 2
+    s.conjugate_blocks(blocks)
+    assert s._block_index is index
 
 
 def test_cycle_shift_rejects_bad_arguments():

@@ -203,6 +203,13 @@ GUARDS = {
               "non-finite"),
     "marginal_clamp": (lambda x: position_marginal(_with(np.zeros((4, 4)), x), 2),
                        InvariantViolation, "non-finite"),
+    # the density walk reads both off the diagonal of its vertex-pair blocks
+    "trace-of-blocks": (
+        lambda x: evolution._check_block_trace(evolution._to_blocks(_with(np.zeros((4, 4)), x), 2)),
+        InvariantViolation, "non-finite"),
+    "marginal_clamp-of-blocks": (
+        lambda x: evolution._block_marginal(evolution._to_blocks(_with(np.zeros((4, 4)), x), 2)),
+        InvariantViolation, "non-finite"),
     "branch_sum": (lambda x: evolution._check_branch_sums(np.array([x])),
                    InvariantViolation, "sum to"),
     "draw_sum": (lambda x: evolution._inverse_cdf(np.array([[x, 0.0]]), np.zeros(1)),
