@@ -263,7 +263,7 @@ def _to_blocks(rho: np.ndarray, degree: int) -> np.ndarray:
 def _pure_blocks(psi: np.ndarray, degree: int) -> np.ndarray:
     """The vertex-pair blocks of psi's density matrix, bit for bit _to_blocks(to_density(psi))."""
     n = psi.size // degree
-    amplitudes = psi.reshape(n, degree)
+    amplitudes = np.asarray(psi, dtype=complex).reshape(n, degree)
     rows = np.repeat(amplitudes, degree, axis=1)
     cols = np.tile(amplitudes.conj(), degree)
     return (rows[:, None] * cols).reshape(n * n, degree * degree)
@@ -358,11 +358,12 @@ def vertex_dephasing(rho: np.ndarray, p: float, degree: int) -> np.ndarray:
 def cp_step(rho: np.ndarray, step: StepMap) -> np.ndarray:
     """Advance a density matrix one step through the full channel.
 
-    rho is taken to its vertex-pair blocks, stepped as every density walk
-    is, and the result is a new C-ordered matrix. Besides rho, a step
-    holds at most two copies of it at once.
+    rho, of any real or complex dtype, is taken to its complex vertex-pair
+    blocks, stepped as every density walk is, and the result is a new
+    C-ordered complex matrix. Besides rho, a step with a shared coin holds
+    at most two copies of it at once, and one with a stacked coin three.
     """
-    blocks = _to_blocks(rho, step.shift.degree)
+    blocks = _to_blocks(np.asarray(rho, dtype=complex), step.shift.degree)
     # each stage's input is freed as its result is bound
     blocks = _toss_blocks(blocks, step)
     blocks = _shift_blocks(blocks, step)
@@ -373,8 +374,8 @@ def _walk(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
     """evolve's states, with each density matrix held as its (N^2, d^2) blocks.
 
     A density step is taken in two stages, and each stage's input is freed
-    as its result is bound, so the walk holds at most two states at once
-    beside what its caller keeps.
+    as its result is bound, so beside what its caller keeps the walk holds
+    at most two states at once, three while a stacked coin is tossed.
     """
     if steps < 0:
         raise ConfigError(f"step count must be nonnegative, got {steps}")

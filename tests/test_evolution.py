@@ -572,6 +572,12 @@ def test_a_density_step_hands_back_the_c_ordered_matrix_of_its_blocks(cycle7, pl
         assert rho.flags.c_contiguous and np.array_equal(rho, evolution._from_blocks(blocks))
         if t:
             assert np.array_equal(cp_step(states[t - 1], step), rho)
+    # a real or single-precision state is walked as its complex cast
+    rho = np.diag(np.arange(1.0, 15.0)) / 105
+    for cast in (rho, rho.astype(np.complex64)):
+        assert np.array_equal(cp_step(cast, step), cp_step(cast.astype(complex), step))
+    assert np.array_equal(marginal_history(psi0.real, step, 3), marginal_history(psi0, step, 3))
+    assert np.array_equal(run(psi0.real, step, 3), run(psi0, step, 3))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
