@@ -30,11 +30,11 @@ from .coin import DEFAULT_PHI, coin_spec_from_config, default_coin_type
 from .errors import ConfigError, InvariantViolation, StructureError
 from .evolution import (
     BORN_WEIGHT_RULE,
-    TrajectoryRecord,
     _marginals,
+    _sample_blocks,
+    _sum_rows_in_order,
     make_step,
     reconstruct_cycle_path,
-    sample_trajectories,
 )
 from .graph import _write_files, build_cycle, load_graph, read_json
 from .shift import build_cycle_shift, build_shift
@@ -281,13 +281,17 @@ def cmd_mix(args) -> int:
     return 0
 
 
-def _trajectory_chunk(task) -> tuple[np.ndarray, list[tuple[TrajectoryRecord, np.ndarray]]]:
-    """The light cone's vertices, and per seed its record and final cone marginal."""
+def _trajectory_chunk(task) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The light cone's vertices, and per block of seeds, one row per seed, the
+    outcomes, the outcome probabilities and the final cone marginals."""
     psi0, step, steps, seeds = task
-    out = []
-    for cone, final, record in sample_trajectories(psi0, step, steps, seeds):
-        out.append((record, pure_position_marginal(final, step.shift.degree)))
-    return cone, out
+    blocks = []
+    for cone, final, outcomes, probs, _vertices in _sample_blocks(psi0, step, steps, seeds):
+        n, s, d = final.shape
+        # C-ordered, so that the rows are added in sample order (_sum_rows_in_order)
+        marginals = np.ascontiguousarray(pure_position_marginal(final, d).reshape(n, s).T)
+        blocks.append((outcomes, probs, marginals))
+    return cone, blocks
 
 
 def cmd_trajectory(args) -> int:
@@ -315,15 +319,19 @@ def cmd_trajectory(args) -> int:
     with _mapper(args.jobs) as map_fn:
         chunks = list(map_fn(_trajectory_chunk, tasks))
     cone = chunks[0][0]  # every chunk walks the same light cone
-    results = [r for _cone, rows in chunks for r in rows]
+    blocks = [block for _cone, chunk_blocks in chunks for block in chunk_blocks]
+    outcomes, probs, marginals = map(np.concatenate, zip(*blocks))
+    del chunks, blocks  # now copied into one row per sample
 
+    times = range(1, args.steps + 1)
     record_lines = ["sample,step,outcome,probability\n"]
-    for index, (record, _marginal) in enumerate(results):
-        for t, (o, p) in enumerate(zip(record.outcomes, record.outcome_probabilities), start=1):
-            record_lines.append(f"{index},{t},{o},{p!r}\n")
+    for index in range(args.samples):
+        rows = zip(times, outcomes[index].tolist(), probs[index].tolist())
+        record_lines += [f"{index},{t},{o},{p!r}\n" for t, o, p in rows]
 
+    # the marginals are added in sample order, as the samples come
     aggregate = np.zeros(graph.num_vertices)
-    aggregate[cone] = sum((m for _record, m in results), np.zeros(cone.size)) / len(results)
+    aggregate[cone] = _sum_rows_in_order(marginals) / args.samples
     hist_lines = ["vertex,probability\n"] + [f"{v},{p!r}\n" for v, p in enumerate(aggregate.tolist())]
 
     base = args.out.removesuffix(".csv")
@@ -337,8 +345,8 @@ def cmd_trajectory(args) -> int:
     if reconstructable:
         start_vertex = description["start"]["vertex"]
         path_lines = ["sample,step,vertex\n"]
-        for index, (record, _marginal) in enumerate(results):
-            walk = reconstruct_cycle_path(record.outcomes, start_vertex, graph.num_vertices)
+        for index, record in enumerate(outcomes.tolist()):
+            walk = reconstruct_cycle_path(tuple(record), start_vertex, graph.num_vertices)
             for t, vertex in enumerate(walk):
                 path_lines.append(f"{index},{t},{vertex}\n")
         paths_path = base + "_paths.csv"

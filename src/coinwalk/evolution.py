@@ -43,14 +43,19 @@ tossed as the whole graph is. evolve, cp_step and unitary_step always
 act on the states they are given.
 
 Trajectories run on the light cone as well, through one generator,
-_unravel, that advances the rows of one array with the same coin product
-and elementwise Kraus branches: the sampler's rows are samples, the
-enumerator's every live branch. A Born weight is taken from the per-coin
-masses of the tossed state, each added up one vertex at a time
-(BORN_WEIGHT_RULE), so a vertex without amplitude changes no weight, and
-the records on the cone are those of the whole graph bit for bit. A
-state leaves the cone only where a caller takes it. Every walk checks
-its start state where it starts, in _light_cone and at evolve's t = 0.
+_unravel, that advances a vertex-major (cone vertex, sample, coin) block
+of states with the same coin product, one GEMM row per (vertex, sample)
+pair: the sampler's states are samples, the enumerator's every live
+branch. A Born weight is taken from the per-coin masses of the tossed
+states, each added up one vertex at a time (BORN_WEIGHT_RULE), one sum
+over the vertex axis across all the block's lanes; so a vertex without
+amplitude changes no weight, and the records on the cone are those of
+the whole graph bit for bit. A drawn branch is a product with its Kraus
+diagonal and a scaling by 1 / sqrt(weight), in place, and the shift one
+gather back into the block. The block is converted only where it enters
+and leaves the sampler and the enumerator, and a state leaves the cone
+only where a caller takes it. Every walk checks its start state where it
+starts, in _light_cone and at evolve's t = 0.
 """
 
 from __future__ import annotations
@@ -96,8 +101,14 @@ __all__ = [
 
 PLACEMENTS = ("before-shift", "after-shift")
 # live amplitudes of one block of samples that sample_trajectories
-# advances together: 16 samples of a walk whose light cone has 256 ports
-SAMPLE_BLOCK_AMPLITUDES = 4096
+# advances together: 32 samples of a walk whose light cone has 256 ports.
+# A block step holds the block twice, as the state and as its toss, and
+# once more as its gather index.
+SAMPLE_BLOCK_AMPLITUDES = 8192
+# entries beside the summed axis below which _sum_rows_in_order keeps a
+# running sum: np.add.reduce over so few lanes is slower, and over one
+# lane it sums pairwise
+_FEW_LANES = 4
 # how a trajectory's Born weights are computed, named in its sidecar
 BORN_WEIGHT_RULE = (
     "||K_i phi||^2 = sum over coin index a, in order, of |k_i[a]|^2 times "
@@ -237,20 +248,24 @@ def _coin_kraus(beta: float, degree: int) -> np.ndarray | None:
 # structured pieces of a step
 
 def _apply_coin(coin: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The coin on a pure state, or on each row of an (S, N*d) stack of them.
+    """The coin on a pure state, on each row of an (S, N*d) stack of them, or on a block.
 
-    Each (row, vertex) pair of d amplitudes is tossed by its vertex's
-    block. A shared (d, d) block tosses all the pairs in one matrix
-    product, psi.reshape(-1, d) @ block.T, in which each output pair depends on
-    its own amplitudes only: the bits do not depend on how many samples
-    or vertices are tossed together, as long as there are at least two
-    pairs (numpy hands a one-row product to gemv, which rounds
-    otherwise). Per-vertex blocks are one batched product, a
-    matrix-vector product per pair.
+    A block is a vertex-major (N, S, d) array of S states, entry [j, s, a]
+    the amplitude of state s at vertex j and coin a. Each (state, vertex)
+    pair of d amplitudes is tossed by its vertex's block. A shared (d, d)
+    block tosses all the pairs in one matrix product, psi.reshape(-1, d) @
+    block.T, in which each output pair depends on its own amplitudes only:
+    the bits do not depend on how many samples or vertices are tossed
+    together, or in which order, as long as there are at least two pairs
+    (numpy hands a one-row product to gemv, which rounds otherwise).
+    Per-vertex blocks are one batched product, a matrix-vector product per
+    pair, in either layout.
     """
     d = coin.shape[-1]
     if coin.ndim == 2:
         return (psi.reshape(-1, d) @ coin.T).reshape(psi.shape)
+    if psi.ndim == 3:
+        return (coin[:, None] @ psi[..., None]).reshape(psi.shape)
     return (coin @ psi.reshape(-1, coin.shape[0], d, 1)).reshape(psi.shape)
 
 
@@ -573,22 +588,35 @@ def _require_unravelable(step: StepMap, steps: int) -> None:
 
 def _sequential_sum(x: np.ndarray) -> np.ndarray:
     """x summed over its last axis term by term, in index order."""
-    return x.cumsum(axis=-1)[..., -1]
+    # the ufunc's own method: ndarray.cumsum reaches it through more calls,
+    # about 0.5 us a sum, which a one-sample step pays several times
+    return np.add.accumulate(x, axis=-1)[..., -1]
 
 
-def _coin_masses(x: np.ndarray, degree: int) -> np.ndarray:
-    """(S, d) array: per coin index, the mass of each row of x over its vertices.
+def _sum_rows_in_order(x: np.ndarray) -> np.ndarray:
+    """x summed over its first axis term by term, in index order.
 
-    Entry [s, a] adds re**2 + im**2 of x[s, j*d + a] over the vertices j
-    one at a time, in vertex order, as the last row of a running sum. A
-    numpy sum over the vertex axis may group the terms otherwise: at
-    d = 1 that axis is contiguous, and numpy sums it pairwise. A running
-    sum never regroups, and adding a zero leaves it unchanged, so
-    vertices that hold no amplitude, such as those outside a light cone,
-    do not change a mass.
+    x's first axis must be its outermost in memory, as in a C-ordered
+    array or a slice of one. With _FEW_LANES or more entries beside that
+    axis, np.add.reduce then adds the rows one after another across every
+    lane at once. Below that the last row of a running sum is faster, and
+    over one lane it is needed: numpy sums a contiguous axis pairwise,
+    which groups the terms otherwise.
     """
-    sq = _squared_moduli(x).reshape(x.shape[0], x.shape[1] // degree, degree)
-    return sq.cumsum(axis=1)[:, -1]
+    if x.size < _FEW_LANES * len(x):
+        return np.add.accumulate(x, axis=0)[-1]
+    return np.add.reduce(x, axis=0)
+
+
+def _coin_masses(x: np.ndarray) -> np.ndarray:
+    """(S, d) array: per coin index, the mass of each state of the (n, S, d) block x.
+
+    Entry [s, a] adds re**2 + im**2 of x[j, s, a] over the vertices j one
+    at a time, in vertex order (_sum_rows_in_order). Adding a zero leaves
+    such a sum unchanged, so vertices that hold no amplitude, such as those
+    outside a light cone, do not change a mass.
+    """
+    return _sum_rows_in_order(_squared_moduli(x))
 
 
 def _born_weights(masses: np.ndarray, kraus_sq: np.ndarray) -> np.ndarray:
@@ -627,9 +655,10 @@ def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     it, so an entry of weight 0 is never drawn. Like choice, it requires
     non-negative weights summing to 1 within sqrt(eps) per row.
     """
-    cdf = p.cumsum(axis=1)
+    cdf = np.add.accumulate(p, axis=1)
     tol = DEFAULT_TOLERANCES.draw_sum
-    if not (p.min() >= 0.0 and all(abs(x - 1.0) <= tol for x in cdf[:, -1].tolist())):
+    sums = cdf[:, -1].tolist()
+    if not (np.minimum.reduce(p, axis=None) >= 0.0 and all(abs(x - 1.0) <= tol for x in sums)):
         raise InvariantViolation("draw weights are negative or do not sum to 1")
     return (cdf / cdf[:, -1:] > u[:, None]).argmax(axis=1)
 
@@ -641,8 +670,8 @@ def _viable_weights(w: np.ndarray) -> np.ndarray:
     in place.
     """
     viable = w > DEFAULT_TOLERANCES.viable_weight
-    if viable.all():
-        return w / w.sum(axis=1, keepdims=True)
+    if np.logical_and.reduce(viable, axis=None):
+        return w / np.add.reduce(w, axis=1, keepdims=True)
     kept = np.where(viable, w, 0.0)
     sums = kept.sum(axis=1)
     if w.shape[1] >= 8:
@@ -653,59 +682,153 @@ def _viable_weights(w: np.ndarray) -> np.ndarray:
     return kept / sums[:, None]
 
 
-def _measure_vertices(
-    psi: np.ndarray, degree: int, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read the vertex of each row of psi with its Born probability.
+def _measure_vertices(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Read the vertex of each state of the (n, S, d) block psi with its Born probability.
 
-    Returns the rows projected onto the vertices read and renormalized,
-    and the vertices. The draw's normaliser and the projection's norm
-    are coin masses summed in order, so vertices without amplitude
+    psi is projected in place onto the vertices read and renormalized, and
+    the vertices are returned. The draw's normaliser and the projection's
+    norm are coin masses summed in order, so vertices without amplitude
     change neither.
     """
-    s = psi.shape[0]
-    pv = pure_position_marginal(psi, degree).reshape(s, -1)
-    total = _sequential_sum(_coin_masses(psi, degree))
-    vertices = _inverse_cdf(pv / total[:, None], u)
-    rows = np.arange(s)[:, None]
-    ports = vertices[:, None] * degree + np.arange(degree)
-    kept = psi[rows, ports]
+    n, s, d = psi.shape
+    pv = pure_position_marginal(psi, d).reshape(n, s)
+    total = _sequential_sum(_coin_masses(psi))
+    vertices = _inverse_cdf((pv / total).T, u)
+    samples = np.arange(s)
+    kept = psi[vertices, samples]
     norm = _sequential_sum(_squared_moduli(kept))
     _check_norms(norm, "vertex projection")
-    out = np.zeros_like(psi)
-    out[rows, ports] = kept / np.sqrt(norm)[:, None]
-    return out, vertices
+    psi.fill(0)
+    psi[vertices, samples] = kept / np.sqrt(norm)[:, None]
+    return vertices
+
+
+def _block_shift_index(shift: ShiftOperator, samples: int) -> np.ndarray:
+    """The shift's flat gather index on a block of the given number of states.
+
+    Entry [j', s, a'] of the (n, S, d) index reads entry [j, s, a] of the
+    block, where j d + a = shift.inverse[j' d + a'].
+    """
+    d = shift.degree
+    vertex, port = np.divmod(shift.inverse, d)
+    start = (vertex * (samples * d) + port).reshape(-1, 1, d)
+    return start + np.arange(0, samples * d, d)[:, None]
+
+
+def _form_branches(
+    phi: np.ndarray, kraus: np.ndarray, tiled: np.ndarray | None, i: np.ndarray, w: np.ndarray
+) -> None:
+    """K_i phi / sqrt(w) in place on the (n, S, d) block phi: state s by K_{i[s]} over sqrt(w[s]).
+
+    numpy divides a complex number by (r, 0) as a product with 1 / r, so
+    the floats are scaled by that. One state is the same memory in either
+    layout, and its branch is formed faster from tiled, the diagonals
+    tiled over the cone, when given, than by a broadcast over vertices.
+    """
+    n, s, d = phi.shape
+    if s == 1 and tiled is not None:
+        flat = phi.reshape(-1)
+        flat *= tiled[i[0]]
+        floats = flat.view(float)
+        floats *= 1.0 / math.sqrt(w[0])
+    else:
+        phi *= kraus[i]
+        floats = phi.view(float).reshape(n, -1)
+        floats *= np.repeat(1.0 / np.sqrt(w), 2 * d)
 
 
 def _unravel(psi: np.ndarray, cone_step: StepMap, steps: int, choose, read=None) -> Iterator:
-    """Advance the rows of psi, states on a light cone, through steps unravelled steps.
+    """Advance the states of the block psi, on a light cone, through steps unravelled steps.
 
-    Step t tosses the coin on every row of psi, takes the rows' Born
+    psi is a complex (n, S, d) block (see _apply_coin), which the walk
+    takes over. Step t tosses the coin on every state, takes their Born
     weights raw and checks their totals, and forms only the branches
-    (rows, i) = choose(t, raw, totals): K_i times the tossed row, over
-    sqrt(raw[row, i]). It shifts them, with read(t, psi), when given,
-    measuring their vertex at the step's placement, and yields
-    (psi, rows, i, raw).
+    (rows, i) of (rows, i, w) = choose(t, raw, totals): K_i times the
+    tossed state, over sqrt(w), where w is raw[rows, i]; rows is None when
+    each state keeps the one branch i[row]. It shifts them, with
+    read(t, psi), when given, measuring their vertex in place at the
+    step's placement, and yields (psi, rows, i, raw). The next step writes
+    over the block it yields.
+
+    Beside the block, a step holds its toss, the shift's gather index and
+    numpy's buffer for a factor broadcast over the vertices (at most
+    np.getbufsize() entries); the shift gathers back into the block, which
+    is spent once tossed.
     """
-    d = cone_step.shift.degree
-    # the branches are taken from rows of the diagonals tiled over the
-    # cone, which is faster than a product broadcast over vertices
-    kraus = np.tile(cone_step.coin_kraus, cone_step.shift.num_vertices)
-    kraus_sq = _squared_moduli(cone_step.coin_kraus)
+    kraus = cone_step.coin_kraus
+    kraus_sq = _squared_moduli(kraus)
+    tiled = np.tile(kraus, cone_step.shift.num_vertices) if psi.shape[1] == 1 else None
     read_before = cone_step.placement == "before-shift"
+    index = None
     for t in range(steps):
         phi = _apply_coin(cone_step.coin, psi)
-        raw = _born_weights(_coin_masses(phi, d), kraus_sq)
-        totals = raw.sum(axis=1)
+        raw = _born_weights(_coin_masses(phi), kraus_sq)
+        totals = np.add.reduce(raw, axis=1)
         _check_branch_sums(totals)
-        rows, i = choose(t, raw, totals)
-        psi = kraus.take(i, axis=0) * phi[rows] / np.sqrt(raw[rows, i])[:, None]
+        rows, i, w = choose(t, raw, totals)
+        if rows is not None:
+            phi = phi.take(rows, axis=1)
+        _form_branches(phi, kraus, tiled, i, w)
         if read is not None and read_before:
-            psi = read(t, psi)
-        psi = cone_step.shift.apply(psi)
+            read(t, phi)
+        if psi.shape != phi.shape:
+            psi = np.empty_like(phi)
+        if index is None or index.shape != phi.shape:
+            index = _block_shift_index(cone_step.shift, phi.shape[1])
+        # mode="clip" skips the bounds check, for which "raise" buffers out
+        phi.reshape(-1).take(index, out=psi, mode="clip")
+        del phi  # so that the next toss does not hold two
         if read is not None and not read_before:
-            psi = read(t, psi)
+            read(t, psi)
         yield psi, rows, i, raw
+
+
+def _sample_blocks(
+    psi0: np.ndarray, step: StepMap, steps: int, seeds: list
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """sample_trajectories block by block, as arrays.
+
+    Yields, per block of consecutive seeds, the sorted cone vertices, the
+    block's final (n, S, d) states, and (S, steps) arrays of the outcomes,
+    the drawn outcomes' probabilities and the vertices read (vertices of
+    the whole graph), the last None without vertex measurement. The next
+    block of as many samples is walked in the final states' array.
+    """
+    _require_unravelable(step, steps)
+    cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
+    n, d = cone.size, step.shift.degree
+    measure_position = step.vertex_dephasing == 1.0
+    draws = 2 if measure_position else 1
+    block = max(1, SAMPLE_BLOCK_AMPLITUDES // cone_psi0.size)
+    psi = None
+    for lo in range(0, len(seeds), block):
+        chunk = seeds[lo: lo + block]
+        s = len(chunk)
+        rows = np.arange(s)
+        uniforms = np.array(
+            [np.random.default_rng(seed).random(steps * draws) for seed in chunk]
+        ).reshape(s, steps, draws)
+        outcomes = np.empty((s, steps), dtype=int)
+        probs = np.empty((s, steps))  # the drawn outcome's probability
+        vertices = np.empty((s, steps), dtype=int)
+
+        def draw(t, raw, totals):
+            w = raw / totals[:, None]
+            outcomes[:, t] = i = _inverse_cdf(_viable_weights(w), uniforms[:, t, 0])
+            drawn = raw[rows, i]
+            _check_norms(drawn, "sampled branch")
+            probs[:, t] = w[rows, i]
+            return None, i, drawn
+
+        def read(t, psi):
+            vertices[:, t] = _measure_vertices(psi, uniforms[:, t, 1])
+
+        if psi is None or psi.shape[1] != s:
+            psi = np.empty((n, s, d), dtype=complex)
+        psi[:] = cone_psi0.reshape(n, 1, d)
+        for psi, *_ in _unravel(psi, cone_step, steps, draw, read if measure_position else None):
+            pass
+        yield cone, psi, outcomes, probs, cone[vertices] if measure_position else None
 
 
 def sample_trajectories(
@@ -724,52 +847,27 @@ def sample_trajectories(
     ||K_i phi||^2 summed from the per-coin masses of the tossed state
     phi, each added up over the vertices in vertex order, so the records
     and final states are those of the whole graph bit for bit. The
-    samples move together as the rows of an (S, cone ports) array, in
-    blocks of S = SAMPLE_BLOCK_AMPLITUDES // (cone ports) samples (at
+    samples move together as a vertex-major (cone vertices, S, d) block,
+    S = SAMPLE_BLOCK_AMPLITUDES // (cone ports) samples at a time (at
     least one). Yields, in seed order, the sorted cone vertices, the
     final state on the cone's ports and the record, whose vertex
     outcomes are vertices of the whole graph.
     """
-    _require_unravelable(step, steps)
-    cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
-    d = step.shift.degree
-    measure_position = step.vertex_dephasing == 1.0
-    draws = 2 if measure_position else 1
     seeds = list(seeds)
-    block = max(1, SAMPLE_BLOCK_AMPLITUDES // cone_psi0.size)
-    for lo in range(0, len(seeds), block):
-        chunk = seeds[lo: lo + block]
-        s = len(chunk)
-        rows = np.arange(s)
-        uniforms = np.array(
-            [np.random.default_rng(seed).random(steps * draws) for seed in chunk]
-        ).reshape(s, steps, draws)
-        outcomes = np.empty((s, steps), dtype=int)
-        probs = np.empty((s, steps))  # the drawn outcome's probability
-        vertices = np.empty((s, steps), dtype=int)
-
-        def draw(t, raw, totals):
-            w = raw / totals[:, None]
-            outcomes[:, t] = i = _inverse_cdf(_viable_weights(w), uniforms[:, t, 0])
-            _check_norms(raw[rows, i], "sampled branch")
-            probs[:, t] = w[rows, i]
-            return rows, i
-
-        def read(t, psi):
-            psi, vertices[:, t] = _measure_vertices(psi, d, uniforms[:, t, 1])
-            return psi
-
-        psi = np.array([cone_psi0] * s)
-        for psi, *_ in _unravel(psi, cone_step, steps, draw, read if measure_position else None):
-            pass
-        for r, seed in enumerate(chunk):
+    lo = 0
+    for cone, block, outcomes, probs, vertices in _sample_blocks(psi0, step, steps, seeds):
+        s = len(outcomes)
+        # a copy, since the next block is walked in this one
+        finals = block.transpose(1, 0, 2).copy().reshape(s, -1)
+        for r in range(s):
             record = TrajectoryRecord(
-                seed,
+                seeds[lo + r],
                 tuple(outcomes[r].tolist()),
                 tuple(probs[r].tolist()),
-                tuple(cone[vertices[r]].tolist()) if measure_position else None,
+                None if vertices is None else tuple(vertices[r].tolist()),
             )
-            yield cone, psi[r], record
+            yield cone, finals[r], record
+        lo += s
 
 
 def sample_trajectory(
@@ -796,8 +894,8 @@ def enumerate_branches(
     renormalized. The weighted mixture of the states reproduces the
     density-matrix evolution, which is what makes the record ensemble a
     faithful unraveling. The branches are expanded on the light cone of
-    psi0 through the step of sample_trajectories, every live branch a row
-    of one array, and come parent by parent, each parent's in outcome
+    psi0 through the step of sample_trajectories, every live branch a
+    state of one block, and come parent by parent, each parent's in outcome
     order. Every check and the whole expansion run before the function
     returns; each state is put back over all N*d ports only as it is taken.
     """
@@ -807,17 +905,19 @@ def enumerate_branches(
     if step.vertex_dephasing != 0.0:
         raise ConfigError("branch enumeration supports coin measurement only")
     cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
-    psi, probs, histories = cone_psi0[None], np.ones(1), np.empty((1, 0), dtype=int)
+    psi = np.array(cone_psi0, dtype=complex).reshape(cone.size, 1, step.shift.degree)
+    probs, histories = np.ones(1), np.empty((1, 0), dtype=int)
 
     def keep(_t, raw, _totals):  # every branch of probability prune or more, parent by parent
-        return np.nonzero(probs[:, None] * raw >= prune)
+        rows, i = np.nonzero(probs[:, None] * raw >= prune)
+        return rows, i, raw[rows, i]
 
     for psi, rows, i, raw in _unravel(psi, cone_step, steps, keep):
         probs = probs[rows] * raw[rows, i]
         histories = np.column_stack([histories[rows], i])
     ports = _cone_ports(cone, step.shift.degree)
-    branches = zip(probs.tolist(), psi, histories.tolist())
-    return ((p, _in_place(x, ports, psi0.size), tuple(h)) for p, x, h in branches)
+    branches = zip(probs.tolist(), psi.transpose(1, 0, 2), histories.tolist())
+    return ((p, _in_place(x.ravel(), ports, psi0.size), tuple(h)) for p, x, h in branches)
 
 
 def reconstruct_cycle_path(

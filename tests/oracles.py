@@ -109,7 +109,8 @@ def loop_enumerate_branches(psi0, step, steps, prune=1e-18):
         for weight, psi, history in branches:
             phi = evolution._apply_coin(cone_step.coin, psi)
             children = (diagonals[:, None, :] * phi.reshape(-1, d)).reshape(m, -1)
-            weights = evolution._born_weights(evolution._coin_masses(phi[None], d), kraus_sq)[0]
+            masses = evolution._coin_masses(phi.reshape(-1, 1, d))  # a one-state block
+            weights = evolution._born_weights(masses, kraus_sq)[0]
             evolution._check_branch_sums(weights.sum(keepdims=True))
             for i, (child, w) in enumerate(zip(children, weights)):
                 w = float(w)

@@ -810,6 +810,16 @@ def _loop_masses(psi, degree):
     return mass
 
 
+def _block(rows, degree):
+    """The vertex-major (n, S, d) block of the (S, n*d) states rows."""
+    return rows.reshape(len(rows), -1, degree).transpose(1, 0, 2).copy()
+
+
+def _rows(block):
+    """The (S, n*d) states of the vertex-major block."""
+    return block.transpose(1, 0, 2).reshape(block.shape[1], -1)
+
+
 def _loop_sum(values):
     total = 0.0
     for x in values:
@@ -1142,14 +1152,14 @@ def test_coin_masses_add_up_vertex_by_vertex(degree):
         x = rng.normal(size=(s, n * degree)) + 1j * rng.normal(size=(s, n * degree))
         # magnitudes over many decades, so that another order of the sums shows
         x *= rng.random(x.shape) ** 6
-        masses = _coin_masses(x, degree)
+        masses = _coin_masses(_block(x, degree))
         assert masses.tolist() == [_loop_masses(row, degree) for row in x]
         # zero vertices put anywhere among them, as outside a light cone
         total = n + int(rng.integers(0, 50))
         at = np.sort(rng.choice(total, size=n, replace=False))
         padded = np.zeros((s, total, degree), dtype=complex)
         padded[:, at] = x.reshape(s, n, degree)
-        assert np.array_equal(_coin_masses(padded.reshape(s, -1), degree), masses)
+        assert np.array_equal(_coin_masses(_block(padded.reshape(s, -1), degree)), masses)
 
 
 def test_numpy_sums_a_single_coin_index_in_another_order():
@@ -1161,9 +1171,66 @@ def test_numpy_sums_a_single_coin_index_in_another_order():
     for _ in range(30):
         x = rng.normal(size=(2, 300)) * rng.random((2, 300)) ** 6 + 0j
         loop = [_loop_masses(row, 1) for row in x]
-        assert _coin_masses(x, 1).tolist() == loop
+        assert _coin_masses(_block(x, 1)).tolist() == loop
         differ += (x.real ** 2).reshape(2, 300, 1).sum(axis=1).tolist() != loop
     assert differ
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_coin_masses_equal_a_running_sum_over_every_block_shape(degree):
+    """One, two and three lanes (S d) take the running sum, four or more np.add.reduce:
+    both add the vertices one at a time, in vertex order."""
+    from coinwalk.evolution import _coin_masses
+
+    rng = np.random.default_rng(40 + degree)
+    shapes = [(s, n) for s in (1, 2, 3, 4, 5, 32) for n in (1, 2, 3, 7, 64, 301, 2000)
+              if s * n <= 4000]
+    # three draws of each shape: a pairwise sum matches the running one now and then
+    for s, n in shapes * 3:
+        x = rng.normal(size=(s, n * degree)) + 1j * rng.normal(size=(s, n * degree))
+        x *= rng.random(x.shape) ** 6
+        expected = [_loop_masses(row, degree) for row in x]
+        block = _block(x, degree)
+        assert _coin_masses(block).tolist() == expected
+
+
+@pytest.mark.parametrize("vertex_p", [0.0, 1.0])
+def test_a_sample_block_step_peaks_near_its_toss_and_gather_index(vertex_p):
+    """32 samples of the 8x8 DFT torus, the benchmark's 8192-amplitude block.
+
+    Beside the block a step holds its toss, the shift's gather index (half a
+    block) and one broadcast buffer of numpy's (at most np.getbufsize() entries,
+    a block here), or the squared moduli of the toss or of the vertex reading in
+    its place; the shift gathers back into the block. The earlier layout, the
+    (S, cone ports) rows with a new array per stage, peaked at 5.3 blocks here.
+    """
+    graph = port_permuted_torus(8, np.random.default_rng(1))
+    step = make_step(graph, beta=0.5, vertex_p=vertex_p)
+    cone_psi0, cone_step, cone = evolution._light_cone(basis_state(graph, 27, 1), step, 40)
+    samples = np.arange(32)
+    uniforms = np.random.default_rng(2).random((40, 32))
+
+    def choose(_t, raw, _totals):
+        i = raw.argmax(axis=1)
+        return None, i, raw[samples, i]
+
+    def read(t, psi):
+        evolution._measure_vertices(psi, uniforms[t])
+
+    block = np.empty((cone.size, 32, 4), dtype=complex)
+    block[:] = cone_psi0.reshape(-1, 1, 4)
+    assert block.size == evolution.SAMPLE_BLOCK_AMPLITUDES
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for out, *_ in evolution._unravel(block, cone_step, 40, choose, read if vertex_p else None):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out is block  # every step gathers back into the block
+    assert peak <= 2.9 * block.nbytes, peak / block.nbytes
 
 
 def test_born_weights_sum_the_coin_in_order():
@@ -1196,7 +1263,9 @@ def test_vertex_reading_normalises_by_the_coin_masses(degree, monkeypatch):
         psi = rng.normal(size=(s, n * degree)) + 1j * rng.normal(size=(s, n * degree))
         psi *= rng.random(psi.shape) ** 6
         u = rng.random(s)
-        out, vertices = evolution._measure_vertices(psi, degree, u)
+        block = _block(psi, degree)
+        vertices = evolution._measure_vertices(block, u)
+        out = _rows(block)
         totals = [_loop_sum(_loop_masses(row, degree)) for row in psi]
         pv = pure_position_marginal(psi, degree).reshape(s, n)
         assert np.array_equal(drawn_from[-1], pv / np.array(totals)[:, None])
@@ -1210,9 +1279,9 @@ def test_vertex_reading_normalises_by_the_coin_masses(degree, monkeypatch):
         at = np.sort(rng.choice(total, size=n, replace=False))
         padded = np.zeros((s, total, degree), dtype=complex)
         padded[:, at] = psi.reshape(s, n, degree)
-        padded_out, padded_vertices = evolution._measure_vertices(
-            padded.reshape(s, -1), degree, u
-        )
+        padded_block = _block(padded.reshape(s, -1), degree)
+        padded_vertices = evolution._measure_vertices(padded_block, u)
+        padded_out = _rows(padded_block)
         assert np.array_equal(drawn_from[-1][:, at], drawn_from[-2])
         assert np.array_equal(at[vertices], padded_vertices)
         assert np.array_equal(padded_out.reshape(s, total, degree)[:, at],

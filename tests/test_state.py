@@ -103,6 +103,27 @@ def test_pure_and_density_marginals_agree(seed):
     )
 
 
+def test_pure_marginal_has_the_bits_of_the_row_sum_at_every_degree():
+    """Below d = 8 the d columns are added in coin order, as numpy's row sum adds them;
+    from d = 8 numpy groups the row's terms otherwise, and the row sum is kept."""
+    from coinwalk.state import _squared_moduli
+
+    rng = np.random.default_rng(23)
+    for d in range(1, 11):
+        differ = 0
+        for _ in range(20):
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 300)) * d)
+            # magnitudes over many decades, so that another order of the sums shows
+            psi = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * rng.random(shape) ** 6
+            sq = _squared_moduli(psi).reshape(-1, d)
+            assert np.array_equal(pure_position_marginal(psi, d), sq.sum(axis=1))
+            in_order = sq[:, 0].copy()
+            for a in range(1, d):
+                in_order += sq[:, a]
+            differ += not np.array_equal(in_order, sq.sum(axis=1))
+        assert (differ > 0) is (d >= 8)
+
+
 def test_marginal_clamps_roundoff_but_flags_real_negatives():
     rho = np.diag([1.0, 0.0, -1e-13, 0.0]).astype(complex)
     marg = position_marginal(rho, 2)
