@@ -7,7 +7,7 @@ for which-path knowledge; at full strength the walk becomes the
 classical random chain, at zero strength it stays unitary.
 """
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from .analysis import (
     ComplementarityPoint,
@@ -38,12 +38,12 @@ from .evolution import (
     evolve,
     make_step,
     marginal_history,
-    reconstruct_cycle_path,
     run,
     sample_trajectories,
     sample_trajectory,
     unitary_step,
     vertex_dephasing,
+    walker_paths,
 )
 from .graph import (
     Edge,

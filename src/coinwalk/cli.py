@@ -34,7 +34,7 @@ from .evolution import (
     _sample_blocks,
     _sum_rows_in_order,
     make_step,
-    reconstruct_cycle_path,
+    walker_paths,
 )
 from .graph import _write_files, build_cycle, load_graph, read_json
 from .shift import build_cycle_shift, build_shift
@@ -339,16 +339,12 @@ def cmd_trajectory(args) -> int:
     hist_path = base + "_histogram.csv"
     files = {records_path: record_lines, hist_path: hist_lines}
 
-    # the only cycle shift the CLI builds is build_cycle_shift(--cycle)
-    reconstructable = args.beta == 1.0 and step.shift.kind == "direction-preserving"
     paths_path = None
-    if reconstructable:
-        start_vertex = description["start"]["vertex"]
+    if args.beta == 1.0:
+        paths = walker_paths(step, description["start"]["vertex"], outcomes)
         path_lines = ["sample,step,vertex\n"]
-        for index, record in enumerate(outcomes.tolist()):
-            walk = reconstruct_cycle_path(tuple(record), start_vertex, graph.num_vertices)
-            for t, vertex in enumerate(walk):
-                path_lines.append(f"{index},{t},{vertex}\n")
+        for index, walk in enumerate(paths.tolist()):
+            path_lines += [f"{index},{t},{vertex}\n" for t, vertex in enumerate(walk)]
         paths_path = base + "_paths.csv"
         files[paths_path] = path_lines
 
@@ -364,7 +360,7 @@ def cmd_trajectory(args) -> int:
             "records_csv": records_path,
             "histogram_csv": hist_path,
             "paths_csv": paths_path,
-            "path_reconstruction": reconstructable,
+            "path_reconstruction": paths_path is not None,
         },
     })
     return 0

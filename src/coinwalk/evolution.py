@@ -27,11 +27,9 @@ block index of 8 (N d)^2 bytes, and after-shift dephasing scales the
 blocks between different vertices. The trace check and the position
 distribution are read off the same-vertex blocks' diagonals. cp_step,
 evolve and run take and give density matrices, converting at their
-boundary; ShiftOperator.conjugate, the shift on a matrix, is not called
-by the walk. The dense (N*d) x (N*d) forms, assembled_step_operators,
-vertex_dephasing and ShiftOperator.matrix, are never called by the walk
-either; they stay public because the benchmark checks the CLI's output
-with them.
+boundary. The dense (N*d) x (N*d) forms, assembled_step_operators,
+vertex_dephasing and ShiftOperator.matrix, are never called by the walk;
+they stay public because the benchmark checks the CLI's output with them.
 
 A walk of t steps only reaches the vertices within t shifts of psi0's
 support, its light cone. run, marginal_history and the marginals that
@@ -91,12 +89,12 @@ __all__ = [
     "evolve",
     "make_step",
     "marginal_history",
-    "reconstruct_cycle_path",
     "run",
     "sample_trajectories",
     "sample_trajectory",
     "unitary_step",
     "vertex_dephasing",
+    "walker_paths",
 ]
 
 PLACEMENTS = ("before-shift", "after-shift")
@@ -920,24 +918,35 @@ def enumerate_branches(
     return ((p, _in_place(x.ravel(), ports, psi0.size), tuple(h)) for p, x, h in branches)
 
 
-def reconstruct_cycle_path(
-    outcomes: tuple[int, ...], start_vertex: int, num_vertices: int, direction: int = 1
-) -> list[int]:
-    """Vertex sequence implied by a record on the direction-preserving cycle.
+def walker_paths(step: StepMap, start_vertex: int, outcomes) -> np.ndarray:
+    """The (S, T+1) vertex paths that an (S, T) array of coin outcomes pins down.
 
-    Valid when the coin measurement is projective (beta = 1), where
-    outcome 0 certifies coin state 0 (a move along the cycle direction)
-    and outcome 1 the reverse move. Weaker measurements leave outcome 0
-    ambiguous, and general graphs give records no such reading.
+    Outcome i certifies coin a when a is the one index with |k_i[a]|^2
+    above DEFAULT_TOLERANCES.viable_weight, as every outcome does at
+    beta = 1; the walker then moves from v to the vertex of
+    step.shift.permutation[v d + a], one gather over all samples per
+    step. A start outside the graph, an outcome outside 0..m-1, or one
+    that certifies no coin raises ConfigError, the outcome naming its
+    sample and step (counted from 1).
     """
-    path = [start_vertex]
-    v = start_vertex
-    for o in outcomes:
-        if o == 0:
-            v = (v + direction) % num_vertices
-        elif o == 1:
-            v = (v - direction) % num_vertices
-        else:
-            raise ConfigError(f"cycle records carry outcomes 0 or 1, got {o}")
-        path.append(v)
-    return path
+    outcomes = np.asarray(outcomes)
+    d = step.shift.degree
+    if not 0 <= start_vertex < step.shift.num_vertices:
+        raise ConfigError(f"start vertex {start_vertex} is not a vertex of the step's graph")
+    kraus = np.zeros((0, d)) if step.coin_kraus is None else step.coin_kraus
+    certified = _squared_moduli(kraus) > DEFAULT_TOLERANCES.viable_weight
+    coin_of = np.where(certified.sum(axis=1) == 1, certified.argmax(axis=1), -1)
+    known = (outcomes >= 0) & (outcomes < len(kraus))
+    # an unknown outcome reads the appended -1, as one that certifies no coin does
+    coins = np.append(coin_of, -1)[np.where(known, outcomes, -1)]
+    if (coins < 0).any():
+        sample, t = np.argwhere(coins < 0)[0]
+        raise ConfigError(
+            f"sample {sample} step {t + 1}: outcome {outcomes[sample, t]} "
+            "certifies no single coin state, so it fixes no move"
+        )
+    paths = np.empty((outcomes.shape[0], outcomes.shape[1] + 1), dtype=int)
+    paths[:, 0] = start_vertex
+    for t in range(outcomes.shape[1]):
+        paths[:, t + 1] = step.shift.permutation[paths[:, t] * d + coins[:, t]] // d
+    return paths

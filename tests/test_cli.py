@@ -25,9 +25,9 @@ from coinwalk import (
     load_graph,
     make_step,
     marginal_history,
-    reconstruct_cycle_path,
     save_graph,
     tvd,
+    walker_paths,
 )
 from coinwalk import PortGraph, cli
 from coinwalk.cli import main
@@ -255,8 +255,9 @@ def test_trajectory_files_are_mutually_consistent(tmp_path):
     paths = {}
     for sample, t, vertex in path_rows:
         paths.setdefault(int(sample), []).append(int(vertex))
+    step = make_step(build_cycle(7), shift=build_cycle_shift(7), beta=1.0)
     for sample, walk in paths.items():
-        assert walk == reconstruct_cycle_path(tuple(outcomes[sample]), 0, 7)
+        assert walk == walker_paths(step, 0, [outcomes[sample]])[0].tolist()
 
     _, hist_rows = read_rows(tmp_path / "traj_histogram.csv")
     hist = {int(v): float(p) for v, p in hist_rows}
@@ -269,13 +270,26 @@ def test_trajectory_files_are_mutually_consistent(tmp_path):
     assert meta["output"]["path_reconstruction"] is True
 
 
-def test_only_the_direction_preserving_cycle_shift_reconstructs_paths(tmp_path):
-    argv = ["trajectory", "--cycle", "7", "--beta", "1.0", "--steps", "3", "--samples", "2"]
-    for shift, name in (("direction-preserving", "dp"), ("port-swap", "ps")):
-        assert main(argv + ["--shift", shift, "--out", str(tmp_path / f"{name}.csv")]) == 0
+def test_every_beta_one_trajectory_writes_the_paths_its_histogram_ends_on(tmp_path):
+    torus_path = tmp_path / "torus.json"
+    save_graph(port_permuted_torus(4, np.random.default_rng(6)), str(torus_path))
+    argv = ["trajectory", "--beta", "1.0", "--steps", "6", "--samples", "5", "--seed", "2"]
+    sources = {"dp": ["--cycle", "7", "--shift", "direction-preserving"],
+               "ps": ["--cycle", "7", "--shift", "port-swap"],
+               "torus": ["--graph", str(torus_path), "--start", "5,2"]}
+    for name, source in sources.items():
+        assert main(argv + source + ["--out", str(tmp_path / f"{name}.csv")]) == 0
         meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
-        assert meta["output"]["path_reconstruction"] is (shift == "direction-preserving")
-        assert (tmp_path / f"{name}_paths.csv").exists() is (shift == "direction-preserving")
+        assert meta["output"]["path_reconstruction"] is True
+        assert meta["output"]["paths_csv"] == str(tmp_path / f"{name}_paths.csv")
+        _, path_rows = read_rows(tmp_path / f"{name}_paths.csv")
+        assert len(path_rows) == 5 * 7
+        assert [int(v) for _, t, v in path_rows if t == "0"] == [meta["configuration"]["start"]["vertex"]] * 5
+        # at beta = 1 each sample's final state sits at its path's last vertex
+        ends = [int(v) for _, t, v in path_rows if t == "6"]
+        _, hist_rows = read_rows(tmp_path / f"{name}_histogram.csv")
+        for v, p in hist_rows:
+            assert float(p) == pytest.approx(ends.count(int(v)) / 5, abs=1e-12)
 
 
 def test_trajectory_reruns_and_parallelism_are_deterministic(tmp_path):

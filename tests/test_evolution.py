@@ -33,7 +33,6 @@ from coinwalk import (
     marginal_history,
     position_marginal,
     pure_position_marginal,
-    reconstruct_cycle_path,
     run,
     sample_trajectories,
     sample_trajectory,
@@ -41,6 +40,7 @@ from coinwalk import (
     tvd,
     unitary_step,
     vertex_dephasing,
+    walker_paths,
 )
 from coinwalk import evolution
 from coinwalk.evolution import StepMap
@@ -358,7 +358,7 @@ def test_sampling_is_reproducible_and_honest(cycle7):
     # a fair coin read projectively gives every outcome probability 1/2
     assert all(p == pytest.approx(0.5, abs=1e-12) for p in rec_a.outcome_probabilities)
     # the record retraces the walk exactly at full strength
-    path = reconstruct_cycle_path(rec_a.outcomes, 0, 7)
+    (path,) = walker_paths(step, 0, [rec_a.outcomes])
     marg = pure_position_marginal(final_a, 2)
     assert int(np.argmax(marg)) == path[-1]
     assert marg[path[-1]] == pytest.approx(1.0, abs=1e-12)
@@ -420,12 +420,63 @@ def test_sampled_ensemble_approximates_the_density_marginal(cycle7):
     assert tvd(acc / samples, exact) < 0.1
 
 
-def test_path_reconstruction_and_validation():
-    assert reconstruct_cycle_path((0, 0, 1, 0), 0, 5) == [0, 1, 2, 1, 2]
-    assert reconstruct_cycle_path((0, 0), 0, 5, direction=-1) == [0, 4, 3]
-    assert reconstruct_cycle_path((1,), 0, 5) == [0, 4]
-    with pytest.raises(ConfigError, match="0 or 1"):
-        reconstruct_cycle_path((2,), 0, 5)
+def test_walker_paths_follow_the_certified_coins_and_reject_the_rest():
+    cycle5 = build_cycle(5)
+    forward, backward = (make_step(cycle5, shift=build_cycle_shift(5, direction), beta=1.0)
+                         for direction in (1, -1))
+    assert walker_paths(forward, 0, [[0, 0, 1, 0]]).tolist() == [[0, 1, 2, 1, 2]]
+    assert walker_paths(backward, 0, [[0, 0]]).tolist() == [[0, 4, 3]]
+    assert walker_paths(forward, 3, [[1], [0]]).tolist() == [[3, 2], [3, 4]]
+    assert walker_paths(forward, 0, np.empty((2, 0), dtype=int)).tolist() == [[0], [0]]
+    for outcome in (2, -1):
+        with pytest.raises(ConfigError, match=f"sample 1 step 2: outcome {outcome} "):
+            walker_paths(forward, 0, [[0, 0], [1, outcome]])
+    # at beta = 0.5 only outcome 1 certifies a coin; outcome 0 leaves both
+    partial = make_step(cycle5, shift=build_cycle_shift(5), beta=0.5)
+    assert walker_paths(partial, 0, [[1, 1]]).tolist() == [[0, 4, 3]]
+    with pytest.raises(ConfigError, match="sample 0 step 2: outcome 0 certifies no"):
+        walker_paths(partial, 0, [[1, 0]])
+    with pytest.raises(ConfigError, match="sample 0 step 1: outcome 0 "):
+        walker_paths(make_step(cycle5), 0, [[0]])
+    for start in (-1, 5):
+        with pytest.raises(ConfigError, match=f"start vertex {start} "):
+            walker_paths(forward, start, [[0]])
+    # the uniform family keeps outcome 0 as 7.8e-9 (1, ..., 1) at beta = 1
+    uniform = make_step(port_permuted_torus(3, np.random.default_rng(2)), beta=1.0)
+    assert walker_paths(uniform, 0, [[1, 2, 3, 4]]).shape == (1, 5)
+    with pytest.raises(ConfigError, match="sample 0 step 3: outcome 0 certifies no"):
+        walker_paths(uniform, 0, [[1, 2, 0, 4]])
+
+
+def _torus_samples(step, psi0, steps, seeds):
+    """The (S, steps) outcomes, final cone marginals and cone of a sampled walk."""
+    outcomes, marginals, vertices = [], [], []
+    for cone, final, record in sample_trajectories(psi0, step, steps, seeds):
+        outcomes.append(record.outcomes)
+        marginals.append(pure_position_marginal(final, step.shift.degree))
+        vertices.append(record.vertex_outcomes)
+    return np.array(outcomes), np.array(marginals), cone, vertices
+
+
+def test_walker_paths_end_where_a_torus_walker_is_found():
+    torus = port_permuted_torus(6, np.random.default_rng(4))
+    step = make_step(torus, beta=1.0)
+    psi0 = basis_state(torus, 14, 1)
+    outcomes, marginals, cone, _ = _torus_samples(step, psi0, 15, range(200))
+    paths = walker_paths(step, 14, outcomes)
+    ends = np.searchsorted(cone, paths[:, -1])
+    assert np.array_equal(cone[ends], paths[:, -1])
+    np.testing.assert_allclose(marginals[np.arange(200), ends], 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("placement", ["before-shift", "after-shift"])
+def test_walker_paths_are_the_measured_vertices(placement):
+    torus = port_permuted_torus(6, np.random.default_rng(5))
+    step = make_step(torus, beta=1.0, vertex_p=1.0, placement=placement)
+    outcomes, _, _, vertices = _torus_samples(step, basis_state(torus, 20, 3), 12, range(64))
+    paths = walker_paths(step, 20, outcomes)
+    measured = paths[:, :-1] if placement == "before-shift" else paths[:, 1:]
+    assert np.array_equal(measured, np.array(vertices))
 
 
 def test_step_configuration_validation(cycle7):

@@ -32,6 +32,7 @@ REMOVED = (
     "CoinSpec",
     "SIMPLEX_TOL",
     "flat_index",
+    "reconstruct_cycle_path",
     "time_averaged_distribution",
     "validate_distribution",
 )
