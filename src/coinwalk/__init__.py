@@ -7,7 +7,7 @@ for which-path knowledge; at full strength the walk becomes the
 classical random chain, at zero strength it stays unitary.
 """
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 from .analysis import (
     ComplementarityPoint,

@@ -46,10 +46,17 @@ RNG_NAME = "numpy.random.default_rng (PCG64)"
 # ----------------------------------------------------------------------
 # argument parsing
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors raise ConfigError, so main reports them in one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line's parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coinwalk",
         description="Coined quantum walks on port-labeled graphs with "
         "tunable coin measurement.",
@@ -57,15 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     source = common.add_mutually_exclusive_group(required=True)
     source.add_argument("--cycle", type=int, metavar="N", help="built-in cycle graph")
     source.add_argument("--graph", metavar="FILE", help="graph JSON file")
     common.add_argument(
-        "--coin", choices=["hadamard", "dft", "custom"], default=None,
+        "--coin", choices=["hadamard", "dft"], default=None,
         help="coin family (default: hadamard on two-port graphs, dft otherwise)",
     )
-    common.add_argument("--coin-file", metavar="FILE", help="JSON config for --coin custom")
+    common.add_argument("--coin-file", metavar="FILE", help="coin config JSON, the whole coin")
     common.add_argument("--phi", type=float, default=None,
                         help="phase angle of the hadamard coin (radians, default pi/2)")
     common.add_argument("--shift", choices=["port-swap", "direction-preserving"],
@@ -139,23 +146,23 @@ def _mapper(jobs: int):
 
 def _build_setup(args):
     """Resolve the graph, the start state and the command's one StepMap."""
-    if args.coin_file is not None and args.coin != "custom":
-        raise ConfigError("--coin-file needs --coin custom")
+    if args.coin_file is not None and (args.coin, args.phi) != (None, None):
+        raise ConfigError("--coin-file holds the whole coin, so it takes no --coin or --phi")
     graph = build_cycle(args.cycle) if args.cycle is not None else load_graph(args.graph)
 
-    coin_kind = args.coin or default_coin_type(graph)
-    if coin_kind == "custom":
-        if not args.coin_file:
-            raise ConfigError("--coin custom requires --coin-file")
+    if args.coin_file is not None:
         coin_config = read_json(args.coin_file, "coin")
+        coin = {"type": "custom", "file": args.coin_file}
     else:
-        coin_config = {"type": coin_kind}
-    # a config that is no JSON object is left for the parser to name
-    if args.phi is not None and isinstance(coin_config, dict):
-        if coin_config.get("type") != "hadamard" or "phi" in coin_config:
-            raise ConfigError("--phi sets the phase of a hadamard coin whose config sets no 'phi'")
-        coin_config["phi"] = args.phi
+        coin_config = {"type": args.coin or default_coin_type(graph)}
+        if args.phi is not None:
+            if coin_config["type"] != "hadamard":
+                raise ConfigError("--phi sets the phase of a hadamard coin")
+            coin_config["phi"] = args.phi
+        coin = {"type": coin_config["type"]}
     spec = coin_spec_from_config(coin_config, graph)
+    if coin_config["type"] == "hadamard":
+        coin["phi"] = float(coin_config.get("phi", DEFAULT_PHI))
 
     shift_kind = args.shift
     if shift_kind is None:
@@ -182,17 +189,13 @@ def _build_setup(args):
             "degree": graph.degree,
             "partner_sha256": hashlib.sha256(graph.partner.astype("<i8", copy=False)).hexdigest(),
         },
-        "coin": {"type": coin_kind},
+        "coin": coin,
         "shift": shift.kind,
         **({} if beta is None else {"beta": beta}),
         "vertex_dephasing": args.vertex_dephasing,
         "dephasing_placement": args.dephasing_placement,
         "start": {"vertex": start[0], "port": start[1]},
     }
-    if coin_config["type"] == "hadamard":
-        description["coin"]["phi"] = float(coin_config.get("phi", DEFAULT_PHI))
-    if coin_kind == "custom":
-        description["coin"]["file"] = args.coin_file
     return graph, psi0, step, description
 
 
@@ -377,9 +380,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except (ConfigError, StructureError) as exc:
         print(f"coinwalk: configuration error: {exc}", file=sys.stderr)

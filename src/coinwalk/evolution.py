@@ -925,11 +925,19 @@ def walker_paths(step: StepMap, start_vertex: int, outcomes) -> np.ndarray:
     above DEFAULT_TOLERANCES.viable_weight, as every outcome does at
     beta = 1; the walker then moves from v to the vertex of
     step.shift.permutation[v d + a], one gather over all samples per
-    step. A start outside the graph, an outcome outside 0..m-1, or one
-    that certifies no coin raises ConfigError, the outcome naming its
-    sample and step (counted from 1).
+    step. Outcomes that are no 2-D integer array (booleans included)
+    raise StructureError. A start that is no integer or lies outside the
+    graph, an outcome outside 0..m-1, or one that certifies no coin
+    raises ConfigError, the outcome naming its sample and step (counted
+    from 1).
     """
     outcomes = np.asarray(outcomes)
+    if outcomes.ndim != 2 or outcomes.dtype.kind not in "iu":
+        raise StructureError(
+            f"outcomes must be a 2-D integer array, got shape {outcomes.shape} of {outcomes.dtype}"
+        )
+    if isinstance(start_vertex, bool) or not isinstance(start_vertex, (int, np.integer)):
+        raise ConfigError(f"start vertex must be an integer, got {start_vertex!r}")
     d = step.shift.degree
     if not 0 <= start_vertex < step.shift.num_vertices:
         raise ConfigError(f"start vertex {start_vertex} is not a vertex of the step's graph")
@@ -938,7 +946,7 @@ def walker_paths(step: StepMap, start_vertex: int, outcomes) -> np.ndarray:
     coin_of = np.where(certified.sum(axis=1) == 1, certified.argmax(axis=1), -1)
     known = (outcomes >= 0) & (outcomes < len(kraus))
     # an unknown outcome reads the appended -1, as one that certifies no coin does
-    coins = np.append(coin_of, -1)[np.where(known, outcomes, -1)]
+    coins = np.append(coin_of, -1)[np.where(known, outcomes, len(kraus))]
     if (coins < 0).any():
         sample, t = np.argwhere(coins < 0)[0]
         raise ConfigError(

@@ -109,7 +109,7 @@ def induced_coin_channel(coupling: MeterCoupling, coin_rho: np.ndarray) -> np.nd
     meter0[0, 0] = 1.0
     joint = np.kron(np.asarray(coin_rho, dtype=complex), meter0)
     evolved = coupling.matrix @ joint @ coupling.matrix.conj().T
-    return partial_trace_meter(evolved, meter_dim=2)
+    return partial_trace_meter(evolved)
 
 
 def dephasing_kraus(beta: float) -> np.ndarray:

@@ -130,21 +130,16 @@ def pure_position_marginal(psi: np.ndarray, degree: int) -> np.ndarray:
     return total
 
 
-def partial_trace_meter(joint: np.ndarray, meter_dim: int = 2) -> np.ndarray:
-    """Trace out the rightmost tensor factor of a (system x meter) state.
+def partial_trace_meter(joint: np.ndarray) -> np.ndarray:
+    """Trace out the meter qubit, the rightmost factor of a (system x meter) state.
 
     Parameters
     ----------
     joint : ndarray
         Density matrix on system (x) meter, ordered system-major.
-    meter_dim : int
-        Dimension of the traced factor.
     """
     total = joint.shape[0]
-    if joint.shape != (total, total) or total % meter_dim != 0:
-        raise StructureError(
-            f"joint dimension {joint.shape} is not square with a factor of {meter_dim}"
-        )
-    sys_dim = total // meter_dim
-    reshaped = joint.reshape(sys_dim, meter_dim, sys_dim, meter_dim)
+    if joint.shape != (total, total) or total % 2 != 0:
+        raise StructureError(f"joint dimension {joint.shape} is not square with a factor of 2")
+    reshaped = joint.reshape(total // 2, 2, total // 2, 2)
     return np.trace(reshaped, axis1=1, axis2=3)

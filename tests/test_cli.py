@@ -31,7 +31,7 @@ from coinwalk import (
 )
 from coinwalk import PortGraph, cli
 from coinwalk.cli import main
-from coinwalk.coin import dft_coin
+from coinwalk.coin import dft_coin, hadamard_phi
 
 from conftest import MULTI_ADJACENCY, port_permuted_torus
 
@@ -167,10 +167,9 @@ def test_a_bad_trajectory_beta_is_rejected_before_any_pool_starts(tmp_path, caps
 ])
 def test_only_trajectory_takes_a_seed(tmp_path, capsys, command):
     out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        main([*command, "--cycle", "5", "--seed", "1", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main([*command, "--cycle", "5", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed 1" in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -178,12 +177,20 @@ def test_only_trajectory_takes_a_seed(tmp_path, capsys, command):
 def test_sweep_takes_no_beta(tmp_path, capsys, beta):
     """sweep takes its strengths from --betas or --beta-points, and argparse names the clash."""
     out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--cycle", "7", "--steps", "2", "--betas", "0,1", "--beta", beta,
-              "--out", str(out)])
-    assert exc.value.code == 2
-    assert "ambiguous option: --beta could match --betas, --beta-points" in capsys.readouterr().err
+    assert main(["sweep", "--cycle", "7", "--steps", "2", "--betas", "0,1", "--beta", beta,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ambiguous option: --beta could match --betas, --beta-points" in err
+    assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=" ".join)
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -406,12 +413,22 @@ def test_trajectory_without_measurement_exits_2_from_a_worker(tmp_path, capsys, 
         ["sweep", "--cycle", "7", "--steps", "2", "--betas", "0,1.5"],
         ["mix", "--cycle", "7", "--t-max", "10", "--epsilon", "1.5"],
         ["trajectory", "--cycle", "7", "--beta", "1.0", "--steps", "-1", "--samples", "2"],
+        # argparse's own errors: a bad value, the removed --coin custom, a
+        # missing flag, clashing flags, an unknown option, command or none
+        ["run", "--cycle", "5", "--steps", "x"],
+        ["run", "--cycle", "5", "--steps", "2", "--coin", "custom"],
+        ["run", "--cycle", "5"],
+        ["run", "--cycle", "5", "--graph", "g.json", "--steps", "2"],
+        ["run", "--cycle", "5", "--steps", "2", "--colour", "red"],
+        ["walk", "--cycle", "5"],
+        [],
     ],
 )
 def test_bad_configurations_exit_2_without_output(tmp_path, capsys, argv):
     out = tmp_path / "never.csv"
     assert main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("coinwalk: configuration error:")
+    err = capsys.readouterr().err
+    assert err.startswith("coinwalk: configuration error:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -515,7 +532,7 @@ def test_unreadable_graph_file_exits_2_with_one_line(tmp_path, capsys, flag, con
     if flag == "--graph":
         source = ["--graph", str(path)]
     else:
-        source = ["--cycle", "5", "--coin", "custom", "--coin-file", str(path)]
+        source = ["--cycle", "5", "--coin-file", str(path)]
     out = tmp_path / "never.csv"
     assert main(["run", *source, "--steps", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -542,7 +559,7 @@ def test_non_finite_coin_file_numbers_exit_2_with_one_line(tmp_path, where, valu
     source = str(Path(cli.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-W", "default", "-m", "coinwalk.cli", "run", "--cycle", "3",
-         "--steps", "2", "--coin", "custom", "--coin-file", str(path),
+         "--steps", "2", "--coin-file", str(path),
          "--out", str(tmp_path / "never.csv")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": source},
     )
@@ -552,18 +569,22 @@ def test_non_finite_coin_file_numbers_exit_2_with_one_line(tmp_path, where, valu
     assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("content, kind", [("5", "int"), ("[1, 2]", "list")])
-def test_coin_file_that_is_no_object_is_named_so_with_phi(tmp_path, capsys, content, kind):
-    # --phi goes into the coin config only when that config is a JSON object
-    path = tmp_path / "coin.json"
-    path.write_text(content)
-    argv = ["run", "--cycle", "5", "--steps", "2", "--coin", "custom", "--coin-file", str(path),
-            "--phi", "0.3", "--out", str(tmp_path / "never.csv")]
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--phi", "0.3"], id="phi"),
+    pytest.param(["--coin", "dft"], id="dft"),
+    pytest.param(["--coin", "hadamard", "--phi", "0.3"], id="hadamard-phi"),
+])
+def test_coin_file_takes_no_coin_or_phi_and_reads_no_file(tmp_path, capsys, flags):
+    # neither file exists, so an error that reached either would name it
+    argv = ["run", "--graph", str(tmp_path / "graph.json"), "--steps", "2",
+            "--coin-file", str(tmp_path / "coin.json"), *flags,
+            "--out", str(tmp_path / "never.csv")]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"coinwalk: configuration error: coin config must be a JSON object, got {kind}\n"
+        "coinwalk: configuration error: --coin-file holds the whole coin, so it takes no "
+        "--coin or --phi\n"
     )
-    assert list(tmp_path.iterdir()) == [path]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("vertex", [2, 7, 10**20])
@@ -710,7 +731,7 @@ def test_graph_file_and_custom_coin_round_trip(tmp_path, multi_graph):
 
     out = tmp_path / "multi.csv"
     assert main(
-        ["run", "--graph", str(graph_path), "--coin", "custom",
+        ["run", "--graph", str(graph_path),
          "--coin-file", str(coin_path), "--steps", "4", "--out", str(out)]
     ) == 0
     table = marginal_table(out)
@@ -760,7 +781,7 @@ def test_sidecar_is_the_json_dump_of_its_materialised_dict(tmp_path, multi_graph
         coin_path = base / ("coin " + AWKWARD_PATH[0] + ".json")
         blocks = [block] * graph.num_vertices
         coin_path.write_text(json.dumps({"type": "custom", "blocks": blocks}))
-        argv += ["--coin", "custom", "--coin-file", str(coin_path)]
+        argv += ["--coin-file", str(coin_path)]
     out = base / (AWKWARD_PATH[-1] + ".csv")
     assert main([command, *argv, *SIDECAR_ARGS[command], "--out", str(out)]) == 0
 
@@ -890,6 +911,21 @@ def test_metadata_is_enough_to_reproduce_a_run(tmp_path):
     assert main(rebuilt) == 0
     assert out.read_bytes() == (tmp_path / "second.csv").read_bytes()
 
+    # a coin file: the sidecar's coin.file, with no --phi, walks the same coin
+    coin_path = tmp_path / "coin.json"
+    blocks = [[[[z.real, z.imag] for z in row] for row in hadamard_phi(0.1 * j)] for j in range(9)]
+    coin_path.write_text(json.dumps({"type": "custom", "blocks": blocks}))
+    out = tmp_path / "third.csv"
+    assert main(["run", "--cycle", "9", "--steps", "12", "--beta", "0.3",
+                 "--coin-file", str(coin_path), "--out", str(out)]) == 0
+    cfg = json.loads((tmp_path / "third.meta.json").read_text())["configuration"]
+    assert cfg["coin"] == {"type": "custom", "file": str(coin_path)}
+    rebuilt = ["run", "--cycle", cfg["graph"]["source"].split(":")[1],
+               "--steps", str(cfg["steps"]), "--beta", repr(cfg["beta"]),
+               "--coin-file", cfg["coin"]["file"], "--out", str(tmp_path / "fourth.csv")]
+    assert main(rebuilt) == 0
+    assert out.read_bytes() == (tmp_path / "fourth.csv").read_bytes()
+
 
 def test_sidecar_records_the_phase_walked(tmp_path, capsys):
     with_phi, without_phi = tmp_path / "with.json", tmp_path / "without.json"
@@ -897,8 +933,7 @@ def test_sidecar_records_the_phase_walked(tmp_path, capsys):
     without_phi.write_text('{"type": "hadamard"}')
     runs = {
         "flag": ["--phi", "0.3"],
-        "file": ["--coin", "custom", "--coin-file", str(with_phi)],
-        "file-and-flag": ["--coin", "custom", "--coin-file", str(without_phi), "--phi", "0.3"],
+        "file": ["--coin-file", str(with_phi)],
     }
     for name, extra in runs.items():
         out = tmp_path / f"{name}.csv"
@@ -906,13 +941,15 @@ def test_sidecar_records_the_phase_walked(tmp_path, capsys):
         meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
         assert meta["configuration"]["coin"]["phi"] == 0.3
         assert out.read_bytes() == (tmp_path / "flag.csv").read_bytes()
-    # a phase set twice, by the file and by --phi, is rejected
-    argv = ["run", "--cycle", "5", "--steps", "4", "--coin", "custom", "--coin-file",
-            str(with_phi), "--phi", "0.3", "--out", str(tmp_path / "never.csv")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("coinwalk: configuration error: --phi") and err.count("\n") == 1
-    assert not (tmp_path / "never.csv").exists()
+    # the file holds the whole coin: --phi beside it is rejected, whether
+    # the file sets a phase or not
+    for path in (with_phi, without_phi):
+        argv = ["run", "--cycle", "5", "--steps", "4", "--coin-file", str(path),
+                "--phi", "0.3", "--out", str(tmp_path / "never.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("coinwalk: configuration error: --coin-file") and err.count("\n") == 1
+        assert not (tmp_path / "never.csv").exists()
     # without --phi a hadamard coin records pi/2, and a coin of another type no phase
     for coin in ("hadamard", "dft"):
         assert main(["run", "--cycle", "5", "--steps", "4", "--coin", coin,
@@ -973,7 +1010,7 @@ FUZZ_OPTIONS = {
     "--vertex-dephasing": FUZZ_UNIT,
     "--phi": (["0.3", "1.5707963267948966"], ["nan", "inf", "-inf", "x"]),
     "--dephasing-placement": (["before-shift", "after-shift"], ["sideways"]),
-    "--coin": (["hadamard", "dft", "custom"], ["spin"]),
+    "--coin": (["hadamard", "dft"], ["custom", "spin"]),
     "--shift": (["port-swap", "direction-preserving"], ["sideways"]),
     "--start": (["0,0", "1,1", "2,1"], ["9,0", "0,-1", "a,b", "0", ""]),
     "--seed": (["0", "7", str(2**64)], ["-1", "x"]),
@@ -1039,10 +1076,8 @@ def test_fuzzed_command_lines_exit_cleanly(argv):
         argv = [str(root / a[1:]) if a.startswith("@") else a for a in argv]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the command line
-                code = exc.code
+            code = main(argv)
     event(f"exit {code}")
     assert code in (0, 2, 3), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    # a failure is reported in one line, a success in none
+    assert err.getvalue().count("\n") == (code != 0), (argv, err.getvalue())

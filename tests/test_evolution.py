@@ -448,6 +448,22 @@ def test_walker_paths_follow_the_certified_coins_and_reject_the_rest():
         walker_paths(uniform, 0, [[1, 2, 0, 4]])
 
 
+def test_walker_paths_reject_malformed_outcomes_and_starts():
+    forward = make_step(build_cycle(5), shift=build_cycle_shift(5), beta=1.0)
+    for outcomes in ([0, 1], [[0.0, 1.0]], np.zeros((2, 3, 1), dtype=int), [[True, False]]):
+        with pytest.raises(StructureError, match="2-D integer array"):
+            walker_paths(forward, 0, outcomes)
+    for start in (1.5, True, np.True_, "1"):
+        with pytest.raises(ConfigError, match="start vertex must be an integer"):
+            walker_paths(forward, start, [[0]])
+    # a numpy integer start and unsigned outcomes are integers; an unsigned
+    # outcome beyond 0..m-1 is named, as a signed one is
+    unsigned = np.array([[0, 1]], dtype=np.uint8)
+    assert walker_paths(forward, np.int64(1), unsigned).tolist() == [[1, 2, 1]]
+    with pytest.raises(ConfigError, match="sample 0 step 1: outcome 7 "):
+        walker_paths(forward, 0, np.array([[7]], dtype=np.uint8))
+
+
 def _torus_samples(step, psi0, steps, seeds):
     """The (S, steps) outcomes, final cone marginals and cone of a sampled walk."""
     outcomes, marginals, vertices = [], [], []

@@ -166,13 +166,13 @@ def test_partial_trace_recovers_product_factor(seed):
 def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(7)
     joint = random_density(rng, 8)
-    reduced = partial_trace_meter(joint, meter_dim=2)
+    reduced = partial_trace_meter(joint)
     assert np.trace(reduced).real == pytest.approx(1.0, abs=ATOL)
 
 
 def test_partial_trace_rejects_bad_dimensions():
     with pytest.raises(StructureError):
-        partial_trace_meter(np.eye(5) / 5, meter_dim=2)
+        partial_trace_meter(np.eye(5) / 5)
 
 
 def test_check_density_rejects_each_violation():
