@@ -40,11 +40,26 @@ as it is. A shared block stays one block on the cone, so the cone is
 tossed as the whole graph is. evolve, cp_step and unitary_step always
 act on the states they are given.
 
-Trajectories run on the light cone as well, through one generator,
-_unravel, that advances a vertex-major (cone vertex, sample, coin) block
-of states with the same coin product, one GEMM row per (vertex, sample)
-pair: the sampler's states are samples, the enumerator's every live
-branch. A Born weight is taken from the per-coin masses of the tossed
+A cone may have two sides (_split, _Sides). On the line of the paper's
+quincunx, and on any bipartite graph, the walker at time t stands only
+on vertices an even number of moves from the start when t is even, and
+on the others when t is odd. When every move between cone vertices
+joins the two sides, and each side holds at least two vertices, each
+walk holds only the side it stands on, its ports, its vertex-pair blocks
+(a quarter of the cone's on a cone of two equal sides) or its rows of a
+sampler block, and each step is one gather from that side into the
+other, in which a port at the cone's boundary whose source lies off the
+side reads an exact zero. Every output number is a GEMM row of one
+vertex or vertex pair, a sum over vertices in vertex order, to which an
+omitted vertex would add an exact zero, or a gather of such zeros, so the
+sides give the cone's bits. Any other cone, self-loops and unused ports
+included, is one side, and its walk is the cone's walk.
+
+Trajectories run on the sides of the light cone as well, through one
+generator, _unravel, that advances a vertex-major (side vertex, sample,
+coin) block of states with the same coin product, one GEMM row per
+(vertex, sample) pair: the sampler's states are samples, the
+enumerator's every live branch. A Born weight is taken from the per-coin masses of the tossed
 states, each added up one vertex at a time (BORN_WEIGHT_RULE), one sum
 over the vertex axis across all the block's lanes; so a vertex without
 amplitude changes no weight, and the records on the cone are those of
@@ -69,7 +84,7 @@ from .coin import Coin, default_coin_spec, embedded_blocks
 from .errors import ConfigError, InvariantViolation, StructureError
 from .graph import PortGraph
 from .meter import dephasing_kraus, uniform_dephasing_kraus
-from .shift import ShiftOperator, build_shift
+from .shift import ShiftOperator, _block_gather_index, build_shift
 from .state import (
     DEFAULT_TOLERANCES,
     _check_unit_trace,
@@ -99,9 +114,10 @@ __all__ = [
 
 PLACEMENTS = ("before-shift", "after-shift")
 # live amplitudes of one block of samples that sample_trajectories
-# advances together: 32 samples of a walk whose light cone has 256 ports.
-# A block step holds the block twice, as the state and as its toss, and
-# once more as its gather index.
+# advances together: 64 samples of a walk whose light cone has two sides
+# of 128 ports, as the 8x8 torus's has, or 32 on a one-sided cone of 256
+# ports. A block step holds the block twice, as the state and as its
+# toss, and once more as its gather index.
 SAMPLE_BLOCK_AMPLITUDES = 8192
 # entries beside the summed axis below which _sum_rows_in_order keeps a
 # running sum: np.add.reduce over so few lanes is slower, and over one
@@ -160,32 +176,38 @@ class StepMap:
 
     @cached_property
     def _block_factors(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """_toss_blocks' right factors (first, second, same_vertex) on the (N^2, d^2) blocks.
+        """_toss_blocks' right factors on the (N^2, d^2) blocks, as _block_factors gives them."""
+        return _block_factors(self.coin, self.coin_kraus, self.vertex_dephasing, self.placement)
 
-        A block X of rho, flattened row-major, is taken by the coin and the
-        coin measurement to mask * (C_i X C_j^dagger), with mask[a, b] =
-        sum_m k_m[a] conj(k_m[b]), all ones without a measurement. For a
-        shared coin this is E = mask * (C kron conj(C)) on every block:
-        first is E^T and second is None. For a stacked coin, first is the
-        (N, d^2, d^2) stack of (I kron conj(C_j))^T, taken by block column
-        j, and second that of (mask * (C_i kron I))^T, taken by block row i.
-        Before-shift dephasing scales first by (1 - p), and same_vertex is
-        then the unscaled first, which the N same-vertex blocks take;
-        otherwise it is None. Each factor is held in _superoperator's real
-        form.
-        """
-        d = self.shift.degree
-        k = self.coin_kraus
-        mask = np.ones((d, d)) if k is None else k.T @ k.conj()
-        if self.coin.ndim == 2:
-            first, second = _superoperator(self.coin, self.coin, mask), None
-        else:
-            eye = np.eye(d)
-            first = _superoperator(eye, self.coin, np.ones((d, d)))
-            second = _superoperator(self.coin, eye, mask)
-        if self.placement == "after-shift" or self.vertex_dephasing == 0.0:
-            return first, second, None
-        return (1.0 - self.vertex_dephasing) * first, second, first
+
+def _block_factors(
+    coin: np.ndarray, kraus: np.ndarray | None, vertex_p: float, placement: str
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """_toss_blocks' right factors (first, second, same_vertex) for a coin in either form.
+
+    A block X of rho, flattened row-major, is taken by the coin and the
+    coin measurement to mask * (C_i X C_j^dagger), with mask[a, b] =
+    sum_m k_m[a] conj(k_m[b]), all ones without a measurement. For a
+    shared coin this is E = mask * (C kron conj(C)) on every block:
+    first is E^T and second is None. For a stacked coin of n blocks,
+    first is the (n, d^2, d^2) stack of (I kron conj(C_j))^T, taken by
+    block column j, and second that of (mask * (C_i kron I))^T, taken by
+    block row i. Before-shift dephasing scales first by (1 - p), and
+    same_vertex is then the unscaled first, which the same-vertex blocks
+    take; otherwise it is None. Each factor is held in _superoperator's
+    real form.
+    """
+    d = coin.shape[-1]
+    mask = np.ones((d, d)) if kraus is None else kraus.T @ kraus.conj()
+    if coin.ndim == 2:
+        first, second = _superoperator(coin, coin, mask), None
+    else:
+        eye = np.eye(d)
+        first = _superoperator(eye, coin, np.ones((d, d)))
+        second = _superoperator(coin, eye, mask)
+    if placement == "after-shift" or vertex_p == 0.0:
+        return first, second, None
+    return (1.0 - vertex_p) * first, second, first
 
 
 def _superoperator(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -304,18 +326,19 @@ def _block_marginal(blocks: np.ndarray) -> np.ndarray:
     return _clamped_marginal(_diagonal(blocks).sum(axis=1))
 
 
-def _toss_blocks(blocks: np.ndarray, step: StepMap) -> np.ndarray:
-    """The coin, the coin measurement and before-shift dephasing on the blocks, as a new array.
+def _toss_blocks(blocks: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
+    """The coin, the coin measurement and before-shift dephasing on side k's blocks, as a new array.
 
-    The products run on the blocks' interleaved (re, im) floats. A shared
-    coin is one matrix product of all N^2 blocks. A stacked coin is a
-    batched product over the block columns, into an array held by column,
-    and then one over the block rows. With before-shift dephasing the
-    same-vertex blocks are taken again by the unscaled first factor. Each
-    block's bits depend only on the block and the factors, not on N.
+    The products run on the blocks' interleaved (re, im) floats, by the
+    side's factors (_Sides.block_factors). A shared coin is one matrix
+    product of all n^2 blocks. A stacked coin is a batched product over
+    the block columns, into an array held by column, and then one over the
+    block rows. With before-shift dephasing the same-vertex blocks are
+    taken again by the unscaled first factor. Each block's bits depend only
+    on the block and the factors, not on n.
     """
-    n = step.shift.num_vertices
-    first, second, same_vertex = step._block_factors
+    n = math.isqrt(blocks.shape[0])
+    first, second, same_vertex = sides.block_factors[k]
     x = blocks.view(float)
     if second is None:
         out = x @ first
@@ -328,11 +351,12 @@ def _toss_blocks(blocks: np.ndarray, step: StepMap) -> np.ndarray:
     return np.matmul(by_column.transpose(1, 0, 2), second).reshape(x.shape).view(complex)
 
 
-def _shift_blocks(blocks: np.ndarray, step: StepMap) -> np.ndarray:
-    """The shift and after-shift dephasing on the blocks, as a new array."""
-    out = step.shift.conjugate_blocks(blocks)
+def _shift_blocks(blocks: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
+    """The shift from side k to the next side, and after-shift dephasing, on the blocks, as a new array."""
+    out = sides.shift_blocks(blocks, k)
+    step = sides.step
     if step.placement == "after-shift" and step.vertex_dephasing > 0.0:
-        n = step.shift.num_vertices
+        n = math.isqrt(out.shape[0])
         same_vertex = out[::n + 1].copy()
         out *= 1.0 - step.vertex_dephasing
         out[::n + 1] = same_vertex
@@ -376,32 +400,44 @@ def cp_step(rho: np.ndarray, step: StepMap) -> np.ndarray:
     C-ordered complex matrix. Besides rho, a step with a shared coin holds
     at most two copies of it at once, and one with a stacked coin three.
     """
+    sides = _Sides.whole(step)
     blocks = _to_blocks(np.asarray(rho, dtype=complex), step.shift.degree)
     # each stage's input is freed as its result is bound
-    blocks = _toss_blocks(blocks, step)
-    blocks = _shift_blocks(blocks, step)
+    blocks = _toss_blocks(blocks, sides, 0)
+    blocks = _shift_blocks(blocks, sides, 0)
     return _from_blocks(blocks)
 
 
-def _walk(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
-    """evolve's states, with each density matrix held as its (N^2, d^2) blocks.
+def _pure_step(psi: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
+    """The coin and the shift on a pure state on side k's ports, as a new state on the next side's."""
+    return sides.shift(_apply_coin(sides.coins[k], psi), k)
 
-    A density step is taken in two stages, and each stage's input is freed
-    as its result is bound, so beside what its caller keeps the walk holds
-    at most two states at once, three while a stacked coin is tossed.
+
+def _walk(psi0: np.ndarray, sides: _Sides, steps: int) -> Iterator[np.ndarray]:
+    """evolve's states on the sides of a cone, from psi0 on the cone's ports.
+
+    The state at time t is on side t % len(sides): a pure state on that
+    side's ports, or a density matrix as the (n^2, d^2) blocks of that
+    side's vertex pairs. A density step is taken in two stages, and each
+    stage's input is freed as its result is bound, so beside what its
+    caller keeps the walk holds at most two states at once, three while a
+    stacked coin is tossed.
     """
     if steps < 0:
         raise ConfigError(f"step count must be nonnegative, got {steps}")
+    step = sides.step
     _check_start(psi0, step)
+    psi = psi0[_cone_ports(sides.sides[0], step.shift.degree)]
     if step.is_unitary:
-        state, stages, check = psi0.copy(), (unitary_step,), check_pure
+        state, stages, check = psi, (_pure_step,), check_pure
     else:
-        state = _pure_blocks(psi0, step.shift.degree)
+        state = _pure_blocks(psi, step.shift.degree)
         stages, check = (_toss_blocks, _shift_blocks), _check_block_trace
     yield state
-    for _ in range(steps):
+    for t in range(steps):
+        k = sides.at(t)
         for stage in stages:
-            state = stage(state, step)
+            state = stage(state, sides, k)
         check(state)
         yield state
 
@@ -415,7 +451,7 @@ def evolve(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
     of its norm or of its diagonal and trace, which raises
     InvariantViolation; a negative step count raises ConfigError.
     """
-    states = _walk(psi0, step, steps)
+    states = _walk(psi0, _Sides.whole(step), steps)
     return states if step.is_unitary else map(_from_blocks, states)
 
 
@@ -485,6 +521,168 @@ def _light_cone(
     return psi0[ports], replace(step, coin=coin, shift=shift), vertices
 
 
+def _split(step: StepMap, cone_psi0: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The sides of the light cone of these vertices, as ascending positions among them.
+
+    The cone has two sides when the walker can stand on each only every
+    other step: side 0 the vertices that an even number of the step's
+    moves reaches from cone_psi0's support, side 1 those an odd number
+    reaches. That needs every move of step's shift between two cone
+    vertices to join the two sides, so a port that the shift sends to its
+    own vertex, such as a self-loop or an unused port, leaves one side;
+    and each side must hold at least two vertices, since a one-vertex side
+    would make one-row products, which numpy hands to gemv, which rounds
+    otherwise. Else the one side is every cone vertex. The moves are
+    step's own: a move that leaves the cone joins nothing, whatever
+    _light_cone pairs its port with. A vertex that no move reaches, as a
+    whole graph given as the cone may hold, never holds amplitude and is
+    on neither of two sides.
+    """
+    n, d = vertices.size, step.shift.degree
+    if n < 4:
+        return (np.arange(n),)
+    target = step.shift.permutation[_cone_ports(vertices, d)] // d
+    at = np.minimum(np.searchsorted(vertices, target), n - 1)
+    # each port's move as a cone position, or n where it leaves the cone
+    moves = np.where(vertices[at] == target, at, n).reshape(n, d)
+    # a side for each vertex at its first reach, breadth first: a cone is
+    # small, and a level of numpy calls costs as much as some 80 moves here
+    side = [2] * n + [-1]
+    queue = np.unique(np.flatnonzero(cone_psi0) // d).tolist()
+    for v in queue:
+        side[v] = 0
+    adjacency = moves.tolist()
+    for v in queue:
+        other = 1 - side[v]
+        for w in adjacency[v]:
+            if side[w] == 2:
+                side[w] = other
+                queue.append(w)
+    side = np.array(side)
+    sides = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
+    if min(sides[0].size, sides[1].size) < 2 or (side[moves] == side[:n, None]).any():
+        return (np.arange(n),)
+    return sides
+
+
+class _Sides:
+    """A light cone and the one or two sides that its walk alternates between.
+
+    step and vertices are the StepMap on the cone and its sorted vertices,
+    as _light_cone returns them, and sides the ascending positions among
+    vertices of each side, as _split returns them. At time t the walk
+    stands on side at(t) and holds only that side's ports, vertex-pair
+    blocks or block rows; a step takes it to the next side, by the coin
+    and the Kraus diagonals of the side's own vertices and one gather from
+    the ports of the side into those of the next. A port whose source is
+    on no port of the side, at the cone's boundary, reads an exact zero,
+    as it does in the whole cone's walk. One side is the whole cone, and
+    its step is the cone's own, with the caches of its StepMap and shift.
+    """
+
+    def __init__(self, step: StepMap, vertices: np.ndarray, sides: tuple[np.ndarray, ...]):
+        self.step, self.vertices, self.sides = step, vertices, sides
+
+    @classmethod
+    def whole(cls, step: StepMap) -> _Sides:
+        """The whole graph as one side, for a walk that is given every vertex."""
+        every = np.arange(step.shift.num_vertices)
+        return cls(step, every, (every,))
+
+    def at(self, t: int) -> int:
+        """The side that the walk stands on at time t."""
+        return t % len(self.sides)
+
+    def vertices_at(self, t: int) -> np.ndarray:
+        """The sorted vertices, of the whole graph, of the side the walk stands on at time t."""
+        return self._side_vertices[self.at(t)]
+
+    @cached_property
+    def _side_vertices(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.vertices[side] for side in self.sides)
+
+    @cached_property
+    def widest(self) -> int:
+        """The vertex count of the larger side."""
+        return max(side.size for side in self.sides)
+
+    @cached_property
+    def coins(self) -> tuple[np.ndarray, ...]:
+        """Each side's coin: the shared block, or the side's rows of the stack."""
+        coin = self.step.coin
+        if coin.ndim == 2 or len(self.sides) == 1:
+            return (coin,) * len(self.sides)
+        return tuple(coin[side] for side in self.sides)
+
+    @cached_property
+    def block_factors(self) -> tuple[tuple[np.ndarray, np.ndarray | None, np.ndarray | None], ...]:
+        """Each side's _toss_blocks factors: a stacked coin's are built from the side's rows."""
+        step = self.step
+        if step.coin.ndim == 2 or len(self.sides) == 1:
+            return (step._block_factors,) * len(self.sides)
+        return tuple(_block_factors(coin, step.coin_kraus, step.vertex_dephasing, step.placement)
+                     for coin in self.coins)
+
+    @cached_property
+    def moves(self) -> tuple[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]], ...]:
+        """Per side k, (sources, (vertex, port)): the shift from side k to the next side.
+
+        sources[q] is the flat port of side k that port q of the next side
+        reads; (vertex, port) are the next side's ports whose source lies
+        on no port of side k, which read port 0 and are then set to zero.
+        """
+        shift = self.step.shift
+        none = np.empty(0, dtype=int)
+        if len(self.sides) == 1:
+            return ((shift.inverse, (none, none)),)
+        d = shift.degree
+        moves = []
+        for k, side in enumerate(self.sides):
+            at = np.full(self.vertices.size, -1)
+            at[side] = np.arange(side.size)
+            after = self.sides[self.at(k + 1)]
+            vertex, port = np.divmod(shift.inverse[_cone_ports(after, d)], d)
+            sources = at[vertex] * d + port
+            boundary = np.flatnonzero(sources < 0)
+            sources[boundary] = 0
+            moves.append((sources, np.divmod(boundary, d)))
+        return tuple(moves)
+
+    def shift(self, psi: np.ndarray, k: int) -> np.ndarray:
+        """The shift of a pure state on side k's ports, as a new state on the next side's."""
+        sources, (vertex, port) = self.moves[k]
+        out = psi.take(sources)
+        if vertex.size:
+            out.reshape(-1, self.step.shift.degree)[vertex, port] = 0
+        return out
+
+    def shift_blocks(self, blocks: np.ndarray, k: int) -> np.ndarray:
+        """The shift of side k's vertex-pair blocks, as a new array of the next side's."""
+        if len(self.sides) == 1:
+            return self.step.shift.conjugate_blocks(blocks)
+        out = blocks.ravel()[self._block_indices[k]]
+        _, (vertex, port) = self.moves[k]
+        if vertex.size:
+            d = self.step.shift.degree
+            n = self.sides[self.at(k + 1)].size
+            pairs = out.reshape(n, n, d, d)
+            pairs[vertex, :, port] = 0
+            pairs[:, vertex, :, port] = 0
+        return out
+
+    @cached_property
+    def _block_indices(self) -> tuple[np.ndarray, ...]:
+        d = self.step.shift.degree
+        return tuple(_block_gather_index(sources.reshape(-1, d), side.size)
+                     for (sources, _), side in zip(self.moves, self.sides))
+
+
+def _sided_cone(psi0: np.ndarray, step: StepMap, steps: int) -> tuple[np.ndarray, _Sides]:
+    """psi0 on the ports of its light cone of steps steps, and the cone split into its sides."""
+    cone_psi0, cone_step, vertices = _light_cone(psi0, step, steps)
+    return cone_psi0, _Sides(cone_step, vertices, _split(step, cone_psi0, vertices))
+
+
 def _in_place(x: np.ndarray, ports: np.ndarray, size: int) -> np.ndarray:
     """The vector of the given size that holds x at ports and 0 elsewhere."""
     full = np.zeros(size, dtype=x.dtype)
@@ -495,36 +693,38 @@ def _in_place(x: np.ndarray, ports: np.ndarray, size: int) -> np.ndarray:
 def _marginals(
     psi0: np.ndarray, step: StepMap, steps: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (cone vertices, cone distribution) at every time 0..steps.
+    """Yield (vertices, distribution on them) at every time 0..steps.
 
-    The walk is evolved on its light cone, the same sorted vertices at
-    every time; the distribution is zero on every other vertex. A density
-    walk's distribution is read off its blocks' diagonal.
+    The walk is evolved on the sides of its light cone, and the vertices
+    at time t are the sorted vertices of the side it stands on; the
+    distribution is zero on every other vertex. A density walk's
+    distribution is read off its blocks' diagonal.
     """
-    cone_psi0, cone_step, vertices = _light_cone(psi0, step, steps)
-    if cone_step.is_unitary:
+    cone_psi0, sides = _sided_cone(psi0, step, steps)
+    if step.is_unitary:
         marginal = partial(pure_position_marginal, degree=step.shift.degree)
     else:
         marginal = _block_marginal
     # map holds no state once its marginal is taken, so the walk can free it
-    for distribution in map(marginal, _walk(cone_psi0, cone_step, steps)):
-        yield vertices, distribution
+    for t, distribution in enumerate(map(marginal, _walk(cone_psi0, sides, steps))):
+        yield sides.vertices_at(t), distribution
 
 
 def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
     """Evolve a pure initial state for the given number of steps.
 
     Returns the density matrix at time steps; steps=0 gives the initial
-    projector. The walk is evolved on its light cone, and the final cone
-    state is put in place in the full matrix. This is a small-N helper:
-    the dense (N d) x (N d) return is kept for tests and the acceptance
-    suite, and no command calls it; the CLI reads the cone marginals.
+    projector. The walk is evolved on the sides of its light cone, and the
+    final state is put in place in the full matrix. This is a small-N
+    helper: the dense (N d) x (N d) return is kept for tests and the
+    acceptance suite, and no command calls it; the CLI reads the cone
+    marginals.
     """
-    cone_psi0, cone_step, vertices = _light_cone(psi0, step, steps)
-    for state in _walk(cone_psi0, cone_step, steps):
+    cone_psi0, sides = _sided_cone(psi0, step, steps)
+    for state in _walk(cone_psi0, sides, steps):
         pass
     state = to_density(state) if step.is_unitary else _from_blocks(state)
-    ports = _cone_ports(vertices, step.shift.degree)
+    ports = _cone_ports(sides.vertices_at(steps), step.shift.degree)
     rho = np.zeros((psi0.size, psi0.size), dtype=state.dtype)
     rho[np.ix_(ports, ports)] = state
     return rho
@@ -624,9 +824,10 @@ def _born_weights(masses: np.ndarray, kraus_sq: np.ndarray) -> np.ndarray:
     sum_a masses[s, a] * kraus_sq[i, a] in coin order, where kraus_sq[i]
     holds |k_i|^2 on the diagonal of Kraus operator i. No BLAS call and
     no reduction over vertices is involved, so the weights depend only
-    on the coin masses.
+    on the coin masses. The weights are a copy, so that the (S, m, d)
+    running sums they are read from are freed: a step's weights outlive it.
     """
-    return _sequential_sum(masses[:, None, :] * kraus_sq)
+    return _sequential_sum(masses[:, None, :] * kraus_sq).copy()
 
 
 def _check_branch_sums(totals: np.ndarray) -> None:
@@ -701,16 +902,14 @@ def _measure_vertices(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
     return vertices
 
 
-def _block_shift_index(shift: ShiftOperator, samples: int) -> np.ndarray:
-    """The shift's flat gather index on a block of the given number of states.
+def _shift_starts(sources: np.ndarray, degree: int, samples: int) -> np.ndarray:
+    """The (n', 1, d) first sample's entries of a side's gather index on blocks of samples states.
 
-    Entry [j', s, a'] of the (n, S, d) index reads entry [j, s, a] of the
-    block, where j d + a = shift.inverse[j' d + a'].
+    Entry [j', 0, a'] is the flat entry [j, 0, a] of the side's block,
+    where j d + a = sources[j' d + a']; state s adds s d to it.
     """
-    d = shift.degree
-    vertex, port = np.divmod(shift.inverse, d)
-    start = (vertex * (samples * d) + port).reshape(-1, 1, d)
-    return start + np.arange(0, samples * d, d)[:, None]
+    vertex, port = np.divmod(sources, degree)
+    return (vertex * (samples * degree) + port).reshape(-1, 1, degree)
 
 
 def _form_branches(
@@ -721,12 +920,13 @@ def _form_branches(
     numpy divides a complex number by (r, 0) as a product with 1 / r, so
     the floats are scaled by that. One state is the same memory in either
     layout, and its branch is formed faster from tiled, the diagonals
-    tiled over the cone, when given, than by a broadcast over vertices.
+    tiled over at least n vertices, when given, than by a broadcast over
+    vertices; the tiles of n vertices are the first n d entries of a row.
     """
     n, s, d = phi.shape
     if s == 1 and tiled is not None:
         flat = phi.reshape(-1)
-        flat *= tiled[i[0]]
+        flat *= tiled[i[0], :flat.size]
         floats = flat.view(float)
         floats *= 1.0 / math.sqrt(w[0])
     else:
@@ -735,31 +935,39 @@ def _form_branches(
         floats *= np.repeat(1.0 / np.sqrt(w), 2 * d)
 
 
-def _unravel(psi: np.ndarray, cone_step: StepMap, steps: int, choose, read=None) -> Iterator:
-    """Advance the states of the block psi, on a light cone, through steps unravelled steps.
+def _unravel(block: np.ndarray, sides: _Sides, steps: int, choose, read=None) -> Iterator:
+    """Advance a block of states on the sides of a light cone through steps unravelled steps.
 
-    psi is a complex (n, S, d) block (see _apply_coin), which the walk
-    takes over. Step t tosses the coin on every state, takes their Born
-    weights raw and checks their totals, and forms only the branches
-    (rows, i) of (rows, i, w) = choose(t, raw, totals): K_i times the
-    tossed state, over sqrt(w), where w is raw[rows, i]; rows is None when
-    each state keeps the one branch i[row]. It shifts them, with
-    read(t, psi), when given, measuring their vertex in place at the
-    step's placement, and yields (psi, rows, i, raw). The next step writes
-    over the block it yields.
+    block is a complex (sides.widest, S, d) array whose first rows hold
+    the states on side 0 as a vertex-major (n, S, d) block (see
+    _apply_coin); the walk takes it over. Step t tosses the coin on every
+    state of the block psi on side sides.at(t), takes their Born weights
+    raw and checks their totals, and forms only the branches (rows, i) of
+    (rows, i, w) = choose(t, raw, totals): K_i times the tossed state,
+    over sqrt(w), where w is raw[rows, i]; rows is None when each state
+    keeps the one branch i[row]. It shifts them into the first rows of
+    the block, as the next side's block psi, with read(t, psi, vertices),
+    when given, measuring their vertex in place at the step's placement,
+    vertices being the side's (_Sides.vertices_at), and yields (psi, rows,
+    i, raw). The next step writes over the block it yields.
 
-    Beside the block, a step holds its toss, the shift's gather index and
-    numpy's buffer for a factor broadcast over the vertices (at most
-    np.getbufsize() entries); the shift gathers back into the block, which
-    is spent once tossed.
+    Beside the block, a step holds its toss, one gather index as wide as
+    the block (refilled only when the side changes) and numpy's buffer for
+    a factor broadcast over the vertices (at most np.getbufsize()
+    entries); the shift gathers back into the block, which is spent once
+    tossed.
     """
-    kraus = cone_step.coin_kraus
+    step = sides.step
+    d = step.shift.degree
+    kraus = step.coin_kraus
     kraus_sq = _squared_moduli(kraus)
-    tiled = np.tile(kraus, cone_step.shift.num_vertices) if psi.shape[1] == 1 else None
-    read_before = cone_step.placement == "before-shift"
-    index = None
+    tiled = np.tile(kraus, sides.widest) if block.shape[1] == 1 else None
+    read_before = step.placement == "before-shift"
+    psi = block[:sides.sides[0].size]
+    index = filled = None
     for t in range(steps):
-        phi = _apply_coin(cone_step.coin, psi)
+        k = sides.at(t)
+        phi = _apply_coin(sides.coins[k], psi)
         raw = _born_weights(_coin_masses(phi), kraus_sq)
         totals = np.add.reduce(raw, axis=1)
         _check_branch_sums(totals)
@@ -768,16 +976,26 @@ def _unravel(psi: np.ndarray, cone_step: StepMap, steps: int, choose, read=None)
             phi = phi.take(rows, axis=1)
         _form_branches(phi, kraus, tiled, i, w)
         if read is not None and read_before:
-            read(t, phi)
-        if psi.shape != phi.shape:
-            psi = np.empty_like(phi)
-        if index is None or index.shape != phi.shape:
-            index = _block_shift_index(cone_step.shift, phi.shape[1])
+            read(t, phi, sides.vertices_at(t))
+        s = phi.shape[1]
+        if block.shape[1] != s:  # the enumerator's branches come and go
+            block = np.empty((len(block), s, d), dtype=complex)
+        if index is None or index.shape[1] != s:
+            index = np.empty(block.shape, dtype=np.intp)
+            starts = [_shift_starts(sources, d, s) for sources, _ in sides.moves]
+            filled = None
+        psi = block[:sides.sides[sides.at(t + 1)].size]
+        if filled != k:
+            filled = k
+            np.add(starts[k], np.arange(0, s * d, d)[:, None], out=index[:len(psi)])
         # mode="clip" skips the bounds check, for which "raise" buffers out
-        phi.reshape(-1).take(index, out=psi, mode="clip")
+        phi.reshape(-1).take(index[:len(psi)], out=psi, mode="clip")
         del phi  # so that the next toss does not hold two
+        _, (vertex, port) = sides.moves[k]
+        if vertex.size:
+            psi[vertex, :, port] = 0
         if read is not None and not read_before:
-            read(t, psi)
+            read(t, psi, sides.vertices_at(t + 1))
         yield psi, rows, i, raw
 
 
@@ -786,21 +1004,34 @@ def _sample_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
     """sample_trajectories block by block, as arrays.
 
-    Yields, per block of consecutive seeds, the sorted cone vertices, the
-    block's final (n, S, d) states, and (S, steps) arrays of the outcomes,
-    the drawn outcomes' probabilities and the vertices read (vertices of
-    the whole graph), the last None without vertex measurement. The next
-    block of as many samples is walked in the final states' array.
+    Yields, per block of consecutive seeds, the sorted vertices of the side
+    of the light cone that the walk ends on, the block's final (n, S, d)
+    states on them, and (S, steps) arrays of the outcomes, the drawn
+    outcomes' probabilities and the vertices read (vertices of the whole
+    graph), the last None without vertex measurement.
     """
     _require_unravelable(step, steps)
-    cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
-    n, d = cone.size, step.shift.degree
+    return _sample_sides(*_sided_cone(psi0, step, steps), steps, seeds)
+
+
+def _sample_sides(
+    cone_psi0: np.ndarray, sides: _Sides, steps: int, seeds: list
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """_sample_blocks on a light cone split into its sides, from psi0 on the cone's ports.
+
+    A block holds SAMPLE_BLOCK_AMPLITUDES // (ports of the wider side)
+    samples, at least one, and the next block of as many samples is walked
+    in the array of the last one's final states.
+    """
+    step = sides.step
+    d = step.shift.degree
+    start = cone_psi0[_cone_ports(sides.sides[0], d)].reshape(-1, 1, d)
     measure_position = step.vertex_dephasing == 1.0
     draws = 2 if measure_position else 1
-    block = max(1, SAMPLE_BLOCK_AMPLITUDES // cone_psi0.size)
-    psi = None
-    for lo in range(0, len(seeds), block):
-        chunk = seeds[lo: lo + block]
+    size = max(1, SAMPLE_BLOCK_AMPLITUDES // (sides.widest * d))
+    block = None
+    for lo in range(0, len(seeds), size):
+        chunk = seeds[lo: lo + size]
         s = len(chunk)
         rows = np.arange(s)
         uniforms = np.array(
@@ -818,15 +1049,16 @@ def _sample_blocks(
             probs[:, t] = w[rows, i]
             return None, i, drawn
 
-        def read(t, psi):
-            vertices[:, t] = _measure_vertices(psi, uniforms[:, t, 1])
+        def read(t, psi, side_vertices):
+            vertices[:, t] = side_vertices[_measure_vertices(psi, uniforms[:, t, 1])]
 
-        if psi is None or psi.shape[1] != s:
-            psi = np.empty((n, s, d), dtype=complex)
-        psi[:] = cone_psi0.reshape(n, 1, d)
-        for psi, *_ in _unravel(psi, cone_step, steps, draw, read if measure_position else None):
+        if block is None or block.shape[1] != s:
+            block = np.empty((sides.widest, s, d), dtype=complex)
+        psi = block[:len(start)]
+        psi[:] = start
+        for psi, *_ in _unravel(block, sides, steps, draw, read if measure_position else None):
             pass
-        yield cone, psi, outcomes, probs, cone[vertices] if measure_position else None
+        yield sides.vertices_at(steps), psi, outcomes, probs, vertices if measure_position else None
 
 
 def sample_trajectories(
@@ -841,22 +1073,27 @@ def sample_trajectories(
     default_rng(seed) stream through an inverse CDF, so a record depends
     on its seed alone.
 
-    The walk runs on the light cone of psi0. A Born weight is
-    ||K_i phi||^2 summed from the per-coin masses of the tossed state
+    The walk runs on the sides of the light cone of psi0. A Born weight
+    is ||K_i phi||^2 summed from the per-coin masses of the tossed state
     phi, each added up over the vertices in vertex order, so the records
     and final states are those of the whole graph bit for bit. The
-    samples move together as a vertex-major (cone vertices, S, d) block,
-    S = SAMPLE_BLOCK_AMPLITUDES // (cone ports) samples at a time (at
-    least one). Yields, in seed order, the sorted cone vertices, the
-    final state on the cone's ports and the record, whose vertex
+    samples move together as a vertex-major (side vertices, S, d) block,
+    S = SAMPLE_BLOCK_AMPLITUDES // (ports of the wider side) samples at a
+    time (at least one). Yields, in seed order, the sorted cone vertices,
+    the final state on the cone's ports and the record, whose vertex
     outcomes are vertices of the whole graph.
     """
     seeds = list(seeds)
+    _require_unravelable(step, steps)
+    cone_psi0, sides = _sided_cone(psi0, step, steps)
+    cone, d = sides.vertices, step.shift.degree
+    ports = _cone_ports(sides.sides[sides.at(steps)], d)
     lo = 0
-    for cone, block, outcomes, probs, vertices in _sample_blocks(psi0, step, steps, seeds):
+    for _, block, outcomes, probs, vertices in _sample_sides(cone_psi0, sides, steps, seeds):
         s = len(outcomes)
         # a copy, since the next block is walked in this one
-        finals = block.transpose(1, 0, 2).copy().reshape(s, -1)
+        finals = np.zeros((s, cone.size * d), dtype=complex)
+        finals[:, ports] = block.transpose(1, 0, 2).reshape(s, -1)
         for r in range(s):
             record = TrajectoryRecord(
                 seeds[lo + r],
@@ -891,29 +1128,34 @@ def enumerate_branches(
     must be positive, since a kept branch of probability 0 cannot be
     renormalized. The weighted mixture of the states reproduces the
     density-matrix evolution, which is what makes the record ensemble a
-    faithful unraveling. The branches are expanded on the light cone of
-    psi0 through the step of sample_trajectories, every live branch a
-    state of one block, and come parent by parent, each parent's in outcome
-    order. Every check and the whole expansion run before the function
-    returns; each state is put back over all N*d ports only as it is taken.
+    faithful unraveling. The branches are expanded on the sides of the
+    light cone of psi0 through the step of sample_trajectories, every live
+    branch a state of one block, and come parent by parent, each parent's
+    in outcome order. Every check and the whole expansion run before the
+    function returns; each state is put back over all N*d ports only as it
+    is taken.
     """
     if not prune > 0.0:
         raise ConfigError(f"prune must be a positive probability, got {prune}")
     _require_unravelable(step, steps)
     if step.vertex_dephasing != 0.0:
         raise ConfigError("branch enumeration supports coin measurement only")
-    cone_psi0, cone_step, cone = _light_cone(psi0, step, steps)
-    psi = np.array(cone_psi0, dtype=complex).reshape(cone.size, 1, step.shift.degree)
+    cone_psi0, sides = _sided_cone(psi0, step, steps)
+    d = step.shift.degree
+    start = cone_psi0[_cone_ports(sides.sides[0], d)]
+    block = np.empty((sides.widest, 1, d), dtype=complex)
+    psi = block[:start.size // d]
+    psi[:] = start.reshape(-1, 1, d)
     probs, histories = np.ones(1), np.empty((1, 0), dtype=int)
 
     def keep(_t, raw, _totals):  # every branch of probability prune or more, parent by parent
         rows, i = np.nonzero(probs[:, None] * raw >= prune)
         return rows, i, raw[rows, i]
 
-    for psi, rows, i, raw in _unravel(psi, cone_step, steps, keep):
+    for psi, rows, i, raw in _unravel(block, sides, steps, keep):
         probs = probs[rows] * raw[rows, i]
         histories = np.column_stack([histories[rows], i])
-    ports = _cone_ports(cone, step.shift.degree)
+    ports = _cone_ports(sides.vertices_at(steps), d)
     branches = zip(probs.tolist(), psi.transpose(1, 0, 2), histories.tolist())
     return ((p, _in_place(x.ravel(), ports, psi0.size), tuple(h)) for p, x, h in branches)
 
@@ -925,13 +1167,16 @@ def walker_paths(step: StepMap, start_vertex: int, outcomes) -> np.ndarray:
     above DEFAULT_TOLERANCES.viable_weight, as every outcome does at
     beta = 1; the walker then moves from v to the vertex of
     step.shift.permutation[v d + a], one gather over all samples per
-    step. Outcomes that are no 2-D integer array (booleans included)
-    raise StructureError. A start that is no integer or lies outside the
+    step. Outcomes that are no 2-D integer array (booleans and ragged
+    rows included) raise StructureError. A start that is no integer or lies outside the
     graph, an outcome outside 0..m-1, or one that certifies no coin
     raises ConfigError, the outcome naming its sample and step (counted
     from 1).
     """
-    outcomes = np.asarray(outcomes)
+    try:
+        outcomes = np.asarray(outcomes)
+    except ValueError:  # numpy refuses ragged rows before any shape can be named
+        raise StructureError("outcomes must be a 2-D integer array, got ragged rows") from None
     if outcomes.ndim != 2 or outcomes.dtype.kind not in "iu":
         raise StructureError(
             f"outcomes must be a 2-D integer array, got shape {outcomes.shape} of {outcomes.dtype}"

@@ -46,13 +46,8 @@ class ShiftOperator:
         (i, a) and (j, b) are the vertex and port of inverse[i' d + a'] and
         inverse[j' d + b'].
         """
-        n, d = self.num_vertices, self.degree
-        vertex, port = np.divmod(self.inverse.reshape(n, d), d)
-        # rows[i', a' d + b'] and cols[j', a' d + b'] are the parts of the flat
-        # index that (i', a') and (j', b') give, laid out as the block's entries
-        rows = np.repeat(vertex * (n * d * d) + port * d, d, axis=1)
-        cols = np.tile(vertex * (d * d) + port, d)
-        index = (rows[:, None] + cols).reshape(n * n, d * d)
+        n = self.num_vertices
+        index = _block_gather_index(self.inverse.reshape(n, self.degree), n)
         index.flags.writeable = False
         return index
 
@@ -75,6 +70,26 @@ class ShiftOperator:
         mat = np.zeros((dim, dim), dtype=complex)
         mat[self.permutation, np.arange(dim)] = 1.0
         return mat
+
+
+def _block_gather_index(sources: np.ndarray, source_vertices: int) -> np.ndarray:
+    """The flat gather index that moves vertex-pair blocks as the ports move.
+
+    sources is an (n', d) array: sources[i', a'] is the flat port i d + a of
+    a state over source_vertices vertices that port (i', a') reads. The
+    (n'^2, d^2) index takes blocks of that state, an (m^2, d^2) array with
+    m = source_vertices, to those of the state the ports read: block
+    (i', j') entry (a', b') reads block (i, j) entry (a, b), where (i, a)
+    and (j, b) are the sources of (i', a') and (j', b').
+    """
+    n, d = sources.shape
+    m = source_vertices
+    vertex, port = np.divmod(sources, d)
+    # rows[i', a' d + b'] and cols[j', a' d + b'] are the parts of the flat
+    # index that (i', a') and (j', b') give, laid out as the block's entries
+    rows = np.repeat(vertex * (m * d * d) + port * d, d, axis=1)
+    cols = np.tile(vertex * (d * d) + port, d)
+    return (rows[:, None] + cols).reshape(n * n, d * d)
 
 
 def build_shift(graph: PortGraph) -> ShiftOperator:

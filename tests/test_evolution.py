@@ -450,7 +450,8 @@ def test_walker_paths_follow_the_certified_coins_and_reject_the_rest():
 
 def test_walker_paths_reject_malformed_outcomes_and_starts():
     forward = make_step(build_cycle(5), shift=build_cycle_shift(5), beta=1.0)
-    for outcomes in ([0, 1], [[0.0, 1.0]], np.zeros((2, 3, 1), dtype=int), [[True, False]]):
+    for outcomes in ([0, 1], [[0.0, 1.0]], np.zeros((2, 3, 1), dtype=int), [[True, False]],
+                     [[0], [0, 1]]):
         with pytest.raises(StructureError, match="2-D integer array"):
             walker_paths(forward, 0, outcomes)
     for start in (1.5, True, np.True_, "1"):
@@ -634,7 +635,7 @@ def test_a_density_step_hands_back_the_c_ordered_matrix_of_its_blocks(cycle7, pl
                      placement=placement)
     psi0 = basis_state(cycle7, 0, 0)
     states = list(evolve(psi0, step, 3))
-    walked = list(evolution._walk(psi0, step, 3))
+    walked = list(evolution._walk(psi0, evolution._Sides.whole(step), 3))
     for t, (rho, blocks) in enumerate(zip(states, walked)):
         assert rho.flags.c_contiguous and np.array_equal(rho, evolution._from_blocks(blocks))
         if t:
@@ -659,9 +660,9 @@ def test_vertex_dephasing_scales_only_the_blocks_between_vertices(order):
     for placement in ("before-shift", "after-shift"):
 
         def step_blocks(p):
-            step = make_step(graph, beta=0.5, vertex_p=p, placement=placement)
-            out = evolution._toss_blocks(blocks, step)
-            return evolution._shift_blocks(out, step) if placement == "after-shift" else out
+            sides = evolution._Sides.whole(make_step(graph, beta=0.5, vertex_p=p, placement=placement))
+            out = evolution._toss_blocks(blocks, sides, 0)
+            return evolution._shift_blocks(out, sides, 0) if placement == "after-shift" else out
 
         want = step_blocks(0.0)
         for p in (0.3, 1.0):
@@ -1263,7 +1264,7 @@ def test_coin_masses_equal_a_running_sum_over_every_block_shape(degree):
 
 @pytest.mark.parametrize("vertex_p", [0.0, 1.0])
 def test_a_sample_block_step_peaks_near_its_toss_and_gather_index(vertex_p):
-    """32 samples of the 8x8 DFT torus, the benchmark's 8192-amplitude block.
+    """64 samples on a side of the 8x8 DFT torus, the benchmark's 8192-amplitude block.
 
     Beside the block a step holds its toss, the shift's gather index (half a
     block) and one broadcast buffer of numpy's (at most np.getbufsize() entries,
@@ -1273,30 +1274,30 @@ def test_a_sample_block_step_peaks_near_its_toss_and_gather_index(vertex_p):
     """
     graph = port_permuted_torus(8, np.random.default_rng(1))
     step = make_step(graph, beta=0.5, vertex_p=vertex_p)
-    cone_psi0, cone_step, cone = evolution._light_cone(basis_state(graph, 27, 1), step, 40)
-    samples = np.arange(32)
-    uniforms = np.random.default_rng(2).random((40, 32))
+    cone_psi0, sides = evolution._sided_cone(basis_state(graph, 27, 1), step, 40)
+    assert [side.size for side in sides.sides] == [32, 32]
+    samples = np.arange(64)
+    uniforms = np.random.default_rng(2).random((40, 64))
 
     def choose(_t, raw, _totals):
         i = raw.argmax(axis=1)
         return None, i, raw[samples, i]
 
-    def read(t, psi):
+    def read(t, psi, _vertices):
         evolution._measure_vertices(psi, uniforms[t])
 
-    block = np.empty((cone.size, 32, 4), dtype=complex)
-    block[:] = cone_psi0.reshape(-1, 1, 4)
+    block = np.empty((sides.widest, 64, 4), dtype=complex)
+    block[:] = cone_psi0[evolution._cone_ports(sides.sides[0], 4)].reshape(-1, 1, 4)
     assert block.size == evolution.SAMPLE_BLOCK_AMPLITUDES
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        for out, *_ in evolution._unravel(block, cone_step, 40, choose, read if vertex_p else None):
-            pass
+        for out, *_ in evolution._unravel(block, sides, 40, choose, read if vertex_p else None):
+            assert out.base is block  # every step gathers back into the block
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert out is block  # every step gathers back into the block
     assert peak <= 2.9 * block.nbytes, peak / block.nbytes
 
 
