@@ -542,23 +542,28 @@ def _split(step: StepMap, cone_psi0: np.ndarray, vertices: np.ndarray) -> tuple[
     if n < 4:
         return (np.arange(n),)
     target = step.shift.permutation[_cone_ports(vertices, d)] // d
-    at = np.minimum(np.searchsorted(vertices, target), n - 1)
     # each port's move as a cone position, or n where it leaves the cone
-    moves = np.where(vertices[at] == target, at, n).reshape(n, d)
+    moves = np.minimum(np.searchsorted(vertices, target), n - 1)
+    moves[vertices[moves] != target] = n
+    # each temporary goes as soon as it is spent: a walk on a one-sided
+    # cone can set its peak memory here
+    del target
     # a side for each vertex at its first reach, breadth first: a cone is
     # small, and a level of numpy calls costs as much as some 80 moves here
     side = [2] * n + [-1]
     queue = np.unique(np.flatnonzero(cone_psi0) // d).tolist()
     for v in queue:
         side[v] = 0
-    adjacency = moves.tolist()
+    flat = moves.tolist()
     for v in queue:
         other = 1 - side[v]
-        for w in adjacency[v]:
+        for w in flat[v * d: v * d + d]:
             if side[w] == 2:
                 side[w] = other
                 queue.append(w)
+    del flat
     side = np.array(side)
+    moves = moves.reshape(n, d)
     sides = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
     if min(sides[0].size, sides[1].size) < 2 or (side[moves] == side[:n, None]).any():
         return (np.arange(n),)
@@ -573,8 +578,8 @@ class _Sides:
     vertices of each side, as _split returns them. At time t the walk
     stands on side at(t) and holds only that side's ports, vertex-pair
     blocks or block rows; a step takes it to the next side, by the coin
-    and the Kraus diagonals of the side's own vertices and one gather from
-    the ports of the side into those of the next. A port whose source is
+    blocks of the side's own vertices and one gather from the ports of the
+    side into those of the next. A port whose source is
     on no port of the side, at the cone's boundary, reads an exact zero,
     as it does in the whole cone's walk. One side is the whole cone, and
     its step is the cone's own, with the caches of its StepMap and shift.
@@ -599,6 +604,8 @@ class _Sides:
 
     @cached_property
     def _side_vertices(self) -> tuple[np.ndarray, ...]:
+        if len(self.sides) == 1:
+            return (self.vertices,)
         return tuple(self.vertices[side] for side in self.sides)
 
     @cached_property
