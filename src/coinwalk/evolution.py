@@ -427,7 +427,7 @@ def _walk(psi0: np.ndarray, sides: _Sides, steps: int) -> Iterator[np.ndarray]:
         raise ConfigError(f"step count must be nonnegative, got {steps}")
     step = sides.step
     _check_start(psi0, step)
-    psi = psi0[_cone_ports(sides.sides[0], step.shift.degree)]
+    psi = sides.start(psi0)
     if step.is_unitary:
         state, stages, check = psi, (_pure_step,), check_pure
     else:
@@ -597,6 +597,10 @@ class _Sides:
     def at(self, t: int) -> int:
         """The side that the walk stands on at time t."""
         return t % len(self.sides)
+
+    def start(self, psi0: np.ndarray) -> np.ndarray:
+        """psi0, given on the cone's ports, on the ports of side 0, as a copy."""
+        return psi0[_cone_ports(self.sides[0], self.step.shift.degree)]
 
     def vertices_at(self, t: int) -> np.ndarray:
         """The sorted vertices, of the whole graph, of the side the walk stands on at time t."""
@@ -1032,7 +1036,7 @@ def _sample_sides(
     """
     step = sides.step
     d = step.shift.degree
-    start = cone_psi0[_cone_ports(sides.sides[0], d)].reshape(-1, 1, d)
+    start = sides.start(cone_psi0).reshape(-1, 1, d)
     measure_position = step.vertex_dephasing == 1.0
     draws = 2 if measure_position else 1
     size = max(1, SAMPLE_BLOCK_AMPLITUDES // (sides.widest * d))
@@ -1149,10 +1153,10 @@ def enumerate_branches(
         raise ConfigError("branch enumeration supports coin measurement only")
     cone_psi0, sides = _sided_cone(psi0, step, steps)
     d = step.shift.degree
-    start = cone_psi0[_cone_ports(sides.sides[0], d)]
+    start = sides.start(cone_psi0).reshape(-1, 1, d)
     block = np.empty((sides.widest, 1, d), dtype=complex)
-    psi = block[:start.size // d]
-    psi[:] = start.reshape(-1, 1, d)
+    psi = block[:len(start)]
+    psi[:] = start
     probs, histories = np.ones(1), np.empty((1, 0), dtype=int)
 
     def keep(_t, raw, _totals):  # every branch of probability prune or more, parent by parent

@@ -1287,7 +1287,7 @@ def test_a_sample_block_step_peaks_near_its_toss_and_gather_index(vertex_p):
         evolution._measure_vertices(psi, uniforms[t])
 
     block = np.empty((sides.widest, 64, 4), dtype=complex)
-    block[:] = cone_psi0[evolution._cone_ports(sides.sides[0], 4)].reshape(-1, 1, 4)
+    block[:] = sides.start(cone_psi0).reshape(-1, 1, 4)
     assert block.size == evolution.SAMPLE_BLOCK_AMPLITUDES
     tracemalloc.start()
     try:
