@@ -554,7 +554,7 @@ def _split(step: StepMap, cone_psi0: np.ndarray, vertices: np.ndarray) -> tuple[
     queue = np.unique(np.flatnonzero(cone_psi0) // d).tolist()
     for v in queue:
         side[v] = 0
-    flat = moves.tolist()
+    flat = memoryview(moves)  # read in place: a list would hold a Python int per port
     for v in queue:
         other = 1 - side[v]
         for w in flat[v * d: v * d + d]:
