@@ -53,7 +53,8 @@ side reads an exact zero. Every output number is a GEMM row of one
 vertex or vertex pair, a sum over vertices in vertex order, to which an
 omitted vertex would add an exact zero, or a gather of such zeros, so the
 sides give the cone's bits. Any other cone, self-loops and unused ports
-included, is one side, and its walk is the cone's walk.
+included, is one side, as is the cone of a walk of fewer than two steps,
+and its walk is the cone's walk.
 
 Trajectories run on the sides of the light cone as well, through one
 generator, _unravel, that advances a vertex-major (side vertex, sample,
@@ -73,6 +74,7 @@ starts, in _light_cone and at evolve's t = 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -410,7 +412,11 @@ def cp_step(rho: np.ndarray, step: StepMap) -> np.ndarray:
 
 def _pure_step(psi: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
     """The coin and the shift on a pure state on side k's ports, as a new state on the next side's."""
-    return sides.shift(_apply_coin(sides.coins[k], psi), k)
+    sources, (vertex, port) = sides.moves[k]
+    out = _apply_coin(sides.coins[k], psi).take(sources)
+    if vertex.size:
+        out.reshape(-1, sides.step.shift.degree)[vertex, port] = 0
+    return out
 
 
 def _walk(psi0: np.ndarray, sides: _Sides, steps: int) -> Iterator[np.ndarray]:
@@ -434,10 +440,10 @@ def _walk(psi0: np.ndarray, sides: _Sides, steps: int) -> Iterator[np.ndarray]:
         state = _pure_blocks(psi, step.shift.degree)
         stages, check = (_toss_blocks, _shift_blocks), _check_block_trace
     yield state
+    count = len(sides.sides)
     for t in range(steps):
-        k = sides.at(t)
         for stage in stages:
-            state = stage(state, sides, k)
+            state = stage(state, sides, t % count)
         check(state)
         yield state
 
@@ -600,14 +606,17 @@ class _Sides:
 
     def start(self, psi0: np.ndarray) -> np.ndarray:
         """psi0, given on the cone's ports, on the ports of side 0, as a copy."""
+        if len(self.sides) == 1:
+            return psi0.copy()
         return psi0[_cone_ports(self.sides[0], self.step.shift.degree)]
 
     def vertices_at(self, t: int) -> np.ndarray:
         """The sorted vertices, of the whole graph, of the side the walk stands on at time t."""
-        return self._side_vertices[self.at(t)]
+        return self.side_vertices[self.at(t)]
 
     @cached_property
-    def _side_vertices(self) -> tuple[np.ndarray, ...]:
+    def side_vertices(self) -> tuple[np.ndarray, ...]:
+        """Each side's sorted vertices, of the whole graph."""
         if len(self.sides) == 1:
             return (self.vertices,)
         return tuple(self.vertices[side] for side in self.sides)
@@ -659,14 +668,6 @@ class _Sides:
             moves.append((sources, np.divmod(boundary, d)))
         return tuple(moves)
 
-    def shift(self, psi: np.ndarray, k: int) -> np.ndarray:
-        """The shift of a pure state on side k's ports, as a new state on the next side's."""
-        sources, (vertex, port) = self.moves[k]
-        out = psi.take(sources)
-        if vertex.size:
-            out.reshape(-1, self.step.shift.degree)[vertex, port] = 0
-        return out
-
     def shift_blocks(self, blocks: np.ndarray, k: int) -> np.ndarray:
         """The shift of side k's vertex-pair blocks, as a new array of the next side's."""
         if len(self.sides) == 1:
@@ -689,8 +690,14 @@ class _Sides:
 
 
 def _sided_cone(psi0: np.ndarray, step: StepMap, steps: int) -> tuple[np.ndarray, _Sides]:
-    """psi0 on the ports of its light cone of steps steps, and the cone split into its sides."""
+    """psi0 on the ports of its light cone of steps steps, and the cone split into its sides.
+
+    A walk of fewer than two steps tosses each side once at most, so its
+    cone is not split: that would cost more than it saves.
+    """
     cone_psi0, cone_step, vertices = _light_cone(psi0, step, steps)
+    if steps < 2:
+        return cone_psi0, _Sides(cone_step, vertices, (np.arange(vertices.size),))
     return cone_psi0, _Sides(cone_step, vertices, _split(step, cone_psi0, vertices))
 
 
@@ -717,8 +724,9 @@ def _marginals(
     else:
         marginal = _block_marginal
     # map holds no state once its marginal is taken, so the walk can free it
-    for t, distribution in enumerate(map(marginal, _walk(cone_psi0, sides, steps))):
-        yield sides.vertices_at(t), distribution
+    distributions = map(marginal, _walk(cone_psi0, sides, steps))
+    for vertices, distribution in zip(itertools.cycle(sides.side_vertices), distributions):
+        yield vertices, distribution
 
 
 def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
