@@ -921,14 +921,19 @@ def _measure_vertices(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
     return vertices
 
 
-def _shift_starts(sources: np.ndarray, degree: int, samples: int) -> np.ndarray:
-    """The (n', 1, d) first sample's entries of a side's gather index on blocks of samples states.
+def _shift_index(sources: np.ndarray, degree: int, samples: int, compact: bool) -> np.ndarray:
+    """A side's flat gather index on a block of the given number of states.
 
-    Entry [j', 0, a'] is the flat entry [j, 0, a] of the side's block,
-    where j d + a = sources[j' d + a']; state s adds s d to it.
+    Entry [j', s, a'] of the (n', S, d) index reads entry [j, s, a] of the
+    side's block, where j d + a = sources[j' d + a']. A compact index has
+    int32 entries where they fit.
     """
     vertex, port = np.divmod(sources, degree)
-    return (vertex * (samples * degree) + port).reshape(-1, 1, degree)
+    start = (vertex * (samples * degree) + port).reshape(-1, 1, degree)
+    index = start + np.arange(0, samples * degree, degree)[:, None]
+    if compact and index.max() <= np.iinfo(np.int32).max:
+        return index.astype(np.int32)
+    return index
 
 
 def _form_branches(
@@ -970,11 +975,13 @@ def _unravel(block: np.ndarray, sides: _Sides, steps: int, choose, read=None) ->
     vertices being the side's (_Sides.vertices_at), and yields (psi, rows,
     i, raw). The next step writes over the block it yields.
 
-    Beside the block, a step holds its toss, one gather index as wide as
-    the block (refilled only when the side changes) and numpy's buffer for
-    a factor broadcast over the vertices (at most np.getbufsize()
-    entries); the shift gathers back into the block, which is spent once
-    tossed.
+    Beside the block, a step holds its toss, the gather index of each
+    side and numpy's buffer for a factor broadcast over the vertices (at
+    most np.getbufsize() entries); the shift gathers back into the block,
+    which is spent once tossed. One side's index is an intp one, half a
+    block. Two sides' are compact (int32) ones, as much together, which
+    take casts to intp as it reads them: refilling one intp index at every
+    step took three times as long as the cast.
     """
     step = sides.step
     d = step.shift.degree
@@ -983,7 +990,10 @@ def _unravel(block: np.ndarray, sides: _Sides, steps: int, choose, read=None) ->
     tiled = np.tile(kraus, sides.widest) if block.shape[1] == 1 else None
     read_before = step.placement == "before-shift"
     psi = block[:sides.sides[0].size]
-    index = filled = None
+    compact = len(sides.sides) > 1
+    # built before the first toss, which would otherwise be held beside them
+    width = block.shape[1]
+    indices = [_shift_index(sources, d, width, compact) for sources, _ in sides.moves]
     for t in range(steps):
         k = sides.at(t)
         phi = _apply_coin(sides.coins[k], psi)
@@ -997,20 +1007,15 @@ def _unravel(block: np.ndarray, sides: _Sides, steps: int, choose, read=None) ->
         if read is not None and read_before:
             read(t, phi, sides.vertices_at(t))
         s = phi.shape[1]
-        if block.shape[1] != s:  # the enumerator's branches come and go
+        if s != width:  # the enumerator's branches come and go
+            width = s
             block = np.empty((len(block), s, d), dtype=complex)
-        if index is None or index.shape[1] != s:
-            index = np.empty(block.shape, dtype=np.intp)
-            starts = [_shift_starts(sources, d, s) for sources, _ in sides.moves]
-            filled = None
-        psi = block[:sides.sides[sides.at(t + 1)].size]
-        if filled != k:
-            filled = k
-            np.add(starts[k], np.arange(0, s * d, d)[:, None], out=index[:len(psi)])
-        # mode="clip" skips the bounds check, for which "raise" buffers out
-        phi.reshape(-1).take(index[:len(psi)], out=psi, mode="clip")
-        del phi  # so that the next toss does not hold two
+            indices = [_shift_index(sources, d, s, compact) for sources, _ in sides.moves]
         _, (vertex, port) = sides.moves[k]
+        psi = block[:sides.sides[sides.at(t + 1)].size]
+        # mode="clip" skips the bounds check, for which "raise" buffers out
+        phi.reshape(-1).take(indices[k], out=psi, mode="clip")
+        del phi  # so that the next toss does not hold two
         if vertex.size:
             psi[vertex, :, port] = 0
         if read is not None and not read_before:
