@@ -60,16 +60,17 @@ Trajectories run on the sides of the light cone as well, through one
 generator, _unravel, that advances a vertex-major (side vertex, sample,
 coin) block of states with the same coin product, one GEMM row per
 (vertex, sample) pair: the sampler's states are samples, the
-enumerator's every live branch. A Born weight is taken from the per-coin masses of the tossed
-states, each added up one vertex at a time (BORN_WEIGHT_RULE), one sum
-over the vertex axis across all the block's lanes; so a vertex without
-amplitude changes no weight, and the records on the cone are those of
-the whole graph bit for bit. A drawn branch is a product with its Kraus
-diagonal and a scaling by 1 / sqrt(weight), in place, and the shift one
-gather back into the block. The block is converted only where it enters
-and leaves the sampler and the enumerator, and a state leaves the cone
-only where a caller takes it. Every walk checks its start state where it
-starts, in _light_cone and at evolve's t = 0.
+enumerator's every live branch. A Born weight is taken from the
+per-coin masses of the tossed states, each added up one vertex at a
+time (BORN_WEIGHT_RULE), one sum over the vertex axis across all the
+block's lanes; so a vertex without amplitude changes no weight, and the
+records on the cone are those of the whole graph bit for bit. A drawn
+branch is a product with its Kraus diagonal and a scaling by
+1 / sqrt(weight), in place, and the shift one gather back into the
+block. The block is converted only where it enters and leaves the
+sampler and the enumerator, and a state leaves the cone only where a
+caller takes it. Every walk checks its start state where it starts, in
+_light_cone and at evolve's t = 0.
 """
 
 from __future__ import annotations

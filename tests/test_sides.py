@@ -107,7 +107,7 @@ def test_these_cones_are_one_side(case):
 
 
 def test_a_cone_short_of_the_path_ends_has_two_sides():
-    """The path's end vertices have an unused port each, but a cone of 3 steps from its middle misses them."""
+    """The path's ends have an unused port each; a cone of 3 steps from its middle misses them."""
     graph = _path(9)
     even, odd = _sides(basis_state(graph, 4, 0), make_step(graph, beta=0.5), 3)
     assert even.tolist() == [2, 4, 6] and odd.tolist() == [1, 3, 5, 7]
@@ -120,7 +120,7 @@ def side_cases(draw, multi_graph):
     Cycles of either parity with both shifts, port-permuted 3x3 and 4x4
     tori and paths are bipartite or not; the MULTI_ADJACENCY graph has a
     triangle and unused ports. Short cones on the larger graphs have not
-    wrapped, and those of 0 or 1 steps have a side of one vertex.
+    wrapped, and a walk of 0 or 1 steps is not split at all.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["cycle", "torus", "path", "multi"]))
@@ -168,7 +168,8 @@ def test_density_and_unitary_walks_on_two_sides_are_the_one_sided_walk(
     if coin == "stacked":
         rng = np.random.default_rng(steps)
         phases = np.exp(2j * np.pi * rng.random(graph.num_vertices))[:, None, None]
-        step = replace(step, coin=np.broadcast_to(step.coin, (graph.num_vertices,) + step.coin.shape[-2:]) * phases)
+        stack = np.broadcast_to(step.coin, (graph.num_vertices,) + step.coin.shape[-2:])
+        step = replace(step, coin=stack * phases)
     history, one_sided = _twice(lambda: marginal_history(psi0, step, steps))
     assert np.array_equal(history, one_sided)
     rho, one_sided = _twice(lambda: run(psi0, step, steps))
