@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classical import _chain, classical_run, uniform_distribution
-from .errors import ConfigError, StructureError
+from .errors import ConfigError, StructureError, _is_integer
 from .evolution import StepMap, _coin_kraus, _marginals
 from .graph import PortGraph
 from .meter import distinguishability, visibility
@@ -85,8 +85,8 @@ def compare_mixing(
     marginal. Both are scored by TVD to uniform and the comparison
     reports which reaches epsilon first.
     """
-    if t_max < 1:
-        raise ConfigError(f"t_max must be at least 1, got {t_max}")
+    if not (_is_integer(t_max) and t_max >= 1):
+        raise ConfigError(f"t_max must be an integer of at least 1, got {t_max!r}")
     if not 0.0 < epsilon <= 1.0:
         raise ConfigError(f"epsilon must lie in (0, 1], got {epsilon}")
     n = graph.num_vertices

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer checks that raise them."""
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["ConfigError", "InvariantViolation", "StructureError"]
 
@@ -15,3 +17,14 @@ class StructureError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A numerical invariant (trace, positivity, normalization) broke beyond tolerance."""
+
+
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is none."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(value, what: str = "step count") -> None:
+    """Raise ConfigError unless value is a nonnegative integer: a step count, a vertex or a seed."""
+    if not (_is_integer(value) and value >= 0):
+        raise ConfigError(f"{what} must be nonnegative and an integer, got {value!r}")

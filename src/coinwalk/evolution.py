@@ -35,26 +35,27 @@ A walk of t steps only reaches the vertices within t shifts of psi0's
 support, its light cone. run, marginal_history and the marginals that
 analysis reads evolve the walk on that cone alone and put the result
 back in place, so their memory and time scale with the cone rather
-than with N; a cone that holds every vertex is the whole walk, run
-as it is. A shared block stays one block on the cone, so the cone is
-tossed as the whole graph is. evolve, cp_step and unitary_step always
-act on the states they are given.
+than with N. evolve and cp_step walk the whole graph as one side, whose
+gathers each StepMap builds once; evolve, cp_step and unitary_step
+always act on the states they are given.
 
-A cone may have two sides (_split, _Sides). On the line of the paper's
+_light_cone grows the cone breadth first and labels each vertex by the
+parity of the step that first reaches it. On the line of the paper's
 quincunx, and on any bipartite graph, the walker at time t stands only
-on vertices an even number of moves from the start when t is even, and
-on the others when t is odd. When every move between cone vertices
-joins the two sides, and each side holds at least two vertices, each
-walk holds only the side it stands on, its ports, its vertex-pair blocks
-(a quarter of the cone's on a cone of two equal sides) or its rows of a
-sampler block, and each step is one gather from that side into the
-other, in which a port at the cone's boundary whose source lies off the
-side reads an exact zero. Every output number is a GEMM row of one
+on vertices of t's parity. When every move between two cone vertices
+joins the two parity classes, and each class holds at least two
+vertices, the cone has these two sides (_Sides); any other cone,
+self-loops and unused ports included, is one side. A walk holds only
+the side it stands on, its ports, its vertex-pair blocks (a quarter of
+the cone's on a cone of two equal sides) or its rows of a sampler block.
+A step tosses the side by its own vertices' coin blocks, a shared block
+staying the one block, and is one gather, built from the step's own
+shift, from that side into the next, in which a port at the cone's
+boundary whose source lies off the side reads an exact zero. One side
+and two run the same code. Every output number is a GEMM row of one
 vertex or vertex pair, a sum over vertices in vertex order, to which an
-omitted vertex would add an exact zero, or a gather of such zeros, so the
-sides give the cone's bits. Any other cone, self-loops and unused ports
-included, is one side, as is the cone of a walk of fewer than two steps,
-and its walk is the cone's walk.
+omitted vertex would add an exact zero, or a gather of such zeros, so
+the sides give the whole graph's bits.
 
 Trajectories run on the sides of the light cone as well, through one
 generator, _unravel, that advances a vertex-major (side vertex, sample,
@@ -69,8 +70,8 @@ branch is a product with its Kraus diagonal and a scaling by
 1 / sqrt(weight), in place, and the shift one gather back into the
 block. The block is converted only where it enters and leaves the
 sampler and the enumerator, and a state leaves the cone only where a
-caller takes it. Every walk checks its start state where it starts, in
-_light_cone and at evolve's t = 0.
+caller takes it. Every walk checks its step count and start state where
+it starts, in _light_cone and at evolve's start.
 """
 
 from __future__ import annotations
@@ -78,16 +79,22 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
 from .coin import Coin, default_coin_spec, embedded_blocks
-from .errors import ConfigError, InvariantViolation, StructureError
+from .errors import (
+    ConfigError,
+    InvariantViolation,
+    StructureError,
+    _check_count,
+    _is_integer,
+)
 from .graph import PortGraph
 from .meter import dephasing_kraus, uniform_dephasing_kraus
-from .shift import ShiftOperator, _block_gather_index, build_shift
+from .shift import ShiftOperator, build_shift
 from .state import (
     DEFAULT_TOLERANCES,
     _check_unit_trace,
@@ -181,6 +188,11 @@ class StepMap:
     def _block_factors(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """_toss_blocks' right factors on the (N^2, d^2) blocks, as _block_factors gives them."""
         return _block_factors(self.coin, self.coin_kraus, self.vertex_dephasing, self.placement)
+
+    @cached_property
+    def _whole(self) -> _Sides:
+        """The whole graph as one side, which evolve and cp_step walk, with its gathers."""
+        return _Sides(self, (np.arange(self.shift.num_vertices),))
 
 
 def _block_factors(
@@ -403,7 +415,7 @@ def cp_step(rho: np.ndarray, step: StepMap) -> np.ndarray:
     C-ordered complex matrix. Besides rho, a step with a shared coin holds
     at most two copies of it at once, and one with a stacked coin three.
     """
-    sides = _Sides.whole(step)
+    sides = step._whole
     blocks = _to_blocks(np.asarray(rho, dtype=complex), step.shift.degree)
     # each stage's input is freed as its result is bound
     blocks = _toss_blocks(blocks, sides, 0)
@@ -421,19 +433,16 @@ def _pure_step(psi: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
 
 
 def _walk(psi0: np.ndarray, sides: _Sides, steps: int) -> Iterator[np.ndarray]:
-    """evolve's states on the sides of a cone, from psi0 on the cone's ports.
+    """evolve's states on the sides of a cone, from psi0 over the whole graph's ports.
 
-    The state at time t is on side t % len(sides): a pure state on that
+    The state at time t is on side sides.at(t): a pure state on that
     side's ports, or a density matrix as the (n^2, d^2) blocks of that
     side's vertex pairs. A density step is taken in two stages, and each
     stage's input is freed as its result is bound, so beside what its
     caller keeps the walk holds at most two states at once, three while a
     stacked coin is tossed.
     """
-    if steps < 0:
-        raise ConfigError(f"step count must be nonnegative, got {steps}")
     step = sides.step
-    _check_start(psi0, step)
     psi = sides.start(psi0)
     if step.is_unitary:
         state, stages, check = psi, (_pure_step,), check_pure
@@ -441,10 +450,9 @@ def _walk(psi0: np.ndarray, sides: _Sides, steps: int) -> Iterator[np.ndarray]:
         state = _pure_blocks(psi, step.shift.degree)
         stages, check = (_toss_blocks, _shift_blocks), _check_block_trace
     yield state
-    count = len(sides.sides)
     for t in range(steps):
         for stage in stages:
-            state = stage(state, sides, t % count)
+            state = stage(state, sides, sides.at(t))
         check(state)
         yield state
 
@@ -456,9 +464,12 @@ def evolve(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
     is unitary, and C-ordered density matrices advanced as cp_step
     advances them otherwise. Every advanced state gets an O(N*d) check,
     of its norm or of its diagonal and trace, which raises
-    InvariantViolation; a negative step count raises ConfigError.
+    InvariantViolation; a step count that is no nonnegative integer
+    raises ConfigError.
     """
-    states = _walk(psi0, _Sides.whole(step), steps)
+    _check_count(steps)
+    _check_start(psi0, step)
+    states = _walk(psi0, step._whole, steps)
     return states if step.is_unitary else map(_from_blocks, states)
 
 
@@ -475,152 +486,98 @@ def _cone_ports(vertices: np.ndarray, degree: int) -> np.ndarray:
     return (vertices[:, None] * degree + np.arange(degree)).ravel()
 
 
-def _light_cone(
-    psi0: np.ndarray, step: StepMap, steps: int
-) -> tuple[np.ndarray, StepMap, np.ndarray]:
-    """The walk from psi0 restricted to the vertices it reaches in steps steps.
+def _light_cone(psi0: np.ndarray, step: StepMap, steps: int) -> _Sides:
+    """The vertices that the walk from psi0 reaches in steps steps, as the sides of its cone.
 
     The cone starts as the vertices of psi0's support and grows through
     the shift once per step, until it holds every vertex or stops
-    growing. Returns psi0 on the cone's ports, the StepMap on the cone,
-    and the sorted cone vertices; a cone of every vertex returns psi0 and
-    step as they are.
-
-    The cone's shift keeps every move inside the cone. A port that leaves
-    it belongs to a vertex first reached at the last step, which holds no
-    amplitude when a shift is applied, so the leaving ports are paired in
-    order with the cone ports no inside move reaches, and the shift stays
-    a permutation.
+    growing, and each vertex is labelled by the parity of the step that
+    first reaches it. The cone has two sides, the vertices of even and of
+    odd parity, when every move of the step between two cone vertices
+    joins them, so that a port that the shift sends to its own vertex,
+    such as a self-loop or an unused port, leaves one side; and when each
+    side holds at least two vertices, since a one-vertex side would make
+    one-row products, which numpy hands to gemv, which rounds otherwise.
+    Else the one side is every cone vertex.
     """
+    _check_count(steps)
     _check_start(psi0, step)
     n, d = step.shift.num_vertices, step.shift.degree
     neighbours = step.shift.permutation.reshape(n, d) // d
     frontier = np.unique(np.flatnonzero(psi0) // d)
-    inside = np.zeros(n, dtype=bool)
-    inside[frontier] = True
+    # the parity of each vertex's first reach, 2 until it is reached
+    parity = np.full(n, 2, dtype=np.int8)
+    parity[frontier] = 0
     size = frontier.size
-    for _ in range(steps):
+    for t in range(1, steps + 1):
         if size == n or frontier.size == 0:
             break
         reached = neighbours[frontier].ravel()
         reached.sort()
         # each fresh vertex once: a frontier with repeats would count paths
-        fresh = ~inside[reached]
+        fresh = parity[reached] == 2
         fresh[1:] &= reached[1:] != reached[:-1]
         frontier = reached[fresh]
-        inside[frontier] = True
+        parity[frontier] = t % 2
         size += frontier.size
-    if size == n:
-        return psi0, step, np.arange(n)
-
-    vertices = np.flatnonzero(inside)
-    ports = _cone_ports(vertices, d)
-    index = np.full(n * d, -1)
-    index[ports] = np.arange(ports.size)
-    perm = index[step.shift.permutation[ports]]
-    leaving = perm < 0
-    reached_ports = np.zeros(ports.size, dtype=bool)
-    reached_ports[perm[~leaving]] = True
-    perm[leaving] = np.flatnonzero(~reached_ports)
-    shift = ShiftOperator(perm, step.shift.kind, d)
-    # a shared block stays the one block, so the cone is tossed as the whole graph is
-    coin = step.coin if step.coin.ndim == 2 else step.coin[vertices]
-    return psi0[ports], replace(step, coin=coin, shift=shift), vertices
+    vertices = np.flatnonzero(parity < 2)
+    side = parity[vertices]
+    sides = vertices[side == 0], vertices[side == 1]
+    # a move that leaves the cone reaches parity 2, which joins nothing
+    same_side = (parity[neighbours[vertices]] == side[:, None]).any()
+    if same_side or min(sides[0].size, sides[1].size) < 2:
+        return _Sides(step, (vertices,))
+    return _Sides(step, sides)
 
 
-def _split(step: StepMap, cone_psi0: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The sides of the light cone of these vertices, as ascending positions among them.
+def _block_gather_index(sources: np.ndarray, source_vertices: int) -> np.ndarray:
+    """The read-only flat gather index that moves vertex-pair blocks as the ports move.
 
-    The cone has two sides when the walker can stand on each only every
-    other step: side 0 the vertices that an even number of the step's
-    moves reaches from cone_psi0's support, side 1 those an odd number
-    reaches. That needs every move of step's shift between two cone
-    vertices to join the two sides, so a port that the shift sends to its
-    own vertex, such as a self-loop or an unused port, leaves one side;
-    and each side must hold at least two vertices, since a one-vertex side
-    would make one-row products, which numpy hands to gemv, which rounds
-    otherwise. Else the one side is every cone vertex. The moves are
-    step's own: a move that leaves the cone joins nothing, whatever
-    _light_cone pairs its port with. A vertex that no move reaches, as a
-    whole graph given as the cone may hold, never holds amplitude and is
-    on neither of two sides.
+    sources is an (n', d) array: sources[i', a'] is the flat port i d + a of
+    a state over source_vertices vertices that port (i', a') reads. The
+    (n'^2, d^2) index takes blocks of that state, an (m^2, d^2) array with
+    m = source_vertices, to those of the state the ports read: block
+    (i', j') entry (a', b') reads block (i, j) entry (a, b), where (i, a)
+    and (j, b) are the sources of (i', a') and (j', b').
     """
-    n, d = vertices.size, step.shift.degree
-    if n < 4:
-        return (np.arange(n),)
-    target = step.shift.permutation[_cone_ports(vertices, d)] // d
-    # each port's move as a cone position, or n where it leaves the cone
-    moves = np.minimum(np.searchsorted(vertices, target), n - 1)
-    moves[vertices[moves] != target] = n
-    # each temporary goes as soon as it is spent: a walk on a one-sided
-    # cone can set its peak memory here
-    del target
-    # a side for each vertex at its first reach, breadth first: a cone is
-    # small, and a level of numpy calls costs as much as some 80 moves here
-    side = [2] * n + [-1]
-    queue = np.unique(np.flatnonzero(cone_psi0) // d).tolist()
-    for v in queue:
-        side[v] = 0
-    flat = memoryview(moves)  # read in place: a list would hold a Python int per port
-    for v in queue:
-        other = 1 - side[v]
-        for w in flat[v * d: v * d + d]:
-            if side[w] == 2:
-                side[w] = other
-                queue.append(w)
-    del flat
-    side = np.array(side)
-    moves = moves.reshape(n, d)
-    sides = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
-    if min(sides[0].size, sides[1].size) < 2 or (side[moves] == side[:n, None]).any():
-        return (np.arange(n),)
-    return sides
+    n, d = sources.shape
+    m = source_vertices
+    vertex, port = np.divmod(sources, d)
+    # rows[i', a' d + b'] and cols[j', a' d + b'] are the parts of the flat
+    # index that (i', a') and (j', b') give, laid out as the block's entries
+    rows = np.repeat(vertex * (m * d * d) + port * d, d, axis=1)
+    cols = np.tile(vertex * (d * d) + port, d)
+    index = (rows[:, None] + cols).reshape(n * n, d * d)
+    index.flags.writeable = False
+    return index
 
 
 class _Sides:
-    """A light cone and the one or two sides that its walk alternates between.
+    """The one or two sides of a light cone that its walk alternates between.
 
-    step and vertices are the StepMap on the cone and its sorted vertices,
-    as _light_cone returns them, and sides the ascending positions among
-    vertices of each side, as _split returns them. At time t the walk
-    stands on side at(t) and holds only that side's ports, vertex-pair
-    blocks or block rows; a step takes it to the next side, by the coin
-    blocks of the side's own vertices and one gather from the ports of the
-    side into those of the next. A port whose source is
-    on no port of the side, at the cone's boundary, reads an exact zero,
-    as it does in the whole cone's walk. One side is the whole cone, and
-    its step is the cone's own, with the caches of its StepMap and shift.
+    step is the walk's StepMap over the whole graph, and sides holds the
+    sorted vertices of each side. At time t the walk stands on side at(t)
+    and holds only that side's ports, vertex-pair blocks or block rows; a
+    step takes it to the next side, by the coin blocks of the side's own
+    vertices and one gather from the ports of the side into those of the
+    next. A port whose source lies on no port of the side, at the cone's
+    boundary, reads an exact zero, as it does in the whole graph's walk.
     """
 
-    def __init__(self, step: StepMap, vertices: np.ndarray, sides: tuple[np.ndarray, ...]):
-        self.step, self.vertices, self.sides = step, vertices, sides
-
-    @classmethod
-    def whole(cls, step: StepMap) -> _Sides:
-        """The whole graph as one side, for a walk that is given every vertex."""
-        every = np.arange(step.shift.num_vertices)
-        return cls(step, every, (every,))
+    def __init__(self, step: StepMap, sides: tuple[np.ndarray, ...]):
+        self.step, self.sides = step, sides
 
     def at(self, t: int) -> int:
         """The side that the walk stands on at time t."""
         return t % len(self.sides)
 
     def start(self, psi0: np.ndarray) -> np.ndarray:
-        """psi0, given on the cone's ports, on the ports of side 0, as a copy."""
-        if len(self.sides) == 1:
-            return psi0.copy()
+        """psi0, given over the whole graph's ports, on the ports of side 0, as a copy."""
         return psi0[_cone_ports(self.sides[0], self.step.shift.degree)]
 
     def vertices_at(self, t: int) -> np.ndarray:
-        """The sorted vertices, of the whole graph, of the side the walk stands on at time t."""
-        return self.side_vertices[self.at(t)]
-
-    @cached_property
-    def side_vertices(self) -> tuple[np.ndarray, ...]:
-        """Each side's sorted vertices, of the whole graph."""
-        if len(self.sides) == 1:
-            return (self.vertices,)
-        return tuple(self.vertices[side] for side in self.sides)
+        """The sorted vertices of the side the walk stands on at time t."""
+        return self.sides[self.at(t)]
 
     @cached_property
     def widest(self) -> int:
@@ -629,20 +586,22 @@ class _Sides:
 
     @cached_property
     def coins(self) -> tuple[np.ndarray, ...]:
-        """Each side's coin: the shared block, or the side's rows of the stack."""
+        """Each side's coin: the shared block, or the side's rows of the stack (all of them on
+        a side of every vertex, which so holds no copy)."""
         coin = self.step.coin
-        if coin.ndim == 2 or len(self.sides) == 1:
+        if coin.ndim == 2 or self.sides[0].size == len(coin):
             return (coin,) * len(self.sides)
         return tuple(coin[side] for side in self.sides)
 
     @cached_property
     def block_factors(self) -> tuple[tuple[np.ndarray, np.ndarray | None, np.ndarray | None], ...]:
-        """Each side's _toss_blocks factors: a stacked coin's are built from the side's rows."""
+        """Each side's _toss_blocks factors: the step's own for the step's coin, else its rows'."""
         step = self.step
-        if step.coin.ndim == 2 or len(self.sides) == 1:
-            return (step._block_factors,) * len(self.sides)
-        return tuple(_block_factors(coin, step.coin_kraus, step.vertex_dephasing, step.placement)
-                     for coin in self.coins)
+        return tuple(
+            step._block_factors if coin is step.coin
+            else _block_factors(coin, step.coin_kraus, step.vertex_dephasing, step.placement)
+            for coin in self.coins
+        )
 
     @cached_property
     def moves(self) -> tuple[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]], ...]:
@@ -653,17 +612,16 @@ class _Sides:
         on no port of side k, which read port 0 and are then set to zero.
         """
         shift = self.step.shift
-        none = np.empty(0, dtype=int)
-        if len(self.sides) == 1:
-            return ((shift.inverse, (none, none)),)
         d = shift.degree
         moves = []
         for k, side in enumerate(self.sides):
-            at = np.full(self.vertices.size, -1)
-            at[side] = np.arange(side.size)
             after = self.sides[self.at(k + 1)]
-            vertex, port = np.divmod(shift.inverse[_cone_ports(after, d)], d)
-            sources = at[vertex] * d + port
+            vertex, port = np.divmod(shift.permutation[_cone_ports(side, d)], d)
+            # each move's vertex as a position on the next side, where it lands there
+            at = np.minimum(np.searchsorted(after, vertex), after.size - 1)
+            lands = after[at] == vertex
+            sources = np.full(after.size * d, -1)
+            sources[(at * d + port)[lands]] = np.flatnonzero(lands)
             boundary = np.flatnonzero(sources < 0)
             sources[boundary] = 0
             moves.append((sources, np.divmod(boundary, d)))
@@ -671,8 +629,6 @@ class _Sides:
 
     def shift_blocks(self, blocks: np.ndarray, k: int) -> np.ndarray:
         """The shift of side k's vertex-pair blocks, as a new array of the next side's."""
-        if len(self.sides) == 1:
-            return self.step.shift.conjugate_blocks(blocks)
         out = blocks.ravel()[self._block_indices[k]]
         _, (vertex, port) = self.moves[k]
         if vertex.size:
@@ -690,18 +646,6 @@ class _Sides:
                      for (sources, _), side in zip(self.moves, self.sides))
 
 
-def _sided_cone(psi0: np.ndarray, step: StepMap, steps: int) -> tuple[np.ndarray, _Sides]:
-    """psi0 on the ports of its light cone of steps steps, and the cone split into its sides.
-
-    A walk of fewer than two steps tosses each side once at most, so its
-    cone is not split: that would cost more than it saves.
-    """
-    cone_psi0, cone_step, vertices = _light_cone(psi0, step, steps)
-    if steps < 2:
-        return cone_psi0, _Sides(cone_step, vertices, (np.arange(vertices.size),))
-    return cone_psi0, _Sides(cone_step, vertices, _split(step, cone_psi0, vertices))
-
-
 def _in_place(x: np.ndarray, ports: np.ndarray, size: int) -> np.ndarray:
     """The vector of the given size that holds x at ports and 0 elsewhere."""
     full = np.zeros(size, dtype=x.dtype)
@@ -712,22 +656,21 @@ def _in_place(x: np.ndarray, ports: np.ndarray, size: int) -> np.ndarray:
 def _marginals(
     psi0: np.ndarray, step: StepMap, steps: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (vertices, distribution on them) at every time 0..steps.
+    """An iterator of (vertices, distribution on them) at every time 0..steps.
 
-    The walk is evolved on the sides of its light cone, and the vertices
-    at time t are the sorted vertices of the side it stands on; the
-    distribution is zero on every other vertex. A density walk's
+    The light cone is found, and psi0 and steps checked, before it
+    returns. The walk is evolved on the sides of the cone, and the
+    vertices at time t are the sorted vertices of the side it stands on;
+    the distribution is zero on every other vertex. A density walk's
     distribution is read off its blocks' diagonal.
     """
-    cone_psi0, sides = _sided_cone(psi0, step, steps)
+    sides = _light_cone(psi0, step, steps)
     if step.is_unitary:
         marginal = partial(pure_position_marginal, degree=step.shift.degree)
     else:
         marginal = _block_marginal
     # map holds no state once its marginal is taken, so the walk can free it
-    distributions = map(marginal, _walk(cone_psi0, sides, steps))
-    for vertices, distribution in zip(itertools.cycle(sides.side_vertices), distributions):
-        yield vertices, distribution
+    return zip(itertools.cycle(sides.sides), map(marginal, _walk(psi0, sides, steps)))
 
 
 def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
@@ -740,8 +683,8 @@ def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
     acceptance suite, and no command calls it; the CLI reads the cone
     marginals.
     """
-    cone_psi0, sides = _sided_cone(psi0, step, steps)
-    for state in _walk(cone_psi0, sides, steps):
+    sides = _light_cone(psi0, step, steps)
+    for state in _walk(psi0, sides, steps):
         pass
     state = to_density(state) if step.is_unitary else _from_blocks(state)
     ports = _cone_ports(sides.vertices_at(steps), step.shift.degree)
@@ -752,9 +695,9 @@ def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
 
 def marginal_history(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
     """Position distribution at every time 0..steps, shape (steps+1, N)."""
-    # a negative step count gets no rows, and evolve rejects it
-    history = np.zeros((max(steps + 1, 0), step.shift.num_vertices))
-    for t, (vertices, marginal) in enumerate(_marginals(psi0, step, steps)):
+    marginals = _marginals(psi0, step, steps)
+    history = np.zeros((steps + 1, step.shift.num_vertices))
+    for t, (vertices, marginal) in enumerate(marginals):
         history[t, vertices] = marginal
     return history
 
@@ -791,7 +734,7 @@ class TrajectoryRecord:
     vertex_outcomes: tuple[int, ...] | None = None
 
 
-def _require_unravelable(step: StepMap, steps: int) -> None:
+def _require_unravelable(step: StepMap) -> None:
     if step.coin_kraus is None:
         raise ConfigError("trajectory sampling needs a coin measurement (beta > 0); without one "
                           "there is a single deterministic branch, which the run command covers")
@@ -800,8 +743,6 @@ def _require_unravelable(step: StepMap, steps: int) -> None:
             "pure-state trajectories support vertex dephasing 0 (off) or 1 "
             f"(projective), not {step.vertex_dephasing}"
         )
-    if steps < 0:
-        raise ConfigError(f"step count must be nonnegative, got {steps}")
 
 
 def _sequential_sum(x: np.ndarray) -> np.ndarray:
@@ -1035,14 +976,14 @@ def _sample_blocks(
     outcomes' probabilities and the vertices read (vertices of the whole
     graph), the last None without vertex measurement.
     """
-    _require_unravelable(step, steps)
-    return _sample_sides(*_sided_cone(psi0, step, steps), steps, seeds)
+    _require_unravelable(step)
+    return _sample_sides(psi0, _light_cone(psi0, step, steps), steps, seeds)
 
 
 def _sample_sides(
-    cone_psi0: np.ndarray, sides: _Sides, steps: int, seeds: list
+    psi0: np.ndarray, sides: _Sides, steps: int, seeds: list
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
-    """_sample_blocks on a light cone split into its sides, from psi0 on the cone's ports.
+    """_sample_blocks on the sides of a light cone, from psi0 over the whole graph's ports.
 
     A block holds SAMPLE_BLOCK_AMPLITUDES // (ports of the wider side)
     samples, at least one, and the next block of as many samples is walked
@@ -1050,7 +991,7 @@ def _sample_sides(
     """
     step = sides.step
     d = step.shift.degree
-    start = sides.start(cone_psi0).reshape(-1, 1, d)
+    start = sides.start(psi0).reshape(-1, 1, d)
     measure_position = step.vertex_dephasing == 1.0
     draws = 2 if measure_position else 1
     size = max(1, SAMPLE_BLOCK_AMPLITUDES // (sides.widest * d))
@@ -1109,12 +1050,14 @@ def sample_trajectories(
     outcomes are vertices of the whole graph.
     """
     seeds = list(seeds)
-    _require_unravelable(step, steps)
-    cone_psi0, sides = _sided_cone(psi0, step, steps)
-    cone, d = sides.vertices, step.shift.degree
-    ports = _cone_ports(sides.sides[sides.at(steps)], d)
+    for seed in seeds:
+        _check_count(seed, "seed")
+    _require_unravelable(step)
+    sides = _light_cone(psi0, step, steps)
+    cone, d = np.sort(np.concatenate(sides.sides)), step.shift.degree
+    ports = _cone_ports(np.searchsorted(cone, sides.vertices_at(steps)), d)
     lo = 0
-    for _, block, outcomes, probs, vertices in _sample_sides(cone_psi0, sides, steps, seeds):
+    for _, block, outcomes, probs, vertices in _sample_sides(psi0, sides, steps, seeds):
         s = len(outcomes)
         # a copy, since the next block is walked in this one
         finals = np.zeros((s, cone.size * d), dtype=complex)
@@ -1162,12 +1105,12 @@ def enumerate_branches(
     """
     if not prune > 0.0:
         raise ConfigError(f"prune must be a positive probability, got {prune}")
-    _require_unravelable(step, steps)
+    _require_unravelable(step)
     if step.vertex_dephasing != 0.0:
         raise ConfigError("branch enumeration supports coin measurement only")
-    cone_psi0, sides = _sided_cone(psi0, step, steps)
+    sides = _light_cone(psi0, step, steps)
     d = step.shift.degree
-    start = sides.start(cone_psi0).reshape(-1, 1, d)
+    start = sides.start(psi0).reshape(-1, 1, d)
     block = np.empty((sides.widest, 1, d), dtype=complex)
     psi = block[:len(start)]
     psi[:] = start
@@ -1206,7 +1149,7 @@ def walker_paths(step: StepMap, start_vertex: int, outcomes) -> np.ndarray:
         raise StructureError(
             f"outcomes must be a 2-D integer array, got shape {outcomes.shape} of {outcomes.dtype}"
         )
-    if isinstance(start_vertex, bool) or not isinstance(start_vertex, (int, np.integer)):
+    if not _is_integer(start_vertex):
         raise ConfigError(f"start vertex must be an integer, got {start_vertex!r}")
     d = step.shift.degree
     if not 0 <= start_vertex < step.shift.num_vertices:

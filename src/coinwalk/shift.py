@@ -38,31 +38,9 @@ class ShiftOperator:
         inverse[self.permutation] = np.arange(self.permutation.size)
         return inverse
 
-    @cached_property
-    def _block_index(self) -> np.ndarray:
-        """conjugate_blocks' read-only (N^2, d^2) flat index, 8 (N d)^2 bytes, built on first use.
-
-        Block (i', j') entry (a', b') reads block (i, j) entry (a, b), where
-        (i, a) and (j, b) are the vertex and port of inverse[i' d + a'] and
-        inverse[j' d + b'].
-        """
-        n = self.num_vertices
-        index = _block_gather_index(self.inverse.reshape(n, self.degree), n)
-        index.flags.writeable = False
-        return index
-
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """S psi, for one state or for each row of a stack of states."""
         return psi.take(self.inverse, axis=-1)
-
-    def conjugate_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """S rho S^dagger on rho held as its vertex-pair blocks, as one gather.
-
-        blocks is C-ordered with shape (N^2, d^2): row i N + j holds rho's
-        (i, j) block of d x d coin entries, flattened row-major. The result
-        is a new array of the same form whose bits are rho's.
-        """
-        return blocks.ravel()[self._block_index]
 
     def matrix(self) -> np.ndarray:
         """The dense (N d) x (N d) permutation matrix, an oracle the walk never builds."""
@@ -70,26 +48,6 @@ class ShiftOperator:
         mat = np.zeros((dim, dim), dtype=complex)
         mat[self.permutation, np.arange(dim)] = 1.0
         return mat
-
-
-def _block_gather_index(sources: np.ndarray, source_vertices: int) -> np.ndarray:
-    """The flat gather index that moves vertex-pair blocks as the ports move.
-
-    sources is an (n', d) array: sources[i', a'] is the flat port i d + a of
-    a state over source_vertices vertices that port (i', a') reads. The
-    (n'^2, d^2) index takes blocks of that state, an (m^2, d^2) array with
-    m = source_vertices, to those of the state the ports read: block
-    (i', j') entry (a', b') reads block (i, j) entry (a, b), where (i, a)
-    and (j, b) are the sources of (i', a') and (j', b').
-    """
-    n, d = sources.shape
-    m = source_vertices
-    vertex, port = np.divmod(sources, d)
-    # rows[i', a' d + b'] and cols[j', a' d + b'] are the parts of the flat
-    # index that (i', a') and (j', b') give, laid out as the block's entries
-    rows = np.repeat(vertex * (m * d * d) + port * d, d, axis=1)
-    cols = np.tile(vertex * (d * d) + port, d)
-    return (rows[:, None] + cols).reshape(n * n, d * d)
 
 
 def build_shift(graph: PortGraph) -> ShiftOperator:

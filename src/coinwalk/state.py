@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, StructureError
+from .errors import ConfigError, InvariantViolation, StructureError, _is_integer
 from .graph import PortGraph
 
 
@@ -40,8 +40,12 @@ def basis_state(graph: PortGraph, vertex: int, port: int) -> np.ndarray:
     """Pure state concentrated on one (vertex, port) basis vector.
 
     The pair must be a used half-edge of the graph; amplitudes on
-    unused ports would be invisible to the shift and are rejected.
+    unused ports would be invisible to the shift and are rejected. A
+    vertex or port that is no integer raises ConfigError.
     """
+    for value, what in ((vertex, "vertex"), (port, "port")):
+        if not _is_integer(value):
+            raise ConfigError(f"{what} must be an integer, got {value!r}")
     if not graph.has_port(vertex, port):
         raise StructureError(
             f"({vertex},{port}) is not a used (vertex, port) pair of this graph"

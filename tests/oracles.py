@@ -4,16 +4,18 @@ The walk applies its coin as an (N, d, d) block stack and its coin
 measurement as an (m, d) array of Kraus diagonals. block_diagonal,
 build_coin_operator and apply_kraus build the same maps as dense
 matrices with explicit loops. loop_enumerate_branches expands the
-measurement branches one at a time in nested Python loops; the batched
-step of enumerate_branches must equal it bit for bit.
+measurement branches one at a time in nested Python loops over the whole
+graph; the batched step of enumerate_branches, on the sides of the light
+cone, must equal it bit for bit. whole_graph stands in for
+evolution._light_cone where a test walks the whole graph as one side.
 per_vertex_apply_coin is the coin toss as it was before a shared block
 was one matrix product: one matrix-vector product per (row, vertex)
 pair, whatever form the coin is in, a shared block broadcast over the
 vertices.
 add_at_classical_step and loop_compare_mixing are the classical step
 and the mixing race as they were before the race built its arrays once:
-the chain adds with an unbuffered np.add.at, every marginal is put in
-place among N zeros, and each curve is scored by tvd. classical_step,
+the chain adds with an unbuffered np.add.at, the walk is evolved over
+the whole graph, and each curve is scored by tvd. classical_step,
 classical_run and compare_mixing must equal them bit for bit.
 scatter_cp_step is the density step on the matrix as it was before the
 walk held vertex-pair blocks and the shift became a gather: the shift
@@ -88,26 +90,29 @@ def apply_kraus(rho: np.ndarray, diagonals) -> np.ndarray:
     return out
 
 
+def whole_graph(psi0, step, steps):
+    """evolution._light_cone as if every walk reached every vertex: the whole graph as one side."""
+    return evolution._Sides(step, (np.arange(step.shift.num_vertices),))
+
+
 def loop_enumerate_branches(psi0, step, steps, prune=1e-18):
-    """enumerate_branches, one branch and one outcome at a time.
+    """enumerate_branches, one branch and one outcome at a time, over the whole graph.
 
     Each branch's coin-tossed state gives every Kraus branch at once with
     its Born weight; a child whose probability is at least prune is
-    renormalized and shifted. It reads evolution._light_cone at call
-    time, so patching that function patches this oracle too.
+    renormalized and shifted through the step as given.
     """
-    evolution._require_unravelable(step, steps)
+    evolution._require_unravelable(step)
     if step.vertex_dephasing != 0.0:
         raise ConfigError("branch enumeration supports coin measurement only")
-    cone_psi0, cone_step, cone = evolution._light_cone(psi0, step, steps)
     diagonals = step.coin_kraus
     m, d = diagonals.shape
     kraus_sq = _squared_moduli(diagonals)
-    branches = [(1.0, cone_psi0, ())]
+    branches = [(1.0, psi0, ())]
     for _ in range(steps):
         grown = []
         for weight, psi, history in branches:
-            phi = evolution._apply_coin(cone_step.coin, psi)
+            phi = evolution._apply_coin(step.coin, psi)
             children = (diagonals[:, None, :] * phi.reshape(-1, d)).reshape(m, -1)
             masses = evolution._coin_masses(phi.reshape(-1, 1, d))  # a one-state block
             weights = evolution._born_weights(masses, kraus_sq)[0]
@@ -116,13 +121,9 @@ def loop_enumerate_branches(psi0, step, steps, prune=1e-18):
                 w = float(w)
                 if weight * w < prune:
                     continue
-                grown.append(
-                    (weight * w, cone_step.shift.apply(child / math.sqrt(w)), history + (i,))
-                )
+                grown.append((weight * w, step.shift.apply(child / math.sqrt(w)), history + (i,)))
         branches = grown
-    ports = evolution._cone_ports(cone, d)
-    return [(w, evolution._in_place(psi, ports, psi0.size), history)
-            for w, psi, history in branches]
+    return branches
 
 
 def _scatter_schur(rho, coin_mask, p):
@@ -178,16 +179,14 @@ def add_at_classical_step(p, graph):
 
 
 def loop_compare_mixing(graph, step, psi0, t_max, epsilon):
-    """compare_mixing with one full-length marginal, one chain step and two tvd calls per time."""
+    """compare_mixing with one whole-graph marginal, one chain step and two tvd calls per time."""
     n = graph.num_vertices
     uniform = uniform_distribution(n)
     quantum_tvd, classical_tvd = [], []
     running_sum = np.zeros(n)
     p = pure_position_marginal(psi0, graph.degree)
-    cone_psi0, cone_step, vertices = evolution._light_cone(psi0, step, t_max)
-    for t, state in enumerate(evolution.evolve(cone_psi0, cone_step, t_max)):
-        marginal = np.zeros(n)
-        marginal[vertices] = state_marginal(state, cone_step)
+    for t, state in enumerate(evolution.evolve(psi0, step, t_max)):
+        marginal = state_marginal(state, step)
         if t:
             p = add_at_classical_step(p, graph)
         running_sum += marginal

@@ -34,6 +34,7 @@ from coinwalk.cli import main
 from coinwalk.coin import dft_coin, hadamard_phi
 
 from conftest import MULTI_ADJACENCY, port_permuted_torus
+from oracles import whole_graph
 
 
 def partner_sha256(graph):
@@ -345,8 +346,7 @@ def test_trajectory_on_a_4096_cycle_is_the_whole_graph_walk(tmp_path, extra):
     for amplitudes in (1, 82 * 7):
         with mock.patch.object(evolution, "SAMPLE_BLOCK_AMPLITUDES", amplitudes):
             assert _trajectory_outputs(tmp_path, f"block{amplitudes}", argv) == cone
-    with mock.patch.object(evolution, "_light_cone", lambda psi0, step, steps:
-                           (psi0, step, np.arange(step.shift.num_vertices))):
+    with mock.patch.object(evolution, "_light_cone", whole_graph):
         assert _trajectory_outputs(tmp_path, "whole", argv) == cone
 
 

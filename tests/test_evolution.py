@@ -55,6 +55,7 @@ from oracles import (
     loop_enumerate_branches,
     per_vertex_apply_coin,
     scatter_cp_step,
+    whole_graph,
 )
 
 
@@ -125,6 +126,35 @@ def test_evolve_yields_every_state_from_time_zero(cycle7, beta):
             list(evolve(psi0, step, bad))
         with pytest.raises(ConfigError, match="nonnegative"):
             marginal_history(psi0, step, bad)
+
+
+# (what is called, how, on cycle7's graph g, a start p and a measured step s; what
+# the error names)
+_BAD_COUNTS = [
+    ("marginal_history of 2.5 steps", lambda g, p, s: marginal_history(p, s, 2.5), "step count"),
+    ("marginal_history of True steps", lambda g, p, s: marginal_history(p, s, True), "step count"),
+    ("run of 2.5 steps", lambda g, p, s: run(p, s, 2.5), "step count"),
+    ("evolve of 2.5 steps", lambda g, p, s: list(evolve(p, s, 2.5)), "step count"),
+    ("sample_trajectories of 2.5 steps",
+     lambda g, p, s: list(sample_trajectories(p, s, 2.5, [0])), "step count"),
+    ("enumerate_branches of 2.5 steps", lambda g, p, s: enumerate_branches(p, s, 2.5), "step count"),
+    ("compare_mixing to t_max 10.5", lambda g, p, s: compare_mixing(g, s, p, 10.5, 0.1), "t_max"),
+    ("sample_trajectory of seed -1", lambda g, p, s: sample_trajectory(p, s, 2, seed=-1), "seed"),
+    ("sample_trajectory of seed 1.5", lambda g, p, s: sample_trajectory(p, s, 2, seed=1.5), "seed"),
+    ("sample_trajectories of seed True",
+     lambda g, p, s: list(sample_trajectories(p, s, 2, [True])), "seed"),
+    ("basis_state at vertex 1.5", lambda g, p, s: basis_state(g, 1.5, 0), "vertex"),
+]
+
+
+@pytest.mark.parametrize("call, what", [pytest.param(call, what, id=name)
+                                        for name, call, what in _BAD_COUNTS])
+def test_a_step_count_vertex_or_seed_that_is_no_nonnegative_integer_raises_config_error(
+    cycle7, call, what
+):
+    step = make_step(cycle7, beta=0.5)
+    with pytest.raises(ConfigError, match=what):
+        call(cycle7, basis_state(cycle7, 0, 0), step)
 
 
 def test_zero_steps_returns_initial_projector(cycle7):
@@ -294,11 +324,6 @@ def test_enumeration_keeps_a_branch_whose_probability_equals_prune(cycle7):
         assert [(p, h) for p, _, h in kept] == [(p, h) for p, _, h in branches]
 
 
-def _whole_graph(psi0, step, steps):
-    """_light_cone as if every walk reached every vertex."""
-    return psi0, step, np.arange(step.shift.num_vertices)
-
-
 @st.composite
 def enumeration_cases(draw, multi_graph):
     """A graph, a measured StepMap, a one- or two-vertex start, steps and prune."""
@@ -338,7 +363,8 @@ def enumeration_cases(draw, multi_graph):
 def test_enumeration_equals_the_loop_oracle(multi_graph, data, whole):
     """Same branches in the same order, equal probabilities, histories and states."""
     psi0, step, steps, prune = data.draw(enumeration_cases(multi_graph))
-    with mock.patch.object(evolution, "_light_cone", _whole_graph if whole else evolution._light_cone):
+    cone = whole_graph if whole else evolution._light_cone
+    with mock.patch.object(evolution, "_light_cone", cone):
         branches = list(enumerate_branches(psi0, step, steps, **prune))
         expected = loop_enumerate_branches(psi0, step, steps, **prune)
     assert [(p, h) for p, _, h in branches] == [(p, h) for p, _, h in expected]
@@ -635,7 +661,7 @@ def test_a_density_step_hands_back_the_c_ordered_matrix_of_its_blocks(cycle7, pl
                      placement=placement)
     psi0 = basis_state(cycle7, 0, 0)
     states = list(evolve(psi0, step, 3))
-    walked = list(evolution._walk(psi0, evolution._Sides.whole(step), 3))
+    walked = list(evolution._walk(psi0, step._whole, 3))
     for t, (rho, blocks) in enumerate(zip(states, walked)):
         assert rho.flags.c_contiguous and np.array_equal(rho, evolution._from_blocks(blocks))
         if t:
@@ -660,7 +686,7 @@ def test_vertex_dephasing_scales_only_the_blocks_between_vertices(order):
     for placement in ("before-shift", "after-shift"):
 
         def step_blocks(p):
-            sides = evolution._Sides.whole(make_step(graph, beta=0.5, vertex_p=p, placement=placement))
+            sides = make_step(graph, beta=0.5, vertex_p=p, placement=placement)._whole
             out = evolution._toss_blocks(blocks, sides, 0)
             return evolution._shift_blocks(out, sides, 0) if placement == "after-shift" else out
 
@@ -904,7 +930,7 @@ def reference_sample_trajectory(psi0, step, steps, seed):
     """
     from coinwalk.evolution import TrajectoryRecord, _apply_coin, _require_unravelable
 
-    _require_unravelable(step, steps)
+    _require_unravelable(step)
     rng = np.random.default_rng(seed)
     diagonals = step.coin_kraus
     n, d = step.shift.num_vertices, step.shift.degree
@@ -1043,8 +1069,8 @@ def test_batched_sampler_splits_blocks_of_the_module_constant():
 
     graph = port_permuted_torus(8, np.random.default_rng(3))
     psi0 = basis_state(graph, 9, 2)
-    # the sampler sizes its blocks by the light cone of 6 steps
-    block = SAMPLE_BLOCK_AMPLITUDES // _light_cone(psi0, make_step(graph, beta=0.5), 6)[0].size
+    # the sampler sizes its blocks by the wider side of the light cone of 6 steps
+    block = SAMPLE_BLOCK_AMPLITUDES // (_light_cone(psi0, make_step(graph, beta=0.5), 6).widest * 4)
     assert block > 1
     seeds = [int(s) for s in np.random.SeedSequence(5).generate_state(2 * block + 3, np.uint64)]
     _assert_matches_reference(psi0, make_step(graph, beta=0.5), 6, seeds)
@@ -1120,12 +1146,13 @@ def test_the_light_cone_keeps_a_shared_block_shared():
     per_vertex = make_step(graph, coin_spec=[dft_coin(4)] * 64, beta=0.5)
     assert shared.coin.shape == (4, 4)
     assert np.array_equal(np.broadcast_to(shared.coin, (64, 4, 4)), per_vertex.coin)
-    _, cone_step, cone = _light_cone(psi0, shared, 2)
-    assert 1 < cone.size < 64
-    assert cone_step.coin is shared.coin
-    _, cone_step, _ = _light_cone(psi0, per_vertex, 2)
-    assert cone_step.coin.shape == (cone.size, 4, 4)
-    assert np.array_equal(cone_step.coin, per_vertex.coin[cone])
+    sides = _light_cone(psi0, shared, 2)
+    assert 1 < sum(side.size for side in sides.sides) < 64
+    assert all(coin is shared.coin for coin in sides.coins)
+    sides = _light_cone(psi0, per_vertex, 2)
+    for side, coin in zip(sides.sides, sides.coins, strict=True):
+        assert coin.shape == (side.size, 4, 4)
+        assert np.array_equal(coin, per_vertex.coin[side])
 
 
 def _copied_step_cases():
@@ -1274,7 +1301,8 @@ def test_a_sample_block_step_peaks_near_its_toss_and_gather_index(vertex_p):
     """
     graph = port_permuted_torus(8, np.random.default_rng(1))
     step = make_step(graph, beta=0.5, vertex_p=vertex_p)
-    cone_psi0, sides = evolution._sided_cone(basis_state(graph, 27, 1), step, 40)
+    psi0 = basis_state(graph, 27, 1)
+    sides = evolution._light_cone(psi0, step, 40)
     assert [side.size for side in sides.sides] == [32, 32]
     samples = np.arange(64)
     uniforms = np.random.default_rng(2).random((40, 64))
@@ -1287,7 +1315,7 @@ def test_a_sample_block_step_peaks_near_its_toss_and_gather_index(vertex_p):
         evolution._measure_vertices(psi, uniforms[t])
 
     block = np.empty((sides.widest, 64, 4), dtype=complex)
-    block[:] = sides.start(cone_psi0).reshape(-1, 1, 4)
+    block[:] = sides.start(psi0).reshape(-1, 1, 4)
     assert block.size == evolution.SAMPLE_BLOCK_AMPLITUDES
     tracemalloc.start()
     try:

@@ -41,7 +41,7 @@ from coinwalk.coin import default_coin_type
 from coinwalk.evolution import _light_cone
 
 from conftest import in_place, port_permuted_torus
-from oracles import state_marginal
+from oracles import state_marginal, whole_graph
 
 
 def with_isolated_vertices(graph, count):
@@ -124,12 +124,10 @@ def test_light_cone_path_matches_the_whole_walk(multi_graph, data):
     outside = np.array(sorted(set(range(n)) - cone), dtype=int)
     outside_ports = (outside[:, None] * d + np.arange(d)).ravel()
 
-    cone_psi0, cone_step, vertices = _light_cone(psi0, step, steps)
-    assert vertices.tolist() == sorted(cone)
-    perm = cone_step.shift.permutation
-    assert np.array_equal(np.sort(perm), np.arange(len(cone) * d))
-    if not outside.size:
-        assert cone_psi0 is psi0 and cone_step is step
+    sides = _light_cone(psi0, step, steps)
+    assert sorted(np.concatenate(sides.sides).tolist()) == sorted(cone)
+    assert all(np.array_equal(side, np.sort(side)) for side in sides.sides)
+    assert sides.step is step
 
     states = list(evolve(psi0, step, steps))
     reference = np.array([state_marginal(state, step) for state in states])
@@ -155,11 +153,6 @@ def test_light_cone_path_matches_the_whole_walk(multi_graph, data):
         # a TVD sums n entries, each within 1e-15 of the reference's
         expected = tvd(running / (t + 1), uniform)
         assert abs(result.quantum.tvd_to_uniform[t] - expected) <= n * 1e-15
-
-
-def whole_graph(psi0, step, steps):
-    """_light_cone as if every walk reached every vertex."""
-    return psi0, step, np.arange(step.shift.num_vertices)
 
 
 @settings(max_examples=80, deadline=None)
@@ -209,22 +202,23 @@ def test_quincunx_on_a_4096_cycle_matches_the_64_cycle_window():
 def test_light_cone_stops_when_full_or_closed(cycle7, multi_graph):
     step = make_step(cycle7, shift=build_cycle_shift(7), beta=0.5)
     psi0 = basis_state(cycle7, 0, 0)
-    cone_psi0, cone_step, vertices = _light_cone(psi0, step, 10**12)
-    assert cone_psi0 is psi0 and cone_step is step
+    (vertices,) = _light_cone(psi0, step, 10**12).sides
     assert vertices.tolist() == list(range(7))
-    _, _, vertices = _light_cone(psi0, step, 2)
-    assert vertices.tolist() == [0, 1, 2, 5, 6]
+    even, odd = _light_cone(psi0, step, 2).sides
+    assert even.tolist() == [0, 2, 5] and odd.tolist() == [1, 6]
 
     # vertices that no edge reaches end the growth long before 10**12 steps
     graph = with_isolated_vertices(multi_graph, 2)
     step = make_step(graph, beta=0.5)
     psi0 = basis_state(graph, 5, 0)
-    cone_psi0, cone_step, vertices = _light_cone(psi0, step, 10**12)
+    sides = _light_cone(psi0, step, 10**12)
+    (vertices,) = sides.sides
     assert vertices.tolist() == list(range(6))
-    assert cone_step.shift.num_vertices == 6 and cone_step.coin.shape == (6, 4, 4)
-    assert np.array_equal(cone_psi0, psi0[:24])
+    assert sides.coins[0].shape == (6, 4, 4)
+    assert np.array_equal(sides.start(psi0), psi0[:24])
     # a closed cone keeps the graph's own moves: no port leaves it
-    assert np.array_equal(cone_step.shift.permutation, step.shift.permutation[:24])
+    ((sources, (boundary, _)),) = sides.moves
+    assert boundary.size == 0 and np.array_equal(sources, step.shift.inverse[:24])
 
 
 @settings(max_examples=80, deadline=None)

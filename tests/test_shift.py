@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwalk import (
+    StepMap,
     StructureError,
     basis_state,
     build_cycle,
@@ -13,6 +14,11 @@ from coinwalk import (
 from coinwalk.evolution import _from_blocks, _to_blocks
 
 from conftest import port_permuted_torus, random_pure_state
+
+
+def _conjugate_blocks(s, blocks):
+    """S rho S^dagger on rho's vertex-pair blocks, by the whole graph's side gather."""
+    return StepMap(np.eye(s.degree), s)._whole.shift_blocks(blocks, 0)
 
 
 def test_port_swap_on_triangle():
@@ -116,7 +122,7 @@ def test_conjugate_matches_matrix_sandwich(seed):
     psi = random_pure_state(rng, 10)
     rho = np.outer(psi, psi.conj())
     m = s.matrix()
-    shifted = _from_blocks(s.conjugate_blocks(_to_blocks(rho, 2)))
+    shifted = _from_blocks(_conjugate_blocks(s, _to_blocks(rho, 2)))
     assert np.array_equal(shifted, m @ rho @ m.conj().T)
 
 
@@ -137,7 +143,7 @@ def test_conjugate_reads_every_layout_exactly(layout, shift):
            "strided": full[::2, ::2]}[layout]
     m = s.matrix()
     blocks = _to_blocks(rho, s.degree)
-    shifted = s.conjugate_blocks(blocks)
+    shifted = _conjugate_blocks(s, blocks)
     assert shifted.flags.c_contiguous and not np.shares_memory(shifted, blocks)
     out = _from_blocks(shifted)
     assert np.array_equal(out, m @ rho @ m.conj().T)
@@ -145,14 +151,14 @@ def test_conjugate_reads_every_layout_exactly(layout, shift):
 
 
 def test_the_gather_index_is_built_once_and_read_only():
-    s = build_cycle_shift(5)
+    whole = StepMap(np.eye(2), build_cycle_shift(5))._whole
     blocks = _to_blocks(np.eye(10, dtype=complex), 2)
-    s.conjugate_blocks(blocks)
-    index = s._block_index
+    whole.shift_blocks(blocks, 0)
+    (index,) = whole._block_indices
     assert not index.flags.writeable
     assert index.shape == (5 ** 2, 2 ** 2) and index.nbytes == 8 * 10 ** 2
-    s.conjugate_blocks(blocks)
-    assert s._block_index is index
+    whole.shift_blocks(blocks, 0)
+    assert whole._block_indices[0] is index
 
 
 def test_cycle_shift_rejects_bad_arguments():

@@ -1,8 +1,8 @@
 """The sides of a light cone: where a bipartite cone splits, and that the split keeps every bit.
 
 A walk on a cone with two sides holds only the side it stands on. Each
-test below runs a walk as it is and once more with evolution._split
-patched to give every cone one side, and asks for the same bits.
+test below runs a walk as it is and once more with evolution._light_cone
+patched to give every cone as one side, and asks for the same bits.
 """
 
 from __future__ import annotations
@@ -32,16 +32,19 @@ from coinwalk import (
 from coinwalk import evolution
 
 from conftest import port_permuted_torus
+from test_light_cone import cone_cases
 
 
-def _one_side(_step, _cone_psi0, vertices):
-    """_split as if no cone had two sides."""
-    return (np.arange(vertices.size),)
+_light_cone = evolution._light_cone
+
+
+def _one_side(psi0, step, steps):
+    """_light_cone as if no cone had two sides."""
+    return evolution._Sides(step, (np.sort(np.concatenate(_light_cone(psi0, step, steps).sides)),))
 
 
 def _sides(psi0, step, steps):
-    cone_psi0, cone_step, vertices = evolution._light_cone(psi0, step, steps)
-    return [vertices[side] for side in evolution._split(step, cone_psi0, vertices)]
+    return list(_light_cone(psi0, step, steps).sides)
 
 
 def _path(n):
@@ -101,9 +104,8 @@ def test_these_cones_are_one_side(case):
     else:
         graph = build_cycle(16)
         psi0, step, steps = basis_state(graph, 0, 0), make_step(graph, beta=0.5), 1
-    cone = evolution._light_cone(psi0, step, steps)[2]
     (side,) = _sides(psi0, step, steps)
-    assert np.array_equal(side, cone) and cone.size > 1
+    assert side.size > 1
 
 
 def test_a_cone_short_of_the_path_ends_has_two_sides():
@@ -120,7 +122,8 @@ def side_cases(draw, multi_graph):
     Cycles of either parity with both shifts, port-permuted 3x3 and 4x4
     tori and paths are bipartite or not; the MULTI_ADJACENCY graph has a
     triangle and unused ports. Short cones on the larger graphs have not
-    wrapped, and a walk of 0 or 1 steps is not split at all.
+    wrapped, and a walk of 0 or 1 steps from one vertex has a one-vertex
+    side 0, so it is one side.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["cycle", "torus", "path", "multi"]))
@@ -149,7 +152,7 @@ def side_cases(draw, multi_graph):
 def _twice(walk):
     """walk() as it is, and with every cone one side."""
     sided = walk()
-    with mock.patch.object(evolution, "_split", _one_side):
+    with mock.patch.object(evolution, "_light_cone", _one_side):
         return sided, walk()
 
 
@@ -199,3 +202,39 @@ def test_trajectories_and_branches_on_two_sides_are_the_one_sided_walk(
         assert [(w, h) for w, _, h in branches] == [(w, h) for w, _, h in one_sided]
         for (_, state, _), (_, one_state, _) in zip(branches, one_sided, strict=True):
             assert np.array_equal(state, one_state)
+
+
+def reference_sides(psi0, shift, steps):
+    """The sides of the light cone of psi0, found with sets of vertices.
+
+    Each vertex is labelled by the parity of the step that first reaches
+    it, every vertex of psi0's support by 0. The cone is two sides, its
+    sorted vertices of each parity, when every move between two cone
+    vertices joins two parities, a move to its own vertex never does, and
+    each side holds two vertices or more; else one side, all of them.
+    """
+    d = shift.degree
+    perm = shift.permutation.tolist()
+    parity = {i // d: 0 for i in np.flatnonzero(psi0).tolist()}
+    frontier = set(parity)
+    for t in range(1, steps + 1):
+        frontier = {perm[v * d + k] // d for v in frontier for k in range(d)} - parity.keys()
+        parity.update((v, t % 2) for v in frontier)
+    moves = [(v, perm[v * d + k] // d) for v in parity for k in range(d)]
+    sides = [sorted(v for v, p in parity.items() if p == side) for side in (0, 1)]
+    joined = all(parity[v] != parity[w] for v, w in moves if w in parity)
+    if joined and min(len(sides[0]), len(sides[1])) >= 2:
+        return sides
+    return [sorted(parity)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), cases=st.sampled_from(["cone", "side"]))
+def test_the_cone_has_the_sides_of_the_set_based_reference(multi_graph, data, cases):
+    if cases == "cone":
+        _graph, psi0, step, steps = data.draw(cone_cases(multi_graph))
+    else:
+        graph, shift, psi0, steps = data.draw(side_cases(multi_graph))
+        step = make_step(graph, shift=shift)
+    sides = _light_cone(psi0, step, steps).sides
+    assert [side.tolist() for side in sides] == reference_sides(psi0, step.shift, steps)
