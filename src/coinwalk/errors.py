@@ -25,6 +25,6 @@ def _is_integer(value) -> bool:
 
 
 def _check_count(value, what: str = "step count") -> None:
-    """Raise ConfigError unless value is a nonnegative integer: a step count, a vertex or a seed."""
+    """Raise ConfigError unless value, a step count or a seed, is a nonnegative integer."""
     if not (_is_integer(value) and value >= 0):
         raise ConfigError(f"{what} must be nonnegative and an integer, got {value!r}")
