@@ -225,9 +225,7 @@ def cmd_run(args) -> int:
     lines = ["t,vertex,probability\n"]
     # the cone's vertices are sorted, so rows go by t, then by vertex
     for t, (vertices, marginal) in enumerate(_marginals(psi0, step, args.steps)):
-        nonzero = np.flatnonzero(marginal)
-        rows = zip(vertices[nonzero].tolist(), marginal[nonzero].tolist())
-        lines += [f"{t},{v},{p!r}\n" for v, p in rows]
+        lines += [f"{t},{v},{p!r}\n" for v, p in zip(vertices.tolist(), marginal.tolist()) if p]
     description["steps"] = args.steps
     output = {"output": {"csv": args.out, "rows": len(lines) - 1}}
     _write_outputs(args, {args.out: lines}, description, output)

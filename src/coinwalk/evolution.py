@@ -22,11 +22,14 @@ PRA 67, 032304): for a shared coin the whole local channel is one matrix
 product of all the blocks, for a stacked coin one batched product over
 the block columns and one over the block rows. Before-shift dephasing
 is folded into that factor, and the N same-vertex blocks are taken
-again by the unscaled one. The shift is one gather through a cached
-block index of 8 (N d)^2 bytes, and after-shift dephasing scales the
-blocks between different vertices. The trace check and the position
-distribution are read off the same-vertex blocks' diagonals. cp_step,
-evolve and run take and give density matrices, converting at their
+again by the unscaled one. The tossed blocks are written into an array
+that ends in one row of zeros, and the shift is one gather from it
+through a cached block index of 8 (N d)^2 bytes, which reads that zero
+row for every entry that the cone's boundary empties; after-shift
+dephasing then scales the blocks between different vertices. One read
+of the same-vertex blocks' diagonal, into its sums by vertex, gives
+both the trace check and the position distribution. cp_step, evolve
+and run take and give density matrices, converting at their
 boundary. The dense (N*d) x (N*d) forms, assembled_step_operators,
 vertex_dephasing and ShiftOperator.matrix, are never called by the walk;
 they stay public because the benchmark checks the CLI's output with them.
@@ -40,7 +43,11 @@ gathers each StepMap builds once; evolve, cp_step and unitary_step
 always act on the states they are given.
 
 _light_cone grows the cone breadth first and labels each vertex by the
-parity of the step that first reaches it. On the line of the paper's
+parity of the step that first reaches it. Each level follows only the
+moves of its frontier's own ports: in Python, through a memoryview of
+the shift's permutation, while they are _FEW_MOVES or fewer, and by
+numpy gathers of the frontier's rows beyond, so no table of the whole
+graph's moves is built. On the line of the paper's
 quincunx, and on any bipartite graph, the walker at time t stands only
 on vertices of t's parity. When every move between two cone vertices
 joins the two parity classes, and each class holds at least two
@@ -51,8 +58,9 @@ the cone's on a cone of two equal sides) or its rows of a sampler block.
 A step tosses the side by its own vertices' coin blocks, a shared block
 staying the one block, and is one gather, built from the step's own
 shift, from that side into the next, in which a port at the cone's
-boundary whose source lies off the side reads an exact zero. One side
-and two run the same code. Every output number is a GEMM row of one
+boundary whose source lies off the side reads an exact zero (on a
+density walk, the tossed array's zero row). One side and two run the
+same code. Every output number is a GEMM row of one
 vertex or vertex pair, a sum over vertices in vertex order, to which an
 omitted vertex would add an exact zero, or a gather of such zeros, so
 the sides give the whole graph's bits.
@@ -81,6 +89,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -98,7 +107,7 @@ from .shift import ShiftOperator, build_shift
 from .state import (
     DEFAULT_TOLERANCES,
     _check_unit_trace,
-    _clamped_marginal,
+    _clamp,
     _squared_moduli,
     check_pure,
     pure_position_marginal,
@@ -133,6 +142,10 @@ SAMPLE_BLOCK_AMPLITUDES = 8192
 # running sum: np.add.reduce over so few lanes is slower, and over one
 # lane it sums pairwise
 _FEW_LANES = 4
+# moves in a level of _light_cone's walk up to which it follows them in
+# Python: a move there took about 0.2 us and a numpy level, a dozen calls,
+# about 5.5 us, on levels of a random 10^5-vertex permutation (2-core x86-64)
+_FEW_MOVES = 32
 # how a trajectory's Born weights are computed, named in its sidecar
 BORN_WEIGHT_RULE = (
     "||K_i phi||^2 = sum over coin index a, in order, of |k_i[a]|^2 times "
@@ -148,7 +161,7 @@ class StepMap:
     coin is as coin.embedded_blocks returns it: the (d, d) block every
     vertex shares, or the (N, d, d) stack of per-vertex blocks. The map
     is plain data, so a pickled or copied step walks as the original does.
-    coin_kraus is the (m, d) array of the coin measurement's Kraus
+    coin_kraus is the (m, d) array of the coin measurement's finite Kraus
     diagonals, row i the diagonal of K_i in the coin basis, or None
     without a measurement. vertex_dephasing lies in [0, 1], and placement
     is one of PLACEMENTS; every field is checked however the map is built.
@@ -173,6 +186,8 @@ class StepMap:
                 f"coin Kraus diagonals must be an (m, {d}) array with m >= 1, "
                 f"got shape {np.shape(k)}"
             )
+        if k is not None and not np.isfinite(k).all():
+            raise ConfigError("coin Kraus diagonals must be finite, got a NaN or an Inf entry")
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
         if not 0.0 <= self.vertex_dephasing <= 1.0:  # also rejects NaN
@@ -325,49 +340,59 @@ def _from_blocks(blocks: np.ndarray) -> np.ndarray:
     return blocks.reshape(n, n, d, d).swapaxes(1, 2).reshape(n * d, n * d)
 
 
-def _diagonal(blocks: np.ndarray) -> np.ndarray:
-    """(N, d) copy of the real diagonal: the (a, a) entries of the N same-vertex blocks."""
+def _read_blocks(blocks: np.ndarray) -> np.ndarray:
+    """position_marginal of the density matrix held as these blocks, once its trace is checked.
+
+    The N same-vertex blocks' diagonal is read once, into its sums by
+    vertex, and check_trace takes the trace from those. A trace within its
+    bound is finite, and so is every sum that adds to it, so the marginal's
+    guard only looks for a sum below the clamp bound, as position_marginal's
+    does. Each sum adds the vertex's d diagonal entries as the sum of a
+    contiguous copy of them would.
+    """
     n, d = math.isqrt(blocks.shape[0]), math.isqrt(blocks.shape[1])
-    return np.ascontiguousarray(blocks[::n + 1, ::d + 1].real)
-
-
-def _check_block_trace(blocks: np.ndarray) -> None:
-    """check_trace of the density matrix held as these blocks."""
-    _check_unit_trace(_diagonal(blocks))
-
-
-def _block_marginal(blocks: np.ndarray) -> np.ndarray:
-    """position_marginal of the density matrix held as these blocks."""
-    return _clamped_marginal(_diagonal(blocks).sum(axis=1))
+    probs = np.add.reduce(blocks[::n + 1, ::d + 1].real, axis=1)
+    _check_unit_trace(probs)
+    return _clamp(probs, np.minimum.reduce(probs))
 
 
 def _toss_blocks(blocks: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
     """The coin, the coin measurement and before-shift dephasing on side k's blocks, as a new array.
 
-    The products run on the blocks' interleaved (re, im) floats, by the
-    side's factors (_Sides.block_factors). A shared coin is one matrix
-    product of all n^2 blocks. A stacked coin is a batched product over
-    the block columns, into an array held by column, and then one over the
-    block rows. With before-shift dephasing the same-vertex blocks are
-    taken again by the unscaled first factor. Each block's bits depend only
-    on the block and the factors, not on n.
+    The n^2 tossed blocks are the first rows of an (n^2 + 1, d^2) array
+    whose last row is zero, the row that the shift's gather reads for a
+    port at the cone's boundary. The products run on the blocks'
+    interleaved (re, im) floats, by the side's factors
+    (_Sides.block_factors). A shared coin is one matrix product of all n^2
+    blocks. A stacked coin is a batched product over the block columns,
+    into an array held by column, and then one over the block rows. With
+    before-shift dephasing the same-vertex blocks are taken again by the
+    unscaled first factor. Each block's bits depend only on the block and
+    the factors, not on n.
     """
     n = math.isqrt(blocks.shape[0])
     first, second, same_vertex = sides.block_factors[k]
     x = blocks.view(float)
+    out = np.empty((n * n + 1, x.shape[1]))
+    out[-1] = 0.0
+    tossed = out[:-1]
     if second is None:
-        out = x @ first
+        np.matmul(x, first, out=tossed)
         if same_vertex is not None:
-            out[::n + 1] = x[::n + 1] @ same_vertex
+            np.matmul(x[::n + 1], same_vertex, out=tossed[::n + 1])
         return out.view(complex)
     by_column = np.matmul(x.reshape(n, n, -1).transpose(1, 0, 2), first)
     if same_vertex is not None:
         by_column.reshape(n * n, -1)[::n + 1] = (x[::n + 1, None] @ same_vertex)[:, 0]
-    return np.matmul(by_column.transpose(1, 0, 2), second).reshape(x.shape).view(complex)
+    np.matmul(by_column.transpose(1, 0, 2), second, out=tossed.reshape(n, n, -1))
+    return out.view(complex)
 
 
 def _shift_blocks(blocks: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
-    """The shift from side k to the next side, and after-shift dephasing, on the blocks, as a new array."""
+    """The shift from side k to the next side, and after-shift dephasing, as a new array.
+
+    blocks is side k's array as _toss_blocks gives it, its blocks and a zero row.
+    """
     out = sides.shift_blocks(blocks, k)
     step = sides.step
     if step.placement == "after-shift" and step.vertex_dephasing > 0.0:
@@ -382,11 +407,19 @@ def _shift_blocks(blocks: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
 # deterministic evolution
 
 def unitary_step(psi: np.ndarray, step: StepMap) -> np.ndarray:
-    """Advance a pure state one step: shift after coin."""
+    """Advance a pure state one step: shift after coin.
+
+    A psi of another shape than (N*d,) raises StructureError.
+    """
     if not step.is_unitary:
         raise StructureError(
             "unitary_step requires a StepMap without measurement options; "
             "use cp_step on a density matrix instead"
+        )
+    size = step.shift.permutation.size
+    if np.shape(psi) != (size,):
+        raise StructureError(
+            f"pure state needs N*d = {size} amplitudes, got shape {np.shape(psi)}"
         )
     return step.shift.apply(_apply_coin(step.coin, psi))
 
@@ -412,9 +445,14 @@ def cp_step(rho: np.ndarray, step: StepMap) -> np.ndarray:
 
     rho, of any real or complex dtype, is taken to its complex vertex-pair
     blocks, stepped as every density walk is, and the result is a new
-    C-ordered complex matrix. Besides rho, a step with a shared coin holds
-    at most two copies of it at once, and one with a stacked coin three.
+    C-ordered complex matrix; a rho of another shape than (N*d, N*d)
+    raises StructureError. Besides rho, a step with a shared coin holds at
+    most two copies of it at once, and one with a stacked coin three.
     """
+    size = step.shift.permutation.size
+    if np.shape(rho) != (size, size):
+        raise StructureError(f"density matrix needs shape (N*d, N*d) = ({size}, {size}), "
+                             f"got shape {np.shape(rho)}")
     sides = step._whole
     blocks = _to_blocks(np.asarray(rho, dtype=complex), step.shift.degree)
     # each stage's input is freed as its result is bound
@@ -432,29 +470,39 @@ def _pure_step(psi: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
     return out
 
 
-def _walk(psi0: np.ndarray, sides: _Sides, steps: int) -> Iterator[np.ndarray]:
-    """evolve's states on the sides of a cone, from psi0 over the whole graph's ports.
+def _pure_walk(psi0: np.ndarray, sides: _Sides, steps: int) -> Iterator[np.ndarray]:
+    """evolve's pure states on the sides of a cone, from psi0 over the whole graph's ports.
 
-    The state at time t is on side sides.at(t): a pure state on that
-    side's ports, or a density matrix as the (n^2, d^2) blocks of that
-    side's vertex pairs. A density step is taken in two stages, and each
-    stage's input is freed as its result is bound, so beside what its
-    caller keeps the walk holds at most two states at once, three while a
-    stacked coin is tossed.
+    The state at time t is on the ports of side sides.at(t), and each
+    advanced state's norm is checked.
     """
-    step = sides.step
     psi = sides.start(psi0)
-    if step.is_unitary:
-        state, stages, check = psi, (_pure_step,), check_pure
-    else:
-        state = _pure_blocks(psi, step.shift.degree)
-        stages, check = (_toss_blocks, _shift_blocks), _check_block_trace
-    yield state
+    yield psi
     for t in range(steps):
-        for stage in stages:
-            state = stage(state, sides, sides.at(t))
-        check(state)
-        yield state
+        psi = _pure_step(psi, sides, sides.at(t))
+        check_pure(psi)
+        yield psi
+
+
+def _density_walk(
+    psi0: np.ndarray, sides: _Sides, steps: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """evolve's density states on the sides of a cone, each with its position distribution.
+
+    The state at time t is the (n^2, d^2) blocks of the vertex pairs of
+    side sides.at(t), and the distribution on that side's vertices is read
+    off their diagonal with the trace check (_read_blocks). Each stage's
+    input is freed as its result is bound, the spent state before the
+    shift's gather, so beside what its caller keeps the walk holds at most
+    two states at once, three while a stacked coin is tossed.
+    """
+    blocks = _pure_blocks(sides.start(psi0), sides.step.shift.degree)
+    yield blocks, _read_blocks(blocks)
+    for t in range(steps):
+        k = sides.at(t)
+        blocks = _toss_blocks(blocks, sides, k)
+        blocks = _shift_blocks(blocks, sides, k)
+        yield blocks, _read_blocks(blocks)
 
 
 def evolve(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
@@ -469,8 +517,10 @@ def evolve(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
     """
     _check_count(steps)
     _check_start(psi0, step)
-    states = _walk(psi0, step._whole, steps)
-    return states if step.is_unitary else map(_from_blocks, states)
+    if step.is_unitary:
+        return _pure_walk(psi0, step._whole, steps)
+    # map holds no state once it is converted, so the walk can free it
+    return map(_from_blocks, map(itemgetter(0), _density_walk(psi0, step._whole, steps)))
 
 
 def _check_start(psi0: np.ndarray, step: StepMap) -> None:
@@ -490,64 +540,138 @@ def _light_cone(psi0: np.ndarray, step: StepMap, steps: int) -> _Sides:
     """The vertices that the walk from psi0 reaches in steps steps, as the sides of its cone.
 
     The cone starts as the vertices of psi0's support and grows through
-    the shift once per step, until it holds every vertex or stops
-    growing, and each vertex is labelled by the parity of the step that
-    first reaches it. The cone has two sides, the vertices of even and of
-    odd parity, when every move of the step between two cone vertices
-    joins them, so that a port that the shift sends to its own vertex,
-    such as a self-loop or an unused port, leaves one side; and when each
-    side holds at least two vertices, since a one-vertex side would make
-    one-row products, which numpy hands to gemv, which rounds otherwise.
-    Else the one side is every cone vertex.
+    the shift once per step, until it stops growing, and each vertex is
+    labelled by the parity of the step that first reaches it. Each level of
+    the walk follows the moves of its frontier's own ports, once each: in
+    Python while they are _FEW_MOVES or fewer, by numpy gathers beyond, and
+    no table of the whole graph's moves is built. The last level's moves
+    are followed only to see which vertices they join.
+
+    The cone has two sides, the vertices of even and of odd parity, when
+    every move of the step between two cone vertices joins them, so that
+    a port that the shift sends to its own vertex, such as a self-loop or
+    an unused port, leaves one side; and when each side holds at least two
+    vertices, since a one-vertex side would make one-row products, which
+    numpy hands to gemv, which rounds otherwise. Else the one side is
+    every cone vertex.
     """
     _check_count(steps)
     _check_start(psi0, step)
-    n, d = step.shift.num_vertices, step.shift.degree
-    neighbours = step.shift.permutation.reshape(n, d) // d
-    frontier = np.unique(np.flatnonzero(psi0) // d)
+    shift = step.shift
+    n, d = shift.num_vertices, shift.degree
+    frontier = np.flatnonzero(psi0) // d
+    # psi0's vertices, each once: its ports come in order
+    frontier = frontier[np.concatenate(([True], frontier[1:] != frontier[:-1]))]
     # the parity of each vertex's first reach, 2 until it is reached
     parity = np.full(n, 2, dtype=np.int8)
     parity[frontier] = 0
-    size = frontier.size
-    for t in range(1, steps + 1):
-        if size == n or frontier.size == 0:
+    moves, labels = memoryview(shift.permutation), memoryview(parity)
+    table = shift.permutation.reshape(n, d)
+    # each parity's vertices: the ints of Python's levels, the arrays of numpy's
+    found, arrays = ([], []), ([frontier], [])
+    same_side = False
+    for t in range(steps + 1):
+        side, grow = t % 2, t < steps
+        if len(frontier) * d <= _FEW_MOVES:
+            if not isinstance(frontier, list):
+                frontier = frontier.tolist()
+            frontier, same_side = _python_level(frontier, moves, labels, d, side, grow, same_side)
+            found[1 - side].extend(frontier)
+        else:
+            frontier, same_side = _numpy_level(frontier, table, parity, side, grow, same_side)
+            arrays[1 - side].append(frontier)
+        if not len(frontier):
             break
-        reached = neighbours[frontier].ravel()
-        reached.sort()
-        # each fresh vertex once: a frontier with repeats would count paths
-        fresh = parity[reached] == 2
-        fresh[1:] &= reached[1:] != reached[:-1]
-        frontier = reached[fresh]
-        parity[frontier] = t % 2
-        size += frontier.size
-    vertices = np.flatnonzero(parity < 2)
-    side = parity[vertices]
-    sides = vertices[side == 0], vertices[side == 1]
-    # a move that leaves the cone reaches parity 2, which joins nothing
-    same_side = (parity[neighbours[vertices]] == side[:, None]).any()
-    if same_side or min(sides[0].size, sides[1].size) < 2:
-        return _Sides(step, (vertices,))
-    return _Sides(step, sides)
+    even, odd = (np.concatenate([np.array(found[q], dtype=np.intp), *arrays[q]]) for q in (0, 1))
+    if same_side or min(even.size, odd.size) < 2:
+        cone = np.concatenate((even, odd))
+        cone.sort()
+        return _Sides(step, (cone,))
+    even.sort()
+    odd.sort()
+    return _Sides(step, (even, odd))
 
 
-def _block_gather_index(sources: np.ndarray, source_vertices: int) -> np.ndarray:
+def _python_level(
+    frontier: list, moves: memoryview, labels: memoryview, d: int, side: int, grow: bool,
+    same: bool,
+) -> tuple[list, bool]:
+    """One level of _light_cone's walk, move by move through memoryviews.
+
+    frontier holds the vertices of parity side last reached, moves is the
+    shift's permutation and labels the parity of each vertex (2 if not
+    reached). With grow, each vertex that a move of the frontier reaches
+    first is labelled by the other parity. Returns those vertices, and
+    whether a move joins two vertices of one parity: same, or one of the
+    frontier's moves.
+    """
+    fresh = []
+    other = 1 - side
+    for v in frontier:
+        for w in moves[v * d:v * d + d]:
+            w //= d
+            label = labels[w]
+            if label == 2:
+                if grow:
+                    labels[w] = other
+                    fresh.append(w)
+            elif label == side:
+                same = True
+    return fresh, same
+
+
+def _numpy_level(
+    frontier, table: np.ndarray, parity: np.ndarray, side: int, grow: bool, same: bool
+) -> tuple[np.ndarray, bool]:
+    """_python_level by numpy gathers of only the frontier's rows of the (N, d) permutation."""
+    reached = table.take(frontier, axis=0)
+    reached //= table.shape[1]
+    reached = reached.ravel()
+    reached.sort()
+    label = parity[reached]
+    if not same:
+        same = np.count_nonzero(label == side) > 0
+    if not grow:
+        return reached[:0], same
+    # each fresh vertex once: a frontier with repeats would count paths
+    fresh = label == 2
+    fresh[1:] &= reached[1:] != reached[:-1]
+    reached = reached[fresh]
+    parity[reached] = 1 - side
+    return reached, same
+
+
+def _block_gather_index(
+    sources: np.ndarray, boundary: tuple[np.ndarray, np.ndarray], source_vertices: int
+) -> np.ndarray:
     """The read-only flat gather index that moves vertex-pair blocks as the ports move.
 
     sources is an (n', d) array: sources[i', a'] is the flat port i d + a of
-    a state over source_vertices vertices that port (i', a') reads. The
-    (n'^2, d^2) index takes blocks of that state, an (m^2, d^2) array with
-    m = source_vertices, to those of the state the ports read: block
-    (i', j') entry (a', b') reads block (i, j) entry (a, b), where (i, a)
-    and (j, b) are the sources of (i', a') and (j', b').
+    a state over m = source_vertices vertices that port (i', a') reads, and
+    boundary the (i', a') of the ports that read none. The (n'^2, d^2) index
+    takes _toss_blocks' array of that state, its m^2 blocks and a zero row,
+    to the blocks of the state the ports read: block (i', j') entry (a', b')
+    reads block (i, j) entry (a, b), where (i, a) and (j, b) are the sources
+    of (i', a') and (j', b'), and the zero row when either lies at the
+    boundary.
     """
     n, d = sources.shape
     m = source_vertices
+    zero = m * m * d * d
     vertex, port = np.divmod(sources, d)
-    # rows[i', a' d + b'] and cols[j', a' d + b'] are the parts of the flat
-    # index that (i', a') and (j', b') give, laid out as the block's entries
-    rows = np.repeat(vertex * (m * d * d) + port * d, d, axis=1)
-    cols = np.tile(vertex * (d * d) + port, d)
-    index = (rows[:, None] + cols).reshape(n * n, d * d)
+    # rows[i', a'] and cols[j', b'] are the parts of the flat index that
+    # (i', a') and (j', b') give; a boundary port's part alone reaches the
+    # zero row, and every other sum stays below it
+    rows = vertex * (m * d * d) + port * d
+    cols = vertex * (d * d) + port
+    rows[boundary] = cols[boundary] = zero
+    # index[i' n + j', a' d + b'] = rows[i', a'] + cols[j', b'], summed along
+    # whole rows of the index: a broadcast over its (a', b') axes is slower
+    index = np.repeat(np.repeat(rows, d, axis=1), n, axis=0)
+    by_pair = index.reshape(n, n, d * d)
+    by_pair += np.concatenate([cols] * d, axis=1)
+    if boundary[0].size:
+        np.minimum(index, zero, out=index)
     index.flags.writeable = False
     return index
 
@@ -609,41 +733,44 @@ class _Sides:
 
         sources[q] is the flat port of side k that port q of the next side
         reads; (vertex, port) are the next side's ports whose source lies
-        on no port of side k, which read port 0 and are then set to zero.
+        on no port of side k, which read port 0 of it. Both sides' moves
+        are found together, in the ports of the sides laid end to end.
         """
-        shift = self.step.shift
-        d = shift.degree
-        moves = []
-        for k, side in enumerate(self.sides):
-            after = self.sides[self.at(k + 1)]
-            vertex, port = np.divmod(shift.permutation[_cone_ports(side, d)], d)
-            # each move's vertex as a position on the next side, where it lands there
-            at = np.minimum(np.searchsorted(after, vertex), after.size - 1)
-            lands = after[at] == vertex
-            sources = np.full(after.size * d, -1)
-            sources[(at * d + port)[lands]] = np.flatnonzero(lands)
-            boundary = np.flatnonzero(sources < 0)
+        d = self.step.shift.degree
+        cone = np.concatenate(self.sides)
+        vertex, port = np.divmod(self.step.shift.permutation.reshape(-1, d).take(cone, axis=0), d)
+        vertex, port = vertex.ravel(), port.ravel()
+        # each move's vertex as a position in cone, where it lands there: on
+        # the next side, as every move between two cone vertices does ("clip"
+        # compares a vertex beyond the last with the last)
+        order = np.argsort(cone)
+        ranked = cone[order]
+        at = np.searchsorted(ranked, vertex)
+        lands = ranked.take(at, mode="clip") == vertex
+        sources = np.full(cone.size * d, -1)
+        sources[order[at[lands]] * d + port[lands]] = np.flatnonzero(lands)
+        boundary = np.flatnonzero(sources < 0)
+        if len(self.sides) == 1:
             sources[boundary] = 0
-            moves.append((sources, np.divmod(boundary, d)))
-        return tuple(moves)
+            return (sources, np.divmod(boundary, d)),
+        # side 1's ports read side 0's, whose flat ports come first, and
+        # side 0's read side 1's
+        split = self.sides[0].size * d
+        sources[:split] -= split
+        sources[boundary] = 0
+        cut = np.searchsorted(boundary, split)
+        return ((sources[split:], np.divmod(boundary[cut:] - split, d)),
+                (sources[:split], np.divmod(boundary[:cut], d)))
 
     def shift_blocks(self, blocks: np.ndarray, k: int) -> np.ndarray:
-        """The shift of side k's vertex-pair blocks, as a new array of the next side's."""
-        out = blocks.ravel()[self._block_indices[k]]
-        _, (vertex, port) = self.moves[k]
-        if vertex.size:
-            d = self.step.shift.degree
-            n = self.sides[self.at(k + 1)].size
-            pairs = out.reshape(n, n, d, d)
-            pairs[vertex, :, port] = 0
-            pairs[:, vertex, :, port] = 0
-        return out
+        """The one gather of side k's _toss_blocks array into the next side's blocks."""
+        return blocks.ravel()[self._block_indices[k]]
 
     @cached_property
     def _block_indices(self) -> tuple[np.ndarray, ...]:
         d = self.step.shift.degree
-        return tuple(_block_gather_index(sources.reshape(-1, d), side.size)
-                     for (sources, _), side in zip(self.moves, self.sides))
+        return tuple(_block_gather_index(sources.reshape(-1, d), boundary, side.size)
+                     for (sources, boundary), side in zip(self.moves, self.sides))
 
 
 def _in_place(x: np.ndarray, ports: np.ndarray, size: int) -> np.ndarray:
@@ -661,16 +788,16 @@ def _marginals(
     The light cone is found, and psi0 and steps checked, before it
     returns. The walk is evolved on the sides of the cone, and the
     vertices at time t are the sorted vertices of the side it stands on;
-    the distribution is zero on every other vertex. A density walk's
-    distribution is read off its blocks' diagonal.
+    the distribution is zero on every other vertex.
     """
     sides = _light_cone(psi0, step, steps)
+    # map holds no state once its marginal is taken, so the walk can free it
     if step.is_unitary:
         marginal = partial(pure_position_marginal, degree=step.shift.degree)
+        marginals = map(marginal, _pure_walk(psi0, sides, steps))
     else:
-        marginal = _block_marginal
-    # map holds no state once its marginal is taken, so the walk can free it
-    return zip(itertools.cycle(sides.sides), map(marginal, _walk(psi0, sides, steps)))
+        marginals = map(itemgetter(1), _density_walk(psi0, sides, steps))
+    return zip(itertools.cycle(sides.sides), marginals)
 
 
 def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
@@ -684,9 +811,14 @@ def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
     marginals.
     """
     sides = _light_cone(psi0, step, steps)
-    for state in _walk(psi0, sides, steps):
-        pass
-    state = to_density(state) if step.is_unitary else _from_blocks(state)
+    if step.is_unitary:
+        for psi in _pure_walk(psi0, sides, steps):
+            pass
+        state = to_density(psi)
+    else:
+        for blocks, _ in _density_walk(psi0, sides, steps):
+            pass
+        state = _from_blocks(blocks)
     ports = _cone_ports(sides.vertices_at(steps), step.shift.degree)
     rho = np.zeros((psi0.size, psi0.size), dtype=state.dtype)
     rho[np.ix_(ports, ports)] = state

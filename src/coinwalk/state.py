@@ -70,12 +70,12 @@ def check_trace(rho: np.ndarray) -> None:
 
 
 def _check_unit_trace(diag: np.ndarray) -> None:
-    """check_trace on a density matrix's real diagonal, in any shape.
+    """check_trace on a density matrix's real diagonal, in any shape, or on its sums by vertex.
 
     The diagonal is read once, for the trace; a NaN or Inf entry makes
     the trace fail, and only then are the entries looked at.
     """
-    tr = diag.sum()
+    tr = np.add.reduce(diag, axis=None)
     if not abs(tr - 1.0) <= DEFAULT_TOLERANCES.trace:
         if not np.isfinite(diag).all():
             raise InvariantViolation("density matrix has a non-finite diagonal entry")
@@ -103,9 +103,16 @@ def _clamped_marginal(probs: np.ndarray) -> np.ndarray:
     """position_marginal's guard and clamp on the per-vertex sums of a diagonal, in place."""
     lo = probs.min()
     # a NaN fails both comparisons, -Inf the first and +Inf the second
-    if not (lo >= -DEFAULT_TOLERANCES.marginal_clamp and probs.max() < np.inf):
-        if not np.isfinite(probs).all():
-            raise InvariantViolation("marginal has a non-finite entry")
+    if not (lo > -np.inf and probs.max() < np.inf):
+        raise InvariantViolation("marginal has a non-finite entry")
+    return _clamp(probs, lo)
+
+
+def _clamp(probs: np.ndarray, lo: float) -> np.ndarray:
+    """Finite per-vertex sums of least entry lo, clamped to 0 in place if within the bound."""
+    if lo > 0.0:
+        return probs
+    if not lo >= -DEFAULT_TOLERANCES.marginal_clamp:
         raise InvariantViolation(f"marginal entry {lo:.3e} below the clamp threshold")
     return np.maximum(probs, 0.0, out=probs)
 

@@ -157,6 +157,38 @@ def test_a_step_count_vertex_or_seed_that_is_no_nonnegative_integer_raises_confi
         call(cycle7, basis_state(cycle7, 0, 0), step)
 
 
+# (what is called, how, on cycle7's graph g, a start p and a measured step s; the
+# error, and what it names)
+_MALFORMED_STEP_INPUTS = [
+    ("a StepMap of NaN Kraus diagonals",
+     lambda g, p, s: StepMap(s.coin, s.shift, np.full_like(s.coin_kraus, np.nan)),
+     ConfigError, "Kraus diagonals must be finite"),
+    ("a StepMap of an Inf Kraus diagonal",
+     lambda g, p, s: dataclasses.replace(
+         s, coin_kraus=np.where([[0, 1], [0, 0]], np.inf, s.coin_kraus)),
+     ConfigError, "Kraus diagonals must be finite"),
+    ("cp_step of a pure state", lambda g, p, s: cp_step(p, s),
+     StructureError, r"shape \(N\*d, N\*d\) = \(14, 14\), got shape \(14,\)"),
+    ("cp_step of a stack of two", lambda g, p, s: cp_step(np.stack([to_density(p)] * 2), s),
+     StructureError, r"\(14, 14\), got shape \(2, 14, 14\)"),
+    ("unitary_step of 4 amplitudes", lambda g, p, s: unitary_step(p[:4], make_step(g)),
+     StructureError, r"N\*d = 14 amplitudes, got shape \(4,\)"),
+    ("unitary_step of a density matrix", lambda g, p, s: unitary_step(to_density(p), make_step(g)),
+     StructureError, r"N\*d = 14 amplitudes, got shape \(14, 14\)"),
+]
+
+
+@pytest.mark.parametrize("call, error, what", [
+    pytest.param(call, error, what, id=name) for name, call, error, what in _MALFORMED_STEP_INPUTS
+])
+def test_a_malformed_step_or_state_raises_the_packages_error_naming_what_it_needs(
+    cycle7, call, error, what
+):
+    step = make_step(cycle7, beta=0.5)
+    with pytest.raises(error, match=what):
+        call(cycle7, basis_state(cycle7, 0, 0), step)
+
+
 def test_zero_steps_returns_initial_projector(cycle7):
     psi = basis_state(cycle7, 2, 1)
     step = hadamard_walk_step(cycle7, beta=0.3)
@@ -661,7 +693,7 @@ def test_a_density_step_hands_back_the_c_ordered_matrix_of_its_blocks(cycle7, pl
                      placement=placement)
     psi0 = basis_state(cycle7, 0, 0)
     states = list(evolve(psi0, step, 3))
-    walked = list(evolution._walk(psi0, step._whole, 3))
+    walked = [blocks for blocks, _ in evolution._density_walk(psi0, step._whole, 3)]
     for t, (rho, blocks) in enumerate(zip(states, walked)):
         assert rho.flags.c_contiguous and np.array_equal(rho, evolution._from_blocks(blocks))
         if t:
@@ -719,6 +751,36 @@ def test_a_density_step_peaks_near_two_copies_of_its_input(cycle):
         tracemalloc.stop()
     assert out.shape == rho.shape
     assert peak <= 2.1 * rho.nbytes, peak / rho.nbytes
+
+
+def test_a_whole_density_walk_peaks_near_two_copies_of_a_sides_blocks():
+    """The benchmark's walk, 20 steps on the 256-cycle's sides of 21 and 20 vertices.
+
+    Beside the history it returns and both sides' gather indices, the walk
+    holds the toss of one side and the gathered blocks of the next: each
+    stage's input is freed as its result is bound. A walk that held the
+    spent state through the toss and the gather peaked at 3.2 blocks here.
+    """
+    graph = build_cycle(256)
+    psi0 = basis_state(graph, 100, 0)
+
+    def step():
+        return make_step(graph, shift=build_cycle_shift(256), beta=0.5, vertex_p=0.1)
+
+    marginal_history(psi0, step(), 20)  # numpy's first-call allocations
+    sides = evolution._light_cone(psi0, step(), 20)
+    assert [side.size for side in sides.sides] == [21, 20]
+    block = 21 * 21 * 4 * np.dtype(complex).itemsize
+    indices = sum(index.nbytes for index in sides._block_indices)
+    walked = step()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        history = marginal_history(psi0, walked, 20)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (peak - history.nbytes - indices) / block <= 2.6
 
 
 @pytest.mark.parametrize("beta", [-0.5, 1.5, float("nan")])

@@ -229,12 +229,52 @@ def reference_sides(psi0, shift, steps):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), cases=st.sampled_from(["cone", "side"]))
-def test_the_cone_has_the_sides_of_the_set_based_reference(multi_graph, data, cases):
+@given(data=st.data(), cases=st.sampled_from(["cone", "side"]),
+       few_moves=st.sampled_from([evolution._FEW_MOVES, 0, 10**9]))
+def test_the_cone_has_the_sides_of_the_set_based_reference(multi_graph, data, cases, few_moves):
+    """At its own crossover, and with every level walked by numpy (0) or in Python (10**9)."""
     if cases == "cone":
         _graph, psi0, step, steps = data.draw(cone_cases(multi_graph))
     else:
         graph, shift, psi0, steps = data.draw(side_cases(multi_graph))
         step = make_step(graph, shift=shift)
-    sides = _light_cone(psi0, step, steps).sides
+    with mock.patch.object(evolution, "_FEW_MOVES", few_moves):
+        sides = _light_cone(psi0, step, steps).sides
     assert [side.tolist() for side in sides] == reference_sides(psi0, step.shift, steps)
+
+
+def test_a_one_sided_cone_reads_the_zero_row_exactly_at_its_boundary():
+    """Both parities from vertices 0 and 1 of the 16-cycle, 3 steps: vertices 13 to 4, unwrapped.
+
+    _toss_blocks ends the side's blocks with a row of zeros, and the gather
+    index reads it for exactly the block entries of a port whose source lies
+    off the side, as an entry of either port of the pair.
+    """
+    graph = build_cycle(16)
+    step = make_step(graph, beta=0.5, vertex_p=0.3)
+    psi0 = _both_parities(graph)
+    sides = _light_cone(psi0, step, 3)
+    (side,) = sides.sides
+    assert side.tolist() == [0, 1, 2, 3, 4, 13, 14, 15]
+    m, d = side.size, 2
+    ((sources, (vertex, port)),) = sides.moves
+    off = np.zeros((m, d), dtype=bool)
+    off[vertex, port] = True
+    assert off.sum() == 2 and side[off.any(axis=1)].tolist() == [4, 13]  # a port at each end
+    (index,) = sides._block_indices
+    reads_zero = (off[:, None, :, None] | off[None, :, None, :]).reshape(m * m, d * d)
+    assert np.array_equal(index >= m * m * d * d, reads_zero)
+    assert (index[reads_zero] == m * m * d * d).all()
+    # every other entry reads the port pair's sources, as the walk without the row did
+    i, a = np.divmod(sources.reshape(m, d), d)
+    inside = (i[:, None, :, None] * m + i[None, :, None, :]) * d * d + a[:, None, :, None] * d \
+        + a[None, :, None, :]
+    assert np.array_equal(index[~reads_zero], inside.reshape(m * m, d * d)[~reads_zero])
+
+    rng = np.random.default_rng(3)
+    blocks = rng.normal(size=(m * m, d * d)) + 1j * rng.normal(size=(m * m, d * d))
+    tossed = evolution._toss_blocks(blocks, sides, 0)
+    assert tossed.shape == (m * m + 1, d * d) and not tossed[-1].any()
+    shifted = evolution._shift_blocks(tossed, sides, 0)
+    assert np.array_equal(shifted[reads_zero], np.zeros(reads_zero.sum()))
+    assert not np.signbit(shifted[reads_zero].view(float)).any()

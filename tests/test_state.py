@@ -224,12 +224,12 @@ GUARDS = {
               "non-finite"),
     "marginal_clamp": (lambda x: position_marginal(_with(np.zeros((4, 4)), x), 2),
                        InvariantViolation, "non-finite"),
-    # the density walk reads both off the diagonal of its vertex-pair blocks
+    # the density walk reads both off one read of its vertex-pair blocks' diagonal
     "trace-of-blocks": (
-        lambda x: evolution._check_block_trace(evolution._to_blocks(_with(np.zeros((4, 4)), x), 2)),
+        lambda x: evolution._read_blocks(evolution._to_blocks(_with(np.zeros((4, 4)), x), 2)),
         InvariantViolation, "non-finite"),
     "marginal_clamp-of-blocks": (
-        lambda x: evolution._block_marginal(evolution._to_blocks(_with(np.zeros((4, 4)), x), 2)),
+        lambda x: evolution._read_blocks(evolution._to_blocks(np.diag([x, -x, 1.0, 0.0]), 2)),
         InvariantViolation, "non-finite"),
     "branch_sum": (lambda x: evolution._check_branch_sums(np.array([x])),
                    InvariantViolation, "sum to"),
@@ -280,6 +280,35 @@ def test_position_marginal_names_what_is_wrong(diagonal, message):
     for layout in (rho, np.asfortranarray(rho)):
         with pytest.raises(InvariantViolation, match=message):
             position_marginal(layout, 2)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf, and 1e308 + 1e308
+@pytest.mark.parametrize("diagonal, message", [
+    ([0.5, 0.5, 0.0, np.nan], "non-finite diagonal entry"),
+    ([0.5, 0.5, 0.0, np.inf], "non-finite diagonal entry"),
+    ([0.5, 0.5, -np.inf, np.inf], "non-finite diagonal entry"),
+    ([0.5, 0.5, 0.5, 0.0], r"trace np.float64\(1.5\) is not 1"),
+    ([1.0, 0.5, -0.5, 0.0], "marginal entry -5.000e-01 below the clamp threshold"),
+])
+def test_the_density_walk_read_names_what_is_wrong(diagonal, message):
+    """The trace check and the marginal's guard share one read of the blocks' diagonal."""
+    blocks = evolution._to_blocks(np.diag(diagonal).astype(complex), 2)
+    with pytest.raises(InvariantViolation, match=message):
+        evolution._read_blocks(blocks)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 9, 12])
+def test_the_density_walk_read_sums_each_vertex_as_its_row_of_the_diagonal(degree):
+    """The sums are read in place as a contiguous copy's rows sum, which numpy adds
+    pairwise from 9 entries on, and roundoff below 0 is clamped to +0.0."""
+    rng = np.random.default_rng(degree)
+    diagonal = rng.dirichlet(np.ones(3 * degree))
+    diagonal[-degree:] = [0.0] * (degree - 1) + [-1e-13]  # roundoff below 0
+    rho = np.diag(diagonal / diagonal.sum()).astype(complex)
+    probs = evolution._read_blocks(evolution._to_blocks(rho, degree))
+    expected = np.ascontiguousarray(np.diagonal(rho).real).reshape(3, degree).sum(axis=1)
+    assert np.array_equal(probs, np.maximum(expected, 0.0))
+    assert probs[-1] == 0.0 and not np.signbit(probs).any()
 
 
 def test_position_marginal_clamps_roundoff_to_zero():
