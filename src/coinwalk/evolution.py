@@ -298,10 +298,11 @@ def _coin_kraus(beta: float, degree: int) -> np.ndarray | None:
 # structured pieces of a step
 
 def _apply_coin(coin: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The coin on a pure state, on each row of an (S, N*d) stack of them, or on a block.
+    """The coin on a pure state or on a block of states.
 
     A block is a vertex-major (N, S, d) array of S states, entry [j, s, a]
-    the amplitude of state s at vertex j and coin a. Each (state, vertex)
+    the amplitude of state s at vertex j and coin a; a pure (N*d,) state is
+    the one-state (N, 1, d) block in the same memory. Each (state, vertex)
     pair of d amplitudes is tossed by its vertex's block. A shared (d, d)
     block tosses all the pairs in one matrix product, psi.reshape(-1, d) @
     block.T, in which each output pair depends on its own amplitudes only:
@@ -309,14 +310,12 @@ def _apply_coin(coin: np.ndarray, psi: np.ndarray) -> np.ndarray:
     together, or in which order, as long as there are at least two pairs
     (numpy hands a one-row product to gemv, which rounds otherwise).
     Per-vertex blocks are one batched product, a matrix-vector product per
-    pair, in either layout.
+    pair.
     """
     d = coin.shape[-1]
     if coin.ndim == 2:
         return (psi.reshape(-1, d) @ coin.T).reshape(psi.shape)
-    if psi.ndim == 3:
-        return (coin[:, None] @ psi[..., None]).reshape(psi.shape)
-    return (coin @ psi.reshape(-1, coin.shape[0], d, 1)).reshape(psi.shape)
+    return (coin[:, None] @ psi.reshape(len(coin), -1, d, 1)).reshape(psi.shape)
 
 
 def _to_blocks(rho: np.ndarray, degree: int) -> np.ndarray:
@@ -391,9 +390,10 @@ def _toss_blocks(blocks: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
 def _shift_blocks(blocks: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
     """The shift from side k to the next side, and after-shift dephasing, as a new array.
 
-    blocks is side k's array as _toss_blocks gives it, its blocks and a zero row.
+    blocks is side k's array as _toss_blocks gives it, its blocks and a zero
+    row, and the shift one gather of it through the side's cached index.
     """
-    out = sides.shift_blocks(blocks, k)
+    out = blocks.ravel()[sides.block_indices[k]]
     step = sides.step
     if step.placement == "after-shift" and step.vertex_dephasing > 0.0:
         n = math.isqrt(out.shape[0])
@@ -409,7 +409,9 @@ def _shift_blocks(blocks: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
 def unitary_step(psi: np.ndarray, step: StepMap) -> np.ndarray:
     """Advance a pure state one step: shift after coin.
 
-    A psi of another shape than (N*d,) raises StructureError.
+    It is the step that evolve takes, through the gather of the whole
+    graph's side (StepMap._whole). A psi of another shape than (N*d,)
+    raises StructureError.
     """
     if not step.is_unitary:
         raise StructureError(
@@ -421,7 +423,7 @@ def unitary_step(psi: np.ndarray, step: StepMap) -> np.ndarray:
         raise StructureError(
             f"pure state needs N*d = {size} amplitudes, got shape {np.shape(psi)}"
         )
-    return step.shift.apply(_apply_coin(step.coin, psi))
+    return _pure_step(psi, step._whole, 0)
 
 
 def vertex_dephasing(rho: np.ndarray, p: float, degree: int) -> np.ndarray:
@@ -762,12 +764,9 @@ class _Sides:
         return ((sources[split:], np.divmod(boundary[cut:] - split, d)),
                 (sources[:split], np.divmod(boundary[:cut], d)))
 
-    def shift_blocks(self, blocks: np.ndarray, k: int) -> np.ndarray:
-        """The one gather of side k's _toss_blocks array into the next side's blocks."""
-        return blocks.ravel()[self._block_indices[k]]
-
     @cached_property
-    def _block_indices(self) -> tuple[np.ndarray, ...]:
+    def block_indices(self) -> tuple[np.ndarray, ...]:
+        """Per side k, the one gather of its _toss_blocks array into the next side's blocks."""
         d = self.step.shift.degree
         return tuple(_block_gather_index(sources.reshape(-1, d), boundary, side.size)
                      for (sources, boundary), side in zip(self.moves, self.sides))

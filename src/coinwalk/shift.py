@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +19,8 @@ class ShiftOperator:
     permutation[old_flat] = new_flat over the joint space; unused ports
     map to themselves and never carry amplitude. kind records which
     convention built it, for output metadata, and degree is the number
-    of ports per vertex.
+    of ports per vertex. It is plain data: every walk shifts its states
+    through gathers that evolution builds from the permutation.
     """
 
     permutation: np.ndarray
@@ -30,17 +30,6 @@ class ShiftOperator:
     @property
     def num_vertices(self) -> int:
         return self.permutation.size // self.degree
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """inverse[new_flat] = old_flat, the permutation as a gather index."""
-        inverse = np.empty_like(self.permutation)
-        inverse[self.permutation] = np.arange(self.permutation.size)
-        return inverse
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """S psi, for one state or for each row of a stack of states."""
-        return psi.take(self.inverse, axis=-1)
 
     def matrix(self) -> np.ndarray:
         """The dense (N d) x (N d) permutation matrix, an oracle the walk never builds."""

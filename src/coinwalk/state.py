@@ -96,11 +96,7 @@ def position_marginal(rho: np.ndarray, degree: int) -> np.ndarray:
     DEFAULT_TOLERANCES.marginal_clamp) are clamped to zero; anything more negative
     indicates a logic error upstream and raises, as do NaN and Inf.
     """
-    return _clamped_marginal(np.diagonal(rho).real.reshape(-1, degree).sum(axis=1))
-
-
-def _clamped_marginal(probs: np.ndarray) -> np.ndarray:
-    """position_marginal's guard and clamp on the per-vertex sums of a diagonal, in place."""
+    probs = np.diagonal(rho).real.reshape(-1, degree).sum(axis=1)
     lo = probs.min()
     # a NaN fails both comparisons, -Inf the first and +Inf the second
     if not (lo > -np.inf and probs.max() < np.inf):

@@ -6,7 +6,9 @@ build_coin_operator and apply_kraus build the same maps as dense
 matrices with explicit loops. loop_enumerate_branches expands the
 measurement branches one at a time in nested Python loops over the whole
 graph; the batched step of enumerate_branches, on the sides of the light
-cone, must equal it bit for bit. whole_graph stands in for
+cone, must equal it bit for bit. shifted is the shift as a scatter of
+each amplitude to its port's image, so that no oracle runs the gather it
+checks. whole_graph stands in for
 evolution._light_cone where a test walks the whole graph as one side.
 per_vertex_apply_coin is the coin toss as it was before a shared block
 was one matrix product: one matrix-vector product per (row, vertex)
@@ -90,6 +92,13 @@ def apply_kraus(rho: np.ndarray, diagonals) -> np.ndarray:
     return out
 
 
+def shifted(shift, psi) -> np.ndarray:
+    """S psi by scatter: the amplitude at flat port q moves to shift.permutation[q]."""
+    out = np.empty_like(psi)
+    out[..., shift.permutation] = psi
+    return out
+
+
 def whole_graph(psi0, step, steps):
     """evolution._light_cone as if every walk reached every vertex: the whole graph as one side."""
     return evolution._Sides(step, (np.arange(step.shift.num_vertices),))
@@ -121,7 +130,7 @@ def loop_enumerate_branches(psi0, step, steps, prune=1e-18):
                 w = float(w)
                 if weight * w < prune:
                     continue
-                grown.append((weight * w, step.shift.apply(child / math.sqrt(w)), history + (i,)))
+                grown.append((weight * w, shifted(step.shift, child / math.sqrt(w)), history + (i,)))
         branches = grown
     return branches
 

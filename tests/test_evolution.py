@@ -55,6 +55,7 @@ from oracles import (
     loop_enumerate_branches,
     per_vertex_apply_coin,
     scatter_cp_step,
+    shifted,
     whole_graph,
 )
 
@@ -771,7 +772,7 @@ def test_a_whole_density_walk_peaks_near_two_copies_of_a_sides_blocks():
     sides = evolution._light_cone(psi0, step(), 20)
     assert [side.size for side in sides.sides] == [21, 20]
     block = 21 * 21 * 4 * np.dtype(complex).itemsize
-    indices = sum(index.nbytes for index in sides._block_indices)
+    indices = sum(index.nbytes for index in sides.block_indices)
     walked = step()
     tracemalloc.start()
     try:
@@ -1028,7 +1029,7 @@ def reference_sample_trajectory(psi0, step, steps, seed):
         probs.append(float(w[i]))
         if measure_position and step.placement == "before-shift":
             psi = measure_vertex(psi)
-        psi = step.shift.apply(psi)
+        psi = shifted(step.shift, psi)
         if measure_position and step.placement == "after-shift":
             psi = measure_vertex(psi)
     record = TrajectoryRecord(
@@ -1072,7 +1073,7 @@ def vdot_sample_trajectory(psi0, step, steps, seed):
         probs.append(float(w[i]))
         if measure_position and step.placement == "before-shift":
             psi = measure_vertex(psi)
-        psi = step.shift.apply(psi)
+        psi = shifted(step.shift, psi)
         if measure_position and step.placement == "after-shift":
             psi = measure_vertex(psi)
     record = TrajectoryRecord(
@@ -1188,15 +1189,24 @@ def test_a_shared_block_tosses_each_row_on_its_own(degree):
 def test_per_vertex_blocks_keep_the_batched_product():
     from coinwalk.evolution import _apply_coin
 
+    def rows_tossed(blocks, x):
+        """The toss of the vertex-major (n, S, d) block x, one state at a time, by the oracle."""
+        rows = x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+        return per_vertex_apply_coin(blocks, rows).reshape(x.shape[1], *x.shape[::2]) \
+            .transpose(1, 0, 2)
+
     rng = np.random.default_rng(8)
     for d, n in [(1, 5), (2, 7), (4, 16)]:
         blocks = np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
-        x = rng.normal(size=(3, n * d)) + 1j * rng.normal(size=(3, n * d))
-        assert np.array_equal(_apply_coin(blocks, x), per_vertex_apply_coin(blocks, x))
-        assert np.array_equal(_apply_coin(blocks, x[1]), per_vertex_apply_coin(blocks, x[1]))
+        x = rng.normal(size=(n, 3, d)) + 1j * rng.normal(size=(n, 3, d))
+        assert np.array_equal(_apply_coin(blocks, x), rows_tossed(blocks, x))
+        # a pure state is the one-state block
+        psi = x[:, 1].ravel()
+        assert np.array_equal(_apply_coin(blocks, psi), per_vertex_apply_coin(blocks, psi))
+        assert np.array_equal(_apply_coin(blocks, psi), _apply_coin(blocks, x[:, 1:2]).ravel())
         # equal blocks stacked per vertex are per-vertex blocks too
         same = np.stack([blocks[0]] * n)
-        assert np.array_equal(_apply_coin(same, x), per_vertex_apply_coin(same, x))
+        assert np.array_equal(_apply_coin(same, x), rows_tossed(same, x))
 
 
 def test_the_light_cone_keeps_a_shared_block_shared():

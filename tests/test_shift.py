@@ -10,15 +10,27 @@ from coinwalk import (
     build_cycle,
     build_cycle_shift,
     build_shift,
+    load_graph,
+    make_step,
+    unitary_step,
 )
-from coinwalk.evolution import _from_blocks, _to_blocks
+from coinwalk.coin import coin_spec_from_config
+from coinwalk.evolution import _apply_coin, _from_blocks, _shift_blocks, _to_blocks
+from coinwalk.graph import read_json
 
 from conftest import port_permuted_torus, random_pure_state
+from golden_grid import GOLDEN
+from oracles import shifted
+
+
+def _shift(s, psi):
+    """S psi, as the package's one pure step takes it with an identity coin."""
+    return unitary_step(psi, StepMap(np.eye(s.degree), s))
 
 
 def _conjugate_blocks(s, blocks):
     """S rho S^dagger on rho's vertex-pair blocks, by the whole graph's side gather."""
-    return StepMap(np.eye(s.degree), s)._whole.shift_blocks(blocks, 0)
+    return _shift_blocks(blocks, StepMap(np.eye(s.degree), s)._whole, 0)
 
 
 def test_port_swap_on_triangle():
@@ -26,7 +38,7 @@ def test_port_swap_on_triangle():
     s = build_shift(g)
     # leaving vertex 0 through port 0 lands at vertex 1 port 1
     psi = basis_state(g, 0, 0)
-    out = s.apply(psi)
+    out = _shift(s, psi)
     assert out[1 * 2 + 1] == 1.0
     assert np.count_nonzero(out) == 1
 
@@ -52,9 +64,9 @@ def test_port_swap_matches_pairing_on_irregular_graph(multi_graph):
 def test_directed_shift_moves_without_flipping_coin():
     g = build_cycle(7)
     s = build_cycle_shift(7)
-    out = s.apply(basis_state(g, 0, 0))
+    out = _shift(s, basis_state(g, 0, 0))
     assert out[1 * 2 + 0] == 1.0
-    out = s.apply(basis_state(g, 0, 1))
+    out = _shift(s, basis_state(g, 0, 1))
     assert out[6 * 2 + 1] == 1.0
 
 
@@ -73,7 +85,7 @@ def test_reversed_direction_mirrors_the_walk():
     fwd = build_cycle_shift(7, direction=1)
     rev = build_cycle_shift(7, direction=-1)
     assert rev.kind == "direction-preserving-reversed"
-    out = rev.apply(basis_state(g, 0, 0))
+    out = _shift(rev, basis_state(g, 0, 0))
     assert out[6 * 2 + 0] == 1.0
     # reversing twice is the identity on the permutation level
     assert np.array_equal(rev.permutation[fwd.permutation], np.arange(14))
@@ -97,11 +109,11 @@ def test_directed_shift_commutes_with_relabelling():
         return out
 
     np.testing.assert_allclose(
-        permute(rot, s.apply(psi)), s.apply(permute(rot, psi)), atol=0
+        permute(rot, _shift(s, psi)), _shift(s, permute(rot, psi)), atol=0
     )
 
 
-def test_matrix_agrees_with_apply_and_is_a_permutation():
+def test_matrix_agrees_with_the_pure_step_and_is_a_permutation():
     g = build_cycle(4)
     for s in (build_shift(g), build_cycle_shift(4)):
         m = s.matrix()
@@ -110,7 +122,7 @@ def test_matrix_agrees_with_apply_and_is_a_permutation():
         assert np.array_equal(m.sum(axis=1), np.ones(8))
         rng = np.random.default_rng(3)
         psi = random_pure_state(rng, 8)
-        np.testing.assert_allclose(s.apply(psi), m @ psi, atol=0)
+        np.testing.assert_allclose(_shift(s, psi), m @ psi, atol=0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -153,12 +165,38 @@ def test_conjugate_reads_every_layout_exactly(layout, shift):
 def test_the_gather_index_is_built_once_and_read_only():
     whole = StepMap(np.eye(2), build_cycle_shift(5))._whole
     blocks = _to_blocks(np.eye(10, dtype=complex), 2)
-    whole.shift_blocks(blocks, 0)
-    (index,) = whole._block_indices
+    _shift_blocks(blocks, whole, 0)
+    (index,) = whole.block_indices
     assert not index.flags.writeable
     assert index.shape == (5 ** 2, 2 ** 2) and index.nbytes == 8 * 10 ** 2
-    whole.shift_blocks(blocks, 0)
-    assert whole._block_indices[0] is index
+    _shift_blocks(blocks, whole, 0)
+    assert whole.block_indices[0] is index
+
+
+def _golden_step(name, coin=None):
+    graph = load_graph(str(GOLDEN / f"{name}.json"))
+    spec = None if coin is None else coin_spec_from_config(read_json(str(GOLDEN / coin), "coin"),
+                                                           graph)
+    return graph, make_step(graph, coin_spec=spec)
+
+
+def test_the_pure_step_is_the_toss_scattered_through_the_permutation():
+    """unitary_step's gather moves every amplitude where the shift's permutation sends it."""
+    cycle = build_cycle(16)
+    torus, torus_step = _golden_step("torus4", "coin_torus4.json")
+    path, path_step = _golden_step("path9")
+    assert torus_step.coin.shape == (16, 4, 4)
+    assert (path.partner < 0).any()  # the ends of the path have an unused port
+    cases = [(cycle, make_step(cycle)), (cycle, make_step(cycle, shift=build_cycle_shift(16))),
+             (cycle, make_step(cycle, shift=build_cycle_shift(16, direction=-1))),
+             (torus, torus_step), (path, path_step)]
+    rng = np.random.default_rng(11)
+    for graph, step in cases:
+        psi = random_pure_state(rng, graph.num_vertices * graph.degree)
+        psi.reshape(-1, graph.degree)[graph.partner < 0] = 0
+        psi /= np.linalg.norm(psi)
+        expected = shifted(step.shift, _apply_coin(step.coin, psi))
+        assert np.array_equal(unitary_step(psi, step), expected)
 
 
 def test_cycle_shift_rejects_bad_arguments():

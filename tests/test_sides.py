@@ -261,7 +261,7 @@ def test_a_one_sided_cone_reads_the_zero_row_exactly_at_its_boundary():
     off = np.zeros((m, d), dtype=bool)
     off[vertex, port] = True
     assert off.sum() == 2 and side[off.any(axis=1)].tolist() == [4, 13]  # a port at each end
-    (index,) = sides._block_indices
+    (index,) = sides.block_indices
     reads_zero = (off[:, None, :, None] | off[None, :, None, :]).reshape(m * m, d * d)
     assert np.array_equal(index >= m * m * d * d, reads_zero)
     assert (index[reads_zero] == m * m * d * d).all()
