@@ -8,7 +8,7 @@ import numpy as np
 
 from .classical import _chain, classical_run, uniform_distribution
 from .errors import ConfigError, StructureError, _is_integer
-from .evolution import StepMap, _coin_kraus, _marginals
+from .evolution import StepMap, _checked_start, _coin_kraus, _marginals
 from .graph import PortGraph
 from .meter import distinguishability, visibility
 from .state import pure_position_marginal
@@ -89,6 +89,7 @@ def compare_mixing(
         raise ConfigError(f"t_max must be an integer of at least 1, got {t_max!r}")
     if not 0.0 < epsilon <= 1.0:
         raise ConfigError(f"epsilon must lie in (0, 1], got {epsilon}")
+    psi0 = _checked_start(psi0, step, t_max)
     n = graph.num_vertices
     uniform = uniform_distribution(n)
     chain = _chain(graph)
@@ -97,7 +98,6 @@ def compare_mixing(
     # one row sum per time, which sums each row as tvd's np.sum does
     pair = np.empty((2, n))
     distances = np.empty((t_max + 1, 2))
-    # the chain starts from psi0 once the walk has checked it
     for t, (vertices, marginal) in enumerate(_marginals(psi0, step, t_max)):
         p = chain(p) if t else pure_position_marginal(psi0, graph.degree)
         running_sum[vertices] += marginal
@@ -159,6 +159,7 @@ def complementarity_sweep(
         raise ConfigError("sweep takes its strengths from betas; its step must measure no coin")
     # rejects a beta outside [0, 1] before any walk runs
     known = [(visibility(beta), distinguishability(beta)) for beta in betas]
+    psi0 = _checked_start(psi0, step, steps)
     distinct = list(dict.fromkeys([0.0, *betas]))
     d = graph.degree
     tasks = [(psi0, replace(step, coin_kraus=_coin_kraus(beta, d)), steps) for beta in distinct]

@@ -286,13 +286,14 @@ def _trajectory_chunk(task) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarr
     """The light cone's vertices, and per block of seeds, one row per seed, the
     outcomes, the outcome probabilities and the final cone marginals."""
     psi0, step, steps, seeds = task
+    sides, samples = _sample_blocks(psi0, step, steps, seeds)
     blocks = []
-    for cone, final, outcomes, probs, _vertices in _sample_blocks(psi0, step, steps, seeds):
+    for final, outcomes, probs, _vertices in samples:
         n, s, d = final.shape
         # C-ordered, so that the rows are added in sample order (_sum_rows_in_order)
         marginals = np.ascontiguousarray(pure_position_marginal(final, d).reshape(n, s).T)
         blocks.append((outcomes, probs, marginals))
-    return cone, blocks
+    return sides.vertices_at(steps), blocks
 
 
 def cmd_trajectory(args) -> int:

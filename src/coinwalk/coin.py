@@ -18,7 +18,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, StructureError
+from .errors import ConfigError, StructureError, _is_integer
 from .graph import PortGraph
 from .state import DEFAULT_TOLERANCES
 
@@ -67,8 +67,8 @@ def dft_coin(dim: int) -> np.ndarray:
     Entry (k, k2) is (1/sqrt(dim)) e^{2 pi i k k2 / dim}; every
     transition probability is 1/dim.
     """
-    if dim < 1:
-        raise ConfigError(f"coin dimension must be positive, got {dim}")
+    if not (_is_integer(dim) and dim >= 1):
+        raise ConfigError(f"coin dimension must be a positive integer, got {dim!r}")
     k = np.arange(dim)
     return np.exp(2j * np.pi * np.outer(k, k) / dim) / math.sqrt(dim)
 

@@ -175,6 +175,9 @@ class StepMap:
 
     def __post_init__(self) -> None:
         n, d = self.shift.num_vertices, self.shift.degree
+        dtype = np.asarray(self.coin).dtype
+        if dtype.kind not in "iufc":
+            raise StructureError(f"coin must be an array of numbers, got dtype {dtype}")
         if np.shape(self.coin) not in ((d, d), (n, d, d)):
             raise StructureError(
                 f"coin must be the shared ({d}, {d}) block or the ({n}, {d}, {d}) "
@@ -517,20 +520,27 @@ def evolve(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
     InvariantViolation; a step count that is no nonnegative integer
     raises ConfigError.
     """
-    _check_count(steps)
-    _check_start(psi0, step)
+    psi0 = _checked_start(psi0, step, steps)
     if step.is_unitary:
         return _pure_walk(psi0, step._whole, steps)
     # map holds no state once it is converted, so the walk can free it
     return map(_from_blocks, map(itemgetter(0), _density_walk(psi0, step._whole, steps)))
 
 
-def _check_start(psi0: np.ndarray, step: StepMap) -> None:
-    """Raise StructureError unless psi0 has shape (N*d,), then check_pure it."""
-    size = step.shift.num_vertices * step.shift.degree
-    if np.shape(psi0) != (size,):
-        raise StructureError(f"start state needs N*d = {size} amplitudes, got shape {np.shape(psi0)}")
+def _checked_start(psi0, step: StepMap, steps: int) -> np.ndarray:
+    """psi0 as an array, once steps is checked as a step count and psi0 as a start state.
+
+    A start of another shape than (N*d,) raises StructureError, and one
+    that check_pure rejects InvariantViolation. Every walk reads the array
+    returned, never the caller's object, so a list walks as its array does.
+    """
+    _check_count(steps)
+    psi0 = np.asarray(psi0)
+    size = step.shift.permutation.size
+    if psi0.shape != (size,):
+        raise StructureError(f"start state needs N*d = {size} amplitudes, got shape {psi0.shape}")
     check_pure(psi0)
+    return psi0
 
 
 def _cone_ports(vertices: np.ndarray, degree: int) -> np.ndarray:
@@ -555,10 +565,9 @@ def _light_cone(psi0: np.ndarray, step: StepMap, steps: int) -> _Sides:
     an unused port, leaves one side; and when each side holds at least two
     vertices, since a one-vertex side would make one-row products, which
     numpy hands to gemv, which rounds otherwise. Else the one side is
-    every cone vertex.
+    every cone vertex. psi0 and steps are as _checked_start returns and
+    checks them.
     """
-    _check_count(steps)
-    _check_start(psi0, step)
     shift = step.shift
     n, d = shift.num_vertices, shift.degree
     frontier = np.flatnonzero(psi0) // d
@@ -789,6 +798,7 @@ def _marginals(
     vertices at time t are the sorted vertices of the side it stands on;
     the distribution is zero on every other vertex.
     """
+    psi0 = _checked_start(psi0, step, steps)
     sides = _light_cone(psi0, step, steps)
     # map holds no state once its marginal is taken, so the walk can free it
     if step.is_unitary:
@@ -809,6 +819,7 @@ def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
     acceptance suite, and no command calls it; the CLI reads the cone
     marginals.
     """
+    psi0 = _checked_start(psi0, step, steps)
     sides = _light_cone(psi0, step, steps)
     if step.is_unitary:
         for psi in _pure_walk(psi0, sides, steps):
@@ -1098,23 +1109,26 @@ def _unravel(block: np.ndarray, sides: _Sides, steps: int, choose, read=None) ->
 
 def _sample_blocks(
     psi0: np.ndarray, step: StepMap, steps: int, seeds: list
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
-    """sample_trajectories block by block, as arrays.
+) -> tuple[_Sides, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]]:
+    """sample_trajectories block by block, as arrays, with the step, start and steps checked.
 
-    Yields, per block of consecutive seeds, the sorted vertices of the side
-    of the light cone that the walk ends on, the block's final (n, S, d)
-    states on them, and (S, steps) arrays of the outcomes, the drawn
-    outcomes' probabilities and the vertices read (vertices of the whole
-    graph), the last None without vertex measurement.
+    Returns the sides of the light cone and an iterator that yields, per
+    block of consecutive seeds, the block's final (n, S, d) states on the
+    side that the walk ends on (sides.vertices_at(steps)), and (S, steps)
+    arrays of the outcomes, the drawn outcomes' probabilities and the
+    vertices read (vertices of the whole graph), the last None without
+    vertex measurement.
     """
     _require_unravelable(step)
-    return _sample_sides(psi0, _light_cone(psi0, step, steps), steps, seeds)
+    psi0 = _checked_start(psi0, step, steps)
+    sides = _light_cone(psi0, step, steps)
+    return sides, _sample_sides(psi0, sides, steps, seeds)
 
 
 def _sample_sides(
     psi0: np.ndarray, sides: _Sides, steps: int, seeds: list
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
-    """_sample_blocks on the sides of a light cone, from psi0 over the whole graph's ports.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """_sample_blocks' blocks on the sides of a light cone, from psi0 over the whole graph's ports.
 
     A block holds SAMPLE_BLOCK_AMPLITUDES // (ports of the wider side)
     samples, at least one, and the next block of as many samples is walked
@@ -1155,7 +1169,7 @@ def _sample_sides(
         psi[:] = start
         for psi, *_ in _unravel(block, sides, steps, draw, read if measure_position else None):
             pass
-        yield sides.vertices_at(steps), psi, outcomes, probs, vertices if measure_position else None
+        yield psi, outcomes, probs, vertices if measure_position else None
 
 
 def sample_trajectories(
@@ -1176,20 +1190,27 @@ def sample_trajectories(
     and final states are those of the whole graph bit for bit. The
     samples move together as a vertex-major (side vertices, S, d) block,
     S = SAMPLE_BLOCK_AMPLITUDES // (ports of the wider side) samples at a
-    time (at least one). Yields, in seed order, the sorted cone vertices,
-    the final state on the cone's ports and the record, whose vertex
-    outcomes are vertices of the whole graph.
+    time (at least one). Returns, once every argument is checked and the
+    cone found, an iterator that yields in seed order the sorted cone
+    vertices, the final state on the cone's ports and the record, whose
+    vertex outcomes are vertices of the whole graph.
     """
     seeds = list(seeds)
     for seed in seeds:
         _check_count(seed, "seed")
-    _require_unravelable(step)
-    sides = _light_cone(psi0, step, steps)
-    cone, d = np.sort(np.concatenate(sides.sides)), step.shift.degree
-    ports = _cone_ports(np.searchsorted(cone, sides.vertices_at(steps)), d)
+    sides, blocks = _sample_blocks(psi0, step, steps, seeds)
+    cone = np.sort(np.concatenate(sides.sides))
+    ports = _cone_ports(np.searchsorted(cone, sides.vertices_at(steps)), step.shift.degree)
+    return _trajectory_records(cone, ports, blocks, seeds)
+
+
+def _trajectory_records(
+    cone: np.ndarray, ports: np.ndarray, blocks: Iterator, seeds: list
+) -> Iterator[tuple[np.ndarray, np.ndarray, TrajectoryRecord]]:
+    """sample_trajectories' yields, each block's final states put at ports of the cone's."""
     lo = 0
-    for _, block, outcomes, probs, vertices in _sample_sides(psi0, sides, steps, seeds):
-        s = len(outcomes)
+    for block, outcomes, probs, vertices in blocks:
+        s, d = len(outcomes), block.shape[2]
         # a copy, since the next block is walked in this one
         finals = np.zeros((s, cone.size * d), dtype=complex)
         finals[:, ports] = block.transpose(1, 0, 2).reshape(s, -1)
@@ -1213,7 +1234,8 @@ def sample_trajectory(
     state put back over all N*d ports.
     """
     ((cone, final, record),) = sample_trajectories(psi0, step, steps, [seed])
-    return _in_place(final, _cone_ports(cone, step.shift.degree), psi0.size), record
+    ports = _cone_ports(cone, step.shift.degree)
+    return _in_place(final, ports, step.shift.permutation.size), record
 
 
 def enumerate_branches(
@@ -1239,6 +1261,7 @@ def enumerate_branches(
     _require_unravelable(step)
     if step.vertex_dephasing != 0.0:
         raise ConfigError("branch enumeration supports coin measurement only")
+    psi0 = _checked_start(psi0, step, steps)
     sides = _light_cone(psi0, step, steps)
     d = step.shift.degree
     start = sides.start(psi0).reshape(-1, 1, d)

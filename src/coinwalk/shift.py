@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import StructureError, _is_integer
 from .graph import PortGraph
 
 __all__ = ["ShiftOperator", "build_shift", "build_cycle_shift"]
@@ -60,10 +60,12 @@ def build_cycle_shift(num_vertices: int, direction: int = 1) -> ShiftOperator:
     Pass direction=-1 for the mirrored convention (coin 0 moves toward
     decreasing index).
     """
-    if num_vertices < 3:
-        raise StructureError(f"cycle needs at least 3 vertices (got {num_vertices})")
-    if direction not in (1, -1):
-        raise StructureError(f"direction must be +1 or -1, got {direction}")
+    if not (_is_integer(num_vertices) and num_vertices >= 3):
+        raise StructureError(
+            f"cycle needs an integer of at least 3 vertices, got {num_vertices!r}"
+        )
+    if not (_is_integer(direction) and direction in (1, -1)):
+        raise StructureError(f"direction must be the integer +1 or -1, got {direction!r}")
     n, j = num_vertices, np.arange(num_vertices)
     perm = np.stack([(j + direction) % n * 2, (j - direction) % n * 2 + 1], axis=1).ravel()
     kind = "direction-preserving" if direction == 1 else "direction-preserving-reversed"

@@ -94,8 +94,15 @@ def position_marginal(rho: np.ndarray, degree: int) -> np.ndarray:
     Sums the diagonal over each vertex's coin block of the given
     dimension. Tiny negative entries from roundoff (within
     DEFAULT_TOLERANCES.marginal_clamp) are clamped to zero; anything more negative
-    indicates a logic error upstream and raises, as do NaN and Inf.
+    indicates a logic error upstream and raises, as do NaN and Inf. A rho
+    that is no square matrix of a side that degree divides raises
+    StructureError.
     """
+    shape = np.shape(rho)
+    if not (_is_integer(degree) and degree > 0 and len(shape) == 2 and shape[0] == shape[1]
+            and shape[0] % degree == 0):
+        raise StructureError(f"density matrix needs shape (N*d, N*d) for an integer d >= 1, "
+                             f"got shape {shape} and d = {degree!r}")
     probs = np.diagonal(rho).real.reshape(-1, degree).sum(axis=1)
     lo = probs.min()
     # a NaN fails both comparisons, -Inf the first and +Inf the second

@@ -4,6 +4,7 @@ import math
 import pickle
 import tracemalloc
 import warnings
+from collections.abc import Iterator
 from unittest import mock
 
 import numpy as np
@@ -23,11 +24,13 @@ from coinwalk import (
     build_cycle_shift,
     classical_run,
     compare_mixing,
+    complementarity_sweep,
     cp_step,
     dephasing_kraus,
     dft_coin,
     enumerate_branches,
     evolve,
+    from_edge_list,
     hadamard_phi,
     make_step,
     marginal_history,
@@ -145,6 +148,10 @@ _BAD_COUNTS = [
     ("sample_trajectories of seed True",
      lambda g, p, s: list(sample_trajectories(p, s, 2, [True])), "seed"),
     ("basis_state at vertex 1.5", lambda g, p, s: basis_state(g, 1.5, 0), "vertex"),
+    ("classical_run of 2.5 steps",
+     lambda g, p, s: classical_run(pure_position_marginal(p, 2), g, 2.5), "step count"),
+    ("classical_run of True steps",
+     lambda g, p, s: classical_run(pure_position_marginal(p, 2), g, True), "step count"),
 ]
 
 
@@ -176,6 +183,24 @@ _MALFORMED_STEP_INPUTS = [
      StructureError, r"N\*d = 14 amplitudes, got shape \(4,\)"),
     ("unitary_step of a density matrix", lambda g, p, s: unitary_step(to_density(p), make_step(g)),
      StructureError, r"N\*d = 14 amplitudes, got shape \(14, 14\)"),
+    ("a StepMap of a coin of strings",
+     lambda g, p, s: StepMap(np.array([["a", "b"], ["c", "d"]]), s.shift),
+     StructureError, "coin must be an array of numbers, got dtype <U1"),
+    ("a cycle shift of 5.0 vertices", lambda g, p, s: build_cycle_shift(5.0),
+     StructureError, "cycle needs an integer of at least 3 vertices, got 5.0"),
+    ("a cycle shift of direction 1.0", lambda g, p, s: build_cycle_shift(5, direction=1.0),
+     StructureError, r"direction must be the integer \+1 or -1, got 1.0"),
+    ("a DFT coin of dimension 2.5", lambda g, p, s: dft_coin(2.5),
+     ConfigError, "coin dimension must be a positive integer, got 2.5"),
+    ("position_marginal of degree 3 on 14 ports",
+     lambda g, p, s: position_marginal(to_density(p), 3),
+     StructureError, r"shape \(N\*d, N\*d\) for an integer d >= 1, got shape \(14, 14\) and d = 3"),
+    ("position_marginal of a pure state", lambda g, p, s: position_marginal(p, 2),
+     StructureError, r"got shape \(14,\) and d = 2"),
+    ("an edge list of a three-end edge", lambda g, p, s: from_edge_list([(0, 0, 1)]),
+     StructureError, r"an edge needs four ends \(u, pu, v, pv\), got \(0, 0, 1\)"),
+    ("an edge list of a five-end edge", lambda g, p, s: from_edge_list([(0, 0, 1, 0, 5)]),
+     StructureError, r"four ends \(u, pu, v, pv\), got \(0, 0, 1, 0, 5\)"),
 ]
 
 
@@ -1479,6 +1504,8 @@ START_ENTRIES = {
     "sample_trajectory": lambda graph, psi, step: sample_trajectory(psi, step, 0, seed=1),
     "sample_trajectories": lambda graph, psi, step: list(sample_trajectories(psi, step, 0, [1])),
     "enumerate_branches": lambda graph, psi, step: enumerate_branches(psi, step, 0),
+    "complementarity_sweep": lambda graph, psi, step: complementarity_sweep(
+        graph, dataclasses.replace(step, coin_kraus=None), psi, 0, [0.5]),
 }
 
 
@@ -1494,3 +1521,55 @@ def test_a_bad_start_state_is_rejected_where_the_walk_starts(entry, start):
     for beta in (0.5,) if sampler else (0.0, 0.5):
         with pytest.raises(error, match="N\\*d = 10" if error is StructureError else "norm"):
             START_ENTRIES[entry](graph, psi, make_step(graph, beta=beta))
+
+
+def _same(a, b) -> bool:
+    """Whether two results are the same bit for bit: arrays, what holds them, and iterators."""
+    if isinstance(a, Iterator):
+        a, b = list(a), list(b)
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("entry", sorted(START_ENTRIES))
+def test_a_start_given_as_a_list_walks_as_its_array(entry):
+    graph = build_cycle(5)
+    psi = (basis_state(graph, 0, 0) + 1j * basis_state(graph, 1, 1)) / math.sqrt(2)
+    sampler = entry.startswith(("sample", "enumerate"))
+    for beta in (0.5,) if sampler else (0.0, 0.5):
+        step = make_step(graph, beta=beta)
+        expected = START_ENTRIES[entry](graph, psi, step)
+        assert _same(START_ENTRIES[entry](graph, list(psi), step), expected)
+
+
+# every walk entry that returns an iterator, as a call on a start p, a step s, a step
+# count t and seeds
+ITERATOR_ENTRIES = {
+    "evolve": lambda p, s, t, seeds: evolve(p, s, t),
+    "_marginals": lambda p, s, t, seeds: evolution._marginals(p, s, t),
+    "sample_trajectories": lambda p, s, t, seeds: sample_trajectories(p, s, t, seeds),
+    "enumerate_branches": lambda p, s, t, seeds: enumerate_branches(p, s, t),
+    "_sample_blocks": lambda p, s, t, seeds: evolution._sample_blocks(p, s, t, seeds),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ITERATOR_ENTRIES))
+def test_a_walk_that_returns_an_iterator_checks_its_arguments_at_the_call(cycle7, entry):
+    """Each call below is made alone: no iterator it returns is advanced."""
+    call = ITERATOR_ENTRIES[entry]
+    psi, step = basis_state(cycle7, 0, 0), make_step(cycle7, beta=0.5)
+    with pytest.raises(ConfigError, match="step count"):
+        call(psi, step, -1, [1])
+    with pytest.raises(StructureError, match="N\\*d = 14"):
+        call(psi[:4], step, 3, [1])
+    with pytest.raises(InvariantViolation, match="norm"):
+        call(2 * psi, step, 3, [1])
+    if entry == "sample_trajectories":
+        with pytest.raises(ConfigError, match="seed"):
+            call(psi, step, 3, [-1])
+    if entry not in ("evolve", "_marginals"):
+        with pytest.raises(ConfigError, match="coin measurement"):
+            call(psi, make_step(cycle7), 3, [1])
