@@ -9,10 +9,12 @@ conventions and the choice is recorded with every run.
 Every part of the step is applied in its structured form. The coin is
 one d x d block that every vertex shares, or a stack of per-vertex
 blocks, and the coin measurement is the (m, d) array of its Kraus
-diagonals. On a pure state, or on the rows of a stack of them, a shared
-block tosses all the (row, vertex) pairs of d amplitudes in one matrix
-product, per-vertex blocks are one batched product, and each Kraus
-operator is an elementwise product.
+diagonals. On a pure state, or on a block of them (_apply_coin), a
+shared block tosses all the (state, vertex) pairs of d amplitudes in one
+matrix product, per-vertex blocks are one batched product, and each
+Kraus operator is an elementwise product. Each kind of state has one
+step: a pure state _pure_step, a sampler block _unravel's, and density
+blocks _toss_blocks and _shift_blocks.
 
 A density walk holds rho as its vertex-pair blocks, an (N^2, d^2) array
 whose row i N + j is rho's (i, j) block flattened. The coin, the coin
@@ -38,8 +40,8 @@ A walk of t steps only reaches the vertices within t shifts of psi0's
 support, its light cone. run, marginal_history and the marginals that
 analysis reads evolve the walk on that cone alone and put the result
 back in place, so their memory and time scale with the cone rather
-than with N. evolve and cp_step walk the whole graph as one side, whose
-gathers each StepMap builds once; evolve, cp_step and unitary_step
+than with N. evolve, cp_step and unitary_step walk the whole graph as
+one side (StepMap._whole), whose gathers each StepMap builds once, and
 always act on the states they are given.
 
 _light_cone grows the cone breadth first and labels each vertex by the
@@ -78,8 +80,9 @@ branch is a product with its Kraus diagonal and a scaling by
 1 / sqrt(weight), in place, and the shift one gather back into the
 block. The block is converted only where it enters and leaves the
 sampler and the enumerator, and a state leaves the cone only where a
-caller takes it. Every walk checks its step count and start state where
-it starts, in _light_cone and at evolve's start.
+caller takes it. Every walk checks its step count and start state before
+it returns, an iterator included, and walks the array that
+_checked_start returns, never the caller's object.
 """
 
 from __future__ import annotations

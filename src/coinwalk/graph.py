@@ -306,26 +306,17 @@ def _edge_partner(ends: np.ndarray) -> np.ndarray:
 def from_edge_list(edges: list[Edge] | list[tuple[int, int, int, int]]) -> PortGraph:
     """Build a PortGraph from explicit (vertex, port) edge endpoints.
 
-    Every endpoint must be a Python or numpy integer. Every violated rule
-    is reported, not just the first one found, so a bad input file can be
-    fixed in one pass.
+    Every edge must have four ends, each a Python or numpy integer. Every
+    violated rule is reported, not just the first one found, so a bad
+    input file can be fixed in one pass.
     """
-    values = [x for e in edges for x in vars(_as_edge(e)).values()]
+    try:
+        values = [x for e in edges for x in vars(e if isinstance(e, Edge) else Edge(*e)).values()]
+    except TypeError:  # an edge of other than four ends
+        raise StructureError("invalid edge list: every edge needs four ends (u, pu, v, pv)") from None
     # numpy would convert a float, bool or string end to an intp; _edge_partner lists it
     exact = all(t is int or issubclass(t, np.integer) for t in set(map(type, values)))
     return PortGraph(_edge_partner(_edge_array(values, np.intp if exact else object)))
-
-
-def _as_edge(e) -> Edge:
-    """e as an Edge: e itself, or an Edge of its four ends; StructureError otherwise."""
-    if isinstance(e, Edge):
-        return e
-    try:
-        return Edge(*e)
-    except TypeError:
-        raise StructureError(
-            f"invalid edge list: an edge needs four ends (u, pu, v, pv), got {e!r}"
-        ) from None
 
 
 def assign_ports(adjacency: list[tuple[int, int]]) -> list[Edge]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _is_integer
 from .state import partial_trace_meter
 
 __all__ = [
@@ -140,8 +140,8 @@ def uniform_dephasing_kraus(beta: float, dim: int) -> np.ndarray:
     was seen at direction k-1.
     """
     _check_beta(beta)
-    if dim < 1:
-        raise ConfigError(f"coin dimension must be positive, got {dim}")
+    if not (_is_integer(dim) and dim >= 1):
+        raise ConfigError(f"coin dimension must be a positive integer, got {dim!r}")
     f = math.cos(beta * math.pi / 2)
     return np.vstack([
         np.full(dim, math.sqrt(f)), math.sqrt(1.0 - f) * np.eye(dim)

@@ -41,6 +41,7 @@ from coinwalk import (
     sample_trajectory,
     to_density,
     tvd,
+    uniform_dephasing_kraus,
     unitary_step,
     vertex_dephasing,
     walker_paths,
@@ -192,15 +193,18 @@ _MALFORMED_STEP_INPUTS = [
      StructureError, r"direction must be the integer \+1 or -1, got 1.0"),
     ("a DFT coin of dimension 2.5", lambda g, p, s: dft_coin(2.5),
      ConfigError, "coin dimension must be a positive integer, got 2.5"),
+    ("a uniform dephasing family of dimension 2.5",
+     lambda g, p, s: uniform_dephasing_kraus(0.5, 2.5),
+     ConfigError, "coin dimension must be a positive integer, got 2.5"),
     ("position_marginal of degree 3 on 14 ports",
      lambda g, p, s: position_marginal(to_density(p), 3),
      StructureError, r"shape \(N\*d, N\*d\) for an integer d >= 1, got shape \(14, 14\) and d = 3"),
     ("position_marginal of a pure state", lambda g, p, s: position_marginal(p, 2),
      StructureError, r"got shape \(14,\) and d = 2"),
     ("an edge list of a three-end edge", lambda g, p, s: from_edge_list([(0, 0, 1)]),
-     StructureError, r"an edge needs four ends \(u, pu, v, pv\), got \(0, 0, 1\)"),
+     StructureError, r"every edge needs four ends \(u, pu, v, pv\)"),
     ("an edge list of a five-end edge", lambda g, p, s: from_edge_list([(0, 0, 1, 0, 5)]),
-     StructureError, r"four ends \(u, pu, v, pv\), got \(0, 0, 1, 0, 5\)"),
+     StructureError, r"every edge needs four ends \(u, pu, v, pv\)"),
 ]
 
 
