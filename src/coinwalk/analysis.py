@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classical import _chain, classical_run, uniform_distribution
-from .errors import ConfigError, StructureError, _is_integer
+from .errors import ConfigError, StructureError, _as_floats, _check_real, _is_integer
 from .evolution import StepMap, _checked_start, _coin_kraus, _marginals
 from .graph import PortGraph
 from .meter import distinguishability, visibility
@@ -26,7 +26,7 @@ __all__ = [
 
 def tvd(p: np.ndarray, q: np.ndarray) -> float:
     """Total variation distance, half the l1 distance between distributions."""
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    p, q = _as_floats(p, "a distribution"), _as_floats(q, "a distribution")
     if p.shape != q.shape:
         raise StructureError(f"distribution shapes differ: {p.shape} vs {q.shape}")
     return 0.5 * float(np.sum(np.abs(p - q)))
@@ -87,8 +87,7 @@ def compare_mixing(
     """
     if not (_is_integer(t_max) and t_max >= 1):
         raise ConfigError(f"t_max must be an integer of at least 1, got {t_max!r}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ConfigError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _check_real(epsilon, "epsilon", 0.0, 1.0, lo_open=True)
     psi0 = _checked_start(psi0, step, t_max)
     n = graph.num_vertices
     uniform = uniform_distribution(n)
@@ -100,12 +99,16 @@ def compare_mixing(
     distances = np.empty((t_max + 1, 2))
     for t, (vertices, marginal) in enumerate(_marginals(psi0, step, t_max)):
         p = chain(p) if t else pure_position_marginal(psi0, graph.degree)
-        running_sum[vertices] += marginal
+        # a side of all n vertices is the sorted arange(n): the fancy add is a whole add
+        if vertices.size == n:
+            running_sum += marginal
+        else:
+            running_sum[vertices] += marginal
         np.divide(running_sum, t + 1, out=pair[0])
         pair[1] = p
         np.subtract(pair, uniform, out=pair)
         np.abs(pair, out=pair)
-        np.sum(pair, axis=1, out=distances[t])
+        np.add.reduce(pair, axis=1, out=distances[t])
     quantum_tvd, classical_tvd = (0.5 * distances).T.tolist()
     times = tuple(range(t_max + 1))
     quantum = MixingCurve(times, tuple(quantum_tvd), "time-averaged")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import StructureError, _check_count
+from .errors import StructureError, _as_floats, _check_count
 from .graph import PortGraph
 
 __all__ = [
@@ -21,23 +21,24 @@ def uniform_distribution(num_vertices: int) -> np.ndarray:
 def _chain(graph: PortGraph):
     """classical_step on this graph as a function of p, with its arrays built once.
 
-    The step gathers p at the source vertex of every half-edge, divides
-    by that vertex's degree, and adds the shares into their target
-    vertices with a sequential bincount in half_edges order, so repeated
-    targets accumulate in a fixed order and the result is reproducible
-    bit for bit.
+    The step divides p by each vertex's degree, gathers the quotient at
+    the source vertex of every half-edge, and adds the shares into their
+    target vertices with a sequential bincount in half_edges order, so
+    repeated targets accumulate in a fixed order and the result is
+    reproducible bit for bit. An isolated walker has nowhere to go: it
+    takes a loop v -> v of degree 1, after every half-edge, so it keeps
+    0.0 + p[v].
     """
     n, d = graph.partner.shape
     src, dst = graph.half_edges
-    j, targets = src // d, dst // d
-    degrees = np.bincount(j, minlength=n)
-    source_degree = degrees[j].astype(float)
-    isolated = np.flatnonzero(degrees == 0)  # an isolated walker has nowhere to go
+    degrees = np.bincount(src // d, minlength=n)
+    isolated = np.flatnonzero(degrees == 0)
+    j = np.concatenate([src // d, isolated])
+    targets = np.concatenate([dst // d, isolated])
+    degree = np.maximum(degrees, 1).astype(float)
 
     def step(p: np.ndarray) -> np.ndarray:
-        out = np.bincount(targets, weights=p[j] / source_degree, minlength=n)
-        out[isolated] += p[isolated]
-        return out
+        return np.bincount(targets, weights=(p / degree)[j], minlength=n)
 
     return step
 
@@ -52,7 +53,7 @@ def classical_run(p0: np.ndarray, graph: PortGraph, steps: int) -> np.ndarray:
     """Apply classical_step steps times, with the chain's arrays built once;
     steps=0 returns the input unchanged."""
     _check_count(steps)
-    p = np.asarray(p0, dtype=float).copy()
+    p = _as_floats(p0, "a distribution").copy()
     n = graph.num_vertices
     if p.size != n:
         raise StructureError(f"distribution length {p.size} does not match {n} vertices")

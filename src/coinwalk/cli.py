@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -38,7 +39,7 @@ from .evolution import (
 )
 from .graph import _write_files, build_cycle, load_graph, read_json
 from .shift import build_cycle_shift, build_shift
-from .state import DEFAULT_TOLERANCES, basis_state, pure_position_marginal
+from .state import DEFAULT_TOLERANCES, _pure_position_marginal, basis_state
 
 RNG_NAME = "numpy.random.default_rng (PCG64)"
 
@@ -291,7 +292,7 @@ def _trajectory_chunk(task) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarr
     for final, outcomes, probs, _vertices in samples:
         n, s, d = final.shape
         # C-ordered, so that the rows are added in sample order (_sum_rows_in_order)
-        marginals = np.ascontiguousarray(pure_position_marginal(final, d).reshape(n, s).T)
+        marginals = np.ascontiguousarray(_pure_position_marginal(final, d).reshape(n, s).T)
         blocks.append((outcomes, probs, marginals))
     return sides.vertices_at(steps), blocks
 
@@ -325,11 +326,14 @@ def cmd_trajectory(args) -> int:
     outcomes, probs, marginals = map(np.concatenate, zip(*blocks))
     del chunks, blocks  # now copied into one row per sample
 
-    times = range(1, args.steps + 1)
-    record_lines = ["sample,step,outcome,probability\n"]
-    for index in range(args.samples):
-        rows = zip(times, outcomes[index].tolist(), probs[index].tolist())
-        record_lines += [f"{index},{t},{o},{p!r}\n" for t, o, p in rows]
+    # one chunk per sample, made as it is written; heads[t - 1][o] is ",t,o,"
+    outcome_count = len(step.coin_kraus)
+    heads = [[f",{t},{o}," for o in range(outcome_count)] for t in range(1, args.steps + 1)]
+    record_lines = itertools.chain(["sample,step,outcome,probability\n"], (
+        "".join([f"{index}{head[o]}{p!r}\n"
+                 for head, o, p in zip(heads, outcomes[index].tolist(), probs[index].tolist())])
+        for index in range(args.samples)
+    ))
 
     # the marginals are added in sample order, as the samples come
     aggregate = np.zeros(graph.num_vertices)
@@ -344,9 +348,11 @@ def cmd_trajectory(args) -> int:
     paths_path = None
     if args.beta == 1.0:
         paths = walker_paths(step, description["start"]["vertex"], outcomes)
-        path_lines = ["sample,step,vertex\n"]
-        for index, walk in enumerate(paths.tolist()):
-            path_lines += [f"{index},{t},{vertex}\n" for t, vertex in enumerate(walk)]
+        path_heads = [f",{t}," for t in range(args.steps + 1)]
+        path_lines = itertools.chain(["sample,step,vertex\n"], (
+            "".join([f"{index}{head}{vertex}\n" for head, vertex in zip(path_heads, walk.tolist())])
+            for index, walk in enumerate(paths)
+        ))
         paths_path = base + "_paths.csv"
         files[paths_path] = path_lines
 

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, StructureError, _is_integer
+from .errors import ConfigError, StructureError, _check_real, _is_integer
 from .graph import PortGraph
 from .state import DEFAULT_TOLERANCES
 
@@ -52,6 +52,7 @@ def hadamard_phi(phi: float) -> np.ndarray:
         The 2 x 2 unitary
         (1/sqrt(2)) [[1, -i e^{i phi}], [i e^{-i phi}, -1]].
     """
+    _check_real(phi, "coin phase phi")
     return np.array(
         [
             [1.0, -1j * cmath.exp(1j * phi)],

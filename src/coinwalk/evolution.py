@@ -102,18 +102,19 @@ from .errors import (
     InvariantViolation,
     StructureError,
     _check_count,
+    _check_real,
     _is_integer,
 )
 from .graph import PortGraph
-from .meter import dephasing_kraus, uniform_dephasing_kraus
+from .meter import _check_beta, dephasing_kraus, uniform_dephasing_kraus
 from .shift import ShiftOperator, build_shift
 from .state import (
     DEFAULT_TOLERANCES,
     _check_unit_trace,
     _clamp,
+    _pure_position_marginal,
     _squared_moduli,
     check_pure,
-    pure_position_marginal,
     to_density,
 )
 
@@ -196,10 +197,7 @@ class StepMap:
             raise ConfigError("coin Kraus diagonals must be finite, got a NaN or an Inf entry")
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
-        if not 0.0 <= self.vertex_dephasing <= 1.0:  # also rejects NaN
-            raise ConfigError(
-                f"vertex dephasing strength must lie in [0, 1], got {self.vertex_dephasing}"
-            )
+        _check_real(self.vertex_dephasing, "vertex dephasing strength", 0.0, 1.0)
 
     @property
     def is_unitary(self) -> bool:
@@ -291,8 +289,9 @@ def _coin_kraus(beta: float, degree: int) -> np.ndarray | None:
     """The coin measurement's Kraus diagonals at strength beta, None at beta = 0.
 
     The two-outcome meter pair when the coin is two-sided, the uniform
-    dephasing family otherwise; both reject a beta outside [0, 1], NaN too.
+    dephasing family otherwise. A beta that is no number in [0, 1] raises ConfigError.
     """
+    _check_beta(beta)
     if beta == 0.0:
         return None
     if degree == 2:
@@ -416,19 +415,18 @@ def unitary_step(psi: np.ndarray, step: StepMap) -> np.ndarray:
     """Advance a pure state one step: shift after coin.
 
     It is the step that evolve takes, through the gather of the whole
-    graph's side (StepMap._whole). A psi of another shape than (N*d,)
-    raises StructureError.
+    graph's side (StepMap._whole). A psi, an array or a list, of another
+    shape than (N*d,) raises StructureError.
     """
     if not step.is_unitary:
         raise StructureError(
             "unitary_step requires a StepMap without measurement options; "
             "use cp_step on a density matrix instead"
         )
+    psi = np.asarray(psi)
     size = step.shift.permutation.size
-    if np.shape(psi) != (size,):
-        raise StructureError(
-            f"pure state needs N*d = {size} amplitudes, got shape {np.shape(psi)}"
-        )
+    if psi.shape != (size,):
+        raise StructureError(f"pure state needs N*d = {size} amplitudes, got shape {psi.shape}")
     return _pure_step(psi, step._whole, 0)
 
 
@@ -440,8 +438,7 @@ def vertex_dephasing(rho: np.ndarray, p: float, degree: int) -> np.ndarray:
     all position coherence. This dense form is the reference that
     cp_step's structured channel is tested against.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"vertex dephasing strength must lie in [0, 1], got {p}")
+    _check_real(p, "vertex dephasing strength", 0.0, 1.0)
     if p == 0.0:
         return rho.copy()
     vertex = np.arange(rho.shape[0]) // degree
@@ -805,7 +802,7 @@ def _marginals(
     sides = _light_cone(psi0, step, steps)
     # map holds no state once its marginal is taken, so the walk can free it
     if step.is_unitary:
-        marginal = partial(pure_position_marginal, degree=step.shift.degree)
+        marginal = partial(_pure_position_marginal, degree=step.shift.degree)
         marginals = map(marginal, _pure_walk(psi0, sides, steps))
     else:
         marginals = map(itemgetter(1), _density_walk(psi0, sides, steps))
@@ -996,7 +993,7 @@ def _measure_vertices(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
     change neither.
     """
     n, s, d = psi.shape
-    pv = pure_position_marginal(psi, d).reshape(n, s)
+    pv = _pure_position_marginal(psi, d).reshape(n, s)
     total = _sequential_sum(_coin_masses(psi))
     vertices = _inverse_cdf((pv / total).T, u)
     samples = np.arange(s)
@@ -1259,8 +1256,7 @@ def enumerate_branches(
     function returns; each state is put back over all N*d ports only as it
     is taken.
     """
-    if not prune > 0.0:
-        raise ConfigError(f"prune must be a positive probability, got {prune}")
+    _check_real(prune, "prune", 0.0, lo_open=True)
     _require_unravelable(step)
     if step.vertex_dephasing != 0.0:
         raise ConfigError("branch enumeration supports coin measurement only")

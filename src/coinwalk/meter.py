@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, _is_integer
+from .errors import ConfigError, _check_real, _is_integer
 from .state import partial_trace_meter
 
 __all__ = [
@@ -78,8 +78,7 @@ class MeterCoupling:
 
 
 def _check_beta(beta: float) -> None:
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"measurement strength beta must lie in [0, 1], got {beta}")
+    _check_real(beta, "measurement strength beta", 0.0, 1.0)
 
 
 def build_meter_unitary(beta: float) -> MeterCoupling:

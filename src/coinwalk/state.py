@@ -84,6 +84,7 @@ def _check_unit_trace(diag: np.ndarray) -> None:
 
 def to_density(psi: np.ndarray) -> np.ndarray:
     """Rank-one density matrix of a normalized pure state."""
+    psi = np.asarray(psi)
     check_pure(psi)
     return np.outer(psi, psi.conj())
 
@@ -130,6 +131,23 @@ def _squared_moduli(x: np.ndarray) -> np.ndarray:
 def pure_position_marginal(psi: np.ndarray, degree: int) -> np.ndarray:
     """Position distribution of a pure state, squared amplitudes by vertex.
 
+    psi is one state of N*d amplitudes, or a stack of them along its last
+    axis, and the vertices of every state come in order. A psi that holds
+    no numbers, or whose last axis degree does not divide, raises
+    StructureError.
+    """
+    psi = np.asarray(psi)
+    shape = psi.shape
+    if not (_is_integer(degree) and degree > 0 and psi.dtype.kind in "iufc" and len(shape) >= 1
+            and shape[-1] % degree == 0):
+        raise StructureError(f"pure state needs N*d amplitudes of numbers for an integer d >= 1, "
+                             f"got {psi.dtype} of shape {shape} and d = {degree!r}")
+    return _pure_position_marginal(psi, degree)
+
+
+def _pure_position_marginal(psi: np.ndarray, degree: int) -> np.ndarray:
+    """pure_position_marginal unchecked, for an array whose size degree divides.
+
     Each vertex adds its d squared amplitudes in coin order. Below 8 terms
     numpy's row sum adds in that order too, and adding the d columns gives
     the same bits in fewer passes; from 8 terms the row sum groups them
@@ -152,7 +170,8 @@ def partial_trace_meter(joint: np.ndarray) -> np.ndarray:
     joint : ndarray
         Density matrix on system (x) meter, ordered system-major.
     """
-    total = joint.shape[0]
+    joint = np.asarray(joint)
+    total = joint.shape[0] if joint.ndim else 1
     if joint.shape != (total, total) or total % 2 != 0:
         raise StructureError(f"joint dimension {joint.shape} is not square with a factor of 2")
     reshaped = joint.reshape(total // 2, 2, total // 2, 2)

@@ -291,13 +291,13 @@ def test_mixing_race_equals_the_loop_oracle(multi_graph, data):
 
 
 def test_row_sums_of_the_scored_pair_equal_the_one_dimensional_sum():
-    """compare_mixing scores both curves with one sum over the rows of a (2, N)
-    buffer; each row sum must be the np.sum that tvd takes of that row."""
+    """compare_mixing scores both curves with one np.add.reduce over the rows of a
+    (2, N) buffer; each row sum must be the np.sum that tvd takes of that row."""
     rng = np.random.default_rng(20)
     for n in rng.integers(1, 3001, size=200).tolist():
         uniform = uniform_distribution(n)
         pair = rng.dirichlet(np.full(n, 0.3), size=2)
         rows = np.empty((1, 2))
-        np.sum(np.abs(pair - uniform), axis=1, out=rows[0])
+        np.add.reduce(np.abs(pair - uniform), axis=1, out=rows[0])
         assert rows[0, 0] == np.sum(np.abs(pair[0] - uniform))
         assert rows[0, 1] == np.sum(np.abs(pair[1] - uniform))

@@ -500,6 +500,25 @@ def test_a_large_cycle_run_holds_each_output_once(tmp_path):
     assert peak < 25e6
 
 
+@pytest.mark.parametrize("beta", ["0.5", "1.0"])
+def test_trajectory_records_and_paths_are_written_one_sample_at_a_time(tmp_path, beta):
+    """The records, and at beta 1 the paths, go out a sample at a time, so the peak
+    grows with the sampler's arrays, about 32 bytes a record, not with about 100
+    bytes a record of CSV lines held at once."""
+    def peak(steps):
+        argv = ["trajectory", "--cycle", "16", "--beta", beta, "--steps", str(steps),
+                "--samples", "100", "--seed", "3", "--out", str(tmp_path / f"t{steps}.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # the first call of a process builds what every later call reuses
+    assert (peak(250) - peak(50)) / (100 * 200) < 50
+
+
 def test_declared_degree_is_checked_before_isolated_vertices_are_added(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_bytes(TOO_LARGE_TO_HOLD.replace(b'"degree": 1', b'"degree": 3'))

@@ -23,6 +23,7 @@ from coinwalk import (
     build_cycle,
     build_cycle_shift,
     classical_run,
+    classical_step,
     compare_mixing,
     complementarity_sweep,
     cp_step,
@@ -34,6 +35,7 @@ from coinwalk import (
     hadamard_phi,
     make_step,
     marginal_history,
+    partial_trace_meter,
     position_marginal,
     pure_position_marginal,
     run,
@@ -134,7 +136,8 @@ def test_evolve_yields_every_state_from_time_zero(cycle7, beta):
 
 
 # (what is called, how, on cycle7's graph g, a start p and a measured step s; what
-# the error names)
+# the error names): a count that is no nonnegative integer, and after it a real
+# number that is no number or lies outside its interval
 _BAD_COUNTS = [
     ("marginal_history of 2.5 steps", lambda g, p, s: marginal_history(p, s, 2.5), "step count"),
     ("marginal_history of True steps", lambda g, p, s: marginal_history(p, s, True), "step count"),
@@ -153,6 +156,27 @@ _BAD_COUNTS = [
      lambda g, p, s: classical_run(pure_position_marginal(p, 2), g, 2.5), "step count"),
     ("classical_run of True steps",
      lambda g, p, s: classical_run(pure_position_marginal(p, 2), g, True), "step count"),
+    ("make_step of beta 'a'", lambda g, p, s: make_step(g, beta="a"),
+     r"beta must lie in \[0, 1\], got 'a'"),
+    ("make_step of beta True", lambda g, p, s: make_step(g, beta=True),
+     r"beta must lie in \[0, 1\], got True"),
+    ("make_step of vertex_p 'a'", lambda g, p, s: make_step(g, vertex_p="a"),
+     r"vertex dephasing strength must lie in \[0, 1\], got 'a'"),
+    ("a StepMap of vertex dephasing 'a'",
+     lambda g, p, s: StepMap(s.coin, s.shift, vertex_dephasing="a"),
+     r"vertex dephasing strength must lie in \[0, 1\], got 'a'"),
+    ("dephasing_kraus of 'a'", lambda g, p, s: dephasing_kraus("a"),
+     r"beta must lie in \[0, 1\], got 'a'"),
+    ("hadamard_phi of 'x'", lambda g, p, s: hadamard_phi("x"),
+     r"phi must lie in \(-inf, inf\), got 'x'"),
+    ("compare_mixing to epsilon 'x'",
+     lambda g, p, s: compare_mixing(g, make_step(g), p, 10, "x"),
+     r"epsilon must lie in \(0, 1\], got 'x'"),
+    ("enumerate_branches of prune 'x'", lambda g, p, s: enumerate_branches(p, s, 2, prune="x"),
+     r"prune must lie in \(0, inf\), got 'x'"),
+    ("complementarity_sweep over betas 'ab'",
+     lambda g, p, s: complementarity_sweep(g, make_step(g), p, 2, "ab"),
+     r"beta must lie in \[0, 1\], got 'a'"),
 ]
 
 
@@ -205,6 +229,16 @@ _MALFORMED_STEP_INPUTS = [
      StructureError, r"every edge needs four ends \(u, pu, v, pv\)"),
     ("an edge list of a five-end edge", lambda g, p, s: from_edge_list([(0, 0, 1, 0, 5)]),
      StructureError, r"every edge needs four ends \(u, pu, v, pv\)"),
+    ("pure_position_marginal of degree 3 on 14 amplitudes",
+     lambda g, p, s: pure_position_marginal(np.zeros(14, complex), 3),
+     StructureError, r"N\*d amplitudes of numbers for an integer d >= 1, "
+                     r"got complex128 of shape \(14,\) and d = 3"),
+    ("pure_position_marginal of strings", lambda g, p, s: pure_position_marginal(["a"] * 14, 2),
+     StructureError, r"got <U1 of shape \(14,\) and d = 2"),
+    ("tvd of strings", lambda g, p, s: tvd("ab", "cd"),
+     StructureError, "a distribution must be an array of real numbers"),
+    ("classical_step of strings", lambda g, p, s: classical_step(["a"] * 7, g),
+     StructureError, "a distribution must be an array of real numbers"),
 ]
 
 
@@ -1547,6 +1581,15 @@ def test_a_start_given_as_a_list_walks_as_its_array(entry):
         step = make_step(graph, beta=beta)
         expected = START_ENTRIES[entry](graph, psi, step)
         assert _same(START_ENTRIES[entry](graph, list(psi), step), expected)
+
+
+def test_a_one_step_call_takes_a_list_as_its_array():
+    graph = build_cycle(5)
+    psi = (basis_state(graph, 0, 0) + 1j * basis_state(graph, 1, 1)) / math.sqrt(2)
+    calls = [(unitary_step, psi, make_step(graph)), (to_density, psi),
+             (pure_position_marginal, psi, 2), (partial_trace_meter, to_density(psi))]
+    for call, x, *rest in calls:
+        assert _same(call(x.tolist(), *rest), call(x, *rest)), call.__name__
 
 
 # every walk entry that returns an iterator, as a call on a start p, a step s, a step
