@@ -264,10 +264,11 @@ def cmd_mix(args) -> int:
     graph, psi0, step, description = _build_setup(args)
     result = compare_mixing(graph, step, psi0, args.t_max, args.epsilon)
 
-    lines = ["t,tvd_quantum_time_averaged,tvd_classical\n"]
-    for t, q, c in zip(result.quantum.times, result.quantum.tvd_to_uniform,
-                       result.classical.tvd_to_uniform):
-        lines.append(f"{t},{q!r},{c!r}\n")
+    # the rows are made as they are written
+    lines = itertools.chain(["t,tvd_quantum_time_averaged,tvd_classical\n"], (
+        f"{t},{q!r},{c!r}\n" for t, q, c in zip(
+            result.quantum.times, result.quantum.tvd_to_uniform, result.classical.tvd_to_uniform)
+    ))
     description["t_max"] = args.t_max
     description["epsilon"] = args.epsilon
     _write_outputs(args, {args.out: lines}, description, {
@@ -322,22 +323,27 @@ def cmd_trajectory(args) -> int:
     with _mapper(args.jobs) as map_fn:
         chunks = list(map_fn(_trajectory_chunk, tasks))
     cone = chunks[0][0]  # every chunk walks the same light cone
-    blocks = [block for _cone, chunk_blocks in chunks for block in chunk_blocks]
-    outcomes, probs, marginals = map(np.concatenate, zip(*blocks))
-    del chunks, blocks  # now copied into one row per sample
+    # the records are written from each block's own arrays; only the
+    # marginals, one row per sample, are copied into one array
+    blocks = [block[:2] for _cone, chunk_blocks in chunks for block in chunk_blocks]
+    marginals = np.concatenate([m for _cone, chunk_blocks in chunks for *_, m in chunk_blocks])
+    del chunks
 
     # one chunk per sample, made as it is written; heads[t - 1][o] is ",t,o,"
     outcome_count = len(step.coin_kraus)
     heads = [[f",{t},{o}," for o in range(outcome_count)] for t in range(1, args.steps + 1)]
+    sample_rows = ((o, p) for outcomes, probs in blocks for o, p in zip(outcomes, probs))
     record_lines = itertools.chain(["sample,step,outcome,probability\n"], (
         "".join([f"{index}{head[o]}{p!r}\n"
-                 for head, o, p in zip(heads, outcomes[index].tolist(), probs[index].tolist())])
-        for index in range(args.samples)
+                 for head, o, p in zip(heads, o_row.tolist(), p_row.tolist())])
+        # each sample's index is formatted once, not once a row
+        for index, (o_row, p_row) in zip(map(str, itertools.count()), sample_rows)
     ))
 
     # the marginals are added in sample order, as the samples come
     aggregate = np.zeros(graph.num_vertices)
     aggregate[cone] = _sum_rows_in_order(marginals) / args.samples
+    del marginals
     hist_lines = ["vertex,probability\n"] + [f"{v},{p!r}\n" for v, p in enumerate(aggregate.tolist())]
 
     base = args.out.removesuffix(".csv")
@@ -347,11 +353,13 @@ def cmd_trajectory(args) -> int:
 
     paths_path = None
     if args.beta == 1.0:
-        paths = walker_paths(step, description["start"]["vertex"], outcomes)
+        start = description["start"]["vertex"]
+        paths = [walker_paths(step, start, outcomes) for outcomes, _probs in blocks]
         path_heads = [f",{t}," for t in range(args.steps + 1)]
+        walks = (walk for block in paths for walk in block)
         path_lines = itertools.chain(["sample,step,vertex\n"], (
             "".join([f"{index}{head}{vertex}\n" for head, vertex in zip(path_heads, walk.tolist())])
-            for index, walk in enumerate(paths)
+            for index, walk in zip(map(str, itertools.count()), walks)
         ))
         paths_path = base + "_paths.csv"
         files[paths_path] = path_lines

@@ -96,8 +96,10 @@ def default_coin_spec(graph: PortGraph) -> Coin:
 
 def _check_block_unitary(block: np.ndarray, where: str) -> None:
     dim = block.shape[0]
-    dev = np.max(np.abs(block.conj().T @ block - np.eye(dim))) if dim else 0.0
-    if not dev <= DEFAULT_TOLERANCES.unitarity:  # also rejects NaN and Inf entries
+    dev = math.nan  # a NaN or Inf entry is refused before the product, which would warn of it
+    if np.isfinite(block).all():
+        dev = np.max(np.abs(block.conj().T @ block - np.eye(dim))) if dim else 0.0
+    if not dev <= DEFAULT_TOLERANCES.unitarity:
         raise StructureError(f"coin block {where} is not unitary (deviation {dev:.3e})")
 
 

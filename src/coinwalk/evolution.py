@@ -114,6 +114,7 @@ from .state import (
     _clamp,
     _pure_position_marginal,
     _squared_moduli,
+    _vertex_sums,
     check_pure,
     to_density,
 )
@@ -140,7 +141,9 @@ PLACEMENTS = ("before-shift", "after-shift")
 # advances together: 64 samples of a walk whose light cone has two sides
 # of 128 ports, as the 8x8 torus's has, or 32 on a one-sided cone of 256
 # ports. A block step holds the block twice, as the state and as its
-# toss, and once more as its gather index.
+# toss, and half a block more, as the int32 gather index of each of two
+# sides or the intp index of one; the gather's cast of an int32 index to
+# intp holds another half block. The spent block is the step's scratch.
 SAMPLE_BLOCK_AMPLITUDES = 8192
 # entries beside the summed axis below which _sum_rows_in_order keeps a
 # running sum: np.add.reduce over so few lanes is slower, and over one
@@ -909,15 +912,34 @@ def _sum_rows_in_order(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=0)
 
 
-def _coin_masses(x: np.ndarray) -> np.ndarray:
+def _squares(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """_squared_moduli(x), bit for bit, written into scratch's memory when it is given.
+
+    scratch, a C-ordered array whose values are spent, must hold at least
+    x.size complex numbers; the squares of the real and the imaginary parts
+    are formed in its memory, one after the other.
+    """
+    if scratch is None:
+        return _squared_moduli(x)
+    # np.ndarray over a buffer is one call, where views of views are several
+    sq = np.ndarray(x.shape, float, scratch)
+    imag_sq = np.ndarray(x.shape, float, scratch, sq.nbytes)
+    np.square(x.real, out=sq)
+    np.square(x.imag, out=imag_sq)
+    sq += imag_sq
+    return sq
+
+
+def _coin_masses(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """(S, d) array: per coin index, the mass of each state of the (n, S, d) block x.
 
     Entry [s, a] adds re**2 + im**2 of x[j, s, a] over the vertices j one
     at a time, in vertex order (_sum_rows_in_order). Adding a zero leaves
     such a sum unchanged, so vertices that hold no amplitude, such as those
-    outside a light cone, do not change a mass.
+    outside a light cone, do not change a mass. The squares go to scratch,
+    when given (_squares).
     """
-    return _sum_rows_in_order(_squared_moduli(x))
+    return _sum_rows_in_order(_squares(x, scratch))
 
 
 def _born_weights(masses: np.ndarray, kraus_sq: np.ndarray) -> np.ndarray:
@@ -984,17 +1006,22 @@ def _viable_weights(w: np.ndarray) -> np.ndarray:
     return kept / sums[:, None]
 
 
-def _measure_vertices(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _measure_vertices(
+    psi: np.ndarray, u: np.ndarray, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Read the vertex of each state of the (n, S, d) block psi with its Born probability.
 
     psi is projected in place onto the vertices read and renormalized, and
     the vertices are returned. The draw's normaliser and the projection's
     norm are coin masses summed in order, so vertices without amplitude
-    change neither.
+    change neither. The squared moduli, formed once for the position
+    marginal and the masses, go to scratch when given (_squares).
     """
-    n, s, d = psi.shape
-    pv = _pure_position_marginal(psi, d).reshape(n, s)
-    total = _sequential_sum(_coin_masses(psi))
+    s = psi.shape[1]
+    sq = _squares(psi, scratch)
+    pv = _vertex_sums(sq)
+    total = _sequential_sum(_sum_rows_in_order(sq))
+    del sq
     vertices = _inverse_cdf((pv / total).T, u)
     samples = np.arange(s)
     kept = psi[vertices, samples]
@@ -1014,14 +1041,15 @@ def _shift_index(sources: np.ndarray, degree: int, samples: int, compact: bool) 
     """
     vertex, port = np.divmod(sources, degree)
     start = (vertex * (samples * degree) + port).reshape(-1, 1, degree)
-    index = start + np.arange(0, samples * degree, degree)[:, None]
-    if compact and index.max() <= np.iinfo(np.int32).max:
-        return index.astype(np.int32)
-    return index
+    last = (samples - 1) * degree
+    if compact and start.max(initial=0) + last <= np.iinfo(np.int32).max:
+        start = start.astype(np.int32)
+    return start + np.arange(0, last + 1, degree, dtype=start.dtype)[:, None]
 
 
 def _form_branches(
-    phi: np.ndarray, kraus: np.ndarray, tiled: np.ndarray | None, i: np.ndarray, w: np.ndarray
+    phi: np.ndarray, kraus: np.ndarray, tiled: np.ndarray | None, i: np.ndarray, w: np.ndarray,
+    scratch: np.ndarray | None = None,
 ) -> None:
     """K_i phi / sqrt(w) in place on the (n, S, d) block phi: state s by K_{i[s]} over sqrt(w[s]).
 
@@ -1030,6 +1058,10 @@ def _form_branches(
     layout, and its branch is formed faster from tiled, the diagonals
     tiled over at least n vertices, when given, than by a broadcast over
     vertices; the tiles of n vertices are the first n d entries of a row.
+    A product broadcast over the vertices takes numpy's buffer of
+    np.getbufsize() entries, so with scratch, which holds at least phi.size
+    complex numbers, each factor is copied out over the vertices first
+    (np.copyto needs no buffer) and the products are taken on equal shapes.
     """
     n, s, d = phi.shape
     if s == 1 and tiled is not None:
@@ -1037,10 +1069,19 @@ def _form_branches(
         flat *= tiled[i[0], :flat.size]
         floats = flat.view(float)
         floats *= 1.0 / math.sqrt(w[0])
-    else:
+        return
+    scale = np.repeat(1.0 / np.sqrt(w), 2 * d)
+    floats = phi.view(float).reshape(n, -1)
+    if scratch is None:
         phi *= kraus[i]
-        floats = phi.view(float).reshape(n, -1)
-        floats *= np.repeat(1.0 / np.sqrt(w), 2 * d)
+        floats *= scale
+    else:
+        factor = np.ndarray(phi.shape, complex, scratch)
+        np.copyto(factor, kraus[i])
+        phi *= factor
+        scales = np.ndarray(floats.shape, float, scratch)
+        np.copyto(scales, scale)
+        floats *= scales
 
 
 def _unravel(block: np.ndarray, sides: _Sides, steps: int, choose, read=None) -> Iterator:
@@ -1054,18 +1095,23 @@ def _unravel(block: np.ndarray, sides: _Sides, steps: int, choose, read=None) ->
     (rows, i, w) = choose(t, raw, totals): K_i times the tossed state,
     over sqrt(w), where w is raw[rows, i]; rows is None when each state
     keeps the one branch i[row]. It shifts them into the first rows of
-    the block, as the next side's block psi, with read(t, psi, vertices),
-    when given, measuring their vertex in place at the step's placement,
-    vertices being the side's (_Sides.vertices_at), and yields (psi, rows,
-    i, raw). The next step writes over the block it yields.
+    the block, as the next side's block psi, with read(t, psi, vertices,
+    scratch), when given, measuring their vertex in place at the step's
+    placement, vertices being the side's (_Sides.vertices_at) and scratch
+    spent memory for its squares or None, and yields (psi, rows, i, raw).
+    The next step writes over the block it yields.
 
-    Beside the block, a step holds its toss, the gather index of each
-    side and numpy's buffer for a factor broadcast over the vertices (at
-    most np.getbufsize() entries); the shift gathers back into the block,
-    which is spent once tossed. One side's index is an intp one, half a
+    Beside the block, a step holds its toss and the gather index of each
+    side. The block is spent once tossed, until the shift gathers back
+    into it, so a block of several states holds the step's scratch: the
+    toss's squared moduli, the Kraus factors copied out over the vertices
+    and, before the shift, the vertex reading's squares (_squares,
+    _form_branches). One state's step allocates them, which is faster at
+    that size, and so do the enumerator's branches, which start from one
+    state and change in number. One side's index is an intp one, half a
     block. Two sides' are compact (int32) ones, as much together, which
-    take casts to intp as it reads them: refilling one intp index at every
-    step took three times as long as the cast.
+    take casts to intp as it reads them, half a block more: refilling one
+    intp index at every step took three times as long as the cast.
     """
     step = sides.step
     d = step.shift.degree
@@ -1078,18 +1124,19 @@ def _unravel(block: np.ndarray, sides: _Sides, steps: int, choose, read=None) ->
     # built before the first toss, which would otherwise be held beside them
     width = block.shape[1]
     indices = [_shift_index(sources, d, width, compact) for sources, _ in sides.moves]
+    spent = None if tiled is not None else block
     for t in range(steps):
         k = sides.at(t)
         phi = _apply_coin(sides.coins[k], psi)
-        raw = _born_weights(_coin_masses(phi), kraus_sq)
+        raw = _born_weights(_coin_masses(phi, spent), kraus_sq)
         totals = np.add.reduce(raw, axis=1)
         _check_branch_sums(totals)
         rows, i, w = choose(t, raw, totals)
         if rows is not None:
             phi = phi.take(rows, axis=1)
-        _form_branches(phi, kraus, tiled, i, w)
+        _form_branches(phi, kraus, tiled, i, w, spent)
         if read is not None and read_before:
-            read(t, phi, sides.vertices_at(t))
+            read(t, phi, sides.vertices_at(t), spent)
         s = phi.shape[1]
         if s != width:  # the enumerator's branches come and go
             width = s
@@ -1103,7 +1150,7 @@ def _unravel(block: np.ndarray, sides: _Sides, steps: int, choose, read=None) ->
         if vertex.size:
             psi[vertex, :, port] = 0
         if read is not None and not read_before:
-            read(t, psi, sides.vertices_at(t + 1))
+            read(t, psi, sides.vertices_at(t + 1), None)
         yield psi, rows, i, raw
 
 
@@ -1150,7 +1197,7 @@ def _sample_sides(
         ).reshape(s, steps, draws)
         outcomes = np.empty((s, steps), dtype=int)
         probs = np.empty((s, steps))  # the drawn outcome's probability
-        vertices = np.empty((s, steps), dtype=int)
+        vertices = np.empty((s, steps), dtype=int) if measure_position else None
 
         def draw(t, raw, totals):
             w = raw / totals[:, None]
@@ -1160,8 +1207,8 @@ def _sample_sides(
             probs[:, t] = w[rows, i]
             return None, i, drawn
 
-        def read(t, psi, side_vertices):
-            vertices[:, t] = side_vertices[_measure_vertices(psi, uniforms[:, t, 1])]
+        def read(t, psi, side_vertices, scratch):
+            vertices[:, t] = side_vertices[_measure_vertices(psi, uniforms[:, t, 1], scratch)]
 
         if block is None or block.shape[1] != s:
             block = np.empty((sides.widest, s, d), dtype=complex)
@@ -1169,7 +1216,7 @@ def _sample_sides(
         psi[:] = start
         for psi, *_ in _unravel(block, sides, steps, draw, read if measure_position else None):
             pass
-        yield psi, outcomes, probs, vertices if measure_position else None
+        yield psi, outcomes, probs, vertices
 
 
 def sample_trajectories(
@@ -1311,16 +1358,18 @@ def walker_paths(step: StepMap, start_vertex: int, outcomes) -> np.ndarray:
     certified = _squared_moduli(kraus) > DEFAULT_TOLERANCES.viable_weight
     coin_of = np.where(certified.sum(axis=1) == 1, certified.argmax(axis=1), -1)
     known = (outcomes >= 0) & (outcomes < len(kraus))
-    # an unknown outcome reads the appended -1, as one that certifies no coin does
-    coins = np.append(coin_of, -1)[np.where(known, outcomes, len(kraus))]
-    if (coins < 0).any():
-        sample, t = np.argwhere(coins < 0)[0]
+    # an unknown outcome reads the appended False, as one that certifies no coin does;
+    # the coins are looked up a step at a time, so that no (S, T) array of them is held
+    fixes = np.append(coin_of >= 0, False)[np.where(known, outcomes, len(kraus))]
+    if not fixes.all():
+        sample, t = np.argwhere(~fixes)[0]
         raise ConfigError(
             f"sample {sample} step {t + 1}: outcome {outcomes[sample, t]} "
             "certifies no single coin state, so it fixes no move"
         )
+    del known, fixes
     paths = np.empty((outcomes.shape[0], outcomes.shape[1] + 1), dtype=int)
     paths[:, 0] = start_vertex
     for t in range(outcomes.shape[1]):
-        paths[:, t + 1] = step.shift.permutation[paths[:, t] * d + coins[:, t]] // d
+        paths[:, t + 1] = step.shift.permutation[paths[:, t] * d + coin_of[outcomes[:, t]]] // d
     return paths

@@ -148,17 +148,23 @@ def pure_position_marginal(psi: np.ndarray, degree: int) -> np.ndarray:
 def _pure_position_marginal(psi: np.ndarray, degree: int) -> np.ndarray:
     """pure_position_marginal unchecked, for an array whose size degree divides.
 
-    Each vertex adds its d squared amplitudes in coin order. Below 8 terms
-    numpy's row sum adds in that order too, and adding the d columns gives
-    the same bits in fewer passes; from 8 terms the row sum groups them
-    otherwise, so it is kept there.
+    Each vertex adds its d squared amplitudes in coin order (_vertex_sums).
     """
-    sq = _squared_moduli(psi).reshape(-1, degree)
-    if degree >= 8:
-        return sq.sum(axis=1)
-    total = sq[:, 0].copy()
-    for a in range(1, degree):
-        total += sq[:, a]
+    return _vertex_sums(_squared_moduli(psi).reshape(-1, degree))
+
+
+def _vertex_sums(sq: np.ndarray) -> np.ndarray:
+    """Each vertex's d squared amplitudes, the last axis of sq, added in coin order.
+
+    Below 8 terms numpy's row sum adds in that order too, and adding the
+    d columns gives the same bits in fewer passes; from 8 terms the row sum
+    groups them otherwise, so it is kept there.
+    """
+    if sq.shape[-1] >= 8:
+        return sq.sum(axis=-1)
+    total = sq[..., 0].copy()
+    for a in range(1, sq.shape[-1]):
+        total += sq[..., a]
     return total
 
 

@@ -500,23 +500,44 @@ def test_a_large_cycle_run_holds_each_output_once(tmp_path):
     assert peak < 25e6
 
 
-@pytest.mark.parametrize("beta", ["0.5", "1.0"])
-def test_trajectory_records_and_paths_are_written_one_sample_at_a_time(tmp_path, beta):
-    """The records, and at beta 1 the paths, go out a sample at a time, so the peak
-    grows with the sampler's arrays, about 32 bytes a record, not with about 100
-    bytes a record of CSV lines held at once."""
-    def peak(steps):
-        argv = ["trajectory", "--cycle", "16", "--beta", beta, "--steps", str(steps),
-                "--samples", "100", "--seed", "3", "--out", str(tmp_path / f"t{steps}.csv")]
+def _peak_growth(argv_at, small: int, large: int) -> float:
+    """Traced peak of main(argv_at(large)) less that of main(argv_at(small)), in bytes."""
+    def peak(size):
         tracemalloc.start()
         try:
-            assert main(argv) == 0
+            assert main(argv_at(size)) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak(50)  # the first call of a process builds what every later call reuses
-    assert (peak(250) - peak(50)) / (100 * 200) < 50
+    peak(small)  # the first call of a process builds what every later call reuses
+    return peak(large) - peak(small)
+
+
+@pytest.mark.parametrize("beta", ["0.5", "1.0"])
+def test_trajectory_records_and_paths_are_written_one_sample_at_a_time(tmp_path, beta):
+    """The records, and at beta 1 the paths, go out a sample at a time from each
+    block's arrays, so the peak grows with what the sampler keeps, its outcomes
+    and their probabilities (16 bytes a record) beside a block's uniforms (8) or,
+    at beta 1, beside the paths and the checks of the outcomes (9), not with about
+    100 bytes a record of CSV lines held at once. Whole-run copies of the outcomes
+    and probabilities, and a vertex buffer at vertex dephasing 0, made it 32 at beta 0.5."""
+    def argv(steps):
+        return ["trajectory", "--cycle", "16", "--beta", beta, "--steps", str(steps),
+                "--samples", "100", "--seed", "3", "--out", str(tmp_path / f"t{steps}.csv")]
+
+    assert _peak_growth(argv, 50, 250) / (100 * 200) < {"0.5": 26, "1.0": 32}[beta]
+
+
+def test_mix_rows_are_written_one_at_a_time(tmp_path):
+    """The mix rows are made as they are written, so the peak grows with the two
+    curves the race keeps, about 120 bytes a row; a list of the rows held at once
+    made it about 210."""
+    def argv(t_max):
+        return ["mix", "--cycle", "31", "--t-max", str(t_max), "--epsilon", "0.01",
+                "--out", str(tmp_path / f"m{t_max}.csv")]
+
+    assert _peak_growth(argv, 200, 2200) / 2000 < 150
 
 
 def test_declared_degree_is_checked_before_isolated_vertices_are_added(tmp_path, capsys):

@@ -138,6 +138,10 @@ def test_non_unitary_block_is_rejected():
     nan_block = np.array([[1, np.nan], [np.nan, -1]], dtype=complex) / np.sqrt(2)
     with pytest.raises(StructureError, match="unitary"):
         embedded_blocks(g, nan_block)
+    # an Inf entry too, refused before its product could warn of an invalid value
+    inf_block = np.array([[1, np.inf], [1, -1]], dtype=complex)
+    with pytest.raises(StructureError, match="unitary"):
+        embedded_blocks(g, inf_block)
 
 
 def test_block_of_neither_size_is_rejected(multi_graph):
