@@ -912,24 +912,6 @@ def _sum_rows_in_order(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=0)
 
 
-def _squares(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """_squared_moduli(x), bit for bit, written into scratch's memory when it is given.
-
-    scratch, a C-ordered array whose values are spent, must hold at least
-    x.size complex numbers; the squares of the real and the imaginary parts
-    are formed in its memory, one after the other.
-    """
-    if scratch is None:
-        return _squared_moduli(x)
-    # np.ndarray over a buffer is one call, where views of views are several
-    sq = np.ndarray(x.shape, float, scratch)
-    imag_sq = np.ndarray(x.shape, float, scratch, sq.nbytes)
-    np.square(x.real, out=sq)
-    np.square(x.imag, out=imag_sq)
-    sq += imag_sq
-    return sq
-
-
 def _coin_masses(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """(S, d) array: per coin index, the mass of each state of the (n, S, d) block x.
 
@@ -937,9 +919,9 @@ def _coin_masses(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray
     at a time, in vertex order (_sum_rows_in_order). Adding a zero leaves
     such a sum unchanged, so vertices that hold no amplitude, such as those
     outside a light cone, do not change a mass. The squares go to scratch,
-    when given (_squares).
+    when given (_squared_moduli).
     """
-    return _sum_rows_in_order(_squares(x, scratch))
+    return _sum_rows_in_order(_squared_moduli(x, scratch))
 
 
 def _born_weights(masses: np.ndarray, kraus_sq: np.ndarray) -> np.ndarray:
@@ -1015,10 +997,10 @@ def _measure_vertices(
     the vertices are returned. The draw's normaliser and the projection's
     norm are coin masses summed in order, so vertices without amplitude
     change neither. The squared moduli, formed once for the position
-    marginal and the masses, go to scratch when given (_squares).
+    marginal and the masses, go to scratch when given (_squared_moduli).
     """
     s = psi.shape[1]
-    sq = _squares(psi, scratch)
+    sq = _squared_moduli(psi, scratch)
     pv = _vertex_sums(sq)
     total = _sequential_sum(_sum_rows_in_order(sq))
     del sq
@@ -1049,7 +1031,7 @@ def _shift_index(sources: np.ndarray, degree: int, samples: int, compact: bool) 
 
 def _form_branches(
     phi: np.ndarray, kraus: np.ndarray, tiled: np.ndarray | None, i: np.ndarray, w: np.ndarray,
-    scratch: np.ndarray | None = None,
+    scratch: np.ndarray,
 ) -> None:
     """K_i phi / sqrt(w) in place on the (n, S, d) block phi: state s by K_{i[s]} over sqrt(w[s]).
 
@@ -1058,10 +1040,11 @@ def _form_branches(
     layout, and its branch is formed faster from tiled, the diagonals
     tiled over at least n vertices, when given, than by a broadcast over
     vertices; the tiles of n vertices are the first n d entries of a row.
-    A product broadcast over the vertices takes numpy's buffer of
-    np.getbufsize() entries, so with scratch, which holds at least phi.size
-    complex numbers, each factor is copied out over the vertices first
-    (np.copyto needs no buffer) and the products are taken on equal shapes.
+    A product broadcast over the vertices would take numpy's buffer of
+    np.getbufsize() entries, so each factor is copied out over the
+    vertices into scratch, spent C-ordered memory of at least phi.size
+    complex numbers (np.copyto needs no buffer), and the products are taken
+    on equal shapes.
     """
     n, s, d = phi.shape
     if s == 1 and tiled is not None:
@@ -1070,18 +1053,13 @@ def _form_branches(
         floats = flat.view(float)
         floats *= 1.0 / math.sqrt(w[0])
         return
-    scale = np.repeat(1.0 / np.sqrt(w), 2 * d)
+    factor = np.ndarray(phi.shape, complex, scratch)
+    np.copyto(factor, kraus[i])
+    phi *= factor
     floats = phi.view(float).reshape(n, -1)
-    if scratch is None:
-        phi *= kraus[i]
-        floats *= scale
-    else:
-        factor = np.ndarray(phi.shape, complex, scratch)
-        np.copyto(factor, kraus[i])
-        phi *= factor
-        scales = np.ndarray(floats.shape, float, scratch)
-        np.copyto(scales, scale)
-        floats *= scales
+    scales = np.ndarray(floats.shape, float, scratch)
+    np.copyto(scales, np.repeat(1.0 / np.sqrt(w), 2 * d))
+    floats *= scales
 
 
 def _unravel(block: np.ndarray, sides: _Sides, steps: int, choose, read=None) -> Iterator:
@@ -1103,15 +1081,17 @@ def _unravel(block: np.ndarray, sides: _Sides, steps: int, choose, read=None) ->
 
     Beside the block, a step holds its toss and the gather index of each
     side. The block is spent once tossed, until the shift gathers back
-    into it, so a block of several states holds the step's scratch: the
-    toss's squared moduli, the Kraus factors copied out over the vertices
-    and, before the shift, the vertex reading's squares (_squares,
-    _form_branches). One state's step allocates them, which is faster at
-    that size, and so do the enumerator's branches, which start from one
-    state and change in number. One side's index is an intp one, half a
-    block. Two sides' are compact (int32) ones, as much together, which
-    take casts to intp as it reads them, half a block more: refilling one
-    intp index at every step took three times as long as the cast.
+    into it, so it holds the step's scratch: the toss's squared moduli,
+    the Kraus factors copied out over the vertices and, before the shift,
+    the vertex reading's squares (_squared_moduli, _form_branches). Where
+    the enumerator's branches outgrow the block, a new array is the
+    scratch. A reading after the shift forms its squares in new arrays, of
+    which only the real parts' half a block outlives the sum; the spent
+    toss as its scratch would be held whole. One side's index is an intp
+    one, half a block. Two sides' are compact (int32) ones, as much
+    together, which take casts to intp as it reads them, half a block
+    more: refilling one intp index at every step took three times as long
+    as the cast.
     """
     step = sides.step
     d = step.shift.degree
@@ -1124,19 +1104,19 @@ def _unravel(block: np.ndarray, sides: _Sides, steps: int, choose, read=None) ->
     # built before the first toss, which would otherwise be held beside them
     width = block.shape[1]
     indices = [_shift_index(sources, d, width, compact) for sources, _ in sides.moves]
-    spent = None if tiled is not None else block
     for t in range(steps):
         k = sides.at(t)
         phi = _apply_coin(sides.coins[k], psi)
-        raw = _born_weights(_coin_masses(phi, spent), kraus_sq)
+        raw = _born_weights(_coin_masses(phi, block), kraus_sq)
         totals = np.add.reduce(raw, axis=1)
         _check_branch_sums(totals)
         rows, i, w = choose(t, raw, totals)
         if rows is not None:
             phi = phi.take(rows, axis=1)
-        _form_branches(phi, kraus, tiled, i, w, spent)
+        scratch = block if block.size >= phi.size else np.empty_like(phi)
+        _form_branches(phi, kraus, tiled, i, w, scratch)
         if read is not None and read_before:
-            read(t, phi, sides.vertices_at(t), spent)
+            read(t, phi, sides.vertices_at(t), scratch)
         s = phi.shape[1]
         if s != width:  # the enumerator's branches come and go
             width = s
@@ -1146,7 +1126,7 @@ def _unravel(block: np.ndarray, sides: _Sides, steps: int, choose, read=None) ->
         psi = block[:sides.sides[sides.at(t + 1)].size]
         # mode="clip" skips the bounds check, for which "raise" buffers out
         phi.reshape(-1).take(indices[k], out=psi, mode="clip")
-        del phi  # so that the next toss does not hold two
+        del phi, scratch  # so that the next toss does not hold two
         if vertex.size:
             psi[vertex, :, port] = 0
         if read is not None and not read_before:

@@ -121,10 +121,21 @@ def _clamp(probs: np.ndarray, lo: float) -> np.ndarray:
     return np.maximum(probs, 0.0, out=probs)
 
 
-def _squared_moduli(x: np.ndarray) -> np.ndarray:
-    """re**2 + im**2 of every entry of x, the package's one rule for |x|**2."""
-    sq = x.real ** 2
-    sq += x.imag ** 2
+def _squared_moduli(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """re**2 + im**2 of every entry of x, the package's one rule for |x|**2.
+
+    scratch, when given, is C-ordered memory whose values are spent and
+    which holds at least x.size complex numbers: the squares of the real
+    and the imaginary parts are formed in it, one after the other, and the
+    result is the first of them. Otherwise both are new arrays.
+    """
+    sq = imag_sq = None
+    if scratch is not None:
+        # np.ndarray over a buffer is one call, where views of views are several
+        sq = np.ndarray(x.shape, float, scratch)
+        imag_sq = np.ndarray(x.shape, float, scratch, sq.nbytes)
+    sq = np.square(x.real, out=sq)
+    sq += np.square(x.imag, out=imag_sq)
     return sq
 
 
