@@ -16,25 +16,34 @@ Kraus operator is an elementwise product. Each kind of state has one
 step: a pure state _pure_step, a sampler block _unravel's, and density
 blocks _toss_blocks and _shift_blocks.
 
-A density walk holds rho as its vertex-pair blocks, an (N^2, d^2) array
-whose row i N + j is rho's (i, j) block flattened. The coin, the coin
-measurement and vertex dephasing act on each block alone, as one
-d^2 x d^2 superoperator on the coin space (Brun, Carteret and Ambainis,
-PRA 67, 032304): for a shared coin the whole local channel is one matrix
-product of all the blocks, for a stacked coin one batched product over
-the block columns and one over the block rows. Before-shift dephasing
-is folded into that factor, and the N same-vertex blocks are taken
-again by the unscaled one. The tossed blocks are written into an array
-that ends in one row of zeros, and the shift is one gather from it
-through a cached block index of 8 (N d)^2 bytes, which reads that zero
-row for every entry that the cone's boundary empties; after-shift
-dephasing then scales the blocks between different vertices. One read
-of the same-vertex blocks' diagonal, into its sums by vertex, gives
-both the trace check and the position distribution. cp_step, evolve
-and run take and give density matrices, converting at their
-boundary. The dense (N*d) x (N*d) forms, assembled_step_operators,
-vertex_dephasing and ShiftOperator.matrix, are never called by the walk;
-they stay public because the benchmark checks the CLI's output with them.
+A density walk holds rho in its half layout (_matrix_boundary): rho is
+Hermitian, block (j, i) being block (i, j)'s conjugate transpose, so only
+the vertex-pair blocks (i, j) with i <= j are held, each flattened, as an
+(N (N + 1) / 2, d^2) array: the N same-vertex blocks first, then the
+pairs i < j in row-major order. The coin, the coin measurement and
+vertex dephasing act on each block alone, as one d^2 x d^2
+superoperator on the coin space (Brun, Carteret and Ambainis, PRA 67,
+032304): for a shared coin the whole local channel is one matrix product
+of all the rows, for a stacked coin one batched product over the block
+columns and one over the block rows of the grid of pairs, of which the
+rows i <= j are kept. Before-shift dephasing is folded into that factor,
+and the N same-vertex blocks are taken again by the unscaled one, which
+reads only their entries on and above the diagonal and gives them
+exactly Hermitian. The tossed rows are written into an array that ends
+in one row of zeros, and the shift is one gather from it through a
+cached index of about 4 (N d)^2 bytes, which reads that zero row for
+every entry that the cone's boundary empties, and the mirror entry of
+every entry whose source block lies below the diagonal, whose imaginary
+part is then negated unless the entry lies below the diagonal of a
+same-vertex block, which no reader takes; after-shift dephasing then
+scales the blocks between different vertices. One read of the same-vertex blocks'
+diagonal, into its sums by vertex, gives both the trace check and the
+position distribution. cp_step, evolve and run take and give density
+matrices, converting at their boundary by one gather each way, and each
+matrix they give is Hermitian bit for bit. The dense (N*d) x (N*d) forms,
+assembled_step_operators, vertex_dephasing and ShiftOperator.matrix, are
+never called by the walk; they stay public because the benchmark checks
+the CLI's output with them.
 
 A walk of t steps only reaches the vertices within t shifts of psi0's
 support, its light cone. run, marginal_history and the marginals that
@@ -55,8 +64,9 @@ on vertices of t's parity. When every move between two cone vertices
 joins the two parity classes, and each class holds at least two
 vertices, the cone has these two sides (_Sides); any other cone,
 self-loops and unused ports included, is one side. A walk holds only
-the side it stands on, its ports, its vertex-pair blocks (a quarter of
-the cone's on a cone of two equal sides) or its rows of a sampler block.
+the side it stands on, its ports, its half layout (about an eighth of
+the cone's vertex-pair blocks on a cone of two equal sides) or its rows
+of a sampler block.
 A step tosses the side by its own vertices' coin blocks, a shared block
 staying the one block, and is one gather, built from the step's own
 shift, from that side into the next, in which a port at the cone's
@@ -207,8 +217,8 @@ class StepMap:
         return self.coin_kraus is None and self.vertex_dephasing == 0.0
 
     @cached_property
-    def _block_factors(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """_toss_blocks' right factors on the (N^2, d^2) blocks, as _block_factors gives them."""
+    def _block_factors(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """_toss_blocks' right factors on the half layout, as _block_factors gives them."""
         return _block_factors(self.coin, self.coin_kraus, self.vertex_dephasing, self.placement)
 
     @cached_property
@@ -219,7 +229,7 @@ class StepMap:
 
 def _block_factors(
     coin: np.ndarray, kraus: np.ndarray | None, vertex_p: float, placement: str
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """_toss_blocks' right factors (first, second, same_vertex) for a coin in either form.
 
     A block X of rho, flattened row-major, is taken by the coin and the
@@ -229,22 +239,47 @@ def _block_factors(
     first is E^T and second is None. For a stacked coin of n blocks,
     first is the (n, d^2, d^2) stack of (I kron conj(C_j))^T, taken by
     block column j, and second that of (mask * (C_i kron I))^T, taken by
-    block row i. Before-shift dephasing scales first by (1 - p), and
-    same_vertex is then the unscaled first, which the same-vertex blocks
-    take; otherwise it is None. Each factor is held in _superoperator's
-    real form.
+    block row i. The same-vertex blocks are tossed again, by same_vertex:
+    the whole unscaled channel (first, or the (n, d^2, d^2) stack of first
+    times second) between two factors _hermitian, so that it reads only
+    the entries on and above a block's diagonal and gives an exactly
+    Hermitian block. Before-shift dephasing then scales first by (1 - p).
+    Each factor is held in _superoperator's real form.
     """
     d = coin.shape[-1]
     mask = np.ones((d, d)) if kraus is None else kraus.T @ kraus.conj()
     if coin.ndim == 2:
         first, second = _superoperator(coin, coin, mask), None
+        channel = first
     else:
         eye = np.eye(d)
         first = _superoperator(eye, coin, np.ones((d, d)))
         second = _superoperator(coin, eye, mask)
-    if placement == "after-shift" or vertex_p == 0.0:
-        return first, second, None
-    return (1.0 - vertex_p) * first, second, first
+        channel = first @ second
+    hermitian = _hermitian(d)
+    same_vertex = hermitian @ channel @ hermitian
+    if placement == "before-shift" and vertex_p > 0.0:
+        first = (1.0 - vertex_p) * first
+    return first, second, same_vertex
+
+
+def _hermitian(d: int) -> np.ndarray:
+    """The real (2 d^2, 2 d^2) factor that makes each d x d block of a row exactly Hermitian.
+
+    A row of the (re, im) floats of d x d blocks, times it, has each entry
+    (b, a) below a block's diagonal replaced by the conjugate of entry
+    (a, b), and the imaginary part of each diagonal entry by zero: each
+    column of the factor is a column of the identity, negated or zero. As
+    the right factor of a product it gives both entries of a pair from the
+    same column, so they are conjugates bit for bit; as the left factor it
+    reads only the entries on and above each block's diagonal.
+    """
+    columns, signs = [], []
+    for a, b in itertools.product(range(d), repeat=2):
+        above = min(a, b) * d + max(a, b)
+        columns += [2 * above, 2 * above + 1]
+        signs += [1.0, float((b > a) - (b < a))]
+    return np.eye(2 * d * d)[:, columns] * signs
 
 
 def _superoperator(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -326,88 +361,165 @@ def _apply_coin(coin: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (coin[:, None] @ psi.reshape(len(coin), -1, d, 1)).reshape(psi.shape)
 
 
-def _to_blocks(rho: np.ndarray, degree: int) -> np.ndarray:
-    """rho as its (N^2, d^2) vertex-pair blocks: row i N + j holds block (i, j), row-major."""
-    n = rho.shape[0] // degree
-    return rho.reshape(n, degree, n, degree).swapaxes(1, 2).reshape(n * n, degree * degree)
+def _half_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of each row of the half layout of n vertices: (i, i) for every i, then i < j row-major."""
+    first = np.arange(n)
+    i, j = np.nonzero(first[:, None] < first)
+    return np.concatenate((first, i)), np.concatenate((first, j))
 
 
-def _pure_blocks(psi: np.ndarray, degree: int) -> np.ndarray:
-    """The vertex-pair blocks of psi's density matrix, bit for bit _to_blocks(to_density(psi))."""
-    n = psi.size // degree
+def _pair_rows(pairs: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """The (n + 1, n + 1) table of the rows of the half layout whose _half_pairs these are.
+
+    Entry (i, j) is the row of the pair (min(i, j), max(i, j)). The last
+    row and column, of no vertex, hold n (n + 1) / 2, the row past the last:
+    the zero row of _toss_blocks' array.
+    """
+    i, j = pairs
+    rows = np.full((n + 1, n + 1), i.size)
+    rows[i, j] = rows[j, i] = np.arange(i.size)
+    return rows
+
+
+def _matrix_boundary(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(upper, index, below): where the half layout of n vertices sits in its (n d, n d) matrix.
+
+    The half layout holds rho's vertex-pair blocks (i, j) with i <= j, each
+    flattened row-major, as an (n (n + 1) / 2, d^2) complex array: the n
+    same-vertex blocks first, so that they are its first n rows, then the
+    blocks i < j in row-major order (_half_pairs). upper, of that shape, is
+    the flat position in the C-ordered matrix of each entry it holds, so a
+    matrix is taken to its half by one gather. index is the (n d, n d)
+    gather back: each entry on or above the matrix's diagonal reads the
+    entry of the half layout that holds it, and each entry below it, where
+    below is True, the entry that holds its mirror above the diagonal,
+    which the gather's result then conjugates. A same-vertex block's
+    entries below its diagonal are so read from above it too (the density
+    walk does not keep them after its shift), and the matrix is Hermitian
+    bit for bit. All three are read-only.
+    """
+    i, j = _half_pairs(n)
+    ports = np.arange(d)
+    rows = (i * d)[:, None, None] + ports[:, None]
+    cols = (j * d)[:, None, None] + ports
+    upper = (rows * (n * d) + cols).reshape(i.size, d * d)
+    index = np.empty((n * d, n * d), dtype=np.intp)
+    index.ravel()[upper.ravel()] = np.arange(upper.size)
+    below = np.tri(n * d, k=-1, dtype=bool)
+    index = np.where(below, index.T, index)
+    upper.flags.writeable = index.flags.writeable = below.flags.writeable = False
+    return upper, index, below
+
+
+def _to_half(rho: np.ndarray, boundary: tuple[np.ndarray, ...]) -> np.ndarray:
+    """rho's half layout, by one gather through _matrix_boundary's upper, as a complex array."""
+    upper = boundary[0]
+    return np.ascontiguousarray(rho).ravel()[upper].astype(complex, copy=False)
+
+
+def _from_half(blocks: np.ndarray, boundary: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The C-ordered Hermitian matrix whose half layout blocks is, by one gather.
+
+    Each entry below the diagonal is the conjugate of its mirror above it
+    (_matrix_boundary).
+    """
+    _upper, index, below = boundary
+    out = blocks.ravel()[index]
+    return np.conjugate(out, out=out, where=below)
+
+
+def _pure_blocks(psi: np.ndarray, n: int) -> np.ndarray:
+    """The half layout of the density matrix of psi, over n vertices: the products of to_density(psi).
+
+    The imaginary parts of the diagonal, which numpy's complex product
+    leaves at rounding level rather than zero, are set to zero.
+    """
+    degree = psi.size // n
     amplitudes = np.asarray(psi, dtype=complex).reshape(n, degree)
-    rows = np.repeat(amplitudes, degree, axis=1)
-    cols = np.tile(amplitudes.conj(), degree)
-    return (rows[:, None] * cols).reshape(n * n, degree * degree)
-
-
-def _from_blocks(blocks: np.ndarray) -> np.ndarray:
-    """The C-ordered density matrix whose vertex-pair blocks these are."""
-    n, d = math.isqrt(blocks.shape[0]), math.isqrt(blocks.shape[1])
-    return blocks.reshape(n, n, d, d).swapaxes(1, 2).reshape(n * d, n * d)
+    i, j = _half_pairs(n)
+    blocks = np.repeat(amplitudes, degree, axis=1).take(i, axis=0)
+    blocks *= np.tile(amplitudes.conj(), degree).take(j, axis=0)
+    blocks[:n, ::degree + 1].imag = 0.0
+    return blocks
 
 
 def _read_blocks(blocks: np.ndarray) -> np.ndarray:
-    """position_marginal of the density matrix held as these blocks, once its trace is checked.
+    """position_marginal of the density matrix held as this half layout, once its trace is checked.
 
-    The N same-vertex blocks' diagonal is read once, into its sums by
-    vertex, and check_trace takes the trace from those. A trace within its
-    bound is finite, and so is every sum that adds to it, so the marginal's
-    guard only looks for a sum below the clamp bound, as position_marginal's
-    does. Each sum adds the vertex's d diagonal entries as the sum of a
-    contiguous copy of them would.
+    The diagonal of the first n rows, the same-vertex blocks, is read once,
+    in place, into its sums by vertex, and check_trace takes the trace from
+    those. A trace within its bound is finite, and so is every sum that
+    adds to it, so the marginal's guard only looks for a sum below the clamp
+    bound, as position_marginal's does. Each sum adds the vertex's d
+    diagonal entries as the sum of a contiguous copy of them would.
     """
-    n, d = math.isqrt(blocks.shape[0]), math.isqrt(blocks.shape[1])
-    probs = np.add.reduce(blocks[::n + 1, ::d + 1].real, axis=1)
+    n, d = (math.isqrt(8 * blocks.shape[0] + 1) - 1) // 2, math.isqrt(blocks.shape[1])
+    probs = np.add.reduce(blocks[:n, ::d + 1].real, axis=1)
     _check_unit_trace(probs)
     return _clamp(probs, np.minimum.reduce(probs))
 
 
 def _toss_blocks(blocks: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
-    """The coin, the coin measurement and before-shift dephasing on side k's blocks, as a new array.
+    """The coin, the coin measurement and before-shift dephasing on side k's state, as a new array.
 
-    The n^2 tossed blocks are the first rows of an (n^2 + 1, d^2) array
+    The local channel takes each block (i, j) to one of its own, so the
+    rows i <= j are tossed alone. They are the first rows of an array
     whose last row is zero, the row that the shift's gather reads for a
     port at the cone's boundary. The products run on the blocks'
     interleaved (re, im) floats, by the side's factors
-    (_Sides.block_factors). A shared coin is one matrix product of all n^2
-    blocks. A stacked coin is a batched product over the block columns,
-    into an array held by column, and then one over the block rows. With
-    before-shift dephasing the same-vertex blocks are taken again by the
-    unscaled first factor. Each block's bits depend only on the block and
-    the factors, not on n.
+    (_Sides.block_factors). A shared coin is one matrix product of all the
+    rows. A stacked coin's factors go by block column and block row, so
+    its rows are first laid out as the side's n x n grid of pairs, each
+    pair (j, i) below the diagonal holding row (i, j) in its place: one
+    batched product over the grid's block columns, one over its block
+    rows, into the grid, and the rows i <= j kept. The n same-vertex
+    blocks, the first rows, are then tossed again by the unscaled factor
+    (_block_factors), in one product for a shared coin and one per vertex
+    for a stacked one: it reads only their entries on and above the
+    diagonal, and gives each exactly Hermitian. Each block's bits depend
+    only on the block and the factors, not on n.
     """
-    n = math.isqrt(blocks.shape[0])
     first, second, same_vertex = sides.block_factors[k]
+    n = sides.sides[k].size
     x = blocks.view(float)
-    out = np.empty((n * n + 1, x.shape[1]))
-    out[-1] = 0.0
-    tossed = out[:-1]
     if second is None:
-        np.matmul(x, first, out=tossed)
-        if same_vertex is not None:
-            np.matmul(x[::n + 1], same_vertex, out=tossed[::n + 1])
-        return out.view(complex)
-    by_column = np.matmul(x.reshape(n, n, -1).transpose(1, 0, 2), first)
-    if same_vertex is not None:
-        by_column.reshape(n * n, -1)[::n + 1] = (x[::n + 1, None] @ same_vertex)[:, 0]
-    np.matmul(by_column.transpose(1, 0, 2), second, out=tossed.reshape(n, n, -1))
+        out = np.empty((x.shape[0] + 1, x.shape[1]))
+        np.matmul(x, first, out=out[:-1])
+        np.matmul(x[:n], same_vertex, out=out[:n])
+    else:
+        pairs, grid_rows = sides.grids[k]
+        # each stage's input is freed as its result is bound; grid[j, i] is
+        # block (i, j) for i <= j
+        grid = x.take(pairs, axis=0)
+        by_column = np.matmul(grid, first)
+        np.matmul(by_column.transpose(1, 0, 2), second, out=grid)
+        del by_column
+        out = np.empty((x.shape[0] + 1, x.shape[1]))
+        grid.reshape(n * n, -1).take(grid_rows, axis=0, out=out[:-1], mode="clip")
+        del grid
+        np.matmul(x[:n, None], same_vertex, out=out[:n, None])
+    out[-1] = 0.0
     return out.view(complex)
 
 
 def _shift_blocks(blocks: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
     """The shift from side k to the next side, and after-shift dephasing, as a new array.
 
-    blocks is side k's array as _toss_blocks gives it, its blocks and a zero
-    row, and the shift one gather of it through the side's cached index.
+    blocks is side k's array as _toss_blocks gives it, its half layout and
+    a zero row, and the shift one gather of it through the side's cached
+    index, which takes the conjugate of each entry read from a block below
+    the diagonal by negating its imaginary part (_Sides.block_indices).
+    The entries below the diagonal of the result's same-vertex blocks are
+    not conjugated: every reader takes them from their mirrors.
     """
-    out = blocks.ravel()[sides.block_indices[k]]
+    index, conjugate = sides.block_indices[k]
+    out = blocks.ravel()[index]
+    if conjugate.size:
+        floats = out.view(float).ravel()
+        floats[conjugate] = -floats[conjugate]
     step = sides.step
     if step.placement == "after-shift" and step.vertex_dephasing > 0.0:
-        n = math.isqrt(out.shape[0])
-        same_vertex = out[::n + 1].copy()
-        out *= 1.0 - step.vertex_dephasing
-        out[::n + 1] = same_vertex
+        out[sides.sides[sides.at(k + 1)].size:] *= 1.0 - step.vertex_dephasing
     return out
 
 
@@ -451,22 +563,25 @@ def vertex_dephasing(rho: np.ndarray, p: float, degree: int) -> np.ndarray:
 def cp_step(rho: np.ndarray, step: StepMap) -> np.ndarray:
     """Advance a density matrix one step through the full channel.
 
-    rho, of any real or complex dtype, is taken to its complex vertex-pair
-    blocks, stepped as every density walk is, and the result is a new
-    C-ordered complex matrix; a rho of another shape than (N*d, N*d)
-    raises StructureError. Besides rho, a step with a shared coin holds at
-    most two copies of it at once, and one with a stacked coin three.
+    rho, of any real or complex dtype, is taken as the Hermitian matrix
+    that it is: one gather reads its vertex-pair blocks (i, j) with
+    i <= j, the complex half layout (_to_half), which is stepped as every
+    density walk is, and one gather gives back a new C-ordered complex
+    matrix, Hermitian bit for bit (_from_half). A rho of another shape
+    than (N*d, N*d) raises StructureError. Besides rho, a step holds at
+    most one and a half copies of it at once, two and a half while a
+    per-vertex coin is tossed.
     """
     size = step.shift.permutation.size
     if np.shape(rho) != (size, size):
         raise StructureError(f"density matrix needs shape (N*d, N*d) = ({size}, {size}), "
                              f"got shape {np.shape(rho)}")
     sides = step._whole
-    blocks = _to_blocks(np.asarray(rho, dtype=complex), step.shift.degree)
+    blocks = _to_half(rho, sides.boundaries[0])
     # each stage's input is freed as its result is bound
     blocks = _toss_blocks(blocks, sides, 0)
     blocks = _shift_blocks(blocks, sides, 0)
-    return _from_blocks(blocks)
+    return _from_half(blocks, sides.boundaries[0])
 
 
 def _pure_step(psi: np.ndarray, sides: _Sides, k: int) -> np.ndarray:
@@ -497,14 +612,19 @@ def _density_walk(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """evolve's density states on the sides of a cone, each with its position distribution.
 
-    The state at time t is the (n^2, d^2) blocks of the vertex pairs of
-    side sides.at(t), and the distribution on that side's vertices is read
-    off their diagonal with the trace check (_read_blocks). Each stage's
-    input is freed as its result is bound, the spent state before the
-    shift's gather, so beside what its caller keeps the walk holds at most
-    two states at once, three while a stacked coin is tossed.
+    The state at time t is the half layout of side sides.at(t), the
+    n (n + 1) / 2 blocks (i, j) with i <= j of its vertex pairs
+    (_matrix_boundary), and the distribution on that side's vertices is
+    read off the diagonal of its same-vertex blocks with the trace check
+    (_read_blocks). rho is Hermitian and every stage of the step keeps it
+    so, so the blocks below the diagonal are never held: the shift reads
+    them as the conjugate transposes of those above. Each stage's input is
+    freed as its result is bound, the spent state before the shift's
+    gather, so beside what its caller keeps the walk holds at most two
+    states at once; a stacked coin's toss holds the side's whole grid of
+    blocks twice for a while.
     """
-    blocks = _pure_blocks(sides.start(psi0), sides.step.shift.degree)
+    blocks = _pure_blocks(sides.start(psi0), sides.sides[0].size)
     yield blocks, _read_blocks(blocks)
     for t in range(steps):
         k = sides.at(t)
@@ -527,7 +647,8 @@ def evolve(psi0: np.ndarray, step: StepMap, steps: int) -> Iterator[np.ndarray]:
     if step.is_unitary:
         return _pure_walk(psi0, step._whole, steps)
     # map holds no state once it is converted, so the walk can free it
-    return map(_from_blocks, map(itemgetter(0), _density_walk(psi0, step._whole, steps)))
+    walk = _density_walk(psi0, step._whole, steps)
+    return map(partial(_from_half, boundary=step._whole.boundaries[0]), map(itemgetter(0), walk))
 
 
 def _checked_start(psi0, step: StepMap, steps: int) -> np.ndarray:
@@ -655,39 +776,62 @@ def _numpy_level(
     return reached, same
 
 
-def _block_gather_index(
-    sources: np.ndarray, boundary: tuple[np.ndarray, np.ndarray], source_vertices: int
-) -> np.ndarray:
-    """The read-only flat gather index that moves vertex-pair blocks as the ports move.
+def _half_gather_index(
+    sources: np.ndarray, boundary: tuple[np.ndarray, np.ndarray],
+    pairs: tuple[np.ndarray, np.ndarray], table: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(index, conjugate): the read-only gather that moves a half layout as the ports move.
 
     sources is an (n', d) array: sources[i', a'] is the flat port i d + a of
-    a state over m = source_vertices vertices that port (i', a') reads, and
-    boundary the (i', a') of the ports that read none. The (n'^2, d^2) index
-    takes _toss_blocks' array of that state, its m^2 blocks and a zero row,
-    to the blocks of the state the ports read: block (i', j') entry (a', b')
-    reads block (i, j) entry (a, b), where (i, a) and (j, b) are the sources
-    of (i', a') and (j', b'), and the zero row when either lies at the
-    boundary.
+    a state over m vertices that port (i', a') reads, and boundary the
+    (i', a') of the ports that read none; pairs are the _half_pairs of the
+    n' vertices, and table the _pair_rows of the m. The index takes
+    _toss_blocks' array of that state, its half layout and a zero row, to
+    the half layout of the state the ports read. Entry (a', b') of block
+    (i', j'), i' <= j', reads rho's entry at the sources (i, a) and (j, b)
+    of (i', a') and (j', b'): entry (a, b) of the row of (i, j) when
+    i <= j, entry (b, a) of the row of (j, i) when the source block lies
+    below the diagonal, i > j, and the zero row when either port lies at
+    the boundary, whose port reads the table's last row or column.
+    conjugate holds the positions, in the gathered array's floats, of the
+    imaginary parts of the entries read from below the diagonal, which the
+    gather's result negates; an entry below the diagonal of a same-vertex
+    block of the result is left out, as no reader takes it (_toss_blocks
+    and _matrix_boundary read its mirror).
     """
     n, d = sources.shape
-    m = source_vertices
-    zero = m * m * d * d
-    vertex, port = np.divmod(sources, d)
-    # rows[i', a'] and cols[j', b'] are the parts of the flat index that
-    # (i', a') and (j', b') give; a boundary port's part alone reaches the
-    # zero row, and every other sum stays below it
-    rows = vertex * (m * d * d) + port * d
-    cols = vertex * (d * d) + port
-    rows[boundary] = cols[boundary] = zero
-    # index[i' n + j', a' d + b'] = rows[i', a'] + cols[j', b'], summed along
-    # whole rows of the index: a broadcast over its (a', b') axes is slower
-    index = np.repeat(np.repeat(rows, d, axis=1), n, axis=0)
-    by_pair = index.reshape(n, n, d * d)
-    by_pair += np.concatenate([cols] * d, axis=1)
-    if boundary[0].size:
-        np.minimum(index, zero, out=index)
-    index.flags.writeable = False
-    return index
+    edge = (len(table) - 1) * d
+    sources = sources.copy()
+    sources[boundary] = edge
+    i, j = pairs
+    # the flat source ports of each entry's row and column port, as whole
+    # rows: a broadcast over the (a', b') axes makes numpy buffer its inner
+    # loops of d entries
+    row = np.repeat(sources.take(i, axis=0), d, axis=1)
+    col = np.repeat(sources.take(j, axis=0)[:, None], d, axis=1).reshape(row.shape)
+    # below the diagonal the entry reads its mirror: the ports trade places
+    below = row // d > col // d
+    below &= row < edge
+    swapped = np.where(below, col, row)
+    np.copyto(col, row, where=below)
+    row = swapped
+    # entry a d + b of the row of the vertex pair (v, w) of the ports
+    # (v, a) and (w, b), in three arrays: row becomes a, then a d + b; v the
+    # pair's place v (m + 1) + w in the table, b split off into col, which
+    # then holds the index
+    v, row = np.divmod(row, d, out=(np.empty_like(row), row))
+    v *= len(table) * d
+    v += col
+    np.divmod(v, d, out=(v, col))
+    row *= d
+    row += col
+    index = table.ravel().take(v, out=col, mode="clip")
+    index *= d * d
+    index += row
+    below[:n, [a * d + b for a in range(d) for b in range(a)]] = False
+    conjugate = 2 * np.flatnonzero(below) + 1
+    index.flags.writeable = conjugate.flags.writeable = False
+    return index, conjugate
 
 
 class _Sides:
@@ -695,7 +839,7 @@ class _Sides:
 
     step is the walk's StepMap over the whole graph, and sides holds the
     sorted vertices of each side. At time t the walk stands on side at(t)
-    and holds only that side's ports, vertex-pair blocks or block rows; a
+    and holds only that side's ports, half layout or block rows; a
     step takes it to the next side, by the coin blocks of the side's own
     vertices and one gather from the ports of the side into those of the
     next. A port whose source lies on no port of the side, at the cone's
@@ -732,7 +876,7 @@ class _Sides:
         return tuple(coin[side] for side in self.sides)
 
     @cached_property
-    def block_factors(self) -> tuple[tuple[np.ndarray, np.ndarray | None, np.ndarray | None], ...]:
+    def block_factors(self) -> tuple[tuple[np.ndarray, np.ndarray | None, np.ndarray], ...]:
         """Each side's _toss_blocks factors: the step's own for the step's coin, else its rows'."""
         step = self.step
         return tuple(
@@ -777,11 +921,33 @@ class _Sides:
                 (sources[:split], np.divmod(boundary[:cut], d)))
 
     @cached_property
-    def block_indices(self) -> tuple[np.ndarray, ...]:
-        """Per side k, the one gather of its _toss_blocks array into the next side's blocks."""
+    def block_indices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per side k, the gather of its _toss_blocks array into the next side's half layout,
+        as _half_gather_index gives it: the index and the floats to negate."""
         d = self.step.shift.degree
-        return tuple(_block_gather_index(sources.reshape(-1, d), boundary, side.size)
-                     for (sources, boundary), side in zip(self.moves, self.sides))
+        pairs = [_half_pairs(side.size) for side in self.sides]
+        tables = [_pair_rows(p, side.size) for p, side in zip(pairs, self.sides)]
+        return tuple(
+            _half_gather_index(sources.reshape(-1, d), boundary, pairs[self.at(k + 1)], table)
+            for k, ((sources, boundary), table) in enumerate(zip(self.moves, tables))
+        )
+
+    @cached_property
+    def boundaries(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per side, its _matrix_boundary, through which cp_step, evolve and run convert."""
+        return tuple(_matrix_boundary(side.size, self.step.shift.degree) for side in self.sides)
+
+    @cached_property
+    def grids(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per side, (pairs, rows) for a stacked coin's toss: the (n, n) table of the half
+        layout's row of each pair (_pair_rows), and the position i n + j in the n x n grid of
+        the pair (i, j) of each row of the half layout."""
+        grids = []
+        for side in self.sides:
+            n = side.size
+            i, j = _half_pairs(n)
+            grids.append((_pair_rows((i, j), n)[:n, :n].copy(), i * n + j))
+        return tuple(grids)
 
 
 def _in_place(x: np.ndarray, ports: np.ndarray, size: int) -> np.ndarray:
@@ -797,9 +963,11 @@ def _marginals(
     """An iterator of (vertices, distribution on them) at every time 0..steps.
 
     The light cone is found, and psi0 and steps checked, before it
-    returns. The walk is evolved on the sides of the cone, and the
-    vertices at time t are the sorted vertices of the side it stands on;
-    the distribution is zero on every other vertex.
+    returns; so are a density walk's gathers, before the caller holds its
+    own arrays, so that their scratch adds to no step's peak. The walk is
+    evolved on the sides of the cone, and the vertices at time t are the
+    sorted vertices of the side it stands on; the distribution is zero on
+    every other vertex.
     """
     psi0 = _checked_start(psi0, step, steps)
     sides = _light_cone(psi0, step, steps)
@@ -808,6 +976,8 @@ def _marginals(
         marginal = partial(_pure_position_marginal, degree=step.shift.degree)
         marginals = map(marginal, _pure_walk(psi0, sides, steps))
     else:
+        if steps:
+            sides.block_indices
         marginals = map(itemgetter(1), _density_walk(psi0, sides, steps))
     return zip(itertools.cycle(sides.sides), marginals)
 
@@ -831,7 +1001,7 @@ def run(psi0: np.ndarray, step: StepMap, steps: int) -> np.ndarray:
     else:
         for blocks, _ in _density_walk(psi0, sides, steps):
             pass
-        state = _from_blocks(blocks)
+        state = _from_half(blocks, sides.boundaries[sides.at(steps)])
     ports = _cone_ports(sides.vertices_at(steps), step.shift.degree)
     rho = np.zeros((psi0.size, psi0.size), dtype=state.dtype)
     rho[np.ix_(ports, ports)] = state
@@ -1152,6 +1322,17 @@ def _sample_blocks(
     return sides, _sample_sides(psi0, sides, steps, seeds)
 
 
+def _uniforms(seeds: list, n: int) -> np.ndarray:
+    """The (S, n) doubles that np.random.default_rng(seed).random(n) gives for each seed.
+
+    They are formed without a Generator: each seed's PCG64 gives its n raw
+    64-bit draws, and one vectorised (raw >> 11) * 2^-53 over them all is
+    the next_double that Generator.random applies to each.
+    """
+    raw = np.array([np.random.PCG64(seed).random_raw(n) for seed in seeds], dtype=np.uint64)
+    return (raw.reshape(len(seeds), n) >> 11) * (1.0 / 2**53)
+
+
 def _sample_sides(
     psi0: np.ndarray, sides: _Sides, steps: int, seeds: list
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
@@ -1172,9 +1353,7 @@ def _sample_sides(
         chunk = seeds[lo: lo + size]
         s = len(chunk)
         rows = np.arange(s)
-        uniforms = np.array(
-            [np.random.default_rng(seed).random(steps * draws) for seed in chunk]
-        ).reshape(s, steps, draws)
+        uniforms = _uniforms(chunk, steps * draws).reshape(s, steps, draws)
         outcomes = np.empty((s, steps), dtype=int)
         probs = np.empty((s, steps))  # the drawn outcome's probability
         vertices = np.empty((s, steps), dtype=int) if measure_position else None

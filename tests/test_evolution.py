@@ -739,18 +739,53 @@ def test_cp_step_stays_within_64_ulp_of_the_scatter_step(kind, coin):
 
 
 @pytest.mark.parametrize("placement", ["before-shift", "after-shift"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+@pytest.mark.parametrize("name, coin_file", [
+    ("cycle15", "coin15.json"), ("cycle16", "coin16.json"), ("torus4", "coin_torus4.json"),
+])
+def test_every_density_state_is_exactly_hermitian(name, coin_file, stacked, placement):
+    """The walk holds rho's blocks (i, j) with i <= j, and gives back their Hermitian matrix.
+
+    Every same-vertex block is made exactly Hermitian where it is formed, and
+    every block below the diagonal is its mirror's conjugate transpose, so
+    rho equals rho^dagger bit for bit, from a start of random amplitudes too.
+    """
+    from golden_grid import GOLDEN
+
+    from coinwalk import load_graph
+    from coinwalk.coin import coin_spec_from_config
+    from coinwalk.graph import read_json
+
+    graph = load_graph(str(GOLDEN / "torus4.json")) if name == "torus4" else build_cycle(int(name[5:]))
+    spec = coin_spec_from_config(read_json(str(GOLDEN / coin_file), "coin"), graph) if stacked else None
+    step = make_step(graph, spec, beta=0.3, vertex_p=0.1, placement=placement)
+    assert step.coin.ndim == (3 if stacked else 2)
+    size = step.shift.permutation.size
+    starts = [basis_state(graph, 0, 0), random_pure_state(np.random.default_rng(size), size)]
+    for psi0 in starts:
+        for t, rho in enumerate(evolve(psi0, step, 12)):
+            assert np.array_equal(rho, rho.conj().T), t
+    # the boundary's round trip of a Hermitian matrix is exact
+    boundary = step._whole.boundaries[0]
+    assert np.array_equal(evolution._from_half(evolution._to_half(rho, boundary), boundary), rho)
+
+
+@pytest.mark.parametrize("placement", ["before-shift", "after-shift"])
 def test_a_density_step_hands_back_the_c_ordered_matrix_of_its_blocks(cycle7, placement):
     n, d = 7, 2
     rng = np.random.default_rng(4)
     full = rng.normal(size=(28, 28)) + 1j * rng.normal(size=(28, 28))
+    full += full.conj().T
+    boundary = evolution._matrix_boundary(n, d)
     for rho in (np.ascontiguousarray(full[:14, :14]), np.asfortranarray(full[:14, :14]),
                 full[::2, ::2]):
-        blocks = evolution._to_blocks(rho, d)
-        assert blocks.shape == (n * n, d * d) and blocks.flags.c_contiguous
-        for i in range(n):
-            for j in range(n):
-                assert np.array_equal(blocks[i * n + j], rho[i * d:(i + 1) * d, j * d:(j + 1) * d].ravel())
-        back = evolution._from_blocks(blocks)
+        blocks = evolution._to_half(rho, boundary)
+        assert blocks.shape == (n * (n + 1) // 2, d * d) and blocks.flags.c_contiguous
+        # the rows: the same-vertex blocks, then the pairs i < j in row-major order
+        pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for row, (i, j) in enumerate(pairs):
+            assert np.array_equal(blocks[row], rho[i * d:(i + 1) * d, j * d:(j + 1) * d].ravel())
+        back = evolution._from_half(blocks, boundary)
         assert back.flags.c_contiguous and np.array_equal(back, rho)
 
     step = make_step(cycle7, shift=build_cycle_shift(7), beta=0.4, vertex_p=0.2,
@@ -759,7 +794,7 @@ def test_a_density_step_hands_back_the_c_ordered_matrix_of_its_blocks(cycle7, pl
     states = list(evolve(psi0, step, 3))
     walked = [blocks for blocks, _ in evolution._density_walk(psi0, step._whole, 3)]
     for t, (rho, blocks) in enumerate(zip(states, walked)):
-        assert rho.flags.c_contiguous and np.array_equal(rho, evolution._from_blocks(blocks))
+        assert rho.flags.c_contiguous and np.array_equal(rho, evolution._from_half(blocks, boundary))
         if t:
             assert np.array_equal(cp_step(states[t - 1], step), rho)
     # a real or single-precision state is walked as its complex cast
@@ -776,9 +811,10 @@ def test_vertex_dephasing_scales_only_the_blocks_between_vertices(order):
     n = 9
     graph = build_cycle(n)
     rng = np.random.default_rng(8)
-    blocks = evolution._to_blocks(np.asarray(random_density(rng, 2 * n), order=order), 2)
-    same = np.arange(n) * (n + 1)
-    other = np.setdiff1d(np.arange(n * n), same)
+    rho = np.asarray(random_density(rng, 2 * n), order=order)
+    blocks = evolution._to_half(rho, evolution._matrix_boundary(n, 2))
+    same = np.arange(n)  # the same-vertex blocks are the first rows
+    other = np.arange(n, n * (n + 1) // 2)
     for placement in ("before-shift", "after-shift"):
 
         def step_blocks(p):
@@ -821,9 +857,11 @@ def test_a_whole_density_walk_peaks_near_two_copies_of_a_sides_blocks():
     """The benchmark's walk, 20 steps on the 256-cycle's sides of 21 and 20 vertices.
 
     Beside the history it returns and both sides' gather indices, the walk
-    holds the toss of one side and the gathered blocks of the next: each
-    stage's input is freed as its result is bound. A walk that held the
-    spent state through the toss and the gather peaked at 3.2 blocks here.
+    holds the toss of one side and the gathered half layout of the next:
+    each stage's input is freed as its result is bound. The measure is the
+    half block, the 21 * 22 / 2 rows of d^2 entries that the larger side's
+    state holds; the walk on both halves of rho read 4.39 of them, and
+    about 11 KB of the cone's own arrays do not shrink with the layout.
     """
     graph = build_cycle(256)
     psi0 = basis_state(graph, 100, 0)
@@ -834,8 +872,8 @@ def test_a_whole_density_walk_peaks_near_two_copies_of_a_sides_blocks():
     marginal_history(psi0, step(), 20)  # numpy's first-call allocations
     sides = evolution._light_cone(psi0, step(), 20)
     assert [side.size for side in sides.sides] == [21, 20]
-    block = 21 * 21 * 4 * np.dtype(complex).itemsize
-    indices = sum(index.nbytes for index in sides.block_indices)
+    half_block = 21 * 22 // 2 * 4 * np.dtype(complex).itemsize
+    indices = sum(array.nbytes for index in sides.block_indices for array in index)
     walked = step()
     tracemalloc.start()
     try:
@@ -844,7 +882,7 @@ def test_a_whole_density_walk_peaks_near_two_copies_of_a_sides_blocks():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert (peak - history.nbytes - indices) / block <= 2.6
+    assert (peak - history.nbytes - indices) / half_block <= 3.0
 
 
 @pytest.mark.parametrize("beta", [-0.5, 1.5, float("nan")])
@@ -884,7 +922,7 @@ def test_step_map_checks_its_configuration_however_it_is_built(cycle7, field, va
 
 
 class _DrawFirst:
-    """Stands in for the sampler's generator: every uniform it gives is 0.
+    """Stands in for the sampler's bit generator: every raw draw, and so every uniform, is 0.
 
     An inverse-CDF draw of 0 takes the first entry of positive weight.
     """
@@ -892,8 +930,8 @@ class _DrawFirst:
     def __init__(self, seed):
         pass
 
-    def random(self, size):
-        return np.zeros(size)
+    def random_raw(self, size):
+        return np.zeros(size, dtype=np.uint64)
 
 
 def test_sampler_invariants_still_fire(cycle7, monkeypatch):
@@ -909,7 +947,7 @@ def test_sampler_invariants_still_fire(cycle7, monkeypatch):
     with pytest.raises(InvariantViolation, match="sum to"):
         enumerate_branches(psi0, StepMap(blocks, shift, leaky), 1)
 
-    monkeypatch.setattr(np.random, "default_rng", _DrawFirst)
+    monkeypatch.setattr(np.random, "PCG64", _DrawFirst)
     # the first branch is viable at weight 1e-16 and is drawn: its state is
     # too small to renormalize
     faint = np.array([[1e-8, 1e-8], [1.0, 1.0]], dtype=complex)
@@ -921,6 +959,16 @@ def test_sampler_invariants_still_fire(cycle7, monkeypatch):
     step = make_step(cycle7, beta=1.0, vertex_p=1.0)
     with pytest.raises(InvariantViolation, match="vertex projection"):
         sample_trajectory(psi, step, 1, seed=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 1000])
+def test_the_per_seed_uniforms_are_what_a_generator_draws(n):
+    """The sampler's doubles, from each seed's raw PCG64 draws, are default_rng(seed).random(n)."""
+    seeds = [0, 1, 2**32, 2**63, 2**64 - 1]
+    expected = np.array([np.random.default_rng(seed).random(n) for seed in seeds])
+    uniforms = evolution._uniforms(seeds, n)
+    assert uniforms.dtype == np.float64 and uniforms.shape == (len(seeds), n)
+    assert np.array_equal(uniforms, expected.reshape(len(seeds), n))
 
 
 def test_inverse_cdf_draws_what_generator_choice_draws():

@@ -15,7 +15,7 @@ from coinwalk import (
     unitary_step,
 )
 from coinwalk.coin import coin_spec_from_config
-from coinwalk.evolution import _apply_coin, _from_blocks, _shift_blocks, _to_blocks
+from coinwalk.evolution import _apply_coin, _from_half, _matrix_boundary, _shift_blocks, _to_half
 from coinwalk.graph import read_json
 
 from conftest import port_permuted_torus, random_pure_state
@@ -29,7 +29,7 @@ def _shift(s, psi):
 
 
 def _conjugate_blocks(s, blocks):
-    """S rho S^dagger on rho's vertex-pair blocks, by the whole graph's side gather."""
+    """S rho S^dagger on rho's half layout, by the whole graph's side gather."""
     return _shift_blocks(blocks, StepMap(np.eye(s.degree), s)._whole, 0)
 
 
@@ -133,8 +133,10 @@ def test_conjugate_matches_matrix_sandwich(seed):
     rng = np.random.default_rng(seed)
     psi = random_pure_state(rng, 10)
     rho = np.outer(psi, psi.conj())
+    rho = (rho + rho.conj().T) / 2  # exactly Hermitian, as the states the density walk holds
     m = s.matrix()
-    shifted = _from_blocks(_conjugate_blocks(s, _to_blocks(rho, 2)))
+    boundary = _matrix_boundary(5, 2)
+    shifted = _from_half(_conjugate_blocks(s, _to_half(rho, boundary)), boundary)
     assert np.array_equal(shifted, m @ rho @ m.conj().T)
 
 
@@ -150,27 +152,31 @@ def test_conjugate_reads_every_layout_exactly(layout, shift):
         s = build_shift(port_permuted_torus(3, rng))
     dim = s.permutation.size
     full = rng.normal(size=(2 * dim, 2 * dim)) + 1j * rng.normal(size=(2 * dim, 2 * dim))
+    full += full.conj().T  # every layout below is a Hermitian matrix
     rho = {"C": np.ascontiguousarray(full[:dim, :dim]),
            "F": np.asfortranarray(full[:dim, :dim]),
            "strided": full[::2, ::2]}[layout]
     m = s.matrix()
-    blocks = _to_blocks(rho, s.degree)
+    boundary = _matrix_boundary(s.num_vertices, s.degree)
+    blocks = _to_half(rho, boundary)
     shifted = _conjugate_blocks(s, blocks)
     assert shifted.flags.c_contiguous and not np.shares_memory(shifted, blocks)
-    out = _from_blocks(shifted)
+    out = _from_half(shifted, boundary)
     assert np.array_equal(out, m @ rho @ m.conj().T)
     assert np.array_equal(out[s.permutation[:, None], s.permutation], rho)
 
 
 def test_the_gather_index_is_built_once_and_read_only():
+    """The half index holds 5 * 6 / 2 block rows of 2^2 entries, half the (N d)^2 of the whole."""
     whole = StepMap(np.eye(2), build_cycle_shift(5))._whole
-    blocks = _to_blocks(np.eye(10, dtype=complex), 2)
+    blocks = _to_half(np.eye(10, dtype=complex), whole.boundaries[0])
     _shift_blocks(blocks, whole, 0)
-    (index,) = whole.block_indices
-    assert not index.flags.writeable
-    assert index.shape == (5 ** 2, 2 ** 2) and index.nbytes == 8 * 10 ** 2
+    ((index, conjugate),) = whole.block_indices
+    assert not index.flags.writeable and not conjugate.flags.writeable
+    assert index.shape == (5 * 6 // 2, 2 ** 2) and index.nbytes == 8 * 15 * 4
     _shift_blocks(blocks, whole, 0)
-    assert whole.block_indices[0] is index
+    assert whole.block_indices[0][0] is index
+    assert all(not array.flags.writeable for array in whole.boundaries[0])
 
 
 def _golden_step(name, coin=None):

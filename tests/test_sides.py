@@ -246,9 +246,9 @@ def test_the_cone_has_the_sides_of_the_set_based_reference(multi_graph, data, ca
 def test_a_one_sided_cone_reads_the_zero_row_exactly_at_its_boundary():
     """Both parities from vertices 0 and 1 of the 16-cycle, 3 steps: vertices 13 to 4, unwrapped.
 
-    _toss_blocks ends the side's blocks with a row of zeros, and the gather
-    index reads it for exactly the block entries of a port whose source lies
-    off the side, as an entry of either port of the pair.
+    _toss_blocks ends the side's half layout with a row of zeros, and the
+    gather index reads it for exactly the block entries of a port whose
+    source lies off the side, as an entry of either port of the pair.
     """
     graph = build_cycle(16)
     step = make_step(graph, beta=0.5, vertex_p=0.3)
@@ -257,24 +257,40 @@ def test_a_one_sided_cone_reads_the_zero_row_exactly_at_its_boundary():
     (side,) = sides.sides
     assert side.tolist() == [0, 1, 2, 3, 4, 13, 14, 15]
     m, d = side.size, 2
+    rows = m * (m + 1) // 2
     ((sources, (vertex, port)),) = sides.moves
     off = np.zeros((m, d), dtype=bool)
     off[vertex, port] = True
     assert off.sum() == 2 and side[off.any(axis=1)].tolist() == [4, 13]  # a port at each end
-    (index,) = sides.block_indices
-    reads_zero = (off[:, None, :, None] | off[None, :, None, :]).reshape(m * m, d * d)
-    assert np.array_equal(index >= m * m * d * d, reads_zero)
-    assert (index[reads_zero] == m * m * d * d).all()
-    # every other entry reads the port pair's sources, as the walk without the row did
-    i, a = np.divmod(sources.reshape(m, d), d)
-    inside = (i[:, None, :, None] * m + i[None, :, None, :]) * d * d + a[:, None, :, None] * d \
-        + a[None, :, None, :]
-    assert np.array_equal(index[~reads_zero], inside.reshape(m * m, d * d)[~reads_zero])
+    ((index, conjugate),) = sides.block_indices
+    # the rows: the same-vertex blocks, then the pairs i < j in row-major order
+    pairs = [(i, i) for i in range(m)] + [(i, j) for i in range(m) for j in range(i + 1, m)]
+    i, j = np.array(pairs).T
+    reads_zero = (off[i][:, :, None] | off[j][:, None, :]).reshape(rows, d * d)
+    assert np.array_equal(index >= rows * d * d, reads_zero)
+    assert (index[reads_zero] // (d * d) == rows).all()
+    # every other entry reads its port pair's sources, below the diagonal
+    # from the mirror entry, whose imaginary part the gather then negates
+    # unless the entry lies below the diagonal of a same-vertex block
+    pair_row = {pair: r for r, pair in enumerate(pairs)}
+    want, negated = [], []
+    for r, (i2, j2) in enumerate(zip(i.tolist(), j.tolist())):
+        for a2 in range(d):
+            for b2 in range(d):
+                (v, a), (w, b) = divmod(sources[i2 * d + a2], d), divmod(sources[j2 * d + b2], d)
+                if v > w:
+                    (v, a), (w, b) = (w, b), (v, a)
+                    if not reads_zero[r, a2 * d + b2] and not (i2 == j2 and a2 > b2):
+                        negated.append(2 * (r * d * d + a2 * d + b2) + 1)
+                want.append(pair_row[v, w] * d * d + a * d + b)
+    want = np.array(want).reshape(rows, d * d)
+    assert np.array_equal(index[~reads_zero], want[~reads_zero])
+    assert conjugate.tolist() == negated and negated
 
     rng = np.random.default_rng(3)
-    blocks = rng.normal(size=(m * m, d * d)) + 1j * rng.normal(size=(m * m, d * d))
+    blocks = rng.normal(size=(rows, d * d)) + 1j * rng.normal(size=(rows, d * d))
     tossed = evolution._toss_blocks(blocks, sides, 0)
-    assert tossed.shape == (m * m + 1, d * d) and not tossed[-1].any()
+    assert tossed.shape == (rows + 1, d * d) and not tossed[-1].any()
     shifted = evolution._shift_blocks(tossed, sides, 0)
     assert np.array_equal(shifted[reads_zero], np.zeros(reads_zero.sum()))
     assert not np.signbit(shifted[reads_zero].view(float)).any()

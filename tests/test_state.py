@@ -216,6 +216,11 @@ def _with(values, x):
     return out
 
 
+def _half(rho, degree):
+    """rho's half layout, as the density walk holds it."""
+    return evolution._to_half(rho, evolution._matrix_boundary(rho.shape[0] // degree, degree))
+
+
 # every guard that reads a bound of DEFAULT_TOLERANCES, as a call that passes
 # when x is 1 and must fail, with the message given, when x is NaN or Inf
 GUARDS = {
@@ -224,12 +229,12 @@ GUARDS = {
               "non-finite"),
     "marginal_clamp": (lambda x: position_marginal(_with(np.zeros((4, 4)), x), 2),
                        InvariantViolation, "non-finite"),
-    # the density walk reads both off one read of its vertex-pair blocks' diagonal
+    # the density walk reads both off one read of its half layout's same-vertex diagonal
     "trace-of-blocks": (
-        lambda x: evolution._read_blocks(evolution._to_blocks(_with(np.zeros((4, 4)), x), 2)),
+        lambda x: evolution._read_blocks(_half(_with(np.zeros((4, 4)), x), 2)),
         InvariantViolation, "non-finite"),
     "marginal_clamp-of-blocks": (
-        lambda x: evolution._read_blocks(evolution._to_blocks(np.diag([x, -x, 1.0, 0.0]), 2)),
+        lambda x: evolution._read_blocks(_half(np.diag([x, -x, 1.0, 0.0]), 2)),
         InvariantViolation, "non-finite"),
     "branch_sum": (lambda x: evolution._check_branch_sums(np.array([x])),
                    InvariantViolation, "sum to"),
@@ -292,9 +297,8 @@ def test_position_marginal_names_what_is_wrong(diagonal, message):
 ])
 def test_the_density_walk_read_names_what_is_wrong(diagonal, message):
     """The trace check and the marginal's guard share one read of the blocks' diagonal."""
-    blocks = evolution._to_blocks(np.diag(diagonal).astype(complex), 2)
     with pytest.raises(InvariantViolation, match=message):
-        evolution._read_blocks(blocks)
+        evolution._read_blocks(_half(np.diag(diagonal).astype(complex), 2))
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 9, 12])
@@ -305,7 +309,7 @@ def test_the_density_walk_read_sums_each_vertex_as_its_row_of_the_diagonal(degre
     diagonal = rng.dirichlet(np.ones(3 * degree))
     diagonal[-degree:] = [0.0] * (degree - 1) + [-1e-13]  # roundoff below 0
     rho = np.diag(diagonal / diagonal.sum()).astype(complex)
-    probs = evolution._read_blocks(evolution._to_blocks(rho, degree))
+    probs = evolution._read_blocks(_half(rho, degree))
     expected = np.ascontiguousarray(np.diagonal(rho).real).reshape(3, degree).sum(axis=1)
     assert np.array_equal(probs, np.maximum(expected, 0.0))
     assert probs[-1] == 0.0 and not np.signbit(probs).any()
